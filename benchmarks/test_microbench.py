@@ -12,6 +12,7 @@ import pytest
 
 from repro.cdma.spreading import despread, spread
 from repro.cdma.walsh import walsh_codes
+from repro.coloring.bbb import bbb_colors
 from repro.coloring.dsatur import dsatur_color_matrix
 from repro.geometry.grid_index import UniformGridIndex
 from repro.matching.hungarian import solve_max_weight_dense
@@ -42,6 +43,13 @@ def test_dsatur_150(benchmark):
     conflicts = conflict_matrix(adj)
     colors = benchmark(dsatur_color_matrix, conflicts)
     assert colors.min() >= 1
+
+
+def test_bbb_recolor_100(benchmark):
+    """One whole-network BBB recolor of a 100-node network (the BBB lane's per-event cost)."""
+    graph = build_digraph(sample_configs(100, np.random.default_rng(7)))
+    ids, colors = benchmark(bbb_colors, graph)
+    assert len(ids) == 100 and colors.min() >= 1
 
 
 def test_hungarian_60x80(benchmark):

@@ -17,26 +17,42 @@ the lowest max-color curve among all strategies, and wholesale recoloring
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.coloring.assignment import CodeAssignment
+from repro.coloring.bounds import receiver_clique_bound
 from repro.coloring.dsatur import dsatur_color_matrix
 from repro.coloring.greedy import greedy_color_matrix
 from repro.coloring.smallest_last import smallest_last_order
 from repro.topology.conflicts import conflict_adjacency
-from repro.topology.digraph import AdHocDigraph
+from repro.topology.static import DigraphLike
+from repro.types import NodeId
 
-__all__ = ["bbb_coloring"]
+__all__ = ["bbb_coloring", "bbb_colors"]
 
 
-def bbb_coloring(graph: AdHocDigraph) -> CodeAssignment:
-    """Centralized near-optimal coloring of the conflict graph.
+def bbb_colors(graph: DigraphLike) -> tuple[list[NodeId], np.ndarray]:
+    """``(ids, colors)`` — the BBB coloring, ids ascending, colors aligned.
 
-    Runs DSATUR and smallest-last greedy, returning the assignment with
-    the smaller maximum color (ties prefer DSATUR).  Deterministic.
+    Runs DSATUR and smallest-last greedy over one conflict matrix and
+    keeps the coloring with the smaller maximum color (ties prefer
+    DSATUR).  The smallest-last pass is skipped when it cannot win: no
+    proper coloring uses fewer colors than the receiver clique bound, so
+    a DSATUR coloring that meets the bound is kept either way.
     """
     ids, conflicts = conflict_adjacency(graph)
-    dsatur = dsatur_color_matrix(conflicts)
-    sl = greedy_color_matrix(conflicts, smallest_last_order(conflicts))
-    ds_max = int(dsatur.max()) if len(dsatur) else 0
-    sl_max = int(sl.max()) if len(sl) else 0
-    chosen = dsatur if ds_max <= sl_max else sl
-    return CodeAssignment({ids[i]: int(chosen[i]) for i in range(len(ids))})
+    colors = dsatur_color_matrix(conflicts)
+    if len(ids) and colors.max() > receiver_clique_bound(graph):
+        sl = greedy_color_matrix(conflicts, smallest_last_order(conflicts))
+        if sl.max() < colors.max():
+            colors = sl
+    return ids, colors
+
+
+def bbb_coloring(graph: DigraphLike) -> CodeAssignment:
+    """Centralized near-optimal coloring of the conflict graph.
+
+    Deterministic; see :func:`bbb_colors` for the construction.
+    """
+    ids, colors = bbb_colors(graph)
+    return CodeAssignment(dict(zip(ids, colors.tolist())))

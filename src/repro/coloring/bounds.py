@@ -11,22 +11,23 @@ import numpy as np
 
 from repro.topology.conflicts import conflict_adjacency
 from repro.topology.digraph import AdHocDigraph
+from repro.topology.static import DigraphLike
 from repro.types import NodeId
 
 __all__ = ["clique_lower_bound", "greedy_clique", "receiver_clique_bound"]
 
 
-def receiver_clique_bound(graph: AdHocDigraph) -> int:
+def receiver_clique_bound(graph: DigraphLike) -> int:
     """``max_v (indegree(v) + 1)`` — a structural clique bound.
 
     The in-neighbors of any receiver ``v`` pairwise conflict (CA2) and
     each conflicts with ``v`` itself (CA1), so ``{v} ∪ in(v)`` is a
     clique in the conflict graph.
     """
-    ids = graph.node_ids()
+    ids, adj = graph.adjacency()
     if not ids:
         return 0
-    return max(graph.in_degree(v) for v in ids) + 1
+    return int(adj.sum(axis=0).max()) + 1
 
 
 def greedy_clique(conflicts: np.ndarray, seed: int) -> list[int]:

@@ -18,25 +18,33 @@ __all__ = ["dsatur_coloring", "dsatur_color_matrix"]
 
 
 def dsatur_color_matrix(conflicts: np.ndarray) -> np.ndarray:
-    """DSATUR colors (1-based) for a boolean conflict matrix."""
+    """DSATUR colors (1-based) for a boolean conflict matrix.
+
+    Each step is a handful of O(n) array operations.  The selection key
+    packs (saturation, degree) exactly into one float,
+    ``saturation + degree·2⁻ᵏ`` with ``2ᵏ > n``, so ``argmax`` — which
+    returns the first maximum — picks max saturation, then max degree,
+    then min index; colored vertices sit at ``-inf``.  ``used[c]`` marks
+    the vertices with a neighbor of color ``c``, so a vertex's smallest
+    free color is the first unmarked entry of its column.
+    """
+    conflicts = np.asarray(conflicts, dtype=bool)
     n = conflicts.shape[0]
     colors = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return colors
-    degree = conflicts.sum(axis=1)
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    uncolored = set(range(n))
+    key = np.ldexp(conflicts.sum(axis=1, dtype=np.float64), -n.bit_length())
+    used = np.zeros((n + 2, n), dtype=bool)
+    fresh = np.empty(n, dtype=bool)
+    top = 0  # colors above top are unused, so column slices stop at top + 1
     for _ in range(n):
-        # Max saturation, then max degree, then min index.
-        best = min(uncolored, key=lambda i: (-len(neighbor_colors[i]), -int(degree[i]), i))
-        used = neighbor_colors[best]
-        c = 1
-        while c in used:
-            c += 1
-        colors[best] = c
-        uncolored.discard(best)
-        for j in np.flatnonzero(conflicts[best]):
-            neighbor_colors[int(j)].add(c)
+        v = int(key.argmax())
+        c = 1 + int(used[1 : top + 2, v].argmin())
+        colors[v] = c
+        key[v] = -np.inf
+        top = max(top, c)
+        row, marked = conflicts[v], used[c]
+        np.greater(row, marked, out=fresh)  # neighbors that gain color c
+        key += fresh
+        marked |= row
     return colors
 
 

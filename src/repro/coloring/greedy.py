@@ -19,17 +19,20 @@ def greedy_color_matrix(conflicts: np.ndarray, order: Sequence[int]) -> np.ndarr
 
     ``order`` is a permutation of matrix indices; node ``order[0]`` gets
     color 1, later nodes get the smallest color not used by their already
-    colored conflict neighbors.
+    colored conflict neighbors.  ``used[c]`` marks the nodes with a
+    neighbor of color ``c``, so each step is one column scan and one row
+    update.
     """
+    conflicts = np.asarray(conflicts, dtype=bool)
     n = conflicts.shape[0]
     colors = np.zeros(n, dtype=np.int64)
+    used = np.zeros((n + 2, n), dtype=bool)
+    top = 0  # colors above top are unused, so column slices stop at top + 1
     for i in order:
-        neighbor_colors = colors[conflicts[i]]
-        used = set(int(c) for c in neighbor_colors[neighbor_colors > 0])
-        c = 1
-        while c in used:
-            c += 1
+        c = 1 + int(used[1 : top + 2, i].argmin())
         colors[i] = c
+        used[c] |= conflicts[i]
+        top = max(top, c)
     return colors
 
 

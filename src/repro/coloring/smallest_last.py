@@ -19,22 +19,25 @@ from repro.types import NodeId
 
 __all__ = ["smallest_last_order", "smallest_last_coloring"]
 
+_REMOVED = np.iinfo(np.int64).max  # minus at most n decrements, still above any degree
+
 
 def smallest_last_order(conflicts: np.ndarray) -> list[int]:
     """Coloring order: reverse of iterated minimum-degree removal.
 
-    Ties break on the lower index for determinism.
+    Ties break on the lower index for determinism: a removed vertex's
+    degree is pinned above any live one, so ``argmin`` (first minimum)
+    makes the whole choice.
     """
+    conflicts = np.asarray(conflicts, dtype=bool)
     n = conflicts.shape[0]
-    degree = conflicts.sum(axis=1).astype(np.int64)
-    alive = np.ones(n, dtype=bool)
+    degree = conflicts.sum(axis=1, dtype=np.int64)
     removal: list[int] = []
     for _ in range(n):
-        alive_idx = np.flatnonzero(alive)
-        i = int(alive_idx[np.lexsort((alive_idx, degree[alive_idx]))[0]])
+        i = int(degree.argmin())
         removal.append(i)
-        alive[i] = False
-        degree[conflicts[i] & alive] -= 1
+        degree[i] = _REMOVED
+        degree -= conflicts[i]
     removal.reverse()
     return removal
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Set
 
 from repro.coloring.assignment import CodeAssignment
-from repro.coloring.bbb import bbb_coloring
+from repro.coloring.bbb import bbb_colors
 from repro.strategies.base import RecodeResult, RecodingStrategy
 from repro.topology.static import DigraphLike
 from repro.types import Color, NodeId
@@ -33,15 +33,15 @@ class BBBGlobalStrategy(RecodingStrategy):
         event_kind: str,
         node_id: NodeId,
     ) -> RecodeResult:
-        new = bbb_coloring(graph)  # type: ignore[arg-type]
+        ids, colors = bbb_colors(graph)
         changes: dict[NodeId, tuple[Color | None, Color]] = {}
-        for v, c in new.items():
+        for v, c in zip(ids, colors.tolist()):
             old = assignment.get(v)
             if old != c:
                 changes[v] = (old, c)
         # A central coordinator collects the whole topology and pushes
         # every node's (possibly unchanged) color back out.
-        messages = 2 * len(graph.node_ids())
+        messages = 2 * len(ids)
         return RecodeResult(event_kind, node_id, changes, messages=messages)
 
     def on_join(
