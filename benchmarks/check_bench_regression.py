@@ -18,7 +18,7 @@ but do not fail the gate (bench coverage may grow PR over PR).
 ``--min-speedup [SCENARIO/MODE:]FIELD=MIN`` (repeatable) additionally
 gates the fresh run's *intra-run* ratios — the
 warm-start-vs-cold-rebuild and shared-vs-per-strategy replay speedups,
-the sparse core's ``speedup_vs_array`` and ``speedup_vs_pr7``, and the
+the sparse core's ``speedup_vs_array``, and the
 adaptive controller's ``run_savings_vs_fixed`` run-budget ratio (a
 seeded run-count ratio, not a timing, so it is exactly reproducible) —
 which don't depend on runner hardware and therefore hold a much
@@ -103,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="[SCENARIO/MODE:]FIELD=MIN",
         help="fail when a fresh entry's FIELD speedup is below MIN "
         "(repeatable, e.g. speedup_vs_cold=1.2 or "
-        "large-join/sparse:speedup_vs_pr7=3)",
+        "large-join/sparse:speedup_vs_array=3)",
     )
     parser.add_argument(
         "--max-mem",

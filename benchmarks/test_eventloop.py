@@ -1,10 +1,9 @@
-"""Event-loop bench: the four conflict cores, head to head.
+"""Event-loop bench: the two conflict cores, head to head.
 
 Times the strategy-independent event loop (topology mutation + V1
-conflict derivation) in all four conflict-maintenance modes, mirroring
-what ``minim-cdma bench`` reports, so `--benchmark-compare` runs track
-the array core's advantage (and the sparse core's small-N overhead)
-over time.
+conflict derivation) on the array and sparse cores, mirroring what
+``minim-cdma bench`` reports, so `--benchmark-compare` runs track the
+sparse core's small-N overhead over time.
 """
 
 import numpy as np
@@ -26,16 +25,6 @@ def join_trace():
 
 def test_eventloop_join_array(benchmark, join_trace):
     wall = benchmark(drive_event_loop, join_trace, mode="array")
-    assert wall > 0.0
-
-
-def test_eventloop_join_grid(benchmark, join_trace):
-    wall = benchmark(drive_event_loop, join_trace, mode="grid")
-    assert wall > 0.0
-
-
-def test_eventloop_join_dense(benchmark, join_trace):
-    wall = benchmark(drive_event_loop, join_trace, mode="dense")
     assert wall > 0.0
 
 

@@ -14,7 +14,6 @@ from repro.cdma.spreading import despread, spread
 from repro.cdma.walsh import walsh_codes
 from repro.coloring.bbb import bbb_colors
 from repro.coloring.dsatur import dsatur_color_matrix
-from repro.geometry.grid_index import UniformGridIndex
 from repro.matching.hungarian import solve_max_weight_dense
 from repro.sim.network import AdHocNetwork
 from repro.sim.random_networks import sample_configs
@@ -74,19 +73,6 @@ def test_join_recode_throughput(benchmark):
 
     plan = benchmark(recode)
     assert last.node_id in plan.changes
-
-
-def test_grid_index_vs_brute_force(benchmark):
-    """Disc query through the grid index (compare with the brute bench)."""
-    rng = np.random.default_rng(4)
-    pts = rng.uniform(0, 1000, (5000, 2))
-    idx = UniformGridIndex(25.0)
-    for i, (x, y) in enumerate(pts):
-        idx.insert(i, float(x), float(y))
-    got = benchmark(idx.query_disc, 500.0, 500.0, 25.0)
-    diff = pts - np.array([500.0, 500.0])
-    want = int((np.einsum("ij,ij->i", diff, diff) <= 25.0**2).sum())
-    assert len(got) == want
 
 
 def test_brute_force_disc_query(benchmark):

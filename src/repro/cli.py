@@ -54,7 +54,7 @@ top spans by self-time, cache-hit ratios, checkpoint replay savings,
 per-worker timelines — with ``--chrome OUT`` exporting a
 chrome://tracing / Perfetto file and ``--check`` failing the exit code
 when planned tasks are missing closed spans.  ``bench`` times the topology
-event loop (grid fast path vs the ``REPRO_DENSE`` hatch), shared vs
+event loop (array vs sparse conflict core), shared vs
 per-strategy multi-strategy replay, checkpoint-timeline prefix sharing
 vs per-point round replay, and adaptive vs fixed run budgets, writing
 ``BENCH_eventloop.json``.  Each experiment command prints metric tables
@@ -592,9 +592,6 @@ def _print_bench_table(entries: list[dict]) -> None:
     for e in entries:
         speedup = ""
         for field in (
-            "speedup_vs_dict",
-            "speedup_vs_dense",
-            "speedup_vs_pr7",
             "speedup_vs_array",
             "round_batch_speedup",
             "speedup_vs_per_strategy",

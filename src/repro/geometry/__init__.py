@@ -10,7 +10,7 @@ from repro.geometry.distance import (
     pairwise_distances,
     within_disc,
 )
-from repro.geometry.grid_index import UniformGridIndex
+from repro.geometry.grid_index import SlotGridIndex
 from repro.geometry.obstacles import RectObstacle, segment_intersects_rect
 from repro.geometry.point import (
     as_position_array,
@@ -21,7 +21,7 @@ from repro.geometry.point import (
 
 __all__ = [
     "RectObstacle",
-    "UniformGridIndex",
+    "SlotGridIndex",
     "as_position_array",
     "displace",
     "distances_from",

@@ -1,192 +1,37 @@
-"""Uniform-grid spatial indexes for disc queries.
+"""Uniform-grid spatial index over node slots, for disc queries.
 
 For the paper's network sizes a brute-force scan is adequate, but a
 spatial index keeps per-event topology updates near O(neighborhood) for
-larger deployments and is exercised by the microbenchmarks.  Two
-implementations share the cell-enumeration scheme:
+larger deployments.  :class:`SlotGridIndex` maps each cell to a
+*contiguous numpy array of node slots* (the row indices of the
+digraph's position and adjacency storage), so a candidate query is a
+handful of dict lookups plus one ``np.concatenate`` — no per-item
+Python loop and no id→slot translation on the hot path.
 
-* :class:`UniformGridIndex` — the object-level index of the dict
-  conflict core.  Cells map to *sets of item ids*; queries return id
-  lists that callers translate back to array slots through a dict.
-* :class:`SlotGridIndex` — the array-native index of the array conflict
-  core (``REPRO_ARRAY``).  Cells map to *contiguous numpy arrays of
-  node slots* (the row indices of the digraph's adjacency block), so a
-  candidate query is a handful of dict lookups plus one
-  ``np.concatenate`` — no per-item Python loop and no id→slot
-  translation on the hot path.
-
-Both grids are unbounded (cells are created lazily), use the same cell
-geometry for a given ``cell_size``, and return *supersets* of the exact
-disc — the caller applies the exact distance filter vectorized — so the
-digraph produces byte-identical edges regardless of which index backs
-it.
+The grid is unbounded (cells are created lazily) and returns
+*supersets* of the exact disc — the caller applies the exact distance
+filter vectorized — so the digraph's edges never depend on the cell
+size.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
 from repro.errors import ConfigurationError, UnknownNodeError
 
-__all__ = ["SlotGridIndex", "UniformGridIndex"]
+__all__ = ["SlotGridIndex"]
 
-#: Cell-enumeration guard ring (see :meth:`UniformGridIndex.candidates_in_box`).
+#: Extra cell ring around every query window.  It guards the
+#: exact-boundary corner cases (e.g. squared distances that underflow
+#: to 0.0 for points a denormal away from the query on the other side
+#: of a cell border).
 _GUARD_CELLS = 1
 
 #: Initial per-cell bucket capacity of :class:`SlotGridIndex`.
 _BUCKET_CAPACITY = 8
-
-
-class UniformGridIndex:
-    """Point index over a uniform grid of square cells.
-
-    Parameters
-    ----------
-    cell_size:
-        Side length of each grid cell.  A good default is the typical
-        query radius, so a disc query touches O(1) cells.
-
-    Notes
-    -----
-    Items are identified by integer ids.  The grid is unbounded (cells are
-    created lazily in a dict), so points may lie anywhere in the plane.
-    """
-
-    def __init__(self, cell_size: float) -> None:
-        if not (cell_size > 0 and math.isfinite(cell_size)):
-            raise ConfigurationError(f"cell_size must be positive and finite, got {cell_size}")
-        self._cell_size = float(cell_size)
-        self._cells: dict[tuple[int, int], set[int]] = {}
-        self._points: dict[int, tuple[float, float]] = {}
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def cell_size(self) -> float:
-        """Side length of each grid cell."""
-        return self._cell_size
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def __contains__(self, item_id: int) -> bool:
-        return item_id in self._points
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._points)
-
-    def position_of(self, item_id: int) -> tuple[float, float]:
-        """Return the stored position of ``item_id``."""
-        try:
-            return self._points[item_id]
-        except KeyError:
-            raise UnknownNodeError(item_id) from None
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def _cell_of(self, x: float, y: float) -> tuple[int, int]:
-        return (math.floor(x / self._cell_size), math.floor(y / self._cell_size))
-
-    def insert(self, item_id: int, x: float, y: float) -> None:
-        """Insert a new item.  Re-inserting an existing id moves it."""
-        if item_id in self._points:
-            self.move(item_id, x, y)
-            return
-        cell = self._cell_of(x, y)
-        self._cells.setdefault(cell, set()).add(item_id)
-        self._points[item_id] = (float(x), float(y))
-
-    def remove(self, item_id: int) -> None:
-        """Remove an item; raises :class:`UnknownNodeError` if absent."""
-        try:
-            x, y = self._points.pop(item_id)
-        except KeyError:
-            raise UnknownNodeError(item_id) from None
-        cell = self._cell_of(x, y)
-        members = self._cells[cell]
-        members.discard(item_id)
-        if not members:
-            del self._cells[cell]
-
-    def move(self, item_id: int, x: float, y: float) -> None:
-        """Update an item's position, relocating it between cells if needed."""
-        if item_id not in self._points:
-            raise UnknownNodeError(item_id)
-        old_cell = self._cell_of(*self._points[item_id])
-        new_cell = self._cell_of(x, y)
-        if old_cell != new_cell:
-            members = self._cells[old_cell]
-            members.discard(item_id)
-            if not members:
-                del self._cells[old_cell]
-            self._cells.setdefault(new_cell, set()).add(item_id)
-        self._points[item_id] = (float(x), float(y))
-
-    def copy(self) -> "UniformGridIndex":
-        """Independent copy (same cell size, copied cells and points)."""
-        g = UniformGridIndex(self._cell_size)
-        g._cells = {cell: set(members) for cell, members in self._cells.items()}
-        g._points = dict(self._points)
-        return g
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def candidates_in_box(self, x: float, y: float, radius: float) -> list[int]:
-        """Ids of all items in cells overlapping the disc's bounding box.
-
-        A cheap *superset* of :meth:`query_disc` (no distance filtering):
-        callers that already hold aligned position arrays can run their
-        own vectorized exact filter without touching the per-item dict.
-        One extra cell ring guards the exact-boundary corner cases (e.g.
-        squared distances that underflow to 0.0 for points a denormal
-        away from the query on the other side of a cell border).
-        """
-        if radius < 0:
-            raise ConfigurationError(f"radius must be non-negative, got {radius}")
-        cs = self._cell_size
-        cx_lo = math.floor((x - radius) / cs) - _GUARD_CELLS
-        cx_hi = math.floor((x + radius) / cs) + _GUARD_CELLS
-        cy_lo = math.floor((y - radius) / cs) - _GUARD_CELLS
-        cy_hi = math.floor((y + radius) / cs) + _GUARD_CELLS
-        candidates: list[int] = []
-        cells = self._cells
-        if (cx_hi - cx_lo + 1) * (cy_hi - cy_lo + 1) > len(cells):
-            # Huge query relative to the occupancy: scanning the occupied
-            # cells beats enumerating the (mostly empty) cell lattice.
-            for (cx, cy), members in cells.items():
-                if cx_lo <= cx <= cx_hi and cy_lo <= cy <= cy_hi:
-                    candidates.extend(members)
-            return candidates
-        for cx in range(cx_lo, cx_hi + 1):
-            for cy in range(cy_lo, cy_hi + 1):
-                members = cells.get((cx, cy))
-                if members:
-                    candidates.extend(members)
-        return candidates
-
-    def query_disc(self, x: float, y: float, radius: float) -> list[int]:
-        """Return ids of all items within ``radius`` (closed) of ``(x, y)``.
-
-        Candidates are gathered from the overlapping cells, then filtered
-        exactly with a vectorized squared-distance test.
-        """
-        candidates = self.candidates_in_box(x, y, radius)
-        if not candidates:
-            return []
-        pts = np.asarray([self._points[i] for i in candidates], dtype=np.float64)
-        diff = pts - np.asarray([x, y], dtype=np.float64)
-        mask = np.einsum("ij,ij->i", diff, diff) <= radius * radius
-        return [item for item, ok in zip(candidates, mask) if ok]
-
-    def query_disc_count(self, x: float, y: float, radius: float) -> int:
-        """Return the number of items within the disc (exact)."""
-        return len(self.query_disc(x, y, radius))
 
 
 class _SlotBucket:
@@ -237,10 +82,9 @@ class _SlotBucket:
 
 
 class SlotGridIndex:
-    """Array-native uniform grid over node *slots* (array-core fast path).
+    """Uniform grid of square cells over node *slots*.
 
-    Where :class:`UniformGridIndex` keys items by stable node id, this
-    index keys them by their **slot** — the row index of the node in the
+    Items are keyed by their **slot** — the row index of the node in the
     digraph's flat adjacency/position arrays.  Candidate queries then
     return a numpy index array that can be applied directly to those
     arrays (``pos[cand]``, ``ranges[cand]``) with zero per-item Python
@@ -256,10 +100,10 @@ class SlotGridIndex:
 
     * slots present in the grid are exactly ``0..len(self)-1`` whenever
       the digraph's active block is fully inserted;
-    * :meth:`candidate_slots` returns a *superset* of the exact disc,
-      identical in membership to what :class:`UniformGridIndex` returns
-      for the same points and ``cell_size`` (cell geometry is shared),
-      so the two conflict cores compute byte-identical edge masks.
+    * :meth:`candidate_slots` returns exactly the slots in the cells
+      overlapping the disc's bounding box plus the guard ring — a
+      *superset* of the exact disc, so the conflict cores compute
+      byte-identical edge masks whatever the cell size.
     """
 
     def __init__(self, cell_size: float) -> None:
@@ -430,12 +274,11 @@ class SlotGridIndex:
     ) -> np.ndarray | None:
         """Slots in all cells overlapping the disc's bounding box.
 
-        The array-native counterpart of
-        :meth:`UniformGridIndex.candidates_in_box`: a cheap *superset*
-        of the exact disc, returned as a numpy index array ready for
-        fancy-indexing the digraph's position/range blocks.  The same
-        one-cell guard ring protects the exact-boundary corner cases.
-        The result is freshly allocated (never a view into a bucket).
+        A cheap *superset* of the exact disc (no distance filtering),
+        returned as a numpy index array ready for fancy-indexing the
+        digraph's position/range blocks.  The one-cell guard ring
+        protects the exact-boundary corner cases.  The result is
+        freshly allocated (never a view into a bucket).
 
         ``cutoff`` declares the candidate count at which gathering stops
         paying for itself: when at least that many slots fall inside the
@@ -528,43 +371,3 @@ class SlotGridIndex:
         if len(parts) == 1:
             return parts[0].copy()
         return np.concatenate(parts)
-
-    def iter_candidate_blocks(self, x: float, y: float, radius: float) -> Iterator[np.ndarray]:
-        """Yield one slot block per occupied cell overlapping the disc box.
-
-        The streaming counterpart of :meth:`candidate_slots` for
-        consumers that must never materialize an N-wide mask (the sparse
-        conflict core): each yielded block is the bucket of one occupied
-        cell inside the query's bounding box (plus the usual guard
-        ring), so a caller can accumulate exact per-block filter results
-        and bail out early once the running candidate count proves the
-        query unselective.  The union of the yielded blocks has exactly
-        the membership :meth:`candidate_slots` would return.
-
-        Blocks are **read-only views into live buckets** — valid only
-        until the next grid mutation; callers must copy (or concatenate,
-        which copies) anything they keep.
-        """
-        if radius < 0:
-            raise ConfigurationError(f"radius must be non-negative, got {radius}")
-        cs = self._cell_size
-        cx_lo = math.floor((x - radius) / cs) - _GUARD_CELLS
-        cx_hi = math.floor((x + radius) / cs) + _GUARD_CELLS
-        cy_lo = math.floor((y - radius) / cs) - _GUARD_CELLS
-        cy_hi = math.floor((y + radius) / cs) + _GUARD_CELLS
-        cells = self._cells
-        if (cx_hi - cx_lo + 1) * (cy_hi - cy_lo + 1) > len(cells):
-            # Huge query relative to the occupancy: scan occupied cells.
-            for (cx, cy), bucket in cells.items():
-                if cx_lo <= cx <= cx_hi and cy_lo <= cy <= cy_hi:
-                    block = bucket.data[: bucket.count]
-                    block.flags.writeable = False
-                    yield block
-            return
-        for cx in range(cx_lo, cx_hi + 1):
-            for cy in range(cy_lo, cy_hi + 1):
-                bucket = cells.get((cx, cy))
-                if bucket is not None:
-                    block = bucket.data[: bucket.count]
-                    block.flags.writeable = False
-                    yield block

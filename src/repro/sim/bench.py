@@ -9,20 +9,15 @@ in-neighbors, i.e. the ``V1`` of Fig 3) — over two traces:
 * one registered scenario's full event trace (default
   ``random-waypoint``, re-based to ``--n`` nodes so moves dominate).
 
-Each trace runs once per conflict core: the array-native core (flat
-numpy slots, batched conflict rows — the default), the dict-keyed
-incremental core (``REPRO_ARRAY=0``, labeled ``grid``), the
-``REPRO_DENSE=1`` escape hatch that re-derives the dense conflict
-matrix per event, and the sparse CSR-row core (``REPRO_SPARSE=1``).
-The array entries carry ``speedup_vs_dict`` — the CI-gated ratio of
-the PR 6 rewrite — and a separate :func:`run_large_n_bench` drives
-N≥2000 join traces at constant node density on the array and sparse
-cores, the regime where the dense blocks' O(N²) memory and N-wide
-masks collapse; its sparse entry drives the whole trace through the
-streaming bulk-join path and carries the CI-gated ``speedup_vs_pr7``
-(over the per-event scalar kernels it replaced) plus
-``speedup_vs_array`` and a tracemalloc memory ceiling, and a
-round-structured mobility entry measures
+Each trace runs once per conflict core: the array core (flat numpy
+slots, batched conflict rows — the default) and the sparse CSR-row
+core (``REPRO_SPARSE=1``).  A separate :func:`run_large_n_bench`
+drives N≥2000 join traces at constant node density on both cores, the
+regime where the array core's O(N²) blocks and N-wide masks collapse;
+its sparse entry drives the whole trace through the streaming
+bulk-join path and carries the CI-gated ``speedup_vs_array`` and a
+tracemalloc memory ceiling, and a round-structured mobility entry
+measures
 :meth:`~repro.topology.digraph.AdHocDigraph.apply_round` batching.
 Every entry records ``peak_mem_mb`` (the traced warmup's peak), so
 ``BENCH_eventloop.json`` tracks the memory trajectory alongside
@@ -127,32 +122,22 @@ __all__ = [
 
 _DEFAULT_OUT = Path("BENCH_eventloop.json")
 
-_EVENT_LOOP_MODES = ("array", "grid", "dense", "sparse")
-
-#: Modes the drivers accept beyond the small-N matrix: ``sparse-scalar``
-#: pins the PR 7 per-event kernels (``sparse_scalar=True``), the oracle
-#: and same-machine baseline for the large-n ``speedup_vs_pr7`` ratio.
-_DRIVER_MODES = (*_EVENT_LOOP_MODES, "sparse-scalar")
+_EVENT_LOOP_MODES = ("array", "sparse")
 
 #: The array core's dense blocks need ~1.5 GB at N=10⁴ and grow O(N²);
 #: above this the large-n bench drops the array leg rather than OOM.
 _ARRAY_MAX_LARGE_N = 10000
 
-#: The per-event scalar baseline runs ~1.7k events/sec; above this the
-#: comparison leg would dominate the bench wall clock, so the large-n
-#: bench skips it (no ``speedup_vs_pr7`` on those entries).
-_SCALAR_MAX_LARGE_N = 20000
-
 
 def _bench_graph(mode: str) -> AdHocDigraph:
-    """A fresh digraph pinned to the named conflict core."""
-    if mode == "sparse":
-        return AdHocDigraph(sparse_core=True)
-    if mode == "sparse-scalar":
-        return AdHocDigraph(sparse_core=True, sparse_scalar=True)
-    # explicit array_core pins the core (and disarms auto-promotion),
-    # so large-n array entries honestly measure the dense blocks
-    return AdHocDigraph(dense_conflicts=mode == "dense", array_core=mode == "array")
+    """A fresh digraph pinned to the named conflict core.
+
+    An explicit ``sparse_core`` disarms auto-promotion, so large-n array
+    entries honestly measure the dense blocks.
+    """
+    if mode not in _EVENT_LOOP_MODES:
+        raise ValueError(f"unknown event-loop mode {mode!r}; expected one of {_EVENT_LOOP_MODES}")
+    return AdHocDigraph(sparse_core=mode == "sparse")
 
 
 def _apply_setup(graph: AdHocDigraph, setup: list[Event] | None, mode: str) -> None:
@@ -161,8 +146,8 @@ def _apply_setup(graph: AdHocDigraph, setup: list[Event] | None, mode: str) -> N
     Sparse-core graphs admit it through one
     :meth:`~repro.topology.digraph.AdHocDigraph.apply_round` (the bulk
     join path — byte-identical to sequential application and the only
-    way an N=10⁵ setup finishes in bench-friendly time); other cores
-    replay it event by event.
+    way an N=10⁵ setup finishes in bench-friendly time); the array core
+    replays it event by event.
     """
     if not setup:
         return
@@ -176,8 +161,7 @@ def _apply_setup(graph: AdHocDigraph, setup: list[Event] | None, mode: str) -> N
 def drive_event_loop(
     events: list[Event],
     *,
-    mode: str | None = None,
-    dense_conflicts: bool | None = None,
+    mode: str,
     setup: list[Event] | None = None,
 ) -> float:
     """Apply ``events`` to a fresh digraph; return the wall seconds.
@@ -190,19 +174,10 @@ def drive_event_loop(
     - ``"array"`` — the array core; V1 is gathered as a slot index
       array and all its conflict rows come from one batched
       :meth:`~repro.topology.digraph.AdHocDigraph.conflict_masks` call.
-    - ``"grid"`` — the dict core (``REPRO_ARRAY=0`` equivalent); one
-      :meth:`~repro.topology.digraph.AdHocDigraph.conflict_neighbor_ids`
-      query per V1 member.
-    - ``"dense"`` — the per-event dense re-derivation escape hatch.
     - ``"sparse"`` — the sparse (CSR rows) core; V1's conflict rows
       come from one batched
       :meth:`~repro.topology.digraph.AdHocDigraph.conflict_slot_lists`
       call, its row-native query that never widens to an N-sized mask.
-    - ``"sparse-scalar"`` — the sparse core pinned to the PR 7 scalar
-      kernels (``sparse_scalar=True``), one
-      :meth:`~repro.topology.digraph.AdHocDigraph.conflict_slots` call
-      per V1 member; the same-machine baseline behind the large-n
-      bench's ``speedup_vs_pr7``.
 
     Each mode drives its *native* query pattern deliberately: the bench
     compares the end-to-end event loop a strategy replay would run on
@@ -211,16 +186,7 @@ def drive_event_loop(
     ``setup`` events, when given, build the starting topology *outside*
     the timed region (no conflict queries) — the mobility benches use
     this to time churn over an already-joined population.
-    ``dense_conflicts`` is the legacy boolean spelling (``True`` →
-    ``"dense"``, ``False`` → ``"grid"``) kept for callers predating the
-    array core.
     """
-    if mode is None:
-        if dense_conflicts is None:
-            raise ValueError("pass mode= ('array' | 'grid' | 'dense' | 'sparse')")
-        mode = "dense" if dense_conflicts else "grid"
-    if mode not in _DRIVER_MODES:
-        raise ValueError(f"unknown event-loop mode {mode!r}; expected one of {_DRIVER_MODES}")
     graph = _bench_graph(mode)
     _apply_setup(graph, setup, mode)
     start = perf_seconds()
@@ -234,20 +200,11 @@ def drive_event_loop(
         elif isinstance(ev, LeaveEvent):
             graph.remove_node(ev.node_id)
             continue  # nothing to recode around a departed node
-        if mode == "array":
-            s = graph.slot_of(ev.node_id)
-            graph.conflict_masks(graph.v1_slots(s))
-        elif mode == "sparse":
-            s = graph.slot_of(ev.node_id)
+        s = graph.slot_of(ev.node_id)
+        if mode == "sparse":
             graph.conflict_slot_lists(graph.v1_slots(s))
-        elif mode == "sparse-scalar":
-            s = graph.slot_of(ev.node_id)
-            for u in graph.v1_slots(s).tolist():
-                graph.conflict_slots(int(u))
         else:
-            for u in graph.in_neighbors(ev.node_id):
-                graph.conflict_neighbor_ids(u)
-            graph.conflict_neighbor_ids(ev.node_id)
+            graph.conflict_masks(graph.v1_slots(s))
     return perf_seconds() - start
 
 
@@ -271,8 +228,6 @@ def drive_event_rounds(
     untimed, as in :func:`drive_event_loop`.  Used by the large-n
     bench's ``sparse`` and ``sparse-rounds`` entries.
     """
-    if mode not in _DRIVER_MODES:
-        raise ValueError(f"unknown event-loop mode {mode!r}; expected one of {_DRIVER_MODES}")
     graph = _bench_graph(mode)
     _apply_setup(graph, setup, mode)
     start = perf_seconds()
@@ -284,9 +239,6 @@ def drive_event_rounds(
             s = graph.slot_of(delta.node_id)
             if mode == "sparse":
                 graph.conflict_slot_lists(graph.v1_slots(s))
-            elif mode == "sparse-scalar":
-                for u in graph.v1_slots(s).tolist():
-                    graph.conflict_slots(int(u))
             else:
                 graph.conflict_masks(graph.v1_slots(s))
     return perf_seconds() - start
@@ -311,15 +263,12 @@ def run_event_loop_bench(
     scenario: str = "random-waypoint",
     seed: int = 2001,
 ) -> list[dict]:
-    """Time all traces in all three conflict cores; return the entries.
+    """Time all traces in both conflict cores; return the entries.
 
     Each entry is ``{scenario, n, mode, events, runs, wall_seconds,
     events_per_sec, peak_mem_mb}`` with ``wall_seconds`` the median
     over ``runs`` repetitions and ``peak_mem_mb`` the tracemalloc peak
-    of the untimed warmup repetition.  Array-mode entries carry
-    ``speedup_vs_dict`` (the array core over the dict core, the
-    CI-gated tentpole ratio of PR 6); grid-mode entries keep the
-    historical ``speedup_vs_dense``.  Sparse entries carry an ungated
+    of the untimed warmup repetition.  Sparse entries carry an ungated
     ``speedup_vs_array`` that is *below 1 at this scale* — honest
     visibility for the small-N regression (per-row bookkeeping beats
     dense blocks only once N is large; auto-promotion therefore waits
@@ -348,8 +297,6 @@ def run_event_loop_bench(
             }
             per_mode[mode] = entry
             entries.append(entry)
-        per_mode["array"]["speedup_vs_dict"] = timings["grid"] / timings["array"]
-        per_mode["grid"]["speedup_vs_dense"] = timings["dense"] / timings["grid"]
         per_mode["sparse"]["speedup_vs_array"] = timings["array"] / timings["sparse"]
     return entries
 
@@ -371,15 +318,10 @@ def run_large_n_bench(
     - ``large-join/array`` — the dense-block array core, whose O(N²)
       adjacency/C2 blocks and N-wide candidate masks dominate here;
       dropped above N=10⁴ (its blocks alone would need several GiB);
-    - ``large-join/sparse-scalar`` — the PR 7 per-event kernels
-      (``sparse_scalar=True``), the same-machine baseline for
-      ``speedup_vs_pr7``; dropped above N=2·10⁴ where the ~1.7k
-      events/sec scalar loop would dominate the bench wall clock;
     - ``large-join/sparse`` — the vectorized CSR-row core driving the
       whole join trace as *one* :func:`drive_event_rounds` round (the
       streaming ``bulk_join`` path) with per-delta batched V1 queries.
-      Carries the CI-gated ``speedup_vs_pr7`` (bulk wall over the
-      scalar baseline's) and ``speedup_vs_array`` when those legs ran,
+      Carries the CI-gated ``speedup_vs_array`` when the array leg ran,
       and is subject to ``max_mem_mb``: the bench *fails*
       (:class:`ConfigurationError`) if the sparse run's tracemalloc
       peak exceeds the ceiling, which pins the O(N+E) memory claim,
@@ -411,25 +353,20 @@ def run_large_n_bench(
     entries: list[dict] = []
     timings: dict[str, float] = {}
     peaks: dict[str, float] = {}
-    legs = [
-        mode
-        for mode, ceiling in (("array", _ARRAY_MAX_LARGE_N), ("sparse-scalar", _SCALAR_MAX_LARGE_N))
-        if n <= ceiling
-    ]
-    for mode in legs:
-        peaks[mode] = traced_peak_mb(lambda: drive_event_loop(events, mode=mode))  # warmup
-        wall = float(np.median([drive_event_loop(events, mode=mode) for _ in range(runs)]))
-        timings[mode] = wall
+    if n <= _ARRAY_MAX_LARGE_N:
+        peaks["array"] = traced_peak_mb(lambda: drive_event_loop(events, mode="array"))  # warmup
+        wall = float(np.median([drive_event_loop(events, mode="array") for _ in range(runs)]))
+        timings["array"] = wall
         entries.append(
             {
                 "scenario": join_label,
                 "n": n,
-                "mode": mode,
+                "mode": "array",
                 "events": len(events),
                 "runs": runs,
                 "wall_seconds": wall,
                 "events_per_sec": len(events) / wall if wall > 0 else float("inf"),
-                "peak_mem_mb": peaks[mode],
+                "peak_mem_mb": peaks["array"],
             }
         )
 
@@ -451,8 +388,6 @@ def run_large_n_bench(
     }
     if "array" in timings:
         sparse_entry["speedup_vs_array"] = timings["array"] / wall
-    if "sparse-scalar" in timings:
-        sparse_entry["speedup_vs_pr7"] = timings["sparse-scalar"] / wall
     entries.append(sparse_entry)
     if max_mem_mb is not None and peaks["sparse"] > max_mem_mb:
         raise ConfigurationError(

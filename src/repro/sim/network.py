@@ -9,7 +9,7 @@ module splits those responsibilities:
   produces a :class:`~repro.topology.digraph.TopologyDelta` per event
   (via ``apply_event``);
 * :class:`StrategyLane` owns everything per-strategy — the
-  :class:`CodeAssignment`, the :class:`MetricsCollector`, and the
+  :class:`ArrayCodeAssignment`, the :class:`MetricsCollector`, and the
   dispatch of a delta to the right strategy handler;
 * :class:`AdHocNetwork` composes one graph with one lane (the classic
   single-strategy facade, API unchanged);
@@ -31,7 +31,7 @@ from repro.events.base import Event, JoinEvent, LeaveEvent, MoveEvent, PowerChan
 from repro.sim.metrics import EventRecord, MetricsCollector
 from repro.strategies.base import RecodeResult, RecodingStrategy
 from repro.topology.connectivity import has_minimal_connectivity
-from repro.topology.digraph import AdHocDigraph, TopologyDelta, default_core
+from repro.topology.digraph import AdHocDigraph, TopologyDelta
 from repro.topology.node import NodeConfig
 from repro.topology.propagation import PropagationModel
 from repro.types import NodeId
@@ -42,34 +42,23 @@ __all__ = ["AdHocNetwork", "MultiStrategyReplay", "StrategyLane"]
 class StrategyLane:
     """One strategy's private state riding a shared topology.
 
-    A lane owns the :class:`CodeAssignment` and
-    :class:`MetricsCollector` of exactly one strategy.  It never mutates
-    the graph: :meth:`react` consumes a :class:`TopologyDelta` produced
-    by the graph's ``apply_event`` and turns it into color changes,
-    which makes any number of lanes safely shareable over one digraph.
+    A lane owns the assignment and :class:`MetricsCollector` of exactly
+    one strategy.  It never mutates the graph: :meth:`react` consumes a
+    :class:`TopologyDelta` produced by the graph's ``apply_event`` and
+    turns it into color changes, which makes any number of lanes safely
+    shareable over one digraph.
 
-    The color container matches the digraph's conflict core:
-    ``array_colors=True`` (the default under the array and sparse
-    cores, see :func:`repro.topology.digraph.default_core`) stores the
-    lane's colors in a contiguous id-indexed :class:`ArrayCodeAssignment` with
-    an O(1) ``max_color``; ``False`` keeps the dict-backed reference
-    container.  The two are observably identical and serialize to the
-    same :meth:`state_dict`, so the choice never leaks into results.
+    The lane's colors live in a contiguous id-indexed
+    :class:`ArrayCodeAssignment` with an O(1) ``max_color``.  It is
+    observably identical to the dict-backed :class:`CodeAssignment`
+    reference container and serializes to the same :meth:`state_dict`.
     """
 
     __slots__ = ("strategy", "assignment", "metrics", "validate")
 
-    def __init__(
-        self,
-        strategy: RecodingStrategy,
-        *,
-        validate: bool = False,
-        array_colors: bool | None = None,
-    ) -> None:
-        if array_colors is None:
-            array_colors = default_core() in ("array", "sparse")
+    def __init__(self, strategy: RecodingStrategy, *, validate: bool = False) -> None:
         self.strategy = strategy
-        self.assignment = ArrayCodeAssignment() if array_colors else CodeAssignment()
+        self.assignment: CodeAssignment = ArrayCodeAssignment()
         self.metrics = MetricsCollector()
         self.validate = validate
 
@@ -85,11 +74,7 @@ class StrategyLane:
         events — configuration only); the assignment and metrics are
         deep-copied so the fork and the original diverge freely.
         """
-        clone = StrategyLane(
-            self.strategy,
-            validate=self.validate,
-            array_colors=isinstance(self.assignment, ArrayCodeAssignment),
-        )
+        clone = StrategyLane(self.strategy, validate=self.validate)
         clone.assignment = self.assignment.copy()
         clone.metrics = self.metrics.clone()
         return clone
@@ -119,8 +104,8 @@ class StrategyLane:
                 f"this lane runs {self.name!r}"
             )
         # Rebuild with the lane's own container class: lane state is
-        # core-independent, so a dict-core checkpoint loads into an
-        # array-color lane (and vice versa) without translation.
+        # container-independent, so any checkpoint loads without
+        # translation.
         self.assignment = type(self.assignment)(
             {node: color for node, color in state["assignment"]}
         )
@@ -176,9 +161,8 @@ class _TopologyOwner:
         *,
         propagation: PropagationModel | None,
         enforce_connectivity: bool,
-        dense_conflicts: bool | None,
     ) -> None:
-        self.graph = AdHocDigraph(propagation, dense_conflicts=dense_conflicts)
+        self.graph = AdHocDigraph(propagation)
         self.enforce_connectivity = enforce_connectivity
 
     def _advance_topology(self, event: Event) -> TopologyDelta:
@@ -216,10 +200,6 @@ class AdHocNetwork(_TopologyOwner):
     enforce_connectivity:
         When True, reject reconfigurations that violate the paper's
         Minimal Connectivity assumption.
-    dense_conflicts:
-        Forwarded to :class:`AdHocDigraph`: ``True`` forces the dense
-        per-event conflict derivation, ``False`` the grid-accelerated
-        incremental one, ``None`` consults ``REPRO_DENSE``.
     """
 
     def __init__(
@@ -229,16 +209,9 @@ class AdHocNetwork(_TopologyOwner):
         propagation: PropagationModel | None = None,
         validate: bool = False,
         enforce_connectivity: bool = False,
-        dense_conflicts: bool | None = None,
     ) -> None:
-        super().__init__(
-            propagation=propagation,
-            enforce_connectivity=enforce_connectivity,
-            dense_conflicts=dense_conflicts,
-        )
-        self.lane = StrategyLane(
-            strategy, validate=validate, array_colors=self.graph.core in ("array", "sparse")
-        )
+        super().__init__(propagation=propagation, enforce_connectivity=enforce_connectivity)
+        self.lane = StrategyLane(strategy, validate=validate)
 
     # ------------------------------------------------------------------
     # Lane delegation (the pre-split public attributes)
@@ -333,7 +306,7 @@ class MultiStrategyReplay(_TopologyOwner):
     ----------
     strategies:
         The per-lane strategy instances (one lane each, in order).
-    propagation, validate, enforce_connectivity, dense_conflicts:
+    propagation, validate, enforce_connectivity:
         As for :class:`AdHocNetwork`; ``validate`` applies to all lanes.
     """
 
@@ -344,17 +317,11 @@ class MultiStrategyReplay(_TopologyOwner):
         propagation: PropagationModel | None = None,
         validate: bool = False,
         enforce_connectivity: bool = False,
-        dense_conflicts: bool | None = None,
     ) -> None:
         if not strategies:
             raise ConfigurationError("MultiStrategyReplay needs at least one strategy")
-        super().__init__(
-            propagation=propagation,
-            enforce_connectivity=enforce_connectivity,
-            dense_conflicts=dense_conflicts,
-        )
-        array = self.graph.core in ("array", "sparse")
-        self.lanes = [StrategyLane(s, validate=validate, array_colors=array) for s in strategies]
+        super().__init__(propagation=propagation, enforce_connectivity=enforce_connectivity)
+        self.lanes = [StrategyLane(s, validate=validate) for s in strategies]
 
     def lane(self, name: str) -> StrategyLane:
         """The lane whose strategy is named ``name`` (first match)."""
@@ -444,8 +411,8 @@ class MultiStrategyReplay(_TopologyOwner):
         core-independent: the digraph records topology state, not the
         conflict core that produced it, and lane assignments serialize
         as sorted ``(node, color)`` pairs whichever container holds
-        them, so a checkpoint written under the dict core restores
-        under the array core byte-identically (and vice versa) —
+        them, so a checkpoint written under the array core restores
+        under the sparse core byte-identically (and vice versa) —
         pinned by ``tests/sim/test_array_replay.py``.
         """
         return {
@@ -479,11 +446,8 @@ class MultiStrategyReplay(_TopologyOwner):
         clone = cls.__new__(cls)
         clone.graph = AdHocDigraph.restore(snapshot["graph"], propagation=propagation)
         clone.enforce_connectivity = bool(snapshot["enforce_connectivity"])
-        array = clone.graph.core in ("array", "sparse")
         clone.lanes = [
-            StrategyLane(
-                make_strategy(state["strategy"]), validate=validate, array_colors=array
-            ).load_state(state)
+            StrategyLane(make_strategy(state["strategy"]), validate=validate).load_state(state)
             for state in snapshot["lanes"]
         ]
         return clone

@@ -38,7 +38,7 @@ draw and join trace consume, letting
 drawing any traces.
 
 Checkpoints are conflict-core independent: a fork deep-copies whichever
-core the replay's digraph runs (dict, dense, array, or the sparse CSR
+core the replay's digraph runs (the array blocks or the sparse CSR
 rows — :meth:`~repro.topology.digraph.AdHocDigraph.copy` clones the
 per-slot rows and witness counters without densifying), and serialized
 checkpoints restore under any core byte-identically, so a sweep

@@ -12,55 +12,42 @@ Implementation notes (per the hpc-parallel guides):
   active block contiguous (cache-friendly row/column operations).
 * All neighbor queries return id lists sorted ascending for determinism.
 
-Four conflict-maintenance cores exist, selected at construction (or by
-the ``REPRO_DENSE`` / ``REPRO_ARRAY`` / ``REPRO_SPARSE`` environment
-variables):
+Two conflict-maintenance cores exist, selected at construction (or by
+the ``REPRO_SPARSE`` environment variable):
 
-* **Array (default).**  The array-native core: a :class:`SlotGridIndex`
-  buckets node *slots* (row indices of the flat arrays) per grid cell,
-  so a candidate query returns a numpy index array with no id→slot
-  translation; each join/move recomputes out- and in-edges from **one**
-  candidate fetch and **one** pairwise distance pass
+* **Array (default).**  The dense-block core: the adjacency and the
+  CA2 witness counters ``C2[u, v] = |out(u) ∩ out(v)|`` live in
+  ``(cap, cap)`` blocks.  A :class:`SlotGridIndex` buckets node *slots*
+  (row indices of the flat arrays) per grid cell, so a candidate query
+  returns a numpy index array with no id→slot translation; each
+  join/move recomputes out- and in-edges from **one** candidate fetch
+  and **one** pairwise distance pass
   (:func:`repro.topology.propagation.pairwise_masks`); and the CA1/CA2
-  delta update is batched — the CA2 witness counters ``C2[u, v] =
-  |out(u) ∩ out(v)|`` are adjusted only for the in-neighbor pairs that
-  actually changed, via broadcast index arithmetic.  Disable with
-  ``REPRO_ARRAY=0`` (or ``array_core=False``).
+  delta update is batched — the counters are adjusted only for the
+  in-neighbor pairs that actually changed, via broadcast index
+  arithmetic.
 * **Sparse (``REPRO_SPARSE=1`` or ``sparse_core=True``).**  The
   large-N core: adjacency lives in CSR-style per-slot rows (sorted
   slot-index arrays with amortized-doubling growth, one out-row and one
   in-row per node) and the CA2 witness counters in per-slot dicts keyed
   by the *touched* columns only, so memory is O(N + E) instead of the
-  dense cores' O(N²) blocks and an edge flip updates
+  array core's O(N²) blocks and an edge flip updates
   ``deg(u)·deg(v)``-bounded counter entries instead of a full ``(cap,)``
-  row.  Candidate gathering streams per-cell slot blocks from the grid
-  (:meth:`SlotGridIndex.iter_candidate_blocks`) — no query ever
-  materializes an N-wide mask.  An array-core graph constructed with
-  every knob at its default **auto-promotes** to sparse when the
-  population reaches ``_SPARSE_AUTO_MIN`` nodes; pass
-  ``sparse_core=False`` (or ``REPRO_SPARSE=0``) to pin the dense-block
-  array core.  The sparse core additionally answers
-  :meth:`AdHocDigraph.apply_round` with true multi-event batching.
-* **Dict (``REPRO_ARRAY=0``).**  The object-level incremental core: a
-  :class:`UniformGridIndex` over node positions keyed by node id, two
-  separate coverage/covered queries per event, and clique
-  retract/assert CA2 updates.  Kept as the reference the array core is
-  pinned byte-identical against
-  (``tests/topology/test_array_equivalence.py``).
-* **Dense (``REPRO_DENSE=1`` or ``dense_conflicts=True``).**  The
-  original behavior: every event rescans all N nodes, and conflict sets
-  are re-derived from the canonical dense expression
-  ``A | Aᵀ | (A·Aᵀ > 0)`` (:func:`repro.topology.conflicts.conflict_matrix`)
-  once per event.  Kept as the obviously-correct escape hatch and as the
-  oracle the equivalence tests compare against.
+  row.  An array-core graph constructed with every knob at its default
+  **auto-promotes** to sparse when the population reaches
+  ``_SPARSE_AUTO_MIN`` nodes; pass ``sparse_core=False`` (or
+  ``REPRO_SPARSE=0``) to pin the array core.  The sparse core
+  additionally answers :meth:`AdHocDigraph.apply_round` with true
+  multi-event batching.
 
-All four cores answer the same object-level API (``out_neighbors``,
-``conflict_neighbor_ids``, …) with byte-identical results; the array
-core additionally exposes the array-native query surface
+Both cores answer the same object-level API (``out_neighbors``,
+``conflict_neighbor_ids``, …) with byte-identical results and
+snapshots, and both are checked on every event against a brute-force
+re-derivation from the node configurations
+(``tests/topology/oracles.py``).  The slot-native query surface
 (:meth:`AdHocDigraph.slot_of`, :meth:`AdHocDigraph.in_slots`,
-:meth:`AdHocDigraph.conflict_masks`) that vectorized consumers — the
-bench driver, whole-network recolors — use to skip per-node Python
-entirely.
+:meth:`AdHocDigraph.conflict_masks`) lets vectorized consumers — the
+bench driver, whole-network recolors — skip per-node Python entirely.
 
 The grid fast path is only engaged when the propagation model declares
 ``disc_bounded = True`` (coverage is a subset of the transmission disc,
@@ -78,8 +65,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import DuplicateNodeError, InvalidEventError, UnknownNodeError
-from repro.geometry.grid_index import SlotGridIndex, UniformGridIndex
+from repro.errors import (
+    ConfigurationError,
+    DuplicateNodeError,
+    InvalidEventError,
+    UnknownNodeError,
+)
+from repro.geometry.grid_index import SlotGridIndex
 from repro.obs import metrics as _met
 from repro.topology.node import NodeConfig
 from repro.topology.propagation import (
@@ -104,16 +96,6 @@ _CONFLICT_ADJ_KEY = "conflict_adjacency"
 _REGRID_FACTOR = 4.0
 
 
-def _dense_from_env() -> bool:
-    """Whether ``REPRO_DENSE`` requests the dense escape hatch."""
-    return os.environ.get("REPRO_DENSE", "") not in ("", "0")
-
-
-def _array_from_env() -> bool:
-    """Whether ``REPRO_ARRAY`` requests the array core (default: yes)."""
-    return os.environ.get("REPRO_ARRAY", "1") not in ("", "0")
-
-
 def _sparse_from_env() -> bool:
     """Whether ``REPRO_SPARSE`` requests the sparse core from the start."""
     return os.environ.get("REPRO_SPARSE", "") not in ("", "0")
@@ -124,9 +106,25 @@ def _sparse_auto_allowed() -> bool:
     return os.environ.get("REPRO_SPARSE", "") != "0"
 
 
-def _sparse_scalar_from_env() -> bool:
-    """Whether ``REPRO_SPARSE_SCALAR`` pins the scalar (PR 7) sparse kernels."""
-    return os.environ.get("REPRO_SPARSE_SCALAR", "") not in ("", "0")
+def _reject_retired_knobs() -> None:
+    """Raise if the environment selects a conflict path that was removed.
+
+    Ignoring such a setting silently would stamp results with a core the
+    user did not ask for.  Settings that were already no-ops (unset, or
+    ``0`` for the removed opt-ins) stay accepted.
+    """
+    env = os.environ
+    for var, removed in (
+        ("REPRO_DENSE", env.get("REPRO_DENSE", "") not in ("", "0")),
+        ("REPRO_SPARSE_SCALAR", env.get("REPRO_SPARSE_SCALAR", "") not in ("", "0")),
+        ("REPRO_ARRAY", env.get("REPRO_ARRAY", "1") in ("", "0")),
+    ):
+        if removed:
+            raise ConfigurationError(
+                f"{var}={env[var]!r} selects a conflict core that was removed; only "
+                "the array and sparse cores remain (unset it; REPRO_SPARSE picks "
+                "between the two)"
+            )
 
 
 try:
@@ -191,21 +189,17 @@ def _iota(k: int) -> np.ndarray:
 def default_core(n: int | None = None) -> str:
     """The conflict core a default-constructed graph would run.
 
-    ``"dense"``, ``"dict"``, ``"array"`` or ``"sparse"``, resolved from
-    the ``REPRO_DENSE`` / ``REPRO_ARRAY`` / ``REPRO_SPARSE`` environment
-    variables exactly as :class:`AdHocDigraph` resolves them at
-    construction.  Pass the expected population ``n`` to account for
-    auto-promotion: with every knob at its default the array core hands
-    off to sparse once ``n >= _SPARSE_AUTO_MIN``.  Execution provenance
-    (sweep manifests, stored point records) stamps this so results
-    record which core produced them.
+    ``"array"`` or ``"sparse"``, resolved from ``REPRO_SPARSE`` exactly
+    as :class:`AdHocDigraph` resolves it at construction.  Pass the
+    expected population ``n`` to account for auto-promotion: with every
+    knob at its default the array core hands off to sparse once
+    ``n >= _SPARSE_AUTO_MIN``.  Execution provenance (sweep manifests,
+    stored point records) stamps this so results record which core
+    produced them.
     """
-    if _dense_from_env():
-        return "dense"
+    _reject_retired_knobs()
     if _sparse_from_env():
         return "sparse"
-    if not _array_from_env():
-        return "dict"
     if n is not None and n >= _SPARSE_AUTO_MIN and _sparse_auto_allowed():
         return "sparse"
     return "array"
@@ -353,35 +347,15 @@ class AdHocDigraph:
     ----------
     propagation:
         Propagation model; defaults to the paper's free-space disc.
-    dense_conflicts:
-        ``True`` forces the dense per-event conflict derivation,
-        ``False`` the grid-accelerated incremental one.  ``None``
-        (default) consults the ``REPRO_DENSE`` environment variable.
-    array_core:
-        ``True`` runs the array-native incremental core (slot-bucketed
-        grid, fused pairwise edge recomputation, batched CA2 deltas),
-        ``False`` the object-level dict core.  ``None`` (default)
-        consults ``REPRO_ARRAY`` (on unless set to ``0``).  Ignored in
-        dense and sparse modes.  All cores are byte-identical in every
-        query and in snapshots; the choice is purely an
-        execution-speed/memory knob.
     sparse_core:
         ``True`` runs the sparse large-N core (CSR-style sorted slot
         rows, per-slot C2 witness dicts, O(N + E) memory), ``False``
-        pins a dense-block core and disables auto-promotion.  ``None``
+        pins the array core and disables auto-promotion.  ``None``
         (default) consults ``REPRO_SPARSE`` — and, when that is unset,
-        lets a default array-core graph auto-promote to sparse once it
-        reaches ``_SPARSE_AUTO_MIN`` nodes.  Ignored in dense mode.
-    sparse_scalar:
-        ``True`` pins the sparse core's *scalar* kernels — the per-slot
-        ``searchsorted`` row edits, per-pair witness-dict updates and
-        per-cell candidate streaming exactly as PR 7 shipped them —
-        instead of the batched row-rebuild/aggregated-counter kernels
-        that replaced them.  ``None`` (default) consults
-        ``REPRO_SPARSE_SCALAR``.  Both paths are byte-identical in every
-        query, snapshot and delta; the scalar path exists as the
-        equivalence oracle and as the same-machine baseline the
-        ``speedup_vs_pr7`` bench ratio is measured against.
+        lets an array-core graph auto-promote to sparse once it reaches
+        ``_SPARSE_AUTO_MIN`` nodes.  Both cores are byte-identical in
+        every query and in snapshots; the choice is purely an
+        execution-speed/memory knob.
     grid_cell_size:
         Explicit spatial-grid cell size.  Default: sized from observed
         transmission ranges (a disc query then touches O(1) cells).
@@ -391,44 +365,25 @@ class AdHocDigraph:
         self,
         propagation: PropagationModel | None = None,
         *,
-        dense_conflicts: bool | None = None,
-        array_core: bool | None = None,
         sparse_core: bool | None = None,
-        sparse_scalar: bool | None = None,
         grid_cell_size: float | None = None,
     ) -> None:
+        _reject_retired_knobs()
         self._prop: PropagationModel = (
             propagation if propagation is not None else FreeSpacePropagation()
         )
         # Exactly free space (not a subclass): gates the inlined
         # distance kernel on the array fast path.
         self._fs = type(self._prop) is FreeSpacePropagation
-        if dense_conflicts is None:
-            dense_conflicts = _dense_from_env()
-        self._dense = bool(dense_conflicts)
         if sparse_core is None:
-            # An explicit array_core choice pins that exact core — the
-            # REPRO_SPARSE env only steers default-knobbed graphs.
-            sparse = array_core is None and _sparse_from_env()
-            # Auto-promotion stays armed only while every core knob is
-            # at its default: an explicit array/sparse choice (or the
-            # REPRO_SPARSE=0 pin) is a request for that exact core.
-            self._sparse_auto = (
-                not self._dense and not sparse and array_core is None and _sparse_auto_allowed()
-            )
+            self._sparse = _sparse_from_env()
+            # Auto-promotion stays armed only while the core knob is at
+            # its default: an explicit choice (or the REPRO_SPARSE=0
+            # pin) is a request for that exact core.
+            self._sparse_auto = not self._sparse and _sparse_auto_allowed()
         else:
-            sparse = bool(sparse_core)
+            self._sparse = bool(sparse_core)
             self._sparse_auto = False
-        self._sparse = sparse and not self._dense
-        if sparse_scalar is None:
-            sparse_scalar = _sparse_scalar_from_env()
-        self._sparse_scalar = bool(sparse_scalar)
-        if array_core is None:
-            array_core = _array_from_env()
-        self._array = bool(array_core) and not self._dense and not self._sparse
-        #: Whether the spatial index (if any) is keyed by slot
-        #: (:class:`SlotGridIndex`) rather than node id.
-        self._slotgrid = self._array or self._sparse
         cap = _INITIAL_CAPACITY
         self._pos = np.zeros((cap, 2), dtype=np.float64)
         self._range = np.zeros(cap, dtype=np.float64)
@@ -445,26 +400,23 @@ class AdHocDigraph:
             self._c2s: list[dict[int, int]] = []
         else:
             self._adj = np.zeros((cap, cap), dtype=bool)
-            # Incremental mode: CA2 witness counts C2[u, v] = |out(u) ∩ out(v)|.
-            self._c2 = None if self._dense else np.zeros((cap, cap), dtype=np.int32)
+            # CA2 witness counts C2[u, v] = |out(u) ∩ out(v)|.
+            self._c2 = np.zeros((cap, cap), dtype=np.int32)
             self._outr = self._inr = self._c2s = None  # type: ignore[assignment]
-        self._use_grid = (not self._dense) and bool(getattr(self._prop, "disc_bounded", False))
-        self._grid: UniformGridIndex | SlotGridIndex | None = None
+        self._use_grid = bool(getattr(self._prop, "disc_bounded", False))
+        self._grid: SlotGridIndex | None = None
         self._grid_cell = grid_cell_size
-        # The cell size the grid has — or, while the array core defers
-        # building it (below _GRID_LAZY_MIN nodes), *would* have — under
+        # The cell size the grid has — or, while building it is
+        # deferred (below _GRID_LAZY_MIN nodes), *would* have — under
         # the first-insert / regrid-factor rules.  Maintained on every
         # insert and power raise so snapshots and the deferred build see
-        # the same geometry the dict core's eager grid evolves.
+        # the same geometry an eagerly built grid would evolve.
         self._cell_live: float | None = None
         # Cached upper bound on max(range); may be stale-high after a
         # removal or power decrease, which only widens candidate discs
         # (still a superset — results unchanged).
         self._max_range = 0.0
-        # Dense mode: conflict matrix re-derived once per topology version.
         self._version = 0
-        self._cm_cache: np.ndarray | None = None
-        self._cm_version = -1
         # Per-version memo of derived conflict queries.  Multi-strategy
         # replay issues the same queries once per strategy between two
         # topology events; the memo makes repeats O(1).
@@ -500,38 +452,19 @@ class AdHocDigraph:
         return self._prop
 
     @property
-    def dense_conflicts(self) -> bool:
-        """Whether this graph runs the dense (escape-hatch) conflict path."""
-        return self._dense
-
-    @property
-    def array_core(self) -> bool:
-        """Whether this graph runs the array-native incremental core."""
-        return self._array
-
-    @property
     def sparse_core(self) -> bool:
         """Whether this graph runs the sparse (CSR rows) conflict core."""
         return self._sparse
 
     @property
-    def sparse_scalar(self) -> bool:
-        """Whether the sparse core runs the scalar (PR 7 oracle) kernels."""
-        return self._sparse_scalar
-
-    @property
     def core(self) -> str:
-        """The active core: ``"dense"``, ``"dict"``, ``"array"`` or ``"sparse"``.
+        """The active core: ``"array"`` or ``"sparse"``.
 
         Stamped into sweep manifests and stored point provenance so
         results record which core produced them.  Note an auto-promoted
         graph reports ``"sparse"`` from the promotion event on.
         """
-        if self._dense:
-            return "dense"
-        if self._sparse:
-            return "sparse"
-        return "array" if self._array else "dict"
+        return "sparse" if self._sparse else "array"
 
     @property
     def version(self) -> int:
@@ -555,14 +488,13 @@ class AdHocDigraph:
         return self._delta_floor
 
     @property
-    def grid_index(self) -> UniformGridIndex | SlotGridIndex | None:
+    def grid_index(self) -> SlotGridIndex | None:
         """The spatial index backing the fast path (``None`` if unused).
 
-        The dict core indexes node *ids* (:class:`UniformGridIndex`);
-        the array core indexes node *slots* (:class:`SlotGridIndex`) and
-        defers building it until the population is large enough for
-        candidate queries to pay — accessing this property forces the
-        deferred build so callers always observe a complete index.
+        A :class:`SlotGridIndex` over node *slots*, whose build is
+        deferred until the population is large enough for candidate
+        queries to pay — accessing this property forces the deferred
+        build so callers always observe a complete index.
         """
         if self._grid is None and self._use_grid and self._cell_live is not None and self._ids:
             self._build_grid(self._cell_live)
@@ -701,15 +633,14 @@ class AdHocDigraph:
     def _own_dense_blocks(self) -> None:
         """Privatize the shared dense adjacency/C2 blocks before writing.
 
-        Dense-block cores mutate the (cap, cap) arrays on every event,
-        so the first mutation after a fork pays the one deferred block
-        copy; read-only forks (stored checkpoints) never pay it.
+        The array core mutates the (cap, cap) arrays on every event, so
+        the first mutation after a fork pays the one deferred block
+        copy; read-only forks (stored checkpoints) never pay it.  Only
+        array-core graphs ever have shared blocks.
         """
         if self._blocks_shared:
-            if self._adj is not None:
-                self._adj = self._adj.copy()
-            if self._c2 is not None:
-                self._c2 = self._c2.copy()
+            self._adj = self._adj.copy()
+            self._c2 = self._c2.copy()
             self._blocks_shared = False
 
     def _own_grid(self) -> None:
@@ -754,22 +685,16 @@ class AdHocDigraph:
         self._ida[i] = cfg.node_id
         self._index[cfg.node_id] = i
         if self._use_grid:
-            self._grid_insert(i, cfg.node_id, cfg.x, cfg.y, cfg.tx_range)
-        if self._dense:
-            self._recompute_row(i)
-            self._recompute_col(i)
-        elif self._sparse:
+            self._grid_insert(i, cfg.x, cfg.y, cfg.tx_range)
+        if self._sparse:
             self._ensure_sparse_slot(i)
             new_out, new_in = self._sparse_edge_sets(i)
             self._sparse_apply_row(i, new_out)
             self._sparse_apply_col(i, new_in)
-        elif self._array:
+        else:
             self._insert_edges_array(i)
             if self._sparse_auto and n >= _SPARSE_AUTO_MIN:
                 self._promote_to_sparse()
-        else:
-            self._apply_row_delta(i, self._coverage_mask(i))
-            self._apply_col_delta(i, self._covered_mask(i))
         self._version += 1
         self._touched[i] = self._version
         if _met.ENABLED:
@@ -788,7 +713,7 @@ class AdHocDigraph:
         gather and one block distance pass), and one grouped
         structural/C2 commit per touched receiver — so admission cost
         scales with touched neighborhoods, never with N per event.
-        Other cores (and trivial rounds) fall back to sequential
+        The array core (and trivial rounds) fall back to sequential
         :meth:`add_node`, which preserves auto-promotion semantics.
 
         :meth:`apply_round` routes all-join runs here; calling it
@@ -826,7 +751,7 @@ class AdHocDigraph:
             self._index[cfg.node_id] = i
             self._ensure_sparse_slot(i)
             if self._use_grid:
-                self._grid_insert(i, cfg.node_id, cfg.x, cfg.y, cfg.tx_range)
+                self._grid_insert(i, cfg.x, cfg.y, cfg.tx_range)
             dirty_slots.append(i)
             self._version += 1
             self._touched[i] = self._version
@@ -846,15 +771,13 @@ class AdHocDigraph:
             self._sparse_unlink(i)
         else:
             self._own_dense_blocks()
-            c2 = self._c2
-            if c2 is not None:
-                # The receiver clique at i dissolves: every pair of its
-                # in-neighbors loses one common-out-neighbor witness.  Pairs
-                # involving i itself vanish with its row/column below.
-                src = np.flatnonzero(self._adj[:n, i])
-                if src.size > 1:
-                    c2[np.ix_(src, src)] -= 1
-                    c2[src, src] += 1
+            # The receiver clique at i dissolves: every pair of its
+            # in-neighbors loses one common-out-neighbor witness.  Pairs
+            # involving i itself vanish with its row/column below.
+            src = np.flatnonzero(self._adj[:n, i])
+            if src.size > 1:
+                self._c2[np.ix_(src, src)] -= 1
+                self._c2[src, src] += 1
         self._vacate_slot(i)
         self._version += 1
         if i != n - 1:
@@ -868,53 +791,51 @@ class AdHocDigraph:
         The shared tail of every removal: unlinks the slot from the
         spatial index and the id↔slot maps, moves the last slot's
         entries into ``i`` across **all** per-slot tables (positions,
-        ranges, dense adjacency/C2 blocks or sparse rows/witness dicts,
-        id arrays, grid membership), and clears the freed trailing slot.
+        ranges, adjacency/C2 blocks or sparse rows/witness dicts, id
+        arrays, grid membership), and clears the freed trailing slot.
         The caller must already have retracted the departing node's
-        conflict contributions (dense C2 clique / sparse unlink) —
-        this helper only renumbers and zeroes storage.
+        conflict contributions (C2 clique / sparse unlink) — this
+        helper only renumbers and zeroes storage.
         """
         n = len(self._ids)
         node_id = self._ids[i]
         if self._grid is not None:
             self._own_grid()
-            self._grid.remove(i if self._slotgrid else node_id)
+            self._grid.remove(i)
         self._index.pop(node_id)
         last = n - 1
-        c2 = self._c2
+        adj, c2 = self._adj, self._c2
         if i != last:
             # Swap-delete: move the last slot into i.
             self._pos[i] = self._pos[last]
             self._range[i] = self._range[last]
-            if self._adj is not None:
-                self._adj[i, : last + 1] = self._adj[last, : last + 1]
-                self._adj[: last + 1, i] = self._adj[: last + 1, last]
-                self._adj[i, i] = False
-            if c2 is not None:
+            if self._sparse:
+                self._sparse_rename_slot(last, i)
+            else:
+                adj[i, : last + 1] = adj[last, : last + 1]
+                adj[: last + 1, i] = adj[: last + 1, last]
+                adj[i, i] = False
                 c2[i, : last + 1] = c2[last, : last + 1]
                 c2[: last + 1, i] = c2[: last + 1, last]
                 c2[i, i] = 0
-            if self._sparse:
-                self._sparse_rename_slot(last, i)
             moved = self._ids[last]
             self._ids[i] = moved
             self._ida[i] = moved
             self._index[moved] = i
-            if self._slotgrid and self._grid is not None:
-                # The slot grid tracks slots, not ids: follow the
+            if self._grid is not None:
+                # The grid tracks slots, not ids: follow the
                 # swap-delete renumbering of the last slot into i.
                 self._grid.rename(last, i)
         self._ids.pop()
-        if self._adj is not None:
-            self._adj[last, : last + 1] = False
-            self._adj[: last + 1, last] = False
-        if c2 is not None:
-            c2[last, : last + 1] = 0
-            c2[: last + 1, last] = 0
         if self._sparse:
             self._outr.pop()
             self._inr.pop()
             self._c2s.pop()
+        else:
+            adj[last, : last + 1] = False
+            adj[: last + 1, last] = False
+            c2[last, : last + 1] = 0
+            c2[: last + 1, last] = 0
 
     def move_node(self, node_id: NodeId, x: float, y: float) -> None:
         """Relocate ``node_id``; recomputes its out- and in-edges."""
@@ -924,19 +845,13 @@ class AdHocDigraph:
         self._pos[i] = (float(x), float(y))
         if self._grid is not None:
             self._own_grid()
-            self._grid.move(i if self._slotgrid else node_id, float(x), float(y))
-        if self._dense:
-            self._recompute_row(i)
-            self._recompute_col(i)
-        elif self._sparse:
+            self._grid.move(i, float(x), float(y))
+        if self._sparse:
             new_out, new_in = self._sparse_edge_sets(i)
             self._sparse_apply_row(i, new_out)
             self._sparse_apply_col(i, new_in)
-        elif self._array:
-            self._refresh_edges_array(i)
         else:
-            self._apply_row_delta(i, self._coverage_mask(i))
-            self._apply_col_delta(i, self._covered_mask(i))
+            self._refresh_edges_array(i)
         self._version += 1
         self._touched[i] = self._version
 
@@ -947,8 +862,6 @@ class AdHocDigraph:
         only on their ranges.
         """
         if tx_range <= 0:
-            from repro.errors import ConfigurationError
-
             raise ConfigurationError(f"tx_range must be positive, got {tx_range}")
         i = self._idx(node_id)
         if not self._sparse:
@@ -965,14 +878,10 @@ class AdHocDigraph:
             self._cell_live = float(tx_range)
             if self._grid is not None:
                 self._build_grid(self._cell_live)
-        if self._dense:
-            self._recompute_row(i)
-        elif self._sparse:
+        if self._sparse:
             self._sparse_apply_row(i, self._sparse_out_set(i))
-        elif self._array:
-            self._apply_row_delta_array(i, self._coverage_mask(i))
         else:
-            self._apply_row_delta(i, self._coverage_mask(i))
+            self._apply_row_delta_array(i, self._coverage_mask(i))
         self._version += 1
         self._touched[i] = self._version
 
@@ -1038,7 +947,7 @@ class AdHocDigraph:
         strategy reactions with sequential semantics) should stay on
         :meth:`replay_events`.
 
-        Only the sparse core batches; the other cores fall back to
+        Only the sparse core batches; the array core falls back to
         sequential application (identical results either way).  Within
         the round, contiguous runs of join/move events are vectorized —
         one geometry/grid commit pass, one grid-bucketed edge-set sweep
@@ -1090,8 +999,8 @@ class AdHocDigraph:
         CA2 counter block stays aligned), the directed edge list, the
         incremental CA2 witness counters, the spatial grid's current
         cell size, and the topology version.  Derived caches (the query
-        memo, the dense conflict matrix) are rebuilt on demand and are
-        not part of the state.
+        memo, the conflict-row cache) are rebuilt on demand and are not
+        part of the state.
 
         Schema 2 additionally records the propagation model's name, so
         chained restores (snapshot → restore → replay → snapshot → …,
@@ -1102,7 +1011,9 @@ class AdHocDigraph:
         counters as sparse ``[u, v, count]`` triples (row-major,
         ascending columns — the ``np.nonzero`` order) instead of the
         dense N×N list, so snapshot size scales with witnesses, not
-        N²; dense-mode graphs keep ``c2 = None`` as before.  Snapshots
+        N².  The ``"dense"`` field is always ``False``: it records the
+        retired dense re-derive mode, whose snapshots (``"dense":
+        true``, ``c2 = None``) :meth:`restore` still accepts.  Snapshots
         are idempotent across the chain — re-snapshotting a restored
         graph reproduces the original dict byte-for-byte.
         """
@@ -1110,7 +1021,7 @@ class AdHocDigraph:
         if self._sparse:
             # Row-major edge order with ascending columns — exactly the
             # np.nonzero order of the dense block, so sparse snapshots
-            # are byte-identical to array/dict ones.  The per-slot dicts
+            # are byte-identical to array ones.  The per-slot dicts
             # hold ascending keys only transiently, so each row is
             # sorted on the way out.
             edges = [
@@ -1124,19 +1035,15 @@ class AdHocDigraph:
         else:
             rows, cols = np.nonzero(self._adj[:n, :n])
             edges = [[int(r), int(c)] for r, c in zip(rows.tolist(), cols.tolist())]
-            if self._c2 is None:
-                c2 = None
-            else:
-                cr, cc = np.nonzero(self._c2[:n, :n])
-                cv = self._c2[cr, cc]
-                c2 = [
-                    [int(u), int(v), int(k)]
-                    for u, v, k in zip(cr.tolist(), cc.tolist(), cv.tolist())
-                ]
+            cr, cc = np.nonzero(self._c2[:n, :n])
+            cv = self._c2[cr, cc]
+            c2 = [
+                [int(u), int(v), int(k)] for u, v, k in zip(cr.tolist(), cc.tolist(), cv.tolist())
+            ]
         return {
             "schema": 3,
             "propagation": type(self._prop).__name__,
-            "dense": self._dense,
+            "dense": False,
             "version": self._version,
             "explicit_cell": self._grid_cell,
             "grid_cell_size": self._cell_live if self._use_grid else None,
@@ -1159,7 +1066,6 @@ class AdHocDigraph:
         snapshot: dict,
         *,
         propagation: PropagationModel | None = None,
-        array_core: bool | None = None,
         sparse_core: bool | None = None,
     ) -> "AdHocDigraph":
         """Rebuild a graph from a :meth:`snapshot` dict.
@@ -1175,14 +1081,15 @@ class AdHocDigraph:
         schema 2, which refuses to restore a snapshot taken under a
         non-default propagation model unless that model is supplied.
 
-        Snapshots are core-independent: the conflict core (array /
-        dict) is an execution knob, not state, so a snapshot written by
-        either core restores into whichever core is ambient (or the
-        explicit ``array_core``) and re-snapshots byte-identically —
-        pinned by ``tests/sim/test_array_replay.py``.
+        Snapshots are core-independent: the conflict core is an
+        execution knob, not state, so a snapshot written by either core
+        restores into whichever core is ambient (or the explicit
+        ``sparse_core``) and re-snapshots byte-identically — pinned by
+        ``tests/sim/test_array_replay.py``.  Snapshots written by the
+        retired dict and dense cores restore too; a dense one carries no
+        CA2 counters (``c2 = None``), so they are re-derived from the
+        adjacency.
         """
-        from repro.errors import ConfigurationError
-
         if snapshot.get("kind") == "digraph-delta":
             raise ConfigurationError(
                 "restore() was given a delta snapshot; deltas apply to a live "
@@ -1202,16 +1109,10 @@ class AdHocDigraph:
                 f"snapshot was taken under propagation model {recorded!r}, but "
                 f"restore() was given {type(propagation).__name__!r}"
             )
-        g = cls(
-            propagation,
-            dense_conflicts=snapshot["dense"],
-            grid_cell_size=snapshot["explicit_cell"],
-            array_core=array_core,
-            sparse_core=sparse_core,
-        )
+        g = cls(propagation, grid_cell_size=snapshot["explicit_cell"], sparse_core=sparse_core)
         nodes = snapshot["nodes"]
         n = len(nodes)
-        if g._array and g._sparse_auto and n >= _SPARSE_AUTO_MIN:
+        if g._sparse_auto and n >= _SPARSE_AUTO_MIN:
             # A default-knobbed graph this large would have auto-promoted
             # during replay; restore straight into the sparse core rather
             # than allocating the O(N²) blocks just to convert them.
@@ -1229,7 +1130,7 @@ class AdHocDigraph:
         else:
             for src, dst in snapshot["edges"]:
                 g._adj[src, dst] = True
-            if g._c2 is not None and n:
+            if n:
                 c2 = snapshot["c2"]
                 if c2 is None:  # snapshot came from a dense-mode graph
                     a = g._adj[:n, :n]
@@ -1242,11 +1143,11 @@ class AdHocDigraph:
                     g._c2[:n, :n] = np.asarray(c2, dtype=np.int32)
         if g._use_grid:
             cell = snapshot["grid_cell_size"]
-            if cell is None and n:  # schema-1 snapshots did not record it
+            if cell is None and n:  # schema-1 and dense-mode snapshots lack it
                 cell = float(g._range[:n].max())
             if cell is not None:
                 g._cell_live = float(cell)
-                if n and not (g._slotgrid and n < _GRID_LAZY_MIN):
+                if n >= _GRID_LAZY_MIN:
                     g._build_grid(g._cell_live)
         g._max_range = float(g._range[:n].max()) if n else 0.0
         g._version = snapshot["version"]
@@ -1260,12 +1161,8 @@ class AdHocDigraph:
         g = AdHocDigraph.__new__(AdHocDigraph)
         g._prop = self._prop
         g._fs = self._fs
-        g._dense = self._dense
-        g._array = self._array
         g._sparse = self._sparse
-        g._sparse_scalar = self._sparse_scalar
         g._sparse_auto = self._sparse_auto
-        g._slotgrid = self._slotgrid
         g._pos = self._pos.copy()
         g._range = self._range.copy()
         g._adj = None if self._adj is None else self._adj.copy()
@@ -1291,8 +1188,6 @@ class AdHocDigraph:
         g._grid_shared = False
         g._rows_cow = False
         g._owned_slots = set()
-        g._cm_cache = None
-        g._cm_version = -1
         g._memo = {}
         g._memo_version = -1
         g._crow_cache = {}
@@ -1303,10 +1198,10 @@ class AdHocDigraph:
         """Copy-on-write fork: a clone sharing the heavy conflict state.
 
         Both siblings keep referencing the same adjacency/C2 blocks
-        (array/dict/dense cores), the same sparse rows and witness
-        dicts (sparse core), and the same spatial grid; the first
-        mutation on either side copies only what it touches — whole
-        blocks for the dense cores, the individual rows of the mutated
+        (array core), the same sparse rows and witness dicts (sparse
+        core), and the same spatial grid; the first mutation on either
+        side copies only what it touches — whole blocks for the array
+        core, the individual rows of the mutated
         slots for the sparse core, the grid on its first geometric
         change.  Flat O(N) per-slot tables (positions, ranges, ids)
         are copied eagerly; the checkpoint-tree fork rate makes those
@@ -1319,12 +1214,8 @@ class AdHocDigraph:
         g = AdHocDigraph.__new__(AdHocDigraph)
         g._prop = self._prop
         g._fs = self._fs
-        g._dense = self._dense
-        g._array = self._array
         g._sparse = self._sparse
-        g._sparse_scalar = self._sparse_scalar
         g._sparse_auto = self._sparse_auto
-        g._slotgrid = self._slotgrid
         g._pos = self._pos.copy()
         g._range = self._range.copy()
         g._ids = list(self._ids)
@@ -1333,11 +1224,7 @@ class AdHocDigraph:
         # Heavy state transfers by reference; CoW flags arm both sides.
         g._adj = self._adj
         g._c2 = self._c2
-        if self._adj is not None or self._c2 is not None:
-            self._blocks_shared = True
-            g._blocks_shared = True
-        else:
-            g._blocks_shared = False
+        g._owned_slots = set()
         if self._sparse:
             g._outr = list(self._outr)
             g._inr = list(self._inr)
@@ -1347,11 +1234,12 @@ class AdHocDigraph:
             self._rows_cow = True
             self._owned_slots = set()
             g._rows_cow = True
-            g._owned_slots = set()
+            g._blocks_shared = False
         else:
             g._outr = g._inr = g._c2s = None
             g._rows_cow = False
-            g._owned_slots = set()
+            self._blocks_shared = True
+            g._blocks_shared = True
         g._use_grid = self._use_grid
         g._grid = self._grid
         if self._grid is not None:
@@ -1365,8 +1253,6 @@ class AdHocDigraph:
         g._version = self._version
         g._touched = dict(self._touched)
         g._delta_floor = self._delta_floor
-        g._cm_cache = None
-        g._cm_version = -1
         g._memo = {}
         g._memo_version = -1
         g._crow_cache = {}
@@ -1395,8 +1281,6 @@ class AdHocDigraph:
         :class:`ConfigurationError` because the history no longer
         exists.
         """
-        from repro.errors import ConfigurationError
-
         if base_version > self._version:
             raise ConfigurationError(
                 f"delta base version {base_version} is ahead of the graph "
@@ -1461,8 +1345,6 @@ class AdHocDigraph:
         adjacency, and the kernels maintain the invariant at every
         step, so any application order lands on identical bytes).
         """
-        from repro.errors import ConfigurationError
-
         if delta.get("kind") != "digraph-delta":
             raise ConfigurationError("apply_delta() expects a delta_snapshot() dict")
         base = delta["base_version"]
@@ -1512,24 +1394,14 @@ class AdHocDigraph:
         if self._sparse:
             for s in unlink:
                 self._sparse_unlink(s)
-        elif self._dense:
-            for s in unlink:
-                self._adj[s, :n0] = False
-                self._adj[:n0, s] = False
         else:
             zeros = np.zeros(n0, dtype=bool)
-            row_apply = (
-                self._apply_row_delta_array if self._array else self._apply_row_delta
-            )
-            col_apply = (
-                self._apply_col_delta_array if self._array else self._apply_col_delta
-            )
             for s in unlink:
-                row_apply(s, zeros)
-                col_apply(s, zeros)
+                self._apply_row_delta_array(s, zeros)
+                self._apply_col_delta_array(s, zeros)
         for s in unlink:
             if incremental:
-                self._grid.remove(s if self._slotgrid else self._ids[s])
+                self._grid.remove(s)
             self._index.pop(self._ids[s], None)
 
         # Phase B — population: shrink or grow the per-slot tables.
@@ -1559,13 +1431,13 @@ class AdHocDigraph:
             self._index[node_id] = s
             self._touched[s] = version
             if incremental:
-                self._grid.insert(s if self._slotgrid else node_id, float(x), float(y))
+                self._grid.insert(s, float(x), float(y))
         self._max_range = float(self._range[:n1].max()) if n1 else 0.0
         if self._use_grid:
             self._cell_live = None if cell is None else float(cell)
         if self._use_grid and not incremental:
             if self._cell_live is not None and n1 and not (
-                self._slotgrid and n1 < _GRID_LAZY_MIN and self._grid is None
+                n1 < _GRID_LAZY_MIN and self._grid is None
             ):
                 self._build_grid(self._cell_live)
             else:
@@ -1580,28 +1452,14 @@ class AdHocDigraph:
             for s, _nid, _x, _y, _r, out, inn in records:
                 self._sparse_apply_row(s, np.asarray(out, dtype=np.intp))
                 self._sparse_apply_col(s, np.asarray(inn, dtype=np.intp))
-        elif self._dense:
-            for s, _nid, _x, _y, _r, out, inn in records:
-                row = np.zeros(n1, dtype=bool)
-                row[out] = True
-                self._adj[s, :n1] = row
-                col = np.zeros(n1, dtype=bool)
-                col[inn] = True
-                self._adj[:n1, s] = col
         else:
-            row_apply = (
-                self._apply_row_delta_array if self._array else self._apply_row_delta
-            )
-            col_apply = (
-                self._apply_col_delta_array if self._array else self._apply_col_delta
-            )
             for s, _nid, _x, _y, _r, out, inn in records:
                 row = np.zeros(n1, dtype=bool)
                 row[out] = True
                 col = np.zeros(n1, dtype=bool)
                 col[inn] = True
-                row_apply(s, row)
-                col_apply(s, col)
+                self._apply_row_delta_array(s, row)
+                self._apply_col_delta_array(s, col)
         self._version = version
 
     def state_nbytes(self) -> int:
@@ -1612,15 +1470,11 @@ class AdHocDigraph:
         flat per-slot tables, not Python object overhead.
         """
         total = self._pos.nbytes + self._range.nbytes + self._ida.nbytes
-        if self._adj is not None:
-            total += self._adj.nbytes
-        if self._c2 is not None:
-            total += self._c2.nbytes
-        if self._sparse:
-            n = len(self._ids)
-            for s in range(n):
-                total += self._outr[s].data.nbytes + self._inr[s].data.nbytes
-                total += 64 * len(self._c2s[s])
+        if not self._sparse:
+            return total + self._adj.nbytes + self._c2.nbytes
+        for s in range(len(self._ids)):
+            total += self._outr[s].data.nbytes + self._inr[s].data.nbytes
+            total += 64 * len(self._c2s[s])
         return total
 
     # ------------------------------------------------------------------
@@ -1630,12 +1484,10 @@ class AdHocDigraph:
         """Nodes conflicting with ``node_id`` under CA1 ∪ CA2.
 
         CA1: an edge in either direction; CA2: a common out-neighbor.
-        This is the hot query of every recoding strategy.  Incremental
-        mode reads the maintained counter row; dense mode reads the
-        per-event conflict matrix re-derived by
-        :func:`repro.topology.conflicts.conflict_matrix`.  Results are
-        memoized per topology version, so replaying one event against
-        many strategies derives each conflict set once.
+        This is the hot query of every recoding strategy; it reads the
+        maintained adjacency and CA2 counters.  Results are memoized per
+        topology version, so replaying one event against many
+        strategies derives each conflict set once.
         """
         memo = self._query_memo()
         cached = memo.get(node_id)
@@ -1648,12 +1500,9 @@ class AdHocDigraph:
                 cached = frozenset(self._ida[self._sparse_conflict_slots(i)].tolist())
                 memo[node_id] = cached
                 return set(cached)
-            if self._dense:
-                mask = self._dense_conflict_block()[i]
-            else:
-                a = self._adj
-                mask = a[i, :n] | a[:n, i] | (self._c2[i, :n] > 0)
-                mask[i] = False
+            a = self._adj
+            mask = a[i, :n] | a[:n, i] | (self._c2[i, :n] > 0)
+            mask[i] = False
             cached = frozenset(self._ida[:n][mask].tolist())
             memo[node_id] = cached
         return set(cached)
@@ -1665,14 +1514,12 @@ class AdHocDigraph:
         on the sparse core it unions the out-row, in-row and the C2
         witness keys — O(deg) work with no N-wide mask — which is what
         lets large-N event loops query conflicts at constant density
-        without touching O(N) memory per query.  The dense-block cores
-        derive it from their row masks; membership is identical.
+        without touching O(N) memory per query.  The array core derives
+        it from its row masks; membership is identical.
         """
         if self._sparse:
             return self._sparse_conflict_slots(slot)
         n = len(self._ids)
-        if self._dense:
-            return np.flatnonzero(self._dense_conflict_block()[slot])
         a = self._adj
         mask = a[slot, :n] | a[:n, slot] | (self._c2[slot, :n] > 0)
         mask[slot] = False
@@ -1681,10 +1528,9 @@ class AdHocDigraph:
     def conflict_adjacency(self) -> tuple[list[NodeId], np.ndarray]:
         """``(ids, C)`` — the symmetric CA1 ∪ CA2 conflict matrix.
 
-        ``ids`` is ascending; ``C`` is a copy safe to mutate.  The
-        incremental mode assembles it from the maintained CA2 counters
-        in O(N²) boolean work (no matmul); the dense mode returns the
-        per-event re-derivation.  Whole-network consumers (the BBB
+        ``ids`` is ascending; ``C`` is a copy safe to mutate.  It is
+        assembled from the maintained CA2 counters in O(N²) boolean work
+        (no matmul).  Whole-network consumers (the BBB
         recolor, clique bounds) use this instead of
         ``conflict_matrix(adjacency())``.  The assembled matrix is
         memoized per topology version (callers receive fresh copies).
@@ -1695,9 +1541,7 @@ class AdHocDigraph:
             n = len(self._ids)
             order = sorted(range(n), key=lambda j: self._ids[j])
             ids = [self._ids[j] for j in order]
-            if self._dense:
-                block = self._dense_conflict_block()
-            elif self._sparse:
+            if self._sparse:
                 a = self._adj_block()
                 block = a | a.T
                 for u, entries in enumerate(self._c2s):
@@ -1795,12 +1639,9 @@ class AdHocDigraph:
             for j, slot in enumerate(s.tolist()):
                 rows[j, self._sparse_conflict_slots(slot)] = True
             return rows
-        if self._dense:
-            rows = self._dense_conflict_block()[s]
-        else:
-            a = self._adj
-            rows = a[s, :n] | a[:n, s].T | (self._c2[s, :n] > 0)
-            rows[_iota(len(s)), s] = False
+        a = self._adj
+        rows = a[s, :n] | a[:n, s].T | (self._c2[s, :n] > 0)
+        rows[_iota(len(s)), s] = False
         return rows
 
     def conflict_slot_lists(self, slots: np.ndarray) -> list[np.ndarray]:
@@ -1820,8 +1661,8 @@ class AdHocDigraph:
         V1 query of the large-N event loop; at ≈20 members per call the
         per-slot query overhead was a top-three profile line before
         batching.  Do not mutate the returned arrays (they are frozen
-        and shared across calls); the dense-block cores fall back to
-        the per-slot query — identical membership either way.
+        and shared across calls); the array core falls back to the
+        per-slot query — identical membership either way.
         """
         s = np.asarray(slots, dtype=np.intp)
         if not self._sparse or not len(s):
@@ -1969,22 +1810,19 @@ class AdHocDigraph:
         ida = np.zeros(new_cap, dtype=np.int64)
         ida[:n] = self._ida[:n]
         self._pos, self._range, self._ida = pos, rng, ida
-        if self._adj is not None:
+        if not self._sparse:
             adj = np.zeros((new_cap, new_cap), dtype=bool)
             adj[:n, :n] = self._adj[:n, :n]
             self._adj = adj
-        if self._c2 is not None:
             c2 = np.zeros((new_cap, new_cap), dtype=np.int32)
             c2[:n, :n] = self._c2[:n, :n]
             self._c2 = c2
 
     # -- spatial grid ---------------------------------------------------
-    def _grid_insert(self, slot: int, node_id: NodeId, x: float, y: float, tx_range: float) -> None:
-        """Track ``slot`` in the spatial index (array core: maybe lazily).
+    def _grid_insert(self, slot: int, x: float, y: float, tx_range: float) -> None:
+        """Track ``slot`` in the spatial index (maybe lazily).
 
-        The array core indexes the node by ``slot``, the dict core by
-        ``node_id``; cell geometry is identical either way.  While the
-        array core's population is below ``_GRID_LAZY_MIN`` only the
+        While the population is below ``_GRID_LAZY_MIN`` only the
         cell-size scalar is advanced — per-node upkeep would cost more
         than the full scans the small graph uses anyway — and the grid
         is bulk-built from the position block on first need.
@@ -2000,46 +1838,34 @@ class AdHocDigraph:
                 # (e.g. the paper's raisefactor sweep).
                 self._cell_live = float(tx_range)
         if self._grid is None:
-            if self._slotgrid and len(self._ids) < _GRID_LAZY_MIN:
+            if len(self._ids) < _GRID_LAZY_MIN:
                 return
             self._build_grid(self._cell_live)
             return
         self._own_grid()
-        self._grid.insert(slot if self._slotgrid else node_id, float(x), float(y))
+        self._grid.insert(slot, float(x), float(y))
         if self._grid.cell_size != self._cell_live:
             self._build_grid(self._cell_live)
 
     def _build_grid(self, cell: float) -> None:
         """(Re)build the spatial index over all live slots at ``cell`` size."""
-        n = len(self._ids)
-        if self._slotgrid:
-            grid: UniformGridIndex | SlotGridIndex = SlotGridIndex(cell)
-            for slot in range(n):
-                grid.insert(slot, float(self._pos[slot, 0]), float(self._pos[slot, 1]))
-        else:
-            grid = UniformGridIndex(cell)
-            for slot in range(n):
-                grid.insert(self._ids[slot], float(self._pos[slot, 0]), float(self._pos[slot, 1]))
+        grid = SlotGridIndex(cell)
+        for slot in range(len(self._ids)):
+            grid.insert(slot, float(self._pos[slot, 0]), float(self._pos[slot, 1]))
         self._grid = grid
         self._grid_shared = False
 
     def _candidate_slots(self, i: int, radius: float) -> np.ndarray | None:
         """Slots of nodes within ``radius`` of slot ``i`` (grid superset).
 
-        ``None`` means the grid is unavailable (dense mode, non-disc
-        propagation, or an empty graph) and the caller must scan all N.
-        The array core reads slot arrays straight out of the grid
-        buckets; the dict core translates the id list through the index
-        dict — same membership, so downstream masks are identical.
+        ``None`` means the grid is unavailable (non-disc propagation, or
+        a population still below the lazy-build threshold) and the
+        caller must scan all N.
         """
         if not self._use_grid or self._grid is None:
             return None
         x, y = self._pos[i]
-        if self._slotgrid:
-            return self._grid.candidate_slots(float(x), float(y), radius)
-        ids = self._grid.candidates_in_box(float(x), float(y), radius)
-        index = self._index
-        return np.asarray([index[v] for v in ids], dtype=np.intp)
+        return self._grid.candidate_slots(float(x), float(y), radius)
 
     # -- edge-mask computation ------------------------------------------
     def _coverage_mask(self, i: int) -> np.ndarray:
@@ -2057,26 +1883,6 @@ class AdHocDigraph:
         mask[i] = False
         return mask
 
-    def _covered_mask(self, i: int) -> np.ndarray:
-        """In-edge mask of slot ``i`` (which sources cover it?).
-
-        The grid query uses the current maximum range as its radius: any
-        source whose disc reaches ``i`` lies within that distance.
-        """
-        n = len(self._ids)
-        cand = self._candidate_slots(i, float(self._range[:n].max())) if n else None
-        if cand is None:
-            mask = self._prop.covered_by(self._pos[i], self._pos[:n], self._range[:n]).copy()
-        else:
-            mask = np.zeros(n, dtype=bool)
-            if cand.size:
-                covered = self._prop.covered_by(
-                    self._pos[i], self._pos[cand], self._range[cand]
-                )
-                mask[cand[covered]] = True
-        mask[i] = False
-        return mask
-
     # -- array-core edge recomputation ----------------------------------
     def _refresh_edges_array(self, i: int) -> None:
         """Recompute slot ``i``'s out- and in-edges (array fast path).
@@ -2085,8 +1891,7 @@ class AdHocDigraph:
         covers or is covered by ``i`` lies within it) and one pairwise
         distance pass answer both directions, then the batched CA1/CA2
         delta appliers fold the changes into the adjacency block and
-        witness counters.  Byte-identical to the dict core's separate
-        ``_coverage_mask`` / ``_covered_mask`` queries.
+        witness counters.
         """
         n = len(self._ids)
         cand = self._candidate_slots_array(i)
@@ -2201,13 +2006,12 @@ class AdHocDigraph:
     def _apply_row_delta_array(self, i: int, new_row: np.ndarray) -> None:
         """Batched out-edge replacement for slot ``i`` (array core).
 
-        Same counter math as :meth:`_apply_row_delta` — when ``i``
-        starts (stops) covering a receiver ``w``, every other
-        in-neighbor of ``w`` gains (loses) one CA2 witness with ``i`` —
-        but fused into a single signed matvec: gather the changed
-        receivers' in-neighbor columns once and multiply by ±1 per
-        receiver.  Exact integer arithmetic, so the counters are
-        byte-identical to the dict core's two-pass form.
+        When ``i`` starts (stops) covering a receiver ``w``, every other
+        in-neighbor of ``w`` gains (loses) one CA2 witness with ``i``.
+        The update is fused into a single signed matvec: gather the
+        changed receivers' in-neighbor columns once and multiply by ±1
+        per receiver.  Exact integer arithmetic, so the counters stay
+        exact.
         """
         n = len(self._ids)
         a = self._adj
@@ -2250,54 +2054,12 @@ class AdHocDigraph:
                 c2[new, new] -= 1
         a[:n, i] = new_col
 
-    # -- incremental CA2 maintenance ------------------------------------
-    def _apply_row_delta(self, i: int, new_row: np.ndarray) -> None:
-        """Replace slot ``i``'s out-edges, updating the CA2 counters.
-
-        When ``i`` starts (stops) covering a receiver ``w``, every other
-        in-neighbor of ``w`` gains (loses) one common-out-neighbor
-        witness with ``i`` — counted vectorized from ``w``'s column.
-        """
-        n = len(self._ids)
-        a = self._adj
-        old_row = a[i, :n]
-        added = np.flatnonzero(new_row & ~old_row)
-        removed = np.flatnonzero(old_row & ~new_row)
-        if added.size or removed.size:
-            cnt = a[:n, added].sum(axis=1, dtype=np.int32)
-            cnt -= a[:n, removed].sum(axis=1, dtype=np.int32)
-            cnt[i] = 0  # no (i, i) pair; i's own row is the one changing
-            c2 = self._c2
-            c2[i, :n] += cnt
-            c2[:n, i] += cnt
-        a[i, :n] = new_row
-
-    def _apply_col_delta(self, i: int, new_col: np.ndarray) -> None:
-        """Replace slot ``i``'s in-edges, updating the CA2 counters.
-
-        The in-neighbors of receiver ``i`` form a CA2 clique: retract
-        the old clique's witness counts, assert the new one's.
-        """
-        n = len(self._ids)
-        a = self._adj
-        c2 = self._c2
-        old = np.flatnonzero(a[:n, i])
-        new = np.flatnonzero(new_col)
-        if old.size > 1:
-            c2[np.ix_(old, old)] -= 1
-            c2[old, old] += 1
-        if new.size > 1:
-            c2[np.ix_(new, new)] += 1
-            c2[new, new] -= 1
-        a[:n, i] = new_col
-
     # -- sparse (CSR rows) core -----------------------------------------
     def _activate_sparse(self) -> None:
         """Switch the core flags and storage to sparse (no data carried)."""
         self._sparse = True
-        self._array = False
         self._sparse_auto = False
-        self._slotgrid = True
+        self._blocks_shared = False
         self._adj = None
         self._c2 = None
         self._outr = []
@@ -2399,20 +2161,10 @@ class AdHocDigraph:
             block[i, self._outr[i].view()] = True
         return block
 
-    def _c2_block(self) -> np.ndarray:
-        """Densify the per-slot witness dicts into an (n, n) int32 block."""
-        n = len(self._ids)
-        block = np.zeros((n, n), dtype=np.int32)
-        for u, entries in enumerate(self._c2s):
-            if entries:
-                block[u, list(entries)] = list(entries.values())
-        return block
-
     def _sparse_candidates(self, i: int, radius: float) -> np.ndarray | None:
-        """Per-cell candidate gather for slot ``i``; ``None`` = full scan.
+        """Grid candidate gather for slot ``i``; ``None`` = full scan.
 
-        Streams the occupied cell blocks near ``i`` from
-        :meth:`SlotGridIndex.iter_candidate_blocks` and bails out to a
+        Gathers the occupied cell buckets near ``i`` and bails out to a
         full scan the moment the running count reaches the 3/4-of-N
         selectivity cutoff — so an unselective query never concatenates
         (and a selective one never allocates an N-wide mask; the exact
@@ -2431,25 +2183,6 @@ class AdHocDigraph:
         n = len(self._ids)
         cutoff = max(1, (3 * n) // 4)
         x, y = self._pos[i]
-        if self._sparse_scalar:
-            # PR 7 oracle: stream per-cell blocks, bail at the cutoff.
-            blocks: list[np.ndarray] = []
-            total = 0
-            for block in grid.iter_candidate_blocks(float(x), float(y), radius):
-                total += len(block)
-                if total >= cutoff:
-                    if _met.ENABLED:
-                        _count_grid_result(None)
-                    return None
-                blocks.append(block)
-            out = np.concatenate(blocks) if blocks else _EMPTY_SLOTS
-            if _met.ENABLED:
-                _count_grid_result(out)
-            return out
-        # Batched kernel: the grid concatenates the same candidate
-        # blocks itself (identical membership and cutoff semantics,
-        # pinned by tests/geometry) without the generator round trips
-        # and per-block flag writes of the streaming form.
         cand = grid.candidate_slots(float(x), float(y), radius, cutoff=cutoff)
         if _met.ENABLED:
             _count_grid_result(cand)
@@ -2517,16 +2250,15 @@ class AdHocDigraph:
         IEEE-754 operation :meth:`_sparse_edge_sets` performs for the
         corresponding pair, and both candidate windows are supersets of
         the exact disc, so the filtered membership is byte-identical to
-        the per-slot path.  Unselective cells (the 3n/4 cutoff), scalar
-        mode (the PR 7 oracle), non-elementwise models and gridless
-        graphs all fall back to that path.
+        the per-slot path.  Unselective cells (the 3n/4 cutoff),
+        non-elementwise models and gridless graphs all fall back to that
+        path.
         """
         new_out: dict[int, np.ndarray] = {}
         new_in: dict[int, np.ndarray] = {}
         grid = self._grid
         if (
-            self._sparse_scalar
-            or not self._use_grid
+            not self._use_grid
             or grid is None
             or grid.cell_count <= _MIN_SELECTIVE_CELLS
             or not getattr(self._prop, "elementwise", True)
@@ -2608,13 +2340,9 @@ class AdHocDigraph:
         grouped ``np.add.at``-style accumulation) become one merged
         update per ``(i, u)`` pair instead of one dict call per witness.
         Exact integer arithmetic and the same never-store-zero /
-        fail-on-negative invariant as :func:`_c2_dec`, so counters stay
-        byte-identical to the scalar oracle
-        (:meth:`_sparse_apply_row_scalar`).
+        fail-on-negative invariant as :func:`_c2_dec`, so the counters
+        stay exact.
         """
-        if self._sparse_scalar:
-            self._sparse_apply_row_scalar(i, new_out)
-            return
         self._own_slot(i)
         outr, inr, c2s = self._outr, self._inr, self._c2s
         row_i = outr[i]
@@ -2677,39 +2405,6 @@ class AdHocDigraph:
                 inr[w].insert(i)
         row_i.set_sorted(new_out)
 
-    def _sparse_apply_row_scalar(self, i: int, new_out: np.ndarray) -> None:
-        """The PR 7 per-witness form of :meth:`_sparse_apply_row`.
-
-        One dict operation per ``(pair, direction)`` witness delta —
-        kept verbatim as the byte-identity oracle the batched kernel is
-        pinned against, and as the same-machine baseline behind the
-        bench's ``speedup_vs_pr7`` ratio.
-        """
-        self._own_slot(i)
-        outr, inr, c2s = self._outr, self._inr, self._c2s
-        old_out = outr[i].view()
-        added = np.setdiff1d(new_out, old_out, assume_unique=True)
-        removed = np.setdiff1d(old_out, new_out, assume_unique=True)
-        if added.size or removed.size:
-            di = c2s[i]
-            for w in removed.tolist():
-                self._own_slot(w)
-                row = inr[w]
-                row.remove(i)
-                for u in row.view().tolist():
-                    self._own_slot(u)
-                    _c2_dec(di, u)
-                    _c2_dec(c2s[u], i)
-            for w in added.tolist():
-                self._own_slot(w)
-                row = inr[w]
-                for u in row.view().tolist():
-                    self._own_slot(u)
-                    _c2_inc(di, u)
-                    _c2_inc(c2s[u], i)
-                row.insert(i)
-        outr[i].set_sorted(new_out)
-
     def _sparse_apply_col(self, i: int, new_in: np.ndarray) -> None:
         """Replace slot ``i``'s in-row: reconcile the receiver clique."""
         self._own_slot(i)
@@ -2761,17 +2456,6 @@ class AdHocDigraph:
                 self._own_slot(k)
                 _c2_dec(c2s[k], r)
         news = new.tolist()
-        if self._sparse_scalar:
-            for a in added.tolist():
-                self._own_slot(a)
-                da = c2s[a]
-                for u in news:
-                    if u != a:
-                        _c2_inc(da, u)
-                for k in kept:
-                    self._own_slot(k)
-                    _c2_inc(c2s[k], a)
-            return
         for a in added.tolist():
             # Assertions only ever increase counters, so the whole
             # member list can be bulk-counted at C speed; the one
@@ -2906,7 +2590,7 @@ class AdHocDigraph:
                 self._index[cfg.node_id] = i
                 self._ensure_sparse_slot(i)
                 if self._use_grid:
-                    self._grid_insert(i, cfg.node_id, cfg.x, cfg.y, cfg.tx_range)
+                    self._grid_insert(i, cfg.x, cfg.y, cfg.tx_range)
                 dirty[i] = None
                 self._version += 1
                 self._touched[i] = self._version
@@ -3057,28 +2741,3 @@ class AdHocDigraph:
                     outr[u].remove(i)
             outr[i].set_sorted(new_out[i])
             inr[i].set_sorted(new_in[i])
-
-    # -- dense escape hatch ---------------------------------------------
-    def _dense_conflict_block(self) -> np.ndarray:
-        """The dense conflict matrix, re-derived once per topology version."""
-        if self._cm_version != self._version:
-            from repro.topology.conflicts import conflict_matrix
-
-            n = len(self._ids)
-            self._cm_cache = conflict_matrix(self._adj[:n, :n])
-            self._cm_version = self._version
-        return self._cm_cache
-
-    def _recompute_row(self, i: int) -> None:
-        """Out-edges of slot ``i`` by full scan (dense mode)."""
-        n = len(self._ids)
-        mask = self._prop.coverage(self._pos[i], float(self._range[i]), self._pos[:n])
-        mask[i] = False
-        self._adj[i, :n] = mask
-
-    def _recompute_col(self, i: int) -> None:
-        """In-edges of slot ``i`` by full scan (dense mode)."""
-        n = len(self._ids)
-        mask = self._prop.covered_by(self._pos[i], self._pos[:n], self._range[:n])
-        mask[i] = False
-        self._adj[:n, i] = mask

@@ -87,8 +87,8 @@ def pairwise_masks(
     built-in free-space and obstructed models do) answer both from one
     distance pass; other models fall back to two independent queries.
     Either way the masks are bitwise identical to separate
-    ``coverage``/``covered_by`` calls — the array and dict cores must
-    produce byte-identical edges.
+    ``coverage``/``covered_by`` calls — every path through the conflict
+    cores must produce byte-identical edges.
     """
     native = getattr(model, "pairwise", None)
     if native is not None:

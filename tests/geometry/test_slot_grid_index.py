@@ -1,22 +1,44 @@
-"""The array-native slot grid (`SlotGridIndex`).
+"""The slot grid (`SlotGridIndex`).
 
-Membership parity with :class:`UniformGridIndex` (shared cell
-geometry), slot lifecycle under swap-delete renaming, and the
-``cutoff`` / bounding-box short-circuits of :meth:`candidate_slots` —
-which may only ever widen the candidate superset, never shrink it.
+Membership parity with a brute-force cell-window scan (the grid's
+candidates are exactly the slots in the cells overlapping the disc's
+bounding box plus the guard ring, a superset of the disc), slot
+lifecycle under swap-delete renaming, and the ``cutoff`` /
+bounding-box short-circuits of :meth:`candidate_slots` — which may only
+ever widen the candidate superset, never shrink it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, UnknownNodeError
-from repro.geometry.grid_index import SlotGridIndex, UniformGridIndex
+from repro.geometry.grid_index import SlotGridIndex
 
 
 def _scatter(rng, n, span=100.0):
     return [(float(rng.uniform(0, span)), float(rng.uniform(0, span))) for _ in range(n)]
+
+
+def _brute_force_window(pts, cell, x, y, r):
+    """Slots whose cell lies in the disc's guarded bounding-box window."""
+    lo_x, hi_x = math.floor((x - r) / cell) - 1, math.floor((x + r) / cell) + 1
+    lo_y, hi_y = math.floor((y - r) / cell) - 1, math.floor((y + r) / cell) + 1
+    return {
+        slot
+        for slot, (px, py) in enumerate(pts)
+        if lo_x <= math.floor(px / cell) <= hi_x and lo_y <= math.floor(py / cell) <= hi_y
+    }
+
+
+def _brute_force_disc(pts, x, y, r):
+    """Slots within the closed disc."""
+    return {slot for slot, (px, py) in enumerate(pts) if (px - x) ** 2 + (py - y) ** 2 <= r * r}
 
 
 class TestLifecycle:
@@ -71,6 +93,20 @@ class TestLifecycle:
         g.insert(500, 5.0, 5.0)  # far beyond the initial record capacity
         assert 500 in g and len(g) == 1
 
+    def test_move_across_cells(self):
+        g = SlotGridIndex(10.0)
+        g.insert(0, 1.0, 1.0)
+        g.move(0, 95.0, 95.0)
+        assert g.cell_of(0) == (9, 9)
+        assert g.candidate_slots(1.0, 1.0, 5.0).tolist() == []
+        assert g.candidate_slots(95.0, 95.0, 5.0).tolist() == [0]
+
+    def test_negative_coordinates_supported(self):
+        g = SlotGridIndex(10.0)
+        g.insert(0, -25.0, -3.0)
+        assert g.cell_of(0) == (-3, -1)
+        assert g.candidate_slots(-25.0, -3.0, 0.5).tolist() == [0]
+
     def test_copy_is_independent(self):
         g = SlotGridIndex(10.0)
         g.insert(0, 5.0, 5.0)
@@ -107,17 +143,28 @@ class TestCandidateQueries:
             assert inside <= set(cand.tolist())
 
     @pytest.mark.parametrize("cell", [3.0, 11.0])
-    def test_membership_matches_uniform_grid(self, cell):
+    def test_membership_matches_brute_force_window(self, cell):
         rng = np.random.default_rng(2)
         pts = _scatter(rng, 80)
-        slot_grid, id_grid = SlotGridIndex(cell), UniformGridIndex(cell)
+        g = SlotGridIndex(cell)
         for slot, (x, y) in enumerate(pts):
-            slot_grid.insert(slot, x, y)
-            id_grid.insert(slot, x, y)
+            g.insert(slot, x, y)
         for qx, qy, r in [(20.0, 80.0, 9.0), (60.0, 30.0, 25.0)]:
-            a = sorted(slot_grid.candidate_slots(qx, qy, r).tolist())
-            b = sorted(id_grid.candidates_in_box(qx, qy, r))
-            assert a == b  # shared cell geometry, identical supersets
+            cand = g.candidate_slots(qx, qy, r).tolist()
+            assert len(cand) == len(set(cand))  # cells never overlap
+            assert set(cand) == _brute_force_window(pts, cell, qx, qy, r)
+            assert _brute_force_disc(pts, qx, qy, r) <= set(cand)
+
+    def test_huge_query_takes_the_occupied_cell_scan(self):
+        # a query box wider than the occupancy flips to iterating the
+        # occupied cells; membership must not change
+        pts = [(float(10 * slot), 0.0) for slot in range(8)]
+        g = SlotGridIndex(1.0)
+        for slot, (x, y) in enumerate(pts):
+            g.insert(slot, x, y)
+        assert sorted(g.candidate_slots(35.0, 0.0, 1e6).tolist()) == list(range(8))
+        small = set(g.candidate_slots(35.0, 0.0, 12.0).tolist())
+        assert small == _brute_force_window(pts, 1.0, 35.0, 0.0, 12.0)
 
     def test_result_is_never_a_bucket_view(self):
         g = SlotGridIndex(10.0)
@@ -173,51 +220,6 @@ class TestCutoff:
         assert g.cell_count == 1
 
 
-class TestIterCandidateBlocks:
-    """The streaming per-cell counterpart of ``candidate_slots``."""
-
-    def test_negative_radius_rejected(self):
-        g = SlotGridIndex(10.0)
-        with pytest.raises(ConfigurationError):
-            list(g.iter_candidate_blocks(0.0, 0.0, -1.0))
-
-    def test_empty_grid_yields_nothing(self):
-        g = SlotGridIndex(10.0)
-        assert list(g.iter_candidate_blocks(0.0, 0.0, 50.0)) == []
-
-    @pytest.mark.parametrize("cell", [3.0, 11.0, 40.0])
-    def test_block_union_matches_candidate_slots(self, cell):
-        rng = np.random.default_rng(5)
-        pts = _scatter(rng, 150)
-        g = SlotGridIndex(cell)
-        for slot, (x, y) in enumerate(pts):
-            g.insert(slot, x, y)
-        for qx, qy, r in [(50.0, 50.0, 12.0), (0.0, 0.0, 30.0), (99.0, 10.0, 5.0)]:
-            blocks = list(g.iter_candidate_blocks(qx, qy, r))
-            union = sorted(np.concatenate(blocks).tolist()) if blocks else []
-            assert len(union) == len(set(union))  # cells never overlap
-            assert union == sorted(g.candidate_slots(qx, qy, r).tolist())
-
-    def test_huge_query_takes_the_occupied_cell_scan(self):
-        # a query box wider than the occupancy flips to iterating the
-        # occupied cells; membership must not change
-        g = SlotGridIndex(1.0)
-        for slot in range(8):
-            g.insert(slot, float(10 * slot), 0.0)
-        blocks = list(g.iter_candidate_blocks(35.0, 0.0, 1e6))
-        union = sorted(np.concatenate(blocks).tolist())
-        assert union == sorted(g.candidate_slots(35.0, 0.0, 1e6).tolist())
-
-    def test_blocks_are_read_only_bucket_views(self):
-        g = SlotGridIndex(10.0)
-        g.insert(0, 5.0, 5.0)
-        g.insert(1, 6.0, 6.0)
-        (block,) = g.iter_candidate_blocks(5.0, 5.0, 1.0)
-        assert not block.flags.writeable  # live views: callers must copy
-        with pytest.raises(ValueError):
-            block[0] = 99
-
-
 class TestBoundaryAndBailout:
     """Exact cell-edge radii, queries outside the grown bbox, and the
     3n/4 full-scan bailout the sparse core's candidate gathers rely on.
@@ -230,11 +232,8 @@ class TestBoundaryAndBailout:
             g.insert(slot, x, 0.0)  # every point on a cell corner
         for r in xs:  # radius lands exactly on cell edges too
             cand = set(g.candidate_slots(0.0, 0.0, r).tolist())
-            blocks = list(g.iter_candidate_blocks(0.0, 0.0, r))
-            union = set(np.concatenate(blocks).tolist()) if blocks else set()
-            assert union == cand
             inside = {s for s, x in enumerate(xs) if x <= r}
-            assert inside <= union  # d == r members survive the window
+            assert inside <= cand  # d == r members survive the window
 
     def test_query_bbox_entirely_outside_grown_bbox(self):
         g = SlotGridIndex(10.0)
@@ -242,7 +241,6 @@ class TestBoundaryAndBailout:
         g.insert(1, -45.0, 32.0)
         for qx, qy in [(1e6, 1e6), (-1e6, 40.0), (50.0, -1e6)]:
             assert g.candidate_slots(qx, qy, 25.0).size == 0
-            assert list(g.iter_candidate_blocks(qx, qy, 25.0)) == []
             # the integer cell-window spelling agrees
             cx, cy = int(qx // 10.0), int(qy // 10.0)
             out = g.candidate_slots_cell(cx, cy, 25.0)
@@ -262,7 +260,7 @@ class TestBoundaryAndBailout:
         assert full is not None and sorted(full.tolist()) == list(range(n))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_block_union_equals_brute_force_on_random_placements(self, seed):
+    def test_candidates_equal_brute_force_on_random_placements(self, seed):
         rng = np.random.default_rng(seed)
         cell = float(rng.uniform(2.0, 15.0))
         g = SlotGridIndex(cell)
@@ -273,13 +271,72 @@ class TestBoundaryAndBailout:
             qx = float(rng.uniform(-60.0, 160.0))
             qy = float(rng.uniform(-60.0, 160.0))
             r = float(rng.choice([cell, 2.0 * cell, rng.uniform(0.0, 60.0)]))
-            blocks = list(g.iter_candidate_blocks(qx, qy, r))
-            union = sorted(np.concatenate(blocks).tolist()) if blocks else []
-            assert len(union) == len(set(union))  # cells never overlap
-            assert union == sorted(g.candidate_slots(qx, qy, r).tolist())
+            cand = g.candidate_slots(qx, qy, r).tolist()
+            assert len(cand) == len(set(cand))  # cells never overlap
+            assert set(cand) == _brute_force_window(pts.tolist(), cell, qx, qy, r)
             d2 = ((pts - (qx, qy)) ** 2).sum(axis=1)
             inside = set(np.flatnonzero(d2 <= r * r).tolist())
-            assert inside <= set(union)  # brute-force disc is covered
+            assert inside <= set(cand)  # brute-force disc is covered
+
+
+class TestAgainstBruteForce:
+    @given(
+        st.lists(
+            st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
+            max_size=40,
+        ),
+        st.floats(-100, 100),
+        st.floats(-100, 100),
+        st.floats(0, 150),
+        st.floats(0.5, 40),
+    )
+    def test_window_matches_brute_force(self, pts, qx, qy, radius, cell):
+        g = SlotGridIndex(cell)
+        for slot, (x, y) in enumerate(pts):
+            g.insert(slot, x, y)
+        cand = g.candidate_slots(qx, qy, radius).tolist()
+        assert len(cand) == len(set(cand))
+        assert set(cand) == _brute_force_window(pts, cell, qx, qy, radius)
+        assert _brute_force_disc(pts, qx, qy, radius) <= set(cand)
+
+    @given(st.integers(0, 40), st.floats(0.5, 30), st.floats(0, 80))
+    def test_candidates_are_a_superset_of_the_disc(self, n, cell, radius):
+        pts = _scatter(np.random.default_rng(n + 1), n)
+        g = SlotGridIndex(cell)
+        for slot, (x, y) in enumerate(pts):
+            g.insert(slot, x, y)
+        cand = set(g.candidate_slots(50.0, 50.0, radius).tolist())
+        assert _brute_force_disc(pts, 50.0, 50.0, radius) <= cand
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_swap_delete_churn_keeps_membership_exact(self, seed):
+        # the digraph's removal pattern: drop a slot, rename the last
+        # slot into the hole; interleaved with moves and joins
+        rng = np.random.default_rng(seed + 100)
+        cell = float(rng.uniform(2.0, 15.0))
+        g = SlotGridIndex(cell)
+        pts: list[tuple[float, float]] = []
+        for _ in range(300):
+            op = int(rng.integers(0, 3))
+            if op == 0 or not pts:
+                pts.append((float(rng.uniform(0, 100)), float(rng.uniform(0, 100))))
+                g.insert(len(pts) - 1, *pts[-1])
+            elif op == 1:
+                hole, last = int(rng.integers(0, len(pts))), len(pts) - 1
+                g.remove(hole)
+                if hole != last:
+                    g.rename(last, hole)
+                    pts[hole] = pts[last]
+                pts.pop()
+            else:
+                slot = int(rng.integers(0, len(pts)))
+                pts[slot] = (float(rng.uniform(0, 100)), float(rng.uniform(0, 100)))
+                g.move(slot, *pts[slot])
+            assert len(g) == len(pts)
+            qx, qy = float(rng.uniform(0, 100)), float(rng.uniform(0, 100))
+            r = float(rng.uniform(0, 30))
+            cand = g.candidate_slots(qx, qy, r).tolist()
+            assert sorted(cand) == sorted(_brute_force_window(pts, cell, qx, qy, r))
 
 
 class TestCellWindowQueries:

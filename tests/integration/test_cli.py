@@ -167,8 +167,6 @@ class TestBenchCommand:
         entries = json.loads(out_path.read_text())
         assert {e["mode"] for e in entries} == {
             "array",
-            "grid",
-            "dense",
             "sparse",
             "per-strategy",
             "shared",
@@ -181,8 +179,8 @@ class TestBenchCommand:
         }
         for e in entries:
             assert {"scenario", "n", "wall_seconds", "events_per_sec"} <= set(e)
-        array = [e for e in entries if e["mode"] == "array"]
-        assert len(array) == 2 and all(e["speedup_vs_dict"] > 0 for e in array)
+        sparse = [e for e in entries if e["mode"] == "sparse"]
+        assert len(sparse) == 2 and all(e["speedup_vs_array"] > 0 for e in sparse)
         assert not any(e["scenario"] == "large-join" for e in entries)
         shared = [e for e in entries if e["mode"] == "shared"]
         assert len(shared) == 1 and shared[0]["speedup_vs_per_strategy"] > 0

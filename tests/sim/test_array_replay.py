@@ -1,11 +1,11 @@
-"""Conflict cores on vs off: byte-identical sweeps, replays, checkpoints.
+"""Array vs sparse core: byte-identical sweeps, replays, checkpoints.
 
-The conflict cores (dict, array, sparse) and the contiguous color
-lanes are execution knobs, not state: every registered scenario must
-produce byte-identical series under ``REPRO_ARRAY`` on/off and
-``REPRO_SPARSE=1`` — including through the checkpoint-tree timeline —
-and snapshots written by any core must restore into any other and
-continue identically.
+The conflict core is an execution knob, not state: every registered
+scenario must produce byte-identical series under ``REPRO_SPARSE=0``
+and ``REPRO_SPARSE=1`` — including through the checkpoint-tree
+timeline — and snapshots written by either core must restore into the
+other, match the brute-force topology oracle, and continue
+identically.
 """
 
 from __future__ import annotations
@@ -16,17 +16,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.coloring.assignment import ArrayCodeAssignment, CodeAssignment
+from repro.coloring.assignment import ArrayCodeAssignment
 from repro.sim.network import MultiStrategyReplay
 from repro.sim.registry import available_scenarios, get_scenario
 from repro.sim.scenarios import resolve_sweep, scenario_trace
 from repro.sim.sweep import run_sweep
 from repro.strategies import make_strategy
 from repro.topology.digraph import AdHocDigraph
+from tests.topology.oracles import assert_matches_oracle
 
 
 def _set_core_env(monkeypatch, core):
-    monkeypatch.setenv("REPRO_ARRAY", "0" if core == "dict" else "1")
     monkeypatch.setenv("REPRO_SPARSE", "1" if core == "sparse" else "0")
 
 
@@ -50,24 +50,20 @@ def _series_dict(spec, *, seed=23, warm_start=None):
 class TestSweepsIdenticalAcrossCores:
     @pytest.mark.parametrize("name", sorted(available_scenarios()))
     def test_registered_scenario_is_core_independent(self, name, monkeypatch):
-        # the tentpole acceptance criterion: array-on and sparse-on
-        # output is byte-identical to array-off for every registered
+        # array and sparse output is byte-identical for every registered
         # scenario, through the default checkpoint-tree timeline
         spec = _shrunk(name)
         _set_core_env(monkeypatch, "array")
         with_array = _series_dict(spec)
-        _set_core_env(monkeypatch, "dict")
-        without = _series_dict(spec)
-        assert with_array == without
         _set_core_env(monkeypatch, "sparse")
         with_sparse = _series_dict(spec)
         assert with_sparse == with_array
 
     def test_core_independent_through_cold_replay_too(self, monkeypatch):
         spec = _shrunk("fig12-move-rounds")
-        monkeypatch.setenv("REPRO_ARRAY", "1")
+        _set_core_env(monkeypatch, "array")
         warm = _series_dict(spec, warm_start=True)
-        monkeypatch.setenv("REPRO_ARRAY", "0")
+        _set_core_env(monkeypatch, "sparse")
         cold = _series_dict(spec, warm_start=False)
         assert warm == cold
 
@@ -82,11 +78,7 @@ def _lane_states(replay):
     return [lane.state_dict() for lane in replay.lanes]
 
 
-_CORE_KWARGS = {
-    "dict": dict(array_core=False),
-    "array": dict(array_core=True),
-    "sparse": dict(sparse_core=True),
-}
+_CORE_KWARGS = {"array": dict(sparse_core=False), "sparse": dict(sparse_core=True)}
 
 
 class TestCrossCoreSnapshots:
@@ -103,14 +95,16 @@ class TestCrossCoreSnapshots:
         restored = AdHocDigraph.restore(snap, **_CORE_KWARGS[reader])
         assert restored.core == reader
         assert restored.snapshot() == snap  # idempotent across the core swap
+        assert_matches_oracle(restored)
         # both continue identically from the restore point
         cont = AdHocDigraph.restore(snap, **_CORE_KWARGS[writer])
         for ev in events[10:]:
             restored.apply_event(ev)
             cont.apply_event(ev)
+            assert_matches_oracle(restored)
         assert restored.snapshot() == cont.snapshot()
 
-    @pytest.mark.parametrize("writer", ["dict", "array", "sparse"])
+    @pytest.mark.parametrize("writer", sorted(_CORE_KWARGS))
     def test_replay_checkpoint_restores_under_any_core(self, writer, monkeypatch):
         events = _replay_events()
         _set_core_env(monkeypatch, writer)
@@ -118,7 +112,7 @@ class TestCrossCoreSnapshots:
         replay.run(events[:10])
         checkpoint = replay.snapshot()
         states = _lane_states(replay)
-        for reader in ("dict", "array", "sparse"):
+        for reader in sorted(_CORE_KWARGS):
             _set_core_env(monkeypatch, reader)
             resumed = MultiStrategyReplay.restore(checkpoint)
             assert resumed.snapshot() == checkpoint
@@ -131,23 +125,14 @@ class TestCrossCoreSnapshots:
 
 
 class TestLaneContainers:
-    def test_lanes_follow_the_graph_core(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPARSE", raising=False)
-        monkeypatch.setenv("REPRO_ARRAY", "1")
+    @pytest.mark.parametrize("core", sorted(_CORE_KWARGS))
+    def test_lanes_hold_array_assignments_under_both_cores(self, core, monkeypatch):
+        _set_core_env(monkeypatch, core)
         replay = MultiStrategyReplay([make_strategy("Minim")])
-        assert isinstance(replay.lanes[0].assignment, ArrayCodeAssignment)
-        monkeypatch.setenv("REPRO_ARRAY", "0")
-        replay = MultiStrategyReplay([make_strategy("Minim")])
-        assert isinstance(replay.lanes[0].assignment, CodeAssignment)
-        assert not isinstance(replay.lanes[0].assignment, ArrayCodeAssignment)
-        # the sparse core keeps the contiguous slot-aligned lanes
-        monkeypatch.setenv("REPRO_SPARSE", "1")
-        replay = MultiStrategyReplay([make_strategy("Minim")])
-        assert replay.graph.core == "sparse"
+        assert replay.graph.core == core
         assert isinstance(replay.lanes[0].assignment, ArrayCodeAssignment)
 
-    def test_fork_preserves_the_container_kind(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARRAY", "1")
+    def test_fork_preserves_the_container_kind(self):
         replay = MultiStrategyReplay([make_strategy("Minim")])
         replay.run(_replay_events(n=8)[:6])
         fork = replay.fork()

@@ -85,13 +85,16 @@ class TestEquivalencePin:
         for lane in replay.lanes:
             assert is_valid(replay.graph, lane.assignment)
 
-    def test_dense_mode_matches_grid_mode(self):
+    def test_sparse_core_matches_array_core(self, monkeypatch):
         events = random_trace(14, 16, np.random.default_rng(3), with_leaves=False)
-        grid = MultiStrategyReplay([make_strategy("Minim")], dense_conflicts=False)
-        dense = MultiStrategyReplay([make_strategy("Minim")], dense_conflicts=True)
-        grid.run(events)
-        dense.run(events)
-        assert grid.lanes[0].metrics.records == dense.lanes[0].metrics.records
+        monkeypatch.setenv("REPRO_SPARSE", "0")
+        array = MultiStrategyReplay([make_strategy("Minim")])
+        monkeypatch.setenv("REPRO_SPARSE", "1")
+        sparse = MultiStrategyReplay([make_strategy("Minim")])
+        assert (array.graph.core, sparse.graph.core) == ("array", "sparse")
+        array.run(events)
+        sparse.run(events)
+        assert array.lanes[0].metrics.records == sparse.lanes[0].metrics.records
 
 
 class TestReplayApi:

@@ -38,11 +38,11 @@ def _graph_state(graph: AdHocDigraph):
 # AdHocDigraph.snapshot() / restore()
 # ----------------------------------------------------------------------
 class TestDigraphSnapshot:
-    @pytest.mark.parametrize("dense", [False, True], ids=["grid", "dense"])
-    def test_restore_then_replay_matches_uninterrupted_graph(self, dense):
+    @pytest.mark.parametrize("sparse", [False, True], ids=["array", "sparse"])
+    def test_restore_then_replay_matches_uninterrupted_graph(self, sparse):
         rng = np.random.default_rng(11)
         cfgs = sample_configs(25, rng)
-        g = AdHocDigraph(dense_conflicts=dense)
+        g = AdHocDigraph(sparse_core=sparse)
         for c in cfgs[:15]:
             g.add_node(c)
         # full JSON round trip: snapshots must survive serialization
@@ -62,7 +62,8 @@ class TestDigraphSnapshot:
             g.add_node(c)
         snap = g.snapshot()
         h = AdHocDigraph.restore(snap)
-        assert not h.dense_conflicts
+        assert snap["dense"] is False
+        assert h.core == "array"
         assert h.snapshot() == snap
 
     def test_empty_graph_round_trips(self):

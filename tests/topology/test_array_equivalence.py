@@ -1,28 +1,38 @@
-"""Four-way conflict-core equivalence: dict, dense, array and sparse.
+"""Conflict-core equivalence: array and sparse against the topology oracle.
 
-The acceptance bar for every core rewrite (the array core's flat
-adjacency/C2 blocks, the sparse core's CSR rows and witness dicts): on
-randomized event traces all cores must produce adjacency, conflict
-sets AND snapshots *byte-identical* to the dict core's, with the dense
-path as an independent witness.  The slot-indexed query surface
-(``v1_slots``, ``conflict_masks``) must agree with the id-level
-queries it replaces, and the sparse core's round batching
-(:meth:`AdHocDigraph.apply_round`) must land on exactly the state
-sequential application produces.
+The acceptance bar for every core change: on randomized event traces
+both cores must match the brute-force oracle
+(``tests/topology/oracles.py`` — adjacency, conflict sets and CA2
+witness counters re-derived from the node configurations) after every
+event, and their snapshots must be byte-identical to each other.  The
+slot-indexed query surface (``v1_slots``, ``conflict_masks``) must
+agree with the id-level queries it replaces, the sparse core's round
+batching (:meth:`AdHocDigraph.apply_round`) must land on exactly the
+state sequential application produces, and snapshots written by the
+retired dict and dense cores must still restore.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.events.base import JoinEvent, LeaveEvent, MoveEvent, PowerChangeEvent
 from repro.geometry.grid_index import SlotGridIndex
 from repro.geometry.obstacles import RectObstacle
-from repro.topology.conflicts import conflict_matrix
 from repro.topology.digraph import AdHocDigraph, default_core
 from repro.topology.node import NodeConfig
 from repro.topology.propagation import ObstructedPropagation
+from tests.topology.oracles import assert_matches_oracle
+
+CORES = {"array": dict(sparse_core=False), "sparse": dict(sparse_core=True)}
+
+
+def _both_cores(prop=None):
+    return [AdHocDigraph(prop, **CORES["array"]), AdHocDigraph(prop, **CORES["sparse"])]
 
 
 def _random_trace(graphs, seed, steps, check, area=100.0, first_id=1, alive=None):
@@ -52,6 +62,7 @@ def _random_trace(graphs, seed, steps, check, area=100.0, first_id=1, alive=None
             for g in graphs:
                 g.move_node(v, x, y)
         else:
+            # occasionally a large raise (exercises the regrid rule)
             v = alive[int(rng.integers(0, len(alive)))]
             r = float(rng.uniform(5, 40)) * (6.0 if rng.random() < 0.1 else 1.0)
             for g in graphs:
@@ -60,65 +71,33 @@ def _random_trace(graphs, seed, steps, check, area=100.0, first_id=1, alive=None
 
 
 def _assert_cores_agree(graphs, alive):
-    array = graphs[0]
-    ids_a, adj_a = array.adjacency()
-    oracle = conflict_matrix(adj_a)
-    assert (array.conflict_adjacency()[1] == oracle).all()
-    for other in graphs[1:]:
-        ids_o, adj_o = other.adjacency()
-        assert ids_a == ids_o
-        assert (adj_a == adj_o).all()
-        for v in alive:
-            assert array.conflict_neighbor_ids(v) == other.conflict_neighbor_ids(v)
-
-
-def _assert_snapshots_identical(graphs, alive):
-    _assert_cores_agree(graphs, alive)
-    # every non-dense core's snapshot must agree byte-for-byte (the
-    # dense hatch legitimately differs: it never records a grid cell)
-    reference = None
+    """Every graph matches the oracle and all snapshots are identical."""
     for g in graphs:
-        if g.core == "dense":
-            continue
-        if reference is None:
-            reference = g.snapshot()
-        else:
-            assert g.snapshot() == reference
+        assert_matches_oracle(g)
+    reference = graphs[0].snapshot()
+    for g in graphs[1:]:
+        assert g.snapshot() == reference
 
 
 class TestRandomizedArrayEquivalence:
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(6))
     def test_free_space_traces_identical(self, seed):
-        graphs = [
-            AdHocDigraph(array_core=True),
-            AdHocDigraph(array_core=False),
-            AdHocDigraph(dense_conflicts=True),
-            AdHocDigraph(sparse_core=True),
-        ]
-        assert [g.core for g in graphs] == ["array", "dict", "dense", "sparse"]
-        _random_trace(graphs, seed, steps=70, check=_assert_snapshots_identical)
+        graphs = _both_cores()
+        assert [g.core for g in graphs] == ["array", "sparse"]
+        _random_trace(graphs, seed, steps=70, check=_assert_cores_agree)
 
-    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("seed", range(4))
     def test_obstructed_propagation_identical(self, seed):
         prop = ObstructedPropagation((RectObstacle(30.0, 30.0, 60.0, 40.0),))
-        graphs = [
-            AdHocDigraph(prop, array_core=True),
-            AdHocDigraph(prop, array_core=False),
-            AdHocDigraph(prop, sparse_core=True),
-        ]
-        _random_trace(graphs, seed, steps=45, check=_assert_snapshots_identical)
+        _random_trace(_both_cores(prop), seed, steps=45, check=_assert_cores_agree)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_sparse_area_engages_grid_candidates(self, seed):
         # a huge area with short ranges spreads nodes over many cells,
-        # pushing the array core past its selectivity gate so the
+        # pushing both cores past the selectivity gate so the
         # candidate-gather path itself is equivalence-checked
         rng = np.random.default_rng(seed)
-        graphs = [
-            AdHocDigraph(array_core=True),
-            AdHocDigraph(array_core=False),
-            AdHocDigraph(sparse_core=True),
-        ]
+        graphs = _both_cores()
         for node_id in range(1, 400):
             cfg = NodeConfig(
                 node_id,
@@ -128,40 +107,147 @@ class TestRandomizedArrayEquivalence:
             )
             for g in graphs:
                 g.add_node(cfg)
-        array = graphs[0]
-        assert isinstance(array.grid_index, SlotGridIndex)
-        assert array.grid_index.cell_count > 32  # gate open: gathers engage
+        for g in graphs:
+            assert isinstance(g.grid_index, SlotGridIndex)
+            assert g.grid_index.cell_count > 32  # gate open: gathers engage
         _random_trace(
             graphs,
             seed,
             steps=30,
-            check=_assert_snapshots_identical,
+            check=_assert_cores_agree,
             area=2000.0,
             first_id=400,
             alive=range(1, 400),
         )
 
-    def test_copy_preserves_array_core(self):
-        g = AdHocDigraph(array_core=True)
+    @pytest.mark.parametrize("core", sorted(CORES))
+    def test_grid_tracks_every_node(self, core):
+        g = AdHocDigraph(**CORES[core])
+        g.add_node(NodeConfig(1, 10.0, 10.0, 25.0))
+        assert g.grid_index is not None  # forces the deferred build
+        assert len(g.grid_index) == 1
+
+    @pytest.mark.parametrize("core", sorted(CORES))
+    def test_regrid_on_large_power_raise(self, core):
+        g = AdHocDigraph(**CORES[core])
+        for i in range(1, 10):
+            g.add_node(NodeConfig(i, 10.0 * i, 5.0, 4.0))
+        small_cell = g.grid_index.cell_size
+        g.set_range(3, 80.0)  # > regrid factor x cell size
+        assert g.grid_index.cell_size > small_cell
+        assert g.out_neighbors(3) == [1, 2, 4, 5, 6, 7, 8, 9]
+        assert_matches_oracle(g)
+
+    @pytest.mark.parametrize("core", sorted(CORES))
+    def test_copy_preserves_the_core(self, core):
+        g = AdHocDigraph(**CORES[core])
         rng = np.random.default_rng(3)
         for i in range(1, 30):
             g.add_node(
                 NodeConfig(i, float(rng.uniform(0, 100)), float(rng.uniform(0, 100)), 25.0)
             )
         clone = g.copy()
-        assert clone.core == "array"
+        assert clone.core == core
         clone.remove_node(2)
         clone.move_node(7, 0.0, 0.0)
         assert g.snapshot() != clone.snapshot()  # copies diverge independently
         for graph in (g, clone):
-            _, adj = graph.adjacency()
-            assert (graph.conflict_adjacency()[1] == conflict_matrix(adj)).all()
+            assert_matches_oracle(graph)
+
+
+#: Hand-built traces for the corners random traces rarely hit: ops are
+#: ``("add", id, x, y, r)``, ``("rm", id)``, ``("mv", id, x, y)`` and
+#: ``("pw", id, r)``.
+_CORNER_TRACES = {
+    "coincident-nodes": [
+        *[("add", i, 40.0, 40.0, 10.0) for i in range(1, 5)],
+        ("add", 5, 45.0, 40.0, 1.0),
+        ("mv", 2, 49.0, 40.0),
+        ("rm", 1),
+        ("mv", 5, 40.0, 40.0),
+        ("pw", 3, 0.5),
+    ],
+    "range-on-the-boundary": [
+        ("add", 1, 0.0, 0.0, 5.0),
+        ("add", 2, 3.0, 4.0, 5.0),
+        ("add", 3, 6.0, 8.0, 4.999),
+        ("pw", 1, 4.999),
+        ("pw", 3, 5.0),
+        ("mv", 2, -3.0, -4.0),
+        ("pw", 1, 5.0),
+    ],
+    "isolate-and-reconnect-a-hub": [
+        ("add", 1, 50.0, 50.0, 30.0),
+        *[("add", i, 50.0 + 8.0 * i, 50.0 - 5.0 * i, 12.0) for i in range(2, 7)],
+        ("pw", 1, 0.1),
+        ("pw", 1, 60.0),
+        ("pw", 4, 0.1),
+        ("rm", 1),
+        ("add", 1, 50.0, 50.0, 30.0),
+    ],
+    "collapse-and-spread": [
+        *[("add", i, 15.0 * i, 7.0 * i, 20.0) for i in range(1, 7)],
+        *[("mv", i, 33.0, 33.0) for i in range(1, 7)],
+        *[("mv", i, 33.0 + 25.0 * i, 33.0 - 11.0 * i) for i in range(1, 7)],
+    ],
+    "drain-and-rebuild": [
+        *[("add", i, 10.0 * i, 10.0, 15.0) for i in range(1, 6)],
+        *[("rm", i) for i in (3, 1, 5, 2, 4)],
+        *[("add", i, 10.0, 10.0 * i, 25.0) for i in (4, 2, 5)],
+    ],
+    "links-turn-two-way": [
+        ("add", 1, 0.0, 0.0, 30.0),
+        ("add", 2, 20.0, 0.0, 5.0),
+        ("add", 3, 40.0, 0.0, 5.0),
+        ("pw", 2, 20.0),
+        ("pw", 3, 20.0),
+        ("pw", 1, 19.999),
+        ("pw", 2, 5.0),
+    ],
+    "nodes-on-cell-edges": [
+        *[("add", i, 10.0 * (i % 4), 10.0 * (i // 4), 10.0) for i in range(1, 13)],
+        ("mv", 5, 20.0, 20.0),
+        ("pw", 6, 20.0),
+        ("mv", 7, -10.0, 0.0),
+        ("rm", 6),
+    ],
+    "far-jumps": [
+        *[("add", i, 5.0 * i, 5.0, 8.0) for i in range(1, 6)],
+        ("mv", 3, -900.0, 1200.0),
+        ("pw", 3, 2000.0),
+        ("mv", 1, -905.0, 1200.0),
+        ("pw", 3, 8.0),
+        ("mv", 3, 15.0, 5.0),
+    ],
+}
+
+
+def _apply_op(g, op):
+    kind, node_id, *args = op
+    if kind == "add":
+        g.add_node(NodeConfig(node_id, *args))
+    elif kind == "rm":
+        g.remove_node(node_id)
+    elif kind == "mv":
+        g.move_node(node_id, *args)
+    else:
+        g.set_range(node_id, *args)
+
+
+class TestCornerTraces:
+    @pytest.mark.parametrize("name", sorted(_CORNER_TRACES))
+    def test_cores_match_the_oracle_on_every_step(self, name):
+        graphs = _both_cores()
+        for op in _CORNER_TRACES[name]:
+            for g in graphs:
+                _apply_op(g, op)
+            _assert_cores_agree(graphs, None)
 
 
 class TestSlotQuerySurface:
-    @pytest.fixture()
-    def graph(self):
-        g = AdHocDigraph(array_core=True)
+    @pytest.fixture(params=sorted(CORES))
+    def graph(self, request):
+        g = AdHocDigraph(**CORES[request.param])
         rng = np.random.default_rng(11)
         for i in range(1, 40):
             g.add_node(
@@ -205,37 +291,12 @@ class TestSlotQuerySurface:
 
 
 class TestSparseCoreEquivalence:
-    def test_copy_preserves_sparse_core(self):
-        g = AdHocDigraph(sparse_core=True)
-        rng = np.random.default_rng(7)
-        for i in range(1, 30):
-            g.add_node(
-                NodeConfig(i, float(rng.uniform(0, 100)), float(rng.uniform(0, 100)), 25.0)
-            )
-        clone = g.copy()
-        assert clone.core == "sparse"
-        clone.remove_node(4)
-        clone.move_node(9, 0.0, 0.0)
-        assert g.snapshot() != clone.snapshot()  # copies diverge independently
-        witness = AdHocDigraph(array_core=True)
-        for node_id, x, y, r in clone.snapshot()["nodes"]:
-            witness.add_node(NodeConfig(node_id, x, y, r))
-        _assert_cores_agree([witness, clone], clone.node_ids())
-
-    @pytest.mark.parametrize(
-        ("src", "dst"),
-        [("array", "sparse"), ("sparse", "array"), ("sparse", "dict"), ("dict", "sparse")],
-    )
+    @pytest.mark.parametrize(("src", "dst"), [("array", "sparse"), ("sparse", "array")])
     def test_cross_core_snapshot_restore(self, src, dst):
-        kwargs = {
-            "array": dict(array_core=True),
-            "dict": dict(array_core=False),
-            "sparse": dict(sparse_core=True),
-        }
-        origin = AdHocDigraph(**kwargs[src])
+        origin = AdHocDigraph(**CORES[src])
         _random_trace([origin], seed=13, steps=50, check=lambda *_: None)
         snap = origin.snapshot()
-        restored = AdHocDigraph.restore(snap, **kwargs[dst])
+        restored = AdHocDigraph.restore(snap, **CORES[dst])
         assert restored.core == dst
         assert restored.snapshot() == snap  # round-trip is byte-identical
         # and the restored graph *continues* identically under churn
@@ -243,7 +304,7 @@ class TestSparseCoreEquivalence:
             [origin, restored],
             seed=17,
             steps=25,
-            check=_assert_snapshots_identical,
+            check=_assert_cores_agree,
             first_id=1000,
             alive=origin.node_ids(),
         )
@@ -253,13 +314,9 @@ class TestSparseCoreEquivalence:
 
         monkeypatch.delenv("REPRO_SPARSE", raising=False)
         monkeypatch.setattr(digraph_mod, "_SPARSE_AUTO_MIN", 10)
-        graphs = [
-            AdHocDigraph(),  # default knobs: auto-promotion armed
-            AdHocDigraph(array_core=True),
-            AdHocDigraph(array_core=False),
-        ]
+        graphs = [AdHocDigraph(), *_both_cores()]  # first: auto-promotion armed
         assert graphs[0].core == "array"
-        _random_trace(graphs, seed=5, steps=80, check=_assert_snapshots_identical)
+        _random_trace(graphs, seed=5, steps=80, check=_assert_cores_agree)
         assert graphs[0].core == "sparse"  # crossed the threshold mid-trace
         assert graphs[1].core == "array"  # an explicit pin never promotes
 
@@ -270,7 +327,7 @@ class TestSparseRoundBatching:
         rng = np.random.default_rng(seed)
         batched = AdHocDigraph(sparse_core=True)
         sequential = AdHocDigraph(sparse_core=True)
-        witness = AdHocDigraph(array_core=True)
+        witness = AdHocDigraph(sparse_core=False)
         alive: list[int] = []
         next_id = 1
         for _ in range(8):
@@ -303,9 +360,10 @@ class TestSparseRoundBatching:
                 witness.apply_event(ev)
             assert got == want  # per-event deltas, byte-for-byte
             assert batched.snapshot() == sequential.snapshot() == witness.snapshot()
+            assert_matches_oracle(batched)
 
     def test_non_sparse_cores_fall_back_to_sequential(self):
-        g = AdHocDigraph(array_core=True)
+        g = AdHocDigraph(sparse_core=False)
         events = [
             JoinEvent(NodeConfig(1, 10.0, 10.0, 30.0)),
             JoinEvent(NodeConfig(2, 20.0, 10.0, 30.0)),
@@ -314,41 +372,6 @@ class TestSparseRoundBatching:
         deltas = g.apply_round(events)
         assert [d.kind for d in deltas] == ["join", "join", "move"]
         assert [d.version for d in deltas] == [1, 2, 3]
-
-
-class TestSparseScalarEquivalence:
-    """The vectorized sparse kernels against the PR 7 scalar oracle.
-
-    ``sparse_scalar=True`` pins the per-event scalar kernels the
-    batched row-rebuild / bulk-join paths replaced; the vectorized core
-    must stay byte-identical to it on randomized churn, including under
-    a propagation model with no native block kernel (the
-    ``block_masks`` fallback loop).
-    """
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_free_space_traces_identical(self, seed):
-        graphs = [
-            AdHocDigraph(sparse_core=True),
-            AdHocDigraph(sparse_core=True, sparse_scalar=True),
-            AdHocDigraph(array_core=True),
-        ]
-        assert graphs[1].sparse_scalar and not graphs[0].sparse_scalar
-        _random_trace(graphs, seed, steps=60, check=_assert_snapshots_identical)
-
-    def test_obstructed_propagation_identical(self):
-        prop = ObstructedPropagation((RectObstacle(30.0, 30.0, 60.0, 40.0),))
-        graphs = [
-            AdHocDigraph(prop, sparse_core=True),
-            AdHocDigraph(prop, sparse_core=True, sparse_scalar=True),
-        ]
-        _random_trace(graphs, seed=9, steps=40, check=_assert_snapshots_identical)
-
-    def test_scalar_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARSE_SCALAR", "1")
-        assert AdHocDigraph(sparse_core=True).sparse_scalar
-        monkeypatch.setenv("REPRO_SPARSE_SCALAR", "0")
-        assert not AdHocDigraph(sparse_core=True).sparse_scalar
 
 
 class TestBulkJoin:
@@ -368,7 +391,7 @@ class TestBulkJoin:
     def test_bulk_join_matches_sequential(self, seed):
         configs = self._configs(120, seed)
         bulk = AdHocDigraph(sparse_core=True)
-        sequential = AdHocDigraph(sparse_core=True, sparse_scalar=True)
+        sequential = AdHocDigraph(sparse_core=True)
         deltas = bulk.bulk_join(configs)
         for cfg in configs:
             sequential.add_node(cfg)
@@ -376,6 +399,7 @@ class TestBulkJoin:
             ("join", cfg.node_id, v + 1) for v, cfg in enumerate(configs)
         ]
         assert bulk.snapshot() == sequential.snapshot()
+        assert_matches_oracle(bulk)
 
     def test_apply_round_routes_all_join_rounds(self):
         configs = self._configs(40, seed=4)
@@ -401,10 +425,10 @@ class TestBulkJoin:
 
     def test_non_sparse_core_falls_back_to_sequential(self):
         configs = self._configs(12, seed=6)
-        g = AdHocDigraph(array_core=True)
+        g = AdHocDigraph(sparse_core=False)
         deltas = g.bulk_join(configs)
         assert [d.version for d in deltas] == list(range(1, 13))
-        witness = AdHocDigraph(array_core=True)
+        witness = AdHocDigraph(sparse_core=False)
         for cfg in configs:
             witness.add_node(cfg)
         assert g.snapshot() == witness.snapshot()
@@ -452,7 +476,7 @@ class TestConflictSlotLists:
 
     def test_empty_and_non_sparse_fallback(self, graph):
         assert graph.conflict_slot_lists(np.asarray([], dtype=np.intp)) == []
-        dense = AdHocDigraph(array_core=True)
+        dense = AdHocDigraph(sparse_core=False)
         dense.add_node(NodeConfig(1, 10.0, 10.0, 30.0))
         dense.add_node(NodeConfig(2, 20.0, 10.0, 30.0))
         (row,) = dense.conflict_slot_lists(np.asarray([0], dtype=np.intp))
@@ -460,47 +484,137 @@ class TestConflictSlotLists:
 
 
 class TestArrayCoreDefaults:
-    def test_env_flag_flips_default(self, monkeypatch):
+    def test_array_is_the_default_core(self, monkeypatch):
         monkeypatch.delenv("REPRO_SPARSE", raising=False)
-        monkeypatch.setenv("REPRO_ARRAY", "0")
-        assert AdHocDigraph().core == "dict"
-        monkeypatch.setenv("REPRO_ARRAY", "1")
         assert AdHocDigraph().core == "array"
-        monkeypatch.delenv("REPRO_ARRAY")
-        assert AdHocDigraph().core == "array"  # array is the default core
-
-    def test_dense_wins_over_array(self):
-        assert AdHocDigraph(dense_conflicts=True, array_core=True).core == "dense"
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARRAY", "1")
-        assert AdHocDigraph(array_core=False).core == "dict"
+        assert default_core() == "array"
 
     def test_sparse_env_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ARRAY", raising=False)
         monkeypatch.setenv("REPRO_SPARSE", "1")
         assert AdHocDigraph().core == "sparse"
         assert default_core() == "sparse"
-        # explicit core pins beat the env knob
-        assert AdHocDigraph(array_core=True).core == "array"
-        assert AdHocDigraph(array_core=False).core == "dict"
+        # an explicit core pin beats the env knob
         assert AdHocDigraph(sparse_core=False).core == "array"
-
-    def test_dense_wins_over_sparse(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARSE", "1")
-        monkeypatch.setenv("REPRO_DENSE", "1")
-        assert AdHocDigraph().core == "dense"
-        assert default_core() == "dense"
-        assert AdHocDigraph(dense_conflicts=True, sparse_core=True).core == "dense"
 
     def test_default_core_accounts_for_population(self, monkeypatch):
         import repro.topology.digraph as digraph_mod
 
-        for knob in ("REPRO_SPARSE", "REPRO_ARRAY", "REPRO_DENSE"):
-            monkeypatch.delenv(knob, raising=False)
+        monkeypatch.delenv("REPRO_SPARSE", raising=False)
         threshold = digraph_mod._SPARSE_AUTO_MIN
         assert default_core() == "array"
         assert default_core(threshold - 1) == "array"
         assert default_core(threshold) == "sparse"
         monkeypatch.setenv("REPRO_SPARSE", "0")  # pin disables auto-promotion
         assert default_core(threshold) == "array"
+
+
+class TestRetiredKnobs:
+    """Settings that selected a removed core fail loudly, naming the knob."""
+
+    def _assert_rejected(self, monkeypatch, var, value):
+        monkeypatch.setenv(var, value)
+        for build in (AdHocDigraph, lambda: AdHocDigraph(sparse_core=True), default_core):
+            with pytest.raises(ConfigurationError, match=f"{var}=.*removed"):
+                build()
+
+    @pytest.mark.parametrize("value", ["1", "yes"])
+    def test_repro_dense_rejected(self, monkeypatch, value):
+        self._assert_rejected(monkeypatch, "REPRO_DENSE", value)
+
+    @pytest.mark.parametrize("value", ["1", "true"])
+    def test_repro_sparse_scalar_rejected(self, monkeypatch, value):
+        self._assert_rejected(monkeypatch, "REPRO_SPARSE_SCALAR", value)
+
+    @pytest.mark.parametrize("value", ["0", ""], ids=["zero", "empty"])
+    def test_repro_array_off_rejected(self, monkeypatch, value):
+        self._assert_rejected(monkeypatch, "REPRO_ARRAY", value)
+
+    def test_former_no_op_settings_stay_accepted(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SPARSE", raising=False)
+        for var, value in [
+            ("REPRO_DENSE", "0"),
+            ("REPRO_DENSE", ""),
+            ("REPRO_SPARSE_SCALAR", "0"),
+            ("REPRO_SPARSE_SCALAR", ""),
+            ("REPRO_ARRAY", "1"),
+        ]:
+            monkeypatch.setenv(var, value)
+            assert AdHocDigraph().core == default_core() == "array"
+
+
+#: Snapshots written at the parent of the core collapse by the retired
+#: dense re-derive core (``"dense": true``, no CA2 counters) and dict
+#: core, after six joins, a move, a power change and a leave
+#: (:func:`_compat_graph`).
+_DENSE_MODE_SNAPSHOT = (
+    '{"schema": 3, "propagation": "FreeSpacePropagation", "dense": true, '
+    '"version": 9, "explicit_cell": null, "grid_cell_size": null, "nodes": '
+    '[[1, 10.0, 10.0, 25.0], [6, 5.0, 35.0, 22.0], [3, 28.0, 26.0, 30.0], '
+    '[4, 50.0, 40.0, 26.0], [5, 45.0, 20.0, 28.0]], "edges": [[0, 2], [2, 0], '
+    '[2, 1], [2, 3], [2, 4], [3, 4], [4, 2], [4, 3]], "c2": null}'
+)
+_DICT_MODE_SNAPSHOT = (
+    '{"schema": 3, "propagation": "FreeSpacePropagation", "dense": false, '
+    '"version": 9, "explicit_cell": null, "grid_cell_size": 25.0, "nodes": '
+    '[[1, 10.0, 10.0, 25.0], [6, 5.0, 35.0, 22.0], [3, 28.0, 26.0, 30.0], '
+    '[4, 50.0, 40.0, 26.0], [5, 45.0, 20.0, 28.0]], "edges": [[0, 2], [2, 0], '
+    '[2, 1], [2, 3], [2, 4], [3, 4], [4, 2], [4, 3]], "c2": [[0, 4, 1], '
+    '[2, 3, 1], [2, 4, 1], [3, 2, 1], [4, 0, 1], [4, 2, 1]]}'
+)
+
+
+def _compat_graph(core):
+    g = AdHocDigraph(**CORES[core])
+    joins = [(10, 10, 25), (30, 12, 18), (22, 30, 30), (50, 40, 12), (45, 20, 28), (5, 35, 22)]
+    for i, (x, y, r) in enumerate(joins, 1):
+        g.add_node(NodeConfig(i, float(x), float(y), float(r)))
+    g.move_node(3, 28.0, 26.0)
+    g.set_range(4, 26.0)
+    g.remove_node(2)
+    return g
+
+
+class TestSnapshotCompatibility:
+    @pytest.mark.parametrize("core", sorted(CORES))
+    def test_snapshot_bytes_are_pinned(self, core):
+        # schema 3, "dense": false included: stored checkpoints and
+        # re-snapshot identity must not move
+        assert json.dumps(_compat_graph(core).snapshot()) == _DICT_MODE_SNAPSHOT
+
+    @pytest.mark.parametrize("core", sorted(CORES))
+    @pytest.mark.parametrize("literal", ["dense", "dict"])
+    def test_former_core_snapshots_restore(self, core, literal):
+        text = _DENSE_MODE_SNAPSHOT if literal == "dense" else _DICT_MODE_SNAPSHOT
+        restored = AdHocDigraph.restore(json.loads(text), **CORES[core])
+        assert restored.core == core
+        assert restored.version == 9
+        assert_matches_oracle(restored)  # dense: the C2 counters were re-derived
+        if literal == "dict":
+            assert json.dumps(restored.snapshot()) == text
+        # the restored graph continues like one that never left memory
+        live = _compat_graph(core)
+        for g in (restored, live):
+            g.add_node(NodeConfig(7, 40.0, 30.0, 20.0))
+            g.set_range(1, 40.0)
+            g.remove_node(3)
+        assert_matches_oracle(restored)
+        assert restored.adjacency()[0] == live.adjacency()[0]
+        np.testing.assert_array_equal(restored.adjacency()[1], live.adjacency()[1])
+
+    @pytest.mark.parametrize("core", sorted(CORES))
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_legacy_schema_payloads_restore(self, core, schema):
+        # schemas 1 and 2 stored C2 as a dense n x n matrix; schema 1
+        # also predates the recorded propagation model
+        payload = json.loads(_DICT_MODE_SNAPSHOT)
+        n = len(payload["nodes"])
+        c2 = [[0] * n for _ in range(n)]
+        for u, v, count in payload["c2"]:
+            c2[u][v] = count
+        payload.update(schema=schema, c2=c2)
+        if schema == 1:
+            del payload["propagation"]
+        restored = AdHocDigraph.restore(payload, **CORES[core])
+        assert restored.core == core
+        assert_matches_oracle(restored)
+        assert json.dumps(restored.snapshot()) == _DICT_MODE_SNAPSHOT

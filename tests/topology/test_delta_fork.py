@@ -17,16 +17,17 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.events.base import JoinEvent, LeaveEvent, MoveEvent, PowerChangeEvent
+from repro.geometry.obstacles import RectObstacle
 from repro.sim.random_networks import sample_configs
 from repro.topology.digraph import AdHocDigraph
+from repro.topology.propagation import ObstructedPropagation
+from tests.topology.oracles import assert_matches_oracle
 
-CORES = ("array", "grid", "dense", "sparse")
+CORES = ("array", "sparse")
 
 
 def make_graph(core: str) -> AdHocDigraph:
-    if core == "sparse":
-        return AdHocDigraph(sparse_core=True)
-    return AdHocDigraph(dense_conflicts=core == "dense", array_core=core == "array")
+    return AdHocDigraph(sparse_core=core == "sparse")
 
 
 def canonical(graph: AdHocDigraph) -> str:
@@ -67,6 +68,7 @@ class TestDeltaRoundTrips:
         blob = json.dumps(g.delta_snapshot(base), separators=(",", ":"))
         shadow.apply_delta(json.loads(blob))
         assert canonical(shadow) == canonical(g)
+        assert_matches_oracle(shadow)
 
     @pytest.mark.parametrize("core", CORES)
     def test_chained_deltas_compose(self, core):
@@ -87,10 +89,27 @@ class TestDeltaRoundTrips:
             shadow.apply_delta(json.loads(blob))
             base = g.version
             assert canonical(shadow) == canonical(g), f"diverged at round {step}"
-            for nid in live[:10]:
-                assert set(shadow.conflict_neighbor_ids(nid)) == set(
-                    g.conflict_neighbor_ids(nid)
-                )
+            assert_matches_oracle(shadow)
+
+    @pytest.mark.parametrize("core", CORES)
+    def test_chained_deltas_compose_under_obstruction(self, core):
+        # the shadow's links must still respect line of sight: the
+        # oracle re-derives them with the walls in place
+        walls = (RectObstacle(20.0, 30.0, 35.0, 80.0), RectObstacle(60.0, 10.0, 70.0, 55.0))
+        rng = np.random.default_rng(23)
+        g = AdHocDigraph(ObstructedPropagation(walls), sparse_core=core == "sparse")
+        cfgs = sample_configs(30, rng)
+        for cfg in cfgs:
+            g.apply_event(JoinEvent(cfg))
+        shadow = g.copy()
+        live = [c.node_id for c in cfgs]
+        next_id = max(live) + 1
+        for step in range(4):
+            base = g.version
+            next_id = churn_round(g, rng, live, next_id)
+            shadow.apply_delta(json.loads(json.dumps(g.delta_snapshot(base))))
+            assert canonical(shadow) == canonical(g), f"diverged at round {step}"
+            assert_matches_oracle(shadow)
 
     @pytest.mark.parametrize("core", ("array", "sparse"))
     def test_live_slot_grid_is_maintained_incrementally(self, core):

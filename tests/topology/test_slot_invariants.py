@@ -2,13 +2,14 @@
 
 ``AdHocDigraph._vacate_slot`` is the shared swap-delete tail of every
 removal: it renumbers the last slot into the freed one across *all*
-per-slot tables (positions, ranges, id maps, dense blocks, sparse rows
-and witness dicts, grid membership).  These tests hammer it with
-seeded random add/remove/move/set-range sequences and assert the full
-set of structural invariants after every step, for every conflict
-core — the class of bug a swap-delete rewrite can introduce (a stale
-slot reference, an uncleared trailing row, an asymmetric witness
-count) surfaces here rather than as a downstream equivalence drift.
+per-slot tables (positions, ranges, id maps, adjacency/C2 blocks,
+sparse rows and witness dicts, grid membership).  These tests hammer it
+with seeded random add/remove/move/set-range sequences and assert the
+full set of structural invariants after every step, for both conflict
+cores, plus agreement with the brute-force topology oracle — the class
+of bug a swap-delete rewrite can introduce (a stale slot reference, an
+uncleared trailing row, an asymmetric witness count) surfaces here
+rather than as a downstream equivalence drift.
 """
 
 from __future__ import annotations
@@ -16,15 +17,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.geometry.obstacles import RectObstacle
 from repro.topology.digraph import AdHocDigraph
 from repro.topology.node import NodeConfig
+from repro.topology.propagation import ObstructedPropagation
+from tests.topology.oracles import assert_matches_oracle
 
-CORES = {
-    "dict": dict(array_core=False),
-    "dense": dict(dense_conflicts=True),
-    "array": dict(array_core=True),
-    "sparse": dict(sparse_core=True),
-}
+CORES = {"array": dict(sparse_core=False), "sparse": dict(sparse_core=True)}
 
 
 def _check_slot_tables(g: AdHocDigraph) -> None:
@@ -42,29 +41,13 @@ def _check_slot_tables(g: AdHocDigraph) -> None:
         assert g._range[slot] == cfg.tx_range
 
 
-def _check_adjacency_oracle(g: AdHocDigraph) -> None:
-    """Edges match the geometric definition: u→v iff dist ≤ range(u)."""
-    ids, adj = g.adjacency()
-    if not ids:
-        return
-    perm = np.asarray([g._index[v] for v in ids], dtype=np.intp)
-    pos = g._pos[perm]
-    rng = g._range[perm]
-    d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-    want = d2 <= (rng[:, None] ** 2)
-    np.fill_diagonal(want, False)
-    assert (adj == want).all()
-
-
 def _check_trailing_slots_clear(g: AdHocDigraph) -> None:
     """Swap-delete must zero the freed trailing rows, not just hide them."""
     n = len(g.node_ids())
-    if g._adj is not None:
-        assert not g._adj[n:].any()
-        assert not g._adj[:, n:].any()
-    if g._c2 is not None:
-        assert not g._c2[n:].any()
-        assert not g._c2[:, n:].any()
+    assert not g._adj[n:].any()
+    assert not g._adj[:, n:].any()
+    assert not g._c2[n:].any()
+    assert not g._c2[:, n:].any()
 
 
 def _check_sparse_rows(g: AdHocDigraph) -> None:
@@ -96,44 +79,56 @@ def _check_sparse_rows(g: AdHocDigraph) -> None:
 
 def _check_all(g: AdHocDigraph) -> None:
     _check_slot_tables(g)
-    _check_adjacency_oracle(g)
-    _check_trailing_slots_clear(g)
+    assert_matches_oracle(g)
     if g.core == "sparse":
         _check_sparse_rows(g)
+    else:
+        _check_trailing_slots_clear(g)
+
+
+def _churn(g: AdHocDigraph, seed: int, steps: int = 90) -> None:
+    """Seeded random add/remove/move/set-range, checked after every step."""
+    rng = np.random.default_rng(seed)
+    alive: list[int] = []
+    next_id = 1
+    for _ in range(steps):
+        op = int(rng.integers(0, 6))
+        if op in (0, 1) or not alive:
+            g.add_node(
+                NodeConfig(
+                    next_id,
+                    float(rng.uniform(0, 120)),
+                    float(rng.uniform(0, 120)),
+                    float(rng.uniform(5, 45)),
+                )
+            )
+            alive.append(next_id)
+            next_id += 1
+        elif op in (2, 3):
+            v = alive.pop(int(rng.integers(0, len(alive))))
+            g.remove_node(v)
+        elif op == 4:
+            v = alive[int(rng.integers(0, len(alive)))]
+            g.move_node(v, float(rng.uniform(0, 120)), float(rng.uniform(0, 120)))
+        else:
+            v = alive[int(rng.integers(0, len(alive)))]
+            g.set_range(v, float(rng.uniform(5, 45)))
+        _check_all(g)
+    assert sorted(g.node_ids()) == sorted(alive)
 
 
 class TestSlotInvariantsUnderChurn:
     @pytest.mark.parametrize("core", sorted(CORES))
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("seed", range(6))
     def test_random_churn_preserves_invariants(self, core, seed):
-        g = AdHocDigraph(**CORES[core])
-        rng = np.random.default_rng(seed)
-        alive: list[int] = []
-        next_id = 1
-        for _ in range(90):
-            op = int(rng.integers(0, 6))
-            if op in (0, 1) or not alive:
-                g.add_node(
-                    NodeConfig(
-                        next_id,
-                        float(rng.uniform(0, 120)),
-                        float(rng.uniform(0, 120)),
-                        float(rng.uniform(5, 45)),
-                    )
-                )
-                alive.append(next_id)
-                next_id += 1
-            elif op in (2, 3):
-                v = alive.pop(int(rng.integers(0, len(alive))))
-                g.remove_node(v)
-            elif op == 4:
-                v = alive[int(rng.integers(0, len(alive)))]
-                g.move_node(v, float(rng.uniform(0, 120)), float(rng.uniform(0, 120)))
-            else:
-                v = alive[int(rng.integers(0, len(alive)))]
-                g.set_range(v, float(rng.uniform(5, 45)))
-            _check_all(g)
-        assert sorted(g.node_ids()) == sorted(alive)
+        _churn(AdHocDigraph(**CORES[core]), seed)
+
+    @pytest.mark.parametrize("core", sorted(CORES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_churn_under_obstruction_preserves_invariants(self, core, seed):
+        # line-of-sight prunes links inside the grid's candidate discs
+        walls = (RectObstacle(30.0, 20.0, 45.0, 90.0), RectObstacle(70.0, 60.0, 110.0, 75.0))
+        _churn(AdHocDigraph(ObstructedPropagation(walls), **CORES[core]), seed + 10)
 
     @pytest.mark.parametrize("core", sorted(CORES))
     def test_remove_last_slot_and_drain_to_empty(self, core):
