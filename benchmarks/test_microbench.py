@@ -58,6 +58,28 @@ def test_hungarian_60x80(benchmark):
     assert pairs
 
 
+def test_minim_plan_dense_v1(benchmark):
+    """One RecodeOnJoin into a near-complete 100-node network (fig10's high-range shape).
+
+    The conflict graph is near-complete, so the palette is about N and V1
+    holds close to half the network: the plan's worst per-event case, and
+    the end-to-end view of the matcher timed just above.
+    """
+    rng = np.random.default_rng(8)
+    configs = sample_configs(100, rng, min_range=62.5, max_range=67.5)
+    net = AdHocNetwork(MinimStrategy())
+    for cfg in configs[:-1]:
+        net.join(cfg)
+    last = configs[-1]
+    net.graph.add_node(last)
+
+    def recode():
+        return plan_local_matching_recode(net.graph, net.assignment, last.node_id)
+
+    plan = benchmark(recode)
+    assert len(plan.v1) > 30 and plan.max_color_seen > 90
+
+
 def test_join_recode_throughput(benchmark):
     """One RecodeOnJoin in a 100-node network (the per-event hot path)."""
     rng = np.random.default_rng(3)

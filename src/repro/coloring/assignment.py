@@ -123,6 +123,13 @@ class CodeAssignment:
         """Codes of ``nodes`` (all must be assigned), in iteration order."""
         return [self[v] for v in nodes]
 
+    def color_array(self, nodes: Iterable[NodeId]) -> np.ndarray:
+        """Codes of ``nodes`` as an int64 array, 0 where unassigned."""
+        if isinstance(nodes, np.ndarray):
+            nodes = nodes.tolist()
+        codes = self._codes
+        return np.fromiter((codes.get(v, 0) for v in nodes), dtype=np.int64)
+
     def color_classes(self) -> dict[Color, set[NodeId]]:
         """Map each in-use code to the set of nodes holding it."""
         classes: dict[Color, set[NodeId]] = {}
@@ -229,6 +236,21 @@ class ArrayCodeAssignment(CodeAssignment):
     def __repr__(self) -> str:
         body = ", ".join(f"{v}: {c}" for v, c in self.items())
         return f"ArrayCodeAssignment({{{body}}})"
+
+    def color_array(self, nodes: Iterable[NodeId]) -> np.ndarray:
+        """Codes of ``nodes`` as an int64 array, 0 where unassigned.
+
+        One gather from the color array; ids past its end (never
+        assigned) read as 0.
+        """
+        ids = np.asarray(nodes, dtype=np.intp)
+        colors = self._colors
+        inside = (ids >= 0) & (ids < len(colors))
+        if inside.all():
+            return colors[ids]
+        out = np.zeros(len(ids), dtype=np.int64)
+        out[inside] = colors[ids[inside]]
+        return out
 
     # -- mutation -------------------------------------------------------
     def assign(self, node: NodeId, color: Color) -> None:

@@ -22,12 +22,16 @@ def receiver_clique_bound(graph: DigraphLike) -> int:
 
     The in-neighbors of any receiver ``v`` pairwise conflict (CA2) and
     each conflicts with ``v`` itself (CA1), so ``{v} ∪ in(v)`` is a
-    clique in the conflict graph.
+    clique in the conflict graph.  Reads the graph's native
+    ``in_degrees`` when it has one (:class:`AdHocDigraph` counts them in
+    place; this runs on every BBB event); otherwise sums the exported
+    adjacency matrix.
     """
-    ids, adj = graph.adjacency()
-    if not ids:
+    native = getattr(graph, "in_degrees", None)
+    degrees = native() if native is not None else graph.adjacency()[1].sum(axis=0)
+    if not len(degrees):
         return 0
-    return int(adj.sum(axis=0).max()) + 1
+    return int(degrees.max()) + 1
 
 
 def greedy_clique(conflicts: np.ndarray, seed: int) -> list[int]:

@@ -9,6 +9,13 @@ zero-weight dummy columns so every left vertex can always be "assigned",
 and dummy / forbidden assignments are dropped from the result.  Because
 all real edge weights are strictly positive, the optimal padded solution
 restricted to real edges is exactly the maximum-weight matching.
+
+Ties.  The maximum-weight matching is not always unique, and which one
+the solver returns depends on its path: rows are inserted in order, the
+Dijkstra search scans columns in index order and picks the *first*
+column of minimum distance.  Recoding series depend on that choice, so
+the path is part of the solver's contract (see
+``docs/architecture/strategies.md``).
 """
 
 from __future__ import annotations
@@ -34,6 +41,18 @@ def solve_max_weight_dense(weights: np.ndarray) -> list[tuple[int, int]]:
     Returns
     -------
     list of ``(row, col)`` matched index pairs (rows ascending).
+
+    Each row insertion is one Dijkstra search over reduced costs.  The
+    search keeps *absolute* distances ``dist[j]`` from the inserted row
+    and settles the potentials once, when it reaches a free column:
+    a column settled at distance ``d`` shifts by ``D - d``, where ``D``
+    is the final distance.  This is the textbook per-step update
+    (every step adds its ``delta`` to the settled rows and columns)
+    summed in closed form, so every comparison and every potential is
+    the same number as in the per-step form.  With integer weights
+    below 2**53 all of them are exact integers in float64 (Minim's plan
+    checks that bound before it solves), hence the search visits the
+    same columns in the same order and returns the same pairs.
     """
     w = np.asarray(weights, dtype=np.float64)
     n, m = w.shape
@@ -43,56 +62,62 @@ def solve_max_weight_dense(weights: np.ndarray) -> list[tuple[int, int]]:
     # Min-cost square-free formulation: cost = -weight for allowed pairs,
     # 0 for forbidden pairs and for the n dummy columns.  Minimizing cost
     # over row-perfect assignments maximizes matched weight; dummy and
-    # forbidden picks cost 0 i.e. "leave unmatched".
-    cost = np.zeros((n, m + n), dtype=np.float64)
-    cost[:, :m] = np.where(w > 0, -w, 0.0)
-
+    # forbidden picks cost 0 i.e. "leave unmatched".  Column 0 is the
+    # search root (the inserted row's virtual column), real columns are
+    # 1..m and dummies m+1..m+n; the root column is never free.
     m_tot = m + n
-    # 1-based JV arrays: p[j] = row matched to column j (0 = none).
+    cost = np.zeros((n + 1, m_tot + 1), dtype=np.float64)
+    np.negative(w, out=cost[1:, 1 : m + 1], where=w > 0)
+
     u = np.zeros(n + 1, dtype=np.float64)
     v = np.zeros(m_tot + 1, dtype=np.float64)
-    p = np.zeros(m_tot + 1, dtype=np.int64)
+    p = np.zeros(m_tot + 1, dtype=np.int64)  # p[j] = row matched to column j (0 = none)
     way = np.zeros(m_tot + 1, dtype=np.int64)
+    cur = np.empty(m_tot + 1, dtype=np.float64)
+    better = np.empty(m_tot + 1, dtype=bool)
+    dist = np.empty(m_tot + 1, dtype=np.float64)
+    vs = np.empty(m_tot + 1, dtype=np.float64)
 
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(m_tot + 1, _INF, dtype=np.float64)
-        used = np.zeros(m_tot + 1, dtype=bool)
+        d0 = 0.0
+        settled = [(0, 0.0)]  # (column, distance at which it was settled)
+        # dist: tentative distance of unsettled columns, +inf once settled.
+        dist.fill(_INF)
+        # v with settled columns at -inf, so cost - vs is +inf there and
+        # settled columns never relax.
+        np.copyto(vs, v)
+        vs[0] = -_INF
         while True:
-            used[j0] = True
             i0 = p[j0]
-            # Vectorized relaxation over unused columns.
-            free = ~used[1:]
-            cols = np.flatnonzero(free) + 1
-            cur = cost[i0 - 1, cols - 1] - u[i0] - v[cols]
-            better = cur < minv[cols]
-            upd = cols[better]
-            minv[upd] = cur[better]
-            way[upd] = j0
-            j1 = cols[np.argmin(minv[cols])]
-            delta = minv[j1]
-            # Update potentials.
-            used_cols = np.flatnonzero(used)
-            u[p[used_cols]] += delta
-            v[used_cols] -= delta
-            minv[cols] -= delta
-            j0 = int(j1)
+            np.subtract(cost[i0], vs, out=cur)
+            cur += d0 - u[i0]
+            np.less(cur, dist, out=better)
+            np.copyto(way, j0, where=better)
+            np.minimum(dist, cur, out=dist)
+            j0 = int(dist.argmin())  # first minimum: column order breaks ties
+            d0 = float(dist[j0])
+            dist[j0] = _INF
+            vs[j0] = -_INF
+            settled.append((j0, d0))
             if p[j0] == 0:
                 break
+        # Settle the potentials of this search in one pass.
+        for j, d in settled:
+            u[p[j]] += d0 - d
+            v[j] -= d0 - d
         # Unwind the augmenting path.
         while j0 != 0:
             j1 = int(way[j0])
             p[j0] = p[j1]
             j0 = j1
 
-    pairs: list[tuple[int, int]] = []
-    for j in range(1, m + 1):  # dummy columns j > m are ignored
-        i = int(p[j])
-        if i != 0 and w[i - 1, j - 1] > 0:
-            pairs.append((i - 1, j - 1))
-    pairs.sort()
-    return pairs
+    matched = np.flatnonzero(p[1 : m + 1]) + 1  # dummy columns j > m are ignored
+    rows = p[matched] - 1
+    keep = w[rows, matched - 1] > 0
+    order = np.argsort(rows[keep], kind="stable")
+    return list(zip(rows[keep][order].tolist(), (matched[keep][order] - 1).tolist()))
 
 
 def hungarian_matching(graph: WeightedBipartiteGraph) -> MatchingResult:

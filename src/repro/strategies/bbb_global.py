@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Set
 
+import numpy as np
+
 from repro.coloring.assignment import CodeAssignment
 from repro.coloring.bbb import bbb_colors
 from repro.strategies.base import RecodeResult, RecodingStrategy
@@ -34,11 +36,14 @@ class BBBGlobalStrategy(RecodingStrategy):
         node_id: NodeId,
     ) -> RecodeResult:
         ids, colors = bbb_colors(graph)
-        changes: dict[NodeId, tuple[Color | None, Color]] = {}
-        for v, c in zip(ids, colors.tolist()):
-            old = assignment.get(v)
-            if old != c:
-                changes[v] = (old, c)
+        # One compare against the lane's colors (0 = uncolored); only
+        # the changed nodes are visited in Python.
+        old = assignment.color_array(ids)
+        changed = np.flatnonzero(old != colors).tolist()
+        old_list, new_list = old.tolist(), colors.tolist()
+        changes: dict[NodeId, tuple[Color | None, Color]] = {
+            ids[j]: (old_list[j] or None, new_list[j]) for j in changed
+        }
         # A central coordinator collects the whole topology and pushes
         # every node's (possibly unchanged) color back out.
         messages = 2 * len(ids)

@@ -34,9 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.coloring.assignment import CodeAssignment
 from repro.coloring.constraints import forbidden_colors
+from repro.errors import MatchingError
 from repro.matching import WeightedBipartiteGraph, max_weight_matching
+from repro.topology.conflicts import conflict_adjacency
+from repro.topology.digraph import AdHocDigraph
 from repro.topology.neighborhoods import join_partition
 from repro.topology.static import DigraphLike
 from repro.types import Color, NodeId
@@ -47,6 +52,12 @@ __all__ = [
     "minimal_move_bound",
     "plan_local_matching_recode",
 ]
+
+#: Largest integer up to which every float64 integer is exact.
+_EXACT_MAX = 2**53
+#: Factor by which the matcher's intermediate values may exceed the
+#: largest weight (see :func:`check_weights_exact`).
+_POTENTIAL_HEADROOM = 4
 
 
 @dataclass(frozen=True)
@@ -79,6 +90,121 @@ class LocalRecodePlan:
     messages: int
 
 
+def check_weights_exact(n_left: int, palette: int, largest_weight: int) -> None:
+    """Raise :class:`MatchingError` unless the matching stays exact in float64.
+
+    The lexicographic weights are integers held in float64; past 2**53
+    neighbouring integers merge, the tie-break levels collapse into one
+    another and Theorems 4.1.8/4.1.9 no longer follow from the code.
+
+    Headroom.  The matcher forms sums of weights and dual potentials.
+    With ``W`` the largest weight and costs ``-w`` in ``[-W, 0]`` (``n``
+    zero-cost dummy columns), every potential lies in ``[-W, 0]``
+    between row insertions: a free dummy column keeps ``v = 0``, so
+    feasibility gives ``u <= 0``, and a matched pair has
+    ``u + v = -w >= -W`` with both terms ``<= 0``.  Each search's
+    distances lie in ``[-W, 0]`` (a free dummy is reachable at 0) and
+    each relaxed value ``cost - u - v + d`` in ``[-2W, 2W]``.  Requiring
+    ``4 W <= 2**53`` therefore keeps every intermediate value an exact
+    integer with a factor of two to spare.
+    """
+    if _POTENTIAL_HEADROOM * largest_weight > _EXACT_MAX:
+        raise MatchingError(
+            f"lexicographic matching weights are not exact in float64 for "
+            f"|V1| = {n_left} and a palette of {palette} colors: the largest "
+            f"weight {largest_weight} needs {_POTENTIAL_HEADROOM}x headroom "
+            f"below 2**53"
+        )
+
+
+def _v1_constraints(
+    graph: DigraphLike,
+    assignment: CodeAssignment,
+    v1_list: list[NodeId],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 1-2 for every ``V1`` member at once.
+
+    Returns ``(old, forbidden)``: ``old[i]`` is ``v1_list[i]``'s color (0
+    when uncolored) and ``forbidden[i, c]`` marks color ``c`` as held by a
+    conflict neighbor of ``v1_list[i]`` outside ``V1``.  ``forbidden``
+    has ``max + 1`` columns (column 0 unused), ``max`` being step 3's
+    palette bound.  Conflict rows come from one batched query — CSR rows
+    on the sparse core, a boolean block on the array core, the whole
+    conflict matrix for any other graph — and colors from one gather.
+    """
+    k = len(v1_list)
+    if isinstance(graph, AdHocDigraph):
+        slots = np.fromiter(map(graph.slot_of, v1_list), dtype=np.intp, count=k)
+        in_v1 = np.zeros(len(graph), dtype=bool)
+        in_v1[slots] = True
+        if graph.sparse_core:
+            lists = graph.conflict_slot_lists(slots)
+            cols = np.concatenate(lists)
+            rows = np.repeat(np.arange(k), [len(r) for r in lists])
+            outside = ~in_v1[cols]
+            rows, cols = rows[outside], cols[outside]
+        else:
+            block = graph.conflict_masks(slots)
+            block[:, in_v1] = False
+            rows, cols = np.nonzero(block)
+        neighbor_ids = graph.slot_ids()[cols]
+    else:
+        ids, conflicts = conflict_adjacency(graph)
+        index = {v: i for i, v in enumerate(ids)}
+        pos = [index[u] for u in v1_list]
+        block = conflicts[pos]
+        block[:, pos] = False
+        rows, cols = np.nonzero(block)
+        neighbor_ids = np.asarray(ids, dtype=np.int64)[cols]
+    colors = assignment.color_array(neighbor_ids)
+    old = assignment.color_array(v1_list)
+    palette = int(max(colors.max(initial=0), old.max(initial=0)))
+    forbidden = np.zeros((k, palette + 1), dtype=bool)
+    forbidden[rows, colors] = True  # uncolored neighbors land in column 0
+    return old, forbidden
+
+
+def _match_v1(
+    v1_list: list[NodeId],
+    old: np.ndarray,
+    forbidden: np.ndarray,
+    old_color_weight: int,
+    fresh_color_weight: int,
+) -> np.ndarray:
+    """Steps 3-5 on arrays: the new color of every ``V1`` member.
+
+    Builds the lexicographic weights of the module docstring — for the
+    member at position ``pos`` and allowed color ``c``::
+
+        w_paper · k1 + k2 + (max − c) · k3 + (|V1| − pos)
+
+    — and hands them to :func:`max_weight_matching`; unmatched members
+    take fresh colors ``max+1, max+2, …`` in ``v1_list`` order.
+    """
+    if old_color_weight < 1 or fresh_color_weight < 1:
+        raise ValueError("weights must be positive integers")
+    n_left = len(v1_list)
+    m_right = forbidden.shape[1] - 1
+    k3 = n_left * n_left + 1  # low-color preference unit
+    k2 = n_left * m_right * k3 + n_left * n_left + 1  # cardinality unit
+    k1 = (n_left + 1) * k2  # paper-weight unit
+    largest = max(old_color_weight, fresh_color_weight) * k1 + k2 + (m_right - 1) * k3 + n_left
+    check_weights_exact(n_left, m_right, largest)
+
+    colors = np.arange(1, m_right + 1, dtype=np.int64)
+    paper = np.where(colors == old[:, None], old_color_weight, fresh_color_weight)
+    weights = paper * k1 + (k2 + (m_right - colors) * k3)
+    weights += (n_left - np.arange(n_left, dtype=np.int64))[:, None]
+    weights[forbidden[:, 1:]] = 0
+    bip = WeightedBipartiteGraph.from_matrix(v1_list, colors.tolist(), weights)
+    pairs = max_weight_matching(bip).pairs
+
+    new = np.fromiter((pairs.get(u, 0) for u in v1_list), dtype=np.int64, count=n_left)
+    unmatched = new == 0
+    new[unmatched] = m_right + 1 + np.arange(int(unmatched.sum()))
+    return new
+
+
 def solve_v1_assignment(
     v1_list: list[NodeId],
     old_colors: dict[NodeId, Color | None],
@@ -86,7 +212,6 @@ def solve_v1_assignment(
     *,
     old_color_weight: int = 3,
     fresh_color_weight: int = 1,
-    backend: str = "hungarian",
 ) -> tuple[dict[NodeId, Color], int]:
     """Steps 3-5 of Fig 3 on already-collected local data.
 
@@ -98,48 +223,14 @@ def solve_v1_assignment(
     Returns ``(new_colors, max_color_seen)`` where ``new_colors`` covers
     every ``V1`` member.
     """
-    if old_color_weight < 1 or fresh_color_weight < 1:
-        raise ValueError("weights must be positive integers")
-    # Step 3: the palette upper bound.
-    max_seen = 0
-    for u in v1_list:
-        old = old_colors.get(u)
-        if old is not None:
-            max_seen = max(max_seen, old)
-        forb = constraints[u]
-        if forb:
-            max_seen = max(max_seen, max(forb))
-
-    # Step 4: weighted bipartite graph with lexicographic tie-breaking
-    # (see module docstring).  All weights are positive integers.
-    n_left = len(v1_list)
-    m_right = max_seen
-    k3 = n_left * n_left + 1  # low-color preference unit
-    k2 = n_left * m_right * k3 + n_left * n_left + 1  # cardinality unit
-    k1 = (n_left + 1) * k2  # paper-weight unit
-    bip = WeightedBipartiteGraph(left=list(v1_list), right=list(range(1, m_right + 1)))
-    for pos, u in enumerate(v1_list):
-        old = old_colors.get(u)
-        forbidden = constraints[u]
-        for k in range(1, m_right + 1):
-            if k in forbidden:
-                continue
-            w = old_color_weight if k == old else fresh_color_weight
-            bip.add_edge(u, k, w * k1 + k2 + (m_right - k) * k3 + (n_left - pos))
-
-    # Step 5: maximum-weight matching; unmatched take fresh colors in
-    # v1_list order (members ascending by id, then n).
-    matching = max_weight_matching(bip, backend=backend)
-    new_colors: dict[NodeId, Color] = {}
-    next_fresh = max_seen + 1
-    for u in v1_list:
-        matched = matching.pairs.get(u)
-        if matched is None:
-            new_colors[u] = next_fresh
-            next_fresh += 1
-        else:
-            new_colors[u] = matched
-    return new_colors, max_seen
+    old = np.array([old_colors.get(u) or 0 for u in v1_list], dtype=np.int64)
+    forb_lists = [sorted(constraints[u]) for u in v1_list]
+    palette = max([int(old.max(initial=0))] + [f[-1] for f in forb_lists if f])
+    forbidden = np.zeros((len(v1_list), palette + 1), dtype=bool)
+    rows = np.repeat(np.arange(len(v1_list)), [len(f) for f in forb_lists])
+    forbidden[rows, [c for f in forb_lists for c in f]] = True
+    new = _match_v1(v1_list, old, forbidden, old_color_weight, fresh_color_weight)
+    return dict(zip(v1_list, new.tolist())), palette
 
 
 def plan_local_matching_recode(
@@ -149,7 +240,6 @@ def plan_local_matching_recode(
     *,
     old_color_weight: int = 3,
     fresh_color_weight: int = 1,
-    backend: str = "hungarian",
 ) -> LocalRecodePlan:
     """Plan the matching-based recode for a joined or moved ``node``.
 
@@ -164,34 +254,24 @@ def plan_local_matching_recode(
     part = join_partition(graph, node)
     members = sorted(part.in_neighbors)
     v1_list = members + [node]  # n last: fresh colors end at n (Fig 4)
-    v1_set = frozenset(v1_list)
 
     # Steps 1-2: constraints from conflict neighbors outside V1, on the
     # *new* topology.  Old colors of V1 members do not constrain each
     # other (they are all being re-decided together).
-    constraints: dict[NodeId, set[Color]] = {
-        u: forbidden_colors(graph, assignment, u, exclude=v1_set) for u in v1_list
-    }
-    old_colors: dict[NodeId, Color | None] = {u: assignment.get(u) for u in v1_list}
+    old, forbidden = _v1_constraints(graph, assignment, v1_list)
+    new = _match_v1(v1_list, old, forbidden, old_color_weight, fresh_color_weight)
 
-    new_colors, max_seen = solve_v1_assignment(
-        v1_list,
-        old_colors,
-        constraints,
-        old_color_weight=old_color_weight,
-        fresh_color_weight=fresh_color_weight,
-        backend=backend,
-    )
-
+    old_list, new_list = old.tolist(), new.tolist()
     changes = {
-        u: (assignment.get(u), c) for u, c in new_colors.items() if assignment.get(u) != c
+        v1_list[i]: (old_list[i] or None, new_list[i])
+        for i in np.flatnonzero(new != old).tolist()
     }
-    messages = 2 * len(members) + sum(1 for u in changes if u != node)
+    messages = 2 * len(members) + len(changes) - (node in changes)
     return LocalRecodePlan(
         node=node,
-        v1=v1_set,
-        max_color_seen=max_seen,
-        new_colors=new_colors,
+        v1=frozenset(v1_list),
+        max_color_seen=forbidden.shape[1] - 1,
+        new_colors=dict(zip(v1_list, new_list)),
         changes=changes,
         messages=messages,
     )

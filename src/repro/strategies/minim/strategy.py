@@ -30,8 +30,6 @@ class MinimStrategy(RecodingStrategy):
     old_color_weight, fresh_color_weight:
         Matching edge weights (paper: 3 and 1).  Exposed for the weight
         ablation bench; production uses the defaults.
-    matching_backend:
-        ``"hungarian"`` (default) or ``"scipy"``.
     """
 
     name = "Minim"
@@ -41,11 +39,9 @@ class MinimStrategy(RecodingStrategy):
         *,
         old_color_weight: int = 3,
         fresh_color_weight: int = 1,
-        matching_backend: str = "hungarian",
     ) -> None:
         self._w_old = old_color_weight
         self._w_fresh = fresh_color_weight
-        self._backend = matching_backend
 
     def on_join(
         self,
@@ -59,7 +55,6 @@ class MinimStrategy(RecodingStrategy):
             node_id,
             old_color_weight=self._w_old,
             fresh_color_weight=self._w_fresh,
-            backend=self._backend,
         )
         return RecodeResult("join", node_id, plan.changes, messages=plan.messages)
 
@@ -85,7 +80,6 @@ class MinimStrategy(RecodingStrategy):
             node_id,
             old_color_weight=self._w_old,
             fresh_color_weight=self._w_fresh,
-            backend=self._backend,
         )
         return RecodeResult("move", node_id, plan.changes, messages=plan.messages)
 

@@ -580,6 +580,13 @@ class AdHocDigraph:
             return len(self._inr[i])
         return int(self._adj[: len(self._ids), i].sum())
 
+    def in_degrees(self) -> np.ndarray:
+        """In-degree of every node, by slot (see :meth:`slot_ids`)."""
+        n = len(self._ids)
+        if self._sparse:
+            return np.fromiter((len(r) for r in self._inr[:n]), dtype=np.int64, count=n)
+        return np.count_nonzero(self._adj[:n, :n], axis=0)
+
     def edges(self) -> Iterator[tuple[NodeId, NodeId]]:
         """Iterate all directed edges as ``(src, dst)`` id pairs.
 
@@ -1539,8 +1546,8 @@ class AdHocDigraph:
         cached = memo.get(_CONFLICT_ADJ_KEY)
         if cached is None:
             n = len(self._ids)
-            order = sorted(range(n), key=lambda j: self._ids[j])
-            ids = [self._ids[j] for j in order]
+            order = np.argsort(self._ida[:n])
+            ids = self._ida[:n][order].tolist()
             if self._sparse:
                 a = self._adj_block()
                 block = a | a.T
@@ -1552,8 +1559,7 @@ class AdHocDigraph:
                 a = self._adj[:n, :n]
                 block = a | a.T | (self._c2[:n, :n] > 0)
                 np.fill_diagonal(block, False)
-            perm = np.asarray(order, dtype=np.intp)
-            cached = (ids, block[np.ix_(perm, perm)])
+            cached = (ids, block[np.ix_(order, order)])
             memo[_CONFLICT_ADJ_KEY] = cached
         ids, block = cached
         return list(ids), block.copy()

@@ -50,6 +50,15 @@ class TestObservableEquivalence:
         assert arr.diff(new) == {2: (2, 5), 3: (3, None), 4: (None, 1)}
         assert new.diff(arr) == {2: (5, 2), 3: (None, 3), 4: (1, None)}
 
+    @pytest.mark.parametrize("codes", [{}, {0: 1}, {5: 3, 9: 3, 200: 7}])
+    def test_color_array_matches_dict_container(self, codes):
+        arr, ref = _mirror(codes)
+        nodes = [9, 0, 5, 3, 200, 10_000]  # 10_000 lies past the array's end
+        expected = [codes.get(v, 0) for v in nodes]
+        assert arr.color_array(nodes).tolist() == expected
+        assert ref.color_array(nodes).tolist() == expected
+        assert arr.color_array([]).tolist() == []
+
     def test_getitem_and_membership(self):
         arr = ArrayCodeAssignment({4: 9})
         assert arr[4] == 9 and 4 in arr

@@ -1,11 +1,30 @@
 """Additional tests for clique bounds and ordering helpers."""
 
 import numpy as np
+import pytest
 
-from repro.coloring.bounds import clique_nodes, greedy_clique
+from repro.coloring.bounds import clique_nodes, greedy_clique, receiver_clique_bound
 from repro.coloring.smallest_last import smallest_last_node_order
 from repro.topology.conflicts import conflict_matrix
+from repro.topology.digraph import AdHocDigraph
+from repro.topology.static import StaticDigraph
 from tests.conftest import make_random_graph
+
+
+class TestReceiverCliqueBound:
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_native_in_degrees_match_adjacency(self, seed, sparse):
+        graph = AdHocDigraph.restore(make_random_graph(seed, 30).snapshot(), sparse_core=sparse)
+        ids, adj = graph.adjacency()
+        by_slot = dict(zip(graph.slot_ids().tolist(), graph.in_degrees().tolist()))
+        assert [by_slot[v] for v in ids] == adj.sum(axis=0).tolist()
+        assert receiver_clique_bound(graph) == int(adj.sum(axis=0).max()) + 1
+
+    def test_generic_graphs_use_the_adjacency(self):
+        assert receiver_clique_bound(StaticDigraph(nodes=[0, 1, 2], edges=[(1, 0), (2, 0)])) == 3
+        assert receiver_clique_bound(StaticDigraph()) == 0
+        assert receiver_clique_bound(AdHocDigraph()) == 0
 
 
 class TestGreedyClique:

@@ -17,6 +17,7 @@ from repro.sim.network import AdHocNetwork
 from repro.sim.random_networks import sample_configs
 from repro.strategies.cp import plan_cp_join
 from repro.strategies.minim import MinimStrategy, plan_local_matching_recode
+from tests.strategies.oracles import plan_oracle
 
 
 class TestMessageBus:
@@ -88,10 +89,13 @@ def network_with_pending_join(seed: int, n: int = 18):
 class TestDistributedJoinEquivalence:
     @given(st.integers(0, 2_000))
     def test_changes_match_oracle(self, seed):
+        # The message-passing join, the array plan and the per-member
+        # reference plan all agree.
         net, joiner = network_with_pending_join(seed)
-        oracle = plan_local_matching_recode(net.graph, net.assignment, joiner)
+        plan = plan_local_matching_recode(net.graph, net.assignment, joiner)
         stats = run_distributed_join(net.graph, net.assignment, joiner)
-        assert stats.changes == oracle.changes
+        assert stats.changes == plan.changes
+        assert stats.changes == plan_oracle(net.graph, net.assignment, joiner).changes
 
     def test_rounds_and_messages(self):
         net, joiner = network_with_pending_join(3)

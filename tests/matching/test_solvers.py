@@ -1,10 +1,15 @@
 """Tests for the matching solvers: Hungarian, Hopcroft–Karp, SciPy oracle."""
 
+from functools import partial
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.strategies.minim.join as minim_join
+from repro.coloring.assignment import CodeAssignment
+from repro.errors import MatchingError
 from repro.matching import (
     WeightedBipartiteGraph,
     hopcroft_karp_matching,
@@ -13,6 +18,9 @@ from repro.matching import (
 )
 from repro.matching.hungarian import solve_max_weight_dense
 from repro.matching.scipy_backend import scipy_matching
+from repro.strategies.minim import plan_local_matching_recode
+from repro.topology.static import StaticDigraph
+from tests.strategies.oracles import jv_oracle
 
 
 def graph_from_matrix(w: np.ndarray) -> WeightedBipartiteGraph:
@@ -92,6 +100,93 @@ class TestHungarianAgainstScipy:
         ours = hungarian_matching(g)
         ours.validate_against(g)
         assert ours.total_weight == pytest.approx(scipy_matching(g).total_weight)
+
+
+def tie_heavy_matrix(seed: int, n: int, m: int, levels: int, forbidden: float) -> np.ndarray:
+    """Integer weights drawn from a few levels, so equal-weight optima abound."""
+    rng = np.random.default_rng(seed)
+    scale = int(rng.choice([1, 3, 1_000_003]))
+    w = rng.integers(1, levels + 1, (n, m)) * scale
+    w[rng.random((n, m)) < forbidden] = 0
+    if n > 1 and rng.random() < 0.3:
+        w[rng.integers(0, n)] = 0  # an all-forbidden row
+    return w.astype(np.float64)
+
+
+class TestJVAgainstPerStepOracle:
+    """The lazy-potential search returns exactly the per-step JV's pairs."""
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 14),
+        st.integers(1, 14),
+        st.integers(1, 4),
+        st.floats(0.0, 0.9),
+    )
+    def test_tie_heavy_matrices(self, seed, n, m, levels, forbidden):
+        w = tie_heavy_matrix(seed, n, m, levels, forbidden)
+        assert solve_max_weight_dense(w) == jv_oracle(w)
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            np.zeros((3, 4)),  # every row forbidden
+            np.array([[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]]),  # all-forbidden rows around one
+            np.full((6, 2), 5.0),  # n > m, all ties
+            np.full((2, 7), 5.0),  # m > n, all ties
+            np.full((5, 1), 1.0),  # a single column
+            np.array([[1.0], [0.0], [3.0], [3.0]]),  # single column, tied best
+            np.ones((1, 1)),
+        ],
+        ids=["all-forbidden", "forbidden-rows", "n>m", "m>n", "one-col", "one-col-tie", "1x1"],
+    )
+    def test_edge_shapes(self, w):
+        assert solve_max_weight_dense(w) == jv_oracle(w)
+
+    def test_minim_sized_matrices(self):
+        # The p99 recoding matrix is about 65x84 (the median 7x17).
+        for seed, (n, m) in enumerate([(7, 17), (30, 40), (65, 84), (90, 60)]):
+            w = tie_heavy_matrix(seed, n, m, 3, 0.4)
+            assert solve_max_weight_dense(w) == jv_oracle(w)
+
+
+class TestJVAgainstScipyOracle:
+    def test_minim_matching_agrees_with_scipy(self, monkeypatch):
+        # The Minim weight graph of a join into members colored
+        # 1, 1, 2, 3, 3, solved by the JV and by SciPy: the lexicographic
+        # weights make this optimum unique, so the colorings agree.
+        pytest.importorskip("scipy")
+        g = StaticDigraph(nodes=range(6), edges=[(i, 0) for i in range(1, 6)])
+        a = CodeAssignment(dict(zip(range(1, 6), [1, 1, 2, 3, 3])))
+        jv = plan_local_matching_recode(g, a, 0)
+        monkeypatch.setattr(
+            minim_join, "max_weight_matching", partial(max_weight_matching, backend="scipy")
+        )
+        assert plan_local_matching_recode(g, a, 0).new_colors == jv.new_colors
+
+
+class TestFromMatrix:
+    def test_dense_and_edgewise_graphs_agree(self):
+        w = np.array([[3.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
+        dense = WeightedBipartiteGraph.from_matrix(["a", "b"], [1, 2, 3], w)
+        edgewise = graph_from_matrix(w)
+        assert hungarian_matching(dense).total_weight == hungarian_matching(edgewise).total_weight
+        assert dense.weight("a", 1) == 3.0 and not dense.has_edge("a", 2)
+        assert dense.edge_count() == 3
+        assert np.array_equal(dense.weight_matrix(), w)
+
+    def test_dense_graph_accepts_more_edges(self):
+        g = WeightedBipartiteGraph.from_matrix([0], ["x"], np.array([[1.0]]))
+        g.add_right("y")
+        g.add_edge(0, "y", 4.0)
+        assert max_weight_matching(g).pairs == {0: "y"}
+
+    def test_rejects_bad_shapes_and_negative_weights(self):
+        with pytest.raises(MatchingError, match="shape"):
+            WeightedBipartiteGraph.from_matrix([0, 1], ["x"], np.ones((1, 1)))
+        with pytest.raises(MatchingError, match="positive"):
+            WeightedBipartiteGraph.from_matrix([0], ["x"], -np.ones((1, 1)))
 
 
 class TestBackendDispatch:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.coloring.bbb import bbb_coloring
+from repro.coloring.bbb import bbb_colors, bbb_coloring
 from repro.sim.network import AdHocNetwork
 from repro.sim.random_networks import sample_configs
 from repro.strategies.ablation import GreedySequentialStrategy
@@ -41,6 +41,25 @@ class TestBBBGlobal:
             total += result.recode_count
             prev = net.assignment.copy()
         assert total == net.metrics.total_recodings
+
+    def test_changes_match_a_per_node_diff(self):
+        # The lane diffs its color array in one compare; the changes must
+        # equal the per-node walk, in ascending id order, with None for a
+        # node that had no color yet.
+        rng = np.random.default_rng(4)
+        net = AdHocNetwork(BBBGlobalStrategy())
+        for cfg in sample_configs(14, rng):
+            before = net.assignment.copy()
+            net.graph.add_node(cfg)
+            result = BBBGlobalStrategy().on_join(net.graph, before, cfg.node_id)
+            ids, colors = bbb_colors(net.graph)
+            expected = {
+                v: (before.get(v), c) for v, c in zip(ids, colors.tolist()) if before.get(v) != c
+            }
+            assert list(result.changes.items()) == list(expected.items())
+            assert result.changes[cfg.node_id][0] is None
+            net.graph.remove_node(cfg.node_id)
+            net.join(cfg)
 
     def test_power_events_recolor(self):
         rng = np.random.default_rng(3)
