@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser(
         "bench",
-        help="time the event loop (array vs dict vs dense vs sparse cores, "
+        help="time the event loop (array vs sparse cores, batched rounds, "
         "shared vs per-strategy replay, cold vs warm-start sweeps)",
     )
     pb.add_argument("--runs", type=int, default=3, help="timing repetitions per trace")

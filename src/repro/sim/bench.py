@@ -10,8 +10,9 @@ in-neighbors, i.e. the ``V1`` of Fig 3) — over two traces:
   ``random-waypoint``, re-based to ``--n`` nodes so moves dominate).
 
 Each trace runs once per conflict core: the array core (flat numpy
-slots, batched conflict rows — the default) and the sparse CSR-row
-core (``REPRO_SPARSE=1``).  A separate :func:`run_large_n_bench`
+slots, batched conflict rows — what these sizes select) and the sparse
+CSR-row core (what N≥4096 selects), each pinned for the drive by moving
+the promotion threshold.  A separate :func:`run_large_n_bench`
 drives N≥2000 join traces at constant node density on both cores, the
 regime where the array core's O(N²) blocks and N-wide masks collapse;
 its sparse entry drives the whole trace through the streaming
@@ -87,7 +88,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Set
+import sys
+from collections.abc import Iterator, Set
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -102,6 +105,7 @@ from repro.sim.network import AdHocNetwork, MultiStrategyReplay
 from repro.sim.random_networks import sample_configs
 from repro.sim.registry import get_scenario
 from repro.strategies.base import RecodeResult, RecodingStrategy
+from repro.topology import digraph
 from repro.topology.digraph import AdHocDigraph
 from repro.topology.static import DigraphLike
 from repro.types import Color, NodeId
@@ -129,15 +133,24 @@ _EVENT_LOOP_MODES = ("array", "sparse")
 _ARRAY_MAX_LARGE_N = 10000
 
 
-def _bench_graph(mode: str) -> AdHocDigraph:
-    """A fresh digraph pinned to the named conflict core.
+@contextmanager
+def _pinned_core(mode: str) -> Iterator[None]:
+    """Run the graphs built inside the block on the named conflict core.
 
-    An explicit ``sparse_core`` disarms auto-promotion, so large-n array
-    entries honestly measure the dense blocks.
+    The population picks a graph's core, so comparing both cores at one
+    size means moving the promotion threshold for the block: to zero for
+    ``sparse`` (a new graph starts on the sparse rows and never leaves
+    them), past any population for ``array``, so large-n array entries
+    honestly measure the dense blocks.
     """
     if mode not in _EVENT_LOOP_MODES:
         raise ValueError(f"unknown event-loop mode {mode!r}; expected one of {_EVENT_LOOP_MODES}")
-    return AdHocDigraph(sparse_core=mode == "sparse")
+    shipped = digraph._SPARSE_AUTO_MIN
+    digraph._SPARSE_AUTO_MIN = 0 if mode == "sparse" else sys.maxsize
+    try:
+        yield
+    finally:
+        digraph._SPARSE_AUTO_MIN = shipped
 
 
 def _apply_setup(graph: AdHocDigraph, setup: list[Event] | None, mode: str) -> None:
@@ -187,25 +200,26 @@ def drive_event_loop(
     the timed region (no conflict queries) — the mobility benches use
     this to time churn over an already-joined population.
     """
-    graph = _bench_graph(mode)
-    _apply_setup(graph, setup, mode)
-    start = perf_seconds()
-    for ev in events:
-        if isinstance(ev, JoinEvent):
-            graph.add_node(ev.config)
-        elif isinstance(ev, MoveEvent):
-            graph.move_node(ev.node_id, ev.x, ev.y)
-        elif isinstance(ev, PowerChangeEvent):
-            graph.set_range(ev.node_id, ev.new_range)
-        elif isinstance(ev, LeaveEvent):
-            graph.remove_node(ev.node_id)
-            continue  # nothing to recode around a departed node
-        s = graph.slot_of(ev.node_id)
-        if mode == "sparse":
-            graph.conflict_slot_lists(graph.v1_slots(s))
-        else:
-            graph.conflict_masks(graph.v1_slots(s))
-    return perf_seconds() - start
+    with _pinned_core(mode):
+        graph = AdHocDigraph()
+        _apply_setup(graph, setup, mode)
+        start = perf_seconds()
+        for ev in events:
+            if isinstance(ev, JoinEvent):
+                graph.add_node(ev.config)
+            elif isinstance(ev, MoveEvent):
+                graph.move_node(ev.node_id, ev.x, ev.y)
+            elif isinstance(ev, PowerChangeEvent):
+                graph.set_range(ev.node_id, ev.new_range)
+            elif isinstance(ev, LeaveEvent):
+                graph.remove_node(ev.node_id)
+                continue  # nothing to recode around a departed node
+            s = graph.slot_of(ev.node_id)
+            if mode == "sparse":
+                graph.conflict_slot_lists(graph.v1_slots(s))
+            else:
+                graph.conflict_masks(graph.v1_slots(s))
+        return perf_seconds() - start
 
 
 def drive_event_rounds(
@@ -228,20 +242,21 @@ def drive_event_rounds(
     untimed, as in :func:`drive_event_loop`.  Used by the large-n
     bench's ``sparse`` and ``sparse-rounds`` entries.
     """
-    graph = _bench_graph(mode)
-    _apply_setup(graph, setup, mode)
-    start = perf_seconds()
-    for round_events in rounds:
-        deltas = graph.apply_round(round_events)
-        for delta in deltas:
-            if delta.kind == "leave" or delta.node_id not in graph:
-                continue
-            s = graph.slot_of(delta.node_id)
-            if mode == "sparse":
-                graph.conflict_slot_lists(graph.v1_slots(s))
-            else:
-                graph.conflict_masks(graph.v1_slots(s))
-    return perf_seconds() - start
+    with _pinned_core(mode):
+        graph = AdHocDigraph()
+        _apply_setup(graph, setup, mode)
+        start = perf_seconds()
+        for round_events in rounds:
+            deltas = graph.apply_round(round_events)
+            for delta in deltas:
+                if delta.kind == "leave" or delta.node_id not in graph:
+                    continue
+                s = graph.slot_of(delta.node_id)
+                if mode == "sparse":
+                    graph.conflict_slot_lists(graph.v1_slots(s))
+                else:
+                    graph.conflict_masks(graph.v1_slots(s))
+        return perf_seconds() - start
 
 
 def _traces(n: int, scenario: str, seed: int) -> list[tuple[str, int, list[Event]]]:
@@ -1027,7 +1042,8 @@ def run_checkpoint_bench(
     side = 100.0 * math.sqrt(n / 120.0)
     rng = np.random.default_rng(seed)
     joins: list[Event] = [JoinEvent(c) for c in sample_configs(n, rng, area=(side, side))]
-    template = _bench_graph("sparse")
+    with _pinned_core("sparse"):
+        template = AdHocDigraph()
     template.apply_round(joins)
     churn = _substep_rounds(joins, side, seed=seed + 1, rounds=rounds)
     label = "large-ckpt" if n == 10000 else f"large-ckpt-{n}"

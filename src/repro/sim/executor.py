@@ -252,18 +252,18 @@ def compute_group(group: TaskGroup, on_member=None, store=None) -> list[list]:
         )
 
 
-def _provenance(context: dict, worker: str) -> dict:
+def _provenance(context: dict, worker: str, n: int) -> dict:
     """Stamp execution provenance onto a planned task context.
 
     Adds *who* computed the point, *when* it landed, and which conflict
-    core (``array`` / ``dict`` / ``dense``) the executing process ran —
+    core (``array`` / ``sparse``) its population of ``n`` nodes ran —
     the cores are byte-identical by contract, so the stamp is an audit
     trail for that claim, not a result discriminator.  The monitor's
     per-worker throughput view and ``store export`` read these back; the
     planned part of the context (scenario, sweep value, run, seed) stays
     untouched, so point keys and results are unaffected.
     """
-    return {**context, "worker": worker, "saved_at": time.time(), "core": default_core()}
+    return {**context, "worker": worker, "saved_at": time.time(), "core": default_core(n)}
 
 
 def _claimed_compute(
@@ -278,7 +278,8 @@ def _claimed_compute(
     """
 
     def landed(m: int, out: list) -> None:
-        backend.save_point(group.keys[m], out, context=_provenance(group.contexts[m], owner))
+        context = _provenance(group.contexts[m], owner, group.points[m].n)
+        backend.save_point(group.keys[m], out, context=context)
         backend.renew_claim(gkey, owner)
         obs.event("queue.lease_renew", cat="queue", key=gkey, owner=owner)
 
@@ -306,7 +307,8 @@ def _execute_group_task(args: tuple) -> list[list]:
     worker = f"proc-{os.getpid()}"
 
     def landed(m: int, out: list) -> None:
-        backend.save_point(group.keys[m], out, context=_provenance(group.contexts[m], worker))
+        context = _provenance(group.contexts[m], worker, group.points[m].n)
+        backend.save_point(group.keys[m], out, context=context)
 
     outs = compute_group(group, on_member=landed, store=_ckpt_scope(backend, group))
     obs.flush_metrics()  # pool workers may be torn down without atexit

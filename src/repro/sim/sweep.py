@@ -384,10 +384,10 @@ def run_sweep(
             "runs": sweep.runs,
             "seed": sweep.seed,
             "executor": exec_.name,
-            # the orchestrator's conflict core (array/dict/dense) — an
-            # audit stamp, never a result discriminator: cores are
-            # byte-identical by contract
-            "core": default_core(),
+            # the conflict core the sweep's largest population runs
+            # (array or sparse) — an audit stamp, never a result
+            # discriminator: cores are byte-identical by contract
+            "core": default_core(max(point.n for point in sweep.points)),
             "points": [
                 keys[(i, r)]
                 for i in range(len(sweep.points))

@@ -41,9 +41,9 @@ Checkpoints are conflict-core independent: a fork deep-copies whichever
 core the replay's digraph runs (the array blocks or the sparse CSR
 rows — :meth:`~repro.topology.digraph.AdHocDigraph.copy` clones the
 per-slot rows and witness counters without densifying), and serialized
-checkpoints restore under any core byte-identically, so a sweep
-resumed under ``REPRO_SPARSE=1`` continues checkpoints written by an
-array-core worker and vice versa (pinned by
+checkpoints restore under either core byte-identically, so a
+checkpoint written before a graph crossed the auto-promotion threshold
+resumes identically after it (pinned by
 ``tests/sim/test_array_replay.py``).
 """
 

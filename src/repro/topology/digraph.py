@@ -12,33 +12,34 @@ Implementation notes (per the hpc-parallel guides):
   active block contiguous (cache-friendly row/column operations).
 * All neighbor queries return id lists sorted ascending for determinism.
 
-Two conflict-maintenance cores exist, selected at construction (or by
-the ``REPRO_SPARSE`` environment variable):
+Two conflict-maintenance cores exist, selected by population — there
+is no knob:
 
-* **Array (default).**  The dense-block core: the adjacency and the
-  CA2 witness counters ``C2[u, v] = |out(u) ∩ out(v)|`` live in
-  ``(cap, cap)`` blocks.  A :class:`SlotGridIndex` buckets node *slots*
-  (row indices of the flat arrays) per grid cell, so a candidate query
-  returns a numpy index array with no id→slot translation; each
+* **Array (below ``_SPARSE_AUTO_MIN`` nodes).**  The dense-block
+  core: the adjacency and the CA2 witness counters
+  ``C2[u, v] = |out(u) ∩ out(v)|`` live in ``(cap, cap)`` blocks.  A
+  :class:`SlotGridIndex` buckets node *slots* (row indices of the flat
+  arrays) per grid cell, so a candidate query returns a numpy index
+  array with no id→slot translation; each
   join/move recomputes out- and in-edges from **one** candidate fetch
   and **one** pairwise distance pass
   (:func:`repro.topology.propagation.pairwise_masks`); and the CA1/CA2
   delta update is batched — the counters are adjusted only for the
   in-neighbor pairs that actually changed, via broadcast index
   arithmetic.
-* **Sparse (``REPRO_SPARSE=1`` or ``sparse_core=True``).**  The
-  large-N core: adjacency lives in CSR-style per-slot rows (sorted
-  slot-index arrays with amortized-doubling growth, one out-row and one
-  in-row per node) and the CA2 witness counters in per-slot dicts keyed
-  by the *touched* columns only, so memory is O(N + E) instead of the
-  array core's O(N²) blocks and an edge flip updates
-  ``deg(u)·deg(v)``-bounded counter entries instead of a full ``(cap,)``
-  row.  An array-core graph constructed with every knob at its default
-  **auto-promotes** to sparse when the population reaches
-  ``_SPARSE_AUTO_MIN`` nodes; pass ``sparse_core=False`` (or
-  ``REPRO_SPARSE=0``) to pin the array core.  The sparse core
-  additionally answers :meth:`AdHocDigraph.apply_round` with true
-  multi-event batching.
+* **Sparse (from ``_SPARSE_AUTO_MIN`` nodes on).**  The large-N core:
+  adjacency lives in CSR-style per-slot rows (sorted slot-index arrays
+  with amortized-doubling growth, one out-row and one in-row per node)
+  and the CA2 witness counters in per-slot dicts keyed by the *touched*
+  columns only, so memory is O(N + E) instead of the array core's
+  O(N²) blocks and an edge flip updates ``deg(u)·deg(v)``-bounded
+  counter entries instead of a full ``(cap,)`` row.  Every graph
+  starts on the array core and **auto-promotes** to sparse when its
+  population reaches ``_SPARSE_AUTO_MIN`` — or, for a batched round
+  (:meth:`AdHocDigraph.bulk_join`, :meth:`AdHocDigraph.apply_round`)
+  or a restore, up front when the round or snapshot will reach it.
+  The sparse core additionally answers
+  :meth:`AdHocDigraph.apply_round` with true multi-event batching.
 
 Both cores answer the same object-level API (``out_neighbors``,
 ``conflict_neighbor_ids``, …) with byte-identical results and
@@ -96,34 +97,27 @@ _CONFLICT_ADJ_KEY = "conflict_adjacency"
 _REGRID_FACTOR = 4.0
 
 
-def _sparse_from_env() -> bool:
-    """Whether ``REPRO_SPARSE`` requests the sparse core from the start."""
-    return os.environ.get("REPRO_SPARSE", "") not in ("", "0")
-
-
-def _sparse_auto_allowed() -> bool:
-    """Whether auto-promotion to sparse is permitted (``REPRO_SPARSE`` ≠ 0)."""
-    return os.environ.get("REPRO_SPARSE", "") != "0"
-
-
 def _reject_retired_knobs() -> None:
-    """Raise if the environment selects a conflict path that was removed.
+    """Raise if the environment selects a conflict core by hand.
 
     Ignoring such a setting silently would stamp results with a core the
     user did not ask for.  Settings that were already no-ops (unset, or
-    ``0`` for the removed opt-ins) stay accepted.
+    ``0`` for the removed opt-ins) stay accepted; ``REPRO_SPARSE`` chose
+    between the two remaining cores, which the population now decides,
+    so any value of it is rejected.
     """
     env = os.environ
     for var, removed in (
         ("REPRO_DENSE", env.get("REPRO_DENSE", "") not in ("", "0")),
         ("REPRO_SPARSE_SCALAR", env.get("REPRO_SPARSE_SCALAR", "") not in ("", "0")),
         ("REPRO_ARRAY", env.get("REPRO_ARRAY", "1") in ("", "0")),
+        ("REPRO_SPARSE", env.get("REPRO_SPARSE", "") != ""),
     ):
         if removed:
             raise ConfigurationError(
-                f"{var}={env[var]!r} selects a conflict core that was removed; only "
-                "the array and sparse cores remain (unset it; REPRO_SPARSE picks "
-                "between the two)"
+                f"{var}={env[var]!r} selects a conflict core by hand, which was "
+                "removed; the population picks the core (array below "
+                f"{_SPARSE_AUTO_MIN} nodes, sparse from there on) — unset it"
             )
 
 
@@ -165,8 +159,8 @@ def _count_grid_result(cand):
         _met.REGISTRY.observe("core.grid.candidate_window", int(cand.size))
     return cand
 
-#: Population at which a default-knobbed array-core graph auto-promotes
-#: itself to the sparse core: past this size the dense (cap, cap)
+#: Population at which an array-core graph auto-promotes itself to the
+#: sparse core: past this size the dense (cap, cap)
 #: adjacency/C2 blocks cost O(N²) memory and full-row C2 updates, while
 #: the sparse rows stay O(N + E).  Chosen well above every scenario the
 #: registry sweeps (≤ a few hundred nodes) and below the large-N bench.
@@ -187,20 +181,15 @@ def _iota(k: int) -> np.ndarray:
 
 
 def default_core(n: int | None = None) -> str:
-    """The conflict core a default-constructed graph would run.
+    """The conflict core a graph of ``n`` nodes runs.
 
-    ``"array"`` or ``"sparse"``, resolved from ``REPRO_SPARSE`` exactly
-    as :class:`AdHocDigraph` resolves it at construction.  Pass the
-    expected population ``n`` to account for auto-promotion: with every
-    knob at its default the array core hands off to sparse once
-    ``n >= _SPARSE_AUTO_MIN``.  Execution provenance (sweep manifests,
-    stored point records) stamps this so results record which core
-    produced them.
+    ``"array"`` or ``"sparse"``: the array core hands off to sparse once
+    ``n >= _SPARSE_AUTO_MIN`` (``None`` means a small graph).  Execution
+    provenance (sweep manifests, stored point records) stamps this with
+    the population it ran so results record which core produced them.
     """
     _reject_retired_knobs()
-    if _sparse_from_env():
-        return "sparse"
-    if n is not None and n >= _SPARSE_AUTO_MIN and _sparse_auto_allowed():
+    if n is not None and n >= _SPARSE_AUTO_MIN:
         return "sparse"
     return "array"
 
@@ -347,15 +336,6 @@ class AdHocDigraph:
     ----------
     propagation:
         Propagation model; defaults to the paper's free-space disc.
-    sparse_core:
-        ``True`` runs the sparse large-N core (CSR-style sorted slot
-        rows, per-slot C2 witness dicts, O(N + E) memory), ``False``
-        pins the array core and disables auto-promotion.  ``None``
-        (default) consults ``REPRO_SPARSE`` — and, when that is unset,
-        lets an array-core graph auto-promote to sparse once it reaches
-        ``_SPARSE_AUTO_MIN`` nodes.  Both cores are byte-identical in
-        every query and in snapshots; the choice is purely an
-        execution-speed/memory knob.
     grid_cell_size:
         Explicit spatial-grid cell size.  Default: sized from observed
         transmission ranges (a disc query then touches O(1) cells).
@@ -365,7 +345,6 @@ class AdHocDigraph:
         self,
         propagation: PropagationModel | None = None,
         *,
-        sparse_core: bool | None = None,
         grid_cell_size: float | None = None,
     ) -> None:
         _reject_retired_knobs()
@@ -375,34 +354,22 @@ class AdHocDigraph:
         # Exactly free space (not a subclass): gates the inlined
         # distance kernel on the array fast path.
         self._fs = type(self._prop) is FreeSpacePropagation
-        if sparse_core is None:
-            self._sparse = _sparse_from_env()
-            # Auto-promotion stays armed only while the core knob is at
-            # its default: an explicit choice (or the REPRO_SPARSE=0
-            # pin) is a request for that exact core.
-            self._sparse_auto = not self._sparse and _sparse_auto_allowed()
-        else:
-            self._sparse = bool(sparse_core)
-            self._sparse_auto = False
+        # Every graph starts on the array core; _maybe_promote switches
+        # it to sparse once the population reaches _SPARSE_AUTO_MIN.
+        self._sparse = False
         cap = _INITIAL_CAPACITY
         self._pos = np.zeros((cap, 2), dtype=np.float64)
         self._range = np.zeros(cap, dtype=np.float64)
         self._ids: list[NodeId] = []  # index -> id, for the active block
         self._ida = np.zeros(cap, dtype=np.int64)  # slot-aligned ids (hot queries)
         self._index: dict[NodeId, int] = {}
-        if self._sparse:
-            self._adj = None
-            self._c2 = None
-            # CSR-style per-slot rows and per-slot CA2 witness dicts
-            # (key: other slot, value: |out(u) ∩ out(v)| > 0).
-            self._outr: list[_SlotRow] = []
-            self._inr: list[_SlotRow] = []
-            self._c2s: list[dict[int, int]] = []
-        else:
-            self._adj = np.zeros((cap, cap), dtype=bool)
-            # CA2 witness counts C2[u, v] = |out(u) ∩ out(v)|.
-            self._c2 = np.zeros((cap, cap), dtype=np.int32)
-            self._outr = self._inr = self._c2s = None  # type: ignore[assignment]
+        self._adj = np.zeros((cap, cap), dtype=bool)
+        # CA2 witness counts C2[u, v] = |out(u) ∩ out(v)|.
+        self._c2 = np.zeros((cap, cap), dtype=np.int32)
+        # The sparse core's tables, created by _activate_sparse.
+        self._outr: list[_SlotRow] = None  # type: ignore[assignment]
+        self._inr: list[_SlotRow] = None  # type: ignore[assignment]
+        self._c2s: list[dict[int, int]] = None  # type: ignore[assignment]
         self._use_grid = bool(getattr(self._prop, "disc_bounded", False))
         self._grid: SlotGridIndex | None = None
         self._grid_cell = grid_cell_size
@@ -442,6 +409,9 @@ class AdHocDigraph:
         self._grid_shared = False
         self._rows_cow = False
         self._owned_slots: set[int] = set()
+        # The threshold holds at every population, the empty one
+        # included: lowered to zero, it starts a new graph on sparse rows.
+        self._maybe_promote(0)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -700,8 +670,7 @@ class AdHocDigraph:
             self._sparse_apply_col(i, new_in)
         else:
             self._insert_edges_array(i)
-            if self._sparse_auto and n >= _SPARSE_AUTO_MIN:
-                self._promote_to_sparse()
+            self._maybe_promote(n)
         self._version += 1
         self._touched[i] = self._version
         if _met.ENABLED:
@@ -720,14 +689,17 @@ class AdHocDigraph:
         gather and one block distance pass), and one grouped
         structural/C2 commit per touched receiver — so admission cost
         scales with touched neighborhoods, never with N per event.
-        The array core (and trivial rounds) fall back to sequential
-        :meth:`add_node`, which preserves auto-promotion semantics.
+        A round that takes the population to ``_SPARSE_AUTO_MIN`` or
+        beyond promotes the graph to the sparse core first; the array
+        core (and trivial rounds) fall back to sequential
+        :meth:`add_node`.
 
         :meth:`apply_round` routes all-join runs here; calling it
         directly is useful for flash-crowd initialization (build a
         10⁵-node network without 10⁵ separate candidate queries).
         """
         configs = list(configs)
+        self._maybe_promote(len(self._ids) + len(configs))
         if not self._sparse or len(configs) < 2:
             deltas = []
             for cfg in configs:
@@ -955,7 +927,9 @@ class AdHocDigraph:
         :meth:`replay_events`.
 
         Only the sparse core batches; the array core falls back to
-        sequential application (identical results either way).  Within
+        sequential application (identical results either way), and a
+        round whose joins take the population to ``_SPARSE_AUTO_MIN``
+        promotes the graph to the sparse core first.  Within
         the round, contiguous runs of join/move events are vectorized —
         one geometry/grid commit pass, one grid-bucketed edge-set sweep
         over the touched slots (pure join runs route through
@@ -968,9 +942,11 @@ class AdHocDigraph:
         sequentially.
         """
         events = list(events)
+        from repro.events.base import JoinEvent, MoveEvent
+
+        self._maybe_promote(len(self._ids) + sum(isinstance(ev, JoinEvent) for ev in events))
         if not self._sparse or len(events) < 2:
             return [self.apply_event(ev) for ev in events]
-        from repro.events.base import JoinEvent, MoveEvent
 
         deltas: list[TopologyDelta] = []
         batch: list[Event] = []
@@ -1073,7 +1049,6 @@ class AdHocDigraph:
         snapshot: dict,
         *,
         propagation: PropagationModel | None = None,
-        sparse_core: bool | None = None,
     ) -> "AdHocDigraph":
         """Rebuild a graph from a :meth:`snapshot` dict.
 
@@ -1088,14 +1063,13 @@ class AdHocDigraph:
         schema 2, which refuses to restore a snapshot taken under a
         non-default propagation model unless that model is supplied.
 
-        Snapshots are core-independent: the conflict core is an
-        execution knob, not state, so a snapshot written by either core
-        restores into whichever core is ambient (or the explicit
-        ``sparse_core``) and re-snapshots byte-identically — pinned by
-        ``tests/sim/test_array_replay.py``.  Snapshots written by the
-        retired dict and dense cores restore too; a dense one carries no
-        CA2 counters (``c2 = None``), so they are re-derived from the
-        adjacency.
+        Snapshots are core-independent: the conflict core follows the
+        population, not state, so a snapshot written by either core
+        restores into the core its population selects and re-snapshots
+        byte-identically — pinned by ``tests/sim/test_array_replay.py``.
+        Snapshots written by the retired dict and dense cores restore
+        too; a dense one carries no CA2 counters (``c2 = None``), so
+        they are re-derived from the adjacency.
         """
         if snapshot.get("kind") == "digraph-delta":
             raise ConfigurationError(
@@ -1116,13 +1090,13 @@ class AdHocDigraph:
                 f"snapshot was taken under propagation model {recorded!r}, but "
                 f"restore() was given {type(propagation).__name__!r}"
             )
-        g = cls(propagation, grid_cell_size=snapshot["explicit_cell"], sparse_core=sparse_core)
+        g = cls(propagation, grid_cell_size=snapshot["explicit_cell"])
         nodes = snapshot["nodes"]
         n = len(nodes)
-        if g._sparse_auto and n >= _SPARSE_AUTO_MIN:
-            # A default-knobbed graph this large would have auto-promoted
-            # during replay; restore straight into the sparse core rather
-            # than allocating the O(N²) blocks just to convert them.
+        if n >= _SPARSE_AUTO_MIN:
+            # A graph this large would have auto-promoted during replay;
+            # restore straight into the sparse core rather than
+            # allocating the O(N²) blocks just to convert them.
             g._activate_sparse()
         g._ensure_capacity(max(n, 1))
         for slot, (node_id, x, y, tx_range) in enumerate(nodes):
@@ -1169,7 +1143,6 @@ class AdHocDigraph:
         g._prop = self._prop
         g._fs = self._fs
         g._sparse = self._sparse
-        g._sparse_auto = self._sparse_auto
         g._pos = self._pos.copy()
         g._range = self._range.copy()
         g._adj = None if self._adj is None else self._adj.copy()
@@ -1222,7 +1195,6 @@ class AdHocDigraph:
         g._prop = self._prop
         g._fs = self._fs
         g._sparse = self._sparse
-        g._sparse_auto = self._sparse_auto
         g._pos = self._pos.copy()
         g._range = self._range.copy()
         g._ids = list(self._ids)
@@ -2064,10 +2036,11 @@ class AdHocDigraph:
     def _activate_sparse(self) -> None:
         """Switch the core flags and storage to sparse (no data carried)."""
         self._sparse = True
-        self._sparse_auto = False
         self._blocks_shared = False
         self._adj = None
         self._c2 = None
+        # CSR-style per-slot rows and per-slot CA2 witness dicts
+        # (key: other slot, value: |out(u) ∩ out(v)| > 0).
         self._outr = []
         self._inr = []
         self._c2s = []
@@ -2084,11 +2057,20 @@ class AdHocDigraph:
             inr.append(_SlotRow())
             c2s.append({})
 
+    def _maybe_promote(self, population: int) -> None:
+        """Switch to the sparse core once ``population`` reaches the threshold.
+
+        ``population`` is the node count the graph has, or — for a
+        batched round — the most it can reach before the round ends.
+        """
+        if not self._sparse and population >= _SPARSE_AUTO_MIN:
+            self._promote_to_sparse()
+
     def _promote_to_sparse(self) -> None:
         """Convert the dense array-core blocks into sparse rows in place.
 
-        Triggered by :meth:`add_node` when a default-knobbed array-core
-        graph reaches ``_SPARSE_AUTO_MIN`` nodes: from here on the
+        Triggered by :meth:`_maybe_promote` when an array-core graph
+        reaches ``_SPARSE_AUTO_MIN`` nodes: from here on the
         O(N²) blocks would dominate memory and every C2 delta would
         touch full rows.  The conversion is pure re-representation —
         queries, snapshots and subsequent events are byte-identical to

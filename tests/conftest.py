@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import repro.topology.digraph as digraph_mod
 from repro.sim.network import AdHocNetwork
 from repro.sim.random_networks import sample_configs
 from repro.strategies.minim import MinimStrategy
@@ -26,6 +27,47 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+#: The population at which graphs switch to the sparse core, as shipped.
+_SPARSE_AUTO_MIN = digraph_mod._SPARSE_AUTO_MIN
+
+
+def use_core(monkeypatch, core: str) -> None:
+    """Make every graph built or restored from now on run ``core``.
+
+    The population picks a graph's core, so this moves the promotion
+    threshold: ``sparse`` lowers it to zero, which starts even an empty
+    graph (and every restore) on the sparse rows; ``array`` keeps the
+    shipped threshold, which no test population reaches.
+    """
+    threshold = 0 if core == "sparse" else _SPARSE_AUTO_MIN
+    monkeypatch.setattr(digraph_mod, "_SPARSE_AUTO_MIN", threshold)
+
+
+def core_graph(core: str, propagation=None) -> AdHocDigraph:
+    """An empty digraph on the named conflict core (``array``/``sparse``).
+
+    A graph built on the sparse core never returns to the array core,
+    so the threshold only has to be moved while it is built.
+    """
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_core(monkeypatch, core)
+        return AdHocDigraph(propagation)
+
+
+def restore_on(core: str, snapshot: dict, **kwargs) -> AdHocDigraph:
+    """:meth:`AdHocDigraph.restore` ``snapshot`` straight onto ``core``."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_core(monkeypatch, core)
+        return AdHocDigraph.restore(snapshot, **kwargs)
+
+
+@pytest.fixture(params=["array", "sparse"])
+def each_core(request, monkeypatch) -> str:
+    """Run the requesting test once per conflict core (see :func:`use_core`)."""
+    use_core(monkeypatch, request.param)
+    return request.param
 
 
 def make_random_graph(

@@ -1,11 +1,11 @@
 """Array vs sparse core: byte-identical sweeps, replays, checkpoints.
 
-The conflict core is an execution knob, not state: every registered
-scenario must produce byte-identical series under ``REPRO_SPARSE=0``
-and ``REPRO_SPARSE=1`` — including through the checkpoint-tree
-timeline — and snapshots written by either core must restore into the
-other, match the brute-force topology oracle, and continue
-identically.
+The conflict core follows the population, not state: every registered
+scenario must produce byte-identical series on the array core and,
+with the auto-promotion threshold lowered to one node, on the sparse
+core — including through the checkpoint-tree timeline — and snapshots
+written by either core must restore into the other, match the
+brute-force topology oracle, and continue identically.
 """
 
 from __future__ import annotations
@@ -22,12 +22,8 @@ from repro.sim.registry import available_scenarios, get_scenario
 from repro.sim.scenarios import resolve_sweep, scenario_trace
 from repro.sim.sweep import run_sweep
 from repro.strategies import make_strategy
-from repro.topology.digraph import AdHocDigraph
+from tests.conftest import core_graph, restore_on, use_core
 from tests.topology.oracles import assert_matches_oracle
-
-
-def _set_core_env(monkeypatch, core):
-    monkeypatch.setenv("REPRO_SPARSE", "1" if core == "sparse" else "0")
 
 
 def _shrunk(name):
@@ -53,17 +49,17 @@ class TestSweepsIdenticalAcrossCores:
         # array and sparse output is byte-identical for every registered
         # scenario, through the default checkpoint-tree timeline
         spec = _shrunk(name)
-        _set_core_env(monkeypatch, "array")
+        use_core(monkeypatch, "array")
         with_array = _series_dict(spec)
-        _set_core_env(monkeypatch, "sparse")
+        use_core(monkeypatch, "sparse")
         with_sparse = _series_dict(spec)
         assert with_sparse == with_array
 
     def test_core_independent_through_cold_replay_too(self, monkeypatch):
         spec = _shrunk("fig12-move-rounds")
-        _set_core_env(monkeypatch, "array")
+        use_core(monkeypatch, "array")
         warm = _series_dict(spec, warm_start=True)
-        _set_core_env(monkeypatch, "sparse")
+        use_core(monkeypatch, "sparse")
         cold = _series_dict(spec, warm_start=False)
         assert warm == cold
 
@@ -78,61 +74,62 @@ def _lane_states(replay):
     return [lane.state_dict() for lane in replay.lanes]
 
 
-_CORE_KWARGS = {"array": dict(sparse_core=False), "sparse": dict(sparse_core=True)}
+_CORES = ("array", "sparse")
 
 
 class TestCrossCoreSnapshots:
     @pytest.mark.parametrize(
         "writer,reader",
-        [(w, r) for w in _CORE_KWARGS for r in _CORE_KWARGS if w != r],
+        [(w, r) for w in _CORES for r in _CORES if w != r],
     )
     def test_digraph_snapshot_round_trips_between_cores(self, writer, reader):
         events = _replay_events()
-        g = AdHocDigraph(**_CORE_KWARGS[writer])
+        g = core_graph(writer)
         for ev in events[:10]:
             g.apply_event(ev)
         snap = g.snapshot()
-        restored = AdHocDigraph.restore(snap, **_CORE_KWARGS[reader])
+        restored = restore_on(reader, snap)
         assert restored.core == reader
         assert restored.snapshot() == snap  # idempotent across the core swap
         assert_matches_oracle(restored)
         # both continue identically from the restore point
-        cont = AdHocDigraph.restore(snap, **_CORE_KWARGS[writer])
+        cont = restore_on(writer, snap)
         for ev in events[10:]:
             restored.apply_event(ev)
             cont.apply_event(ev)
             assert_matches_oracle(restored)
         assert restored.snapshot() == cont.snapshot()
 
-    @pytest.mark.parametrize("writer", sorted(_CORE_KWARGS))
+    @pytest.mark.parametrize("writer", sorted(_CORES))
     def test_replay_checkpoint_restores_under_any_core(self, writer, monkeypatch):
         events = _replay_events()
-        _set_core_env(monkeypatch, writer)
+        use_core(monkeypatch, writer)
         replay = MultiStrategyReplay([make_strategy("Minim"), make_strategy("CP")])
         replay.run(events[:10])
         checkpoint = replay.snapshot()
         states = _lane_states(replay)
-        for reader in sorted(_CORE_KWARGS):
-            _set_core_env(monkeypatch, reader)
+        for reader in sorted(_CORES):
+            use_core(monkeypatch, reader)
             resumed = MultiStrategyReplay.restore(checkpoint)
             assert resumed.snapshot() == checkpoint
             assert _lane_states(resumed) == states
             resumed.run(events[10:])
-            _set_core_env(monkeypatch, writer)
+            use_core(monkeypatch, writer)
             straight = MultiStrategyReplay.restore(checkpoint).run(events[10:])
             assert resumed.snapshot() == straight.snapshot()
             assert _lane_states(resumed) == _lane_states(straight)
 
 
 class TestLaneContainers:
-    @pytest.mark.parametrize("core", sorted(_CORE_KWARGS))
+    @pytest.mark.parametrize("core", sorted(_CORES))
     def test_lanes_hold_array_assignments_under_both_cores(self, core, monkeypatch):
-        _set_core_env(monkeypatch, core)
+        use_core(monkeypatch, core)
         replay = MultiStrategyReplay([make_strategy("Minim")])
+        replay.run(_replay_events(n=8)[:4])
         assert replay.graph.core == core
         assert isinstance(replay.lanes[0].assignment, ArrayCodeAssignment)
 
-    def test_fork_preserves_the_container_kind(self):
+    def test_fork_preserves_the_container_kind(self, each_core):
         replay = MultiStrategyReplay([make_strategy("Minim")])
         replay.run(_replay_events(n=8)[:6])
         fork = replay.fork()
@@ -156,7 +153,7 @@ class TestRoundReplay:
 
     @pytest.mark.parametrize("core", ["array", "sparse"])
     def test_rounds_land_on_the_sequential_graph_state(self, core, monkeypatch):
-        _set_core_env(monkeypatch, core)
+        use_core(monkeypatch, core)
         events = _replay_events(n=16, seed=9)
         rounds = _rounds(events, 5)
         batched = MultiStrategyReplay([make_strategy("Minim")]).run_rounds(rounds)
@@ -168,7 +165,7 @@ class TestRoundReplay:
             assert is_valid(batched.graph, lane.assignment)  # recodes stay valid
 
     def test_result_lists_align_with_events(self, monkeypatch):
-        _set_core_env(monkeypatch, "sparse")
+        use_core(monkeypatch, "sparse")
         events = _replay_events(n=12, seed=3)
         replay = MultiStrategyReplay([make_strategy("Minim"), make_strategy("CP")])
         for round_events in _rounds(events, 4):
@@ -179,7 +176,7 @@ class TestRoundReplay:
         from repro.events.base import JoinEvent, LeaveEvent
         from repro.topology.node import NodeConfig
 
-        _set_core_env(monkeypatch, "sparse")
+        use_core(monkeypatch, "sparse")
         replay = MultiStrategyReplay([make_strategy("Minim")])
         replay.run(_replay_events(n=8, seed=1)[:8])
         base = replay.graph.snapshot()

@@ -16,6 +16,7 @@ from repro.sim.bench import (
     write_bench_json,
 )
 from repro.sim.random_networks import sample_configs
+from repro.topology.digraph import AdHocDigraph
 
 
 class TestDrive:
@@ -31,6 +32,23 @@ class TestDrive:
                 drive_event_loop(events, mode=mode)
             with pytest.raises(ValueError):
                 drive_event_rounds([events], mode=mode)
+
+    def test_pinned_core_holds_for_the_block_only(self, monkeypatch):
+        from repro.sim.bench import _pinned_core
+        from repro.topology import digraph
+
+        monkeypatch.setattr(digraph, "_SPARSE_AUTO_MIN", 10)
+        configs = sample_configs(12, np.random.default_rng(0))
+        with _pinned_core("array"):
+            pinned = AdHocDigraph()
+            pinned.bulk_join(configs)  # past the threshold, still on the array core
+        with _pinned_core("sparse"):
+            assert AdHocDigraph().core == "sparse"  # from construction on
+        assert digraph._SPARSE_AUTO_MIN == 10
+        assert pinned.core == "array"
+        unpinned = AdHocDigraph()
+        unpinned.bulk_join(configs)
+        assert unpinned.core == "sparse"
 
     def test_setup_events_are_untimed_but_applied(self):
         configs = sample_configs(12, np.random.default_rng(0))

@@ -17,6 +17,7 @@ from repro.events.base import Event, JoinEvent, LeaveEvent, MoveEvent, PowerChan
 from repro.sim.network import AdHocNetwork, MultiStrategyReplay
 from repro.sim.random_networks import sample_configs
 from repro.strategies import make_strategy
+from tests.conftest import use_core
 
 STRATEGY_SETS = [
     ("Minim",),
@@ -87,13 +88,10 @@ class TestEquivalencePin:
 
     def test_sparse_core_matches_array_core(self, monkeypatch):
         events = random_trace(14, 16, np.random.default_rng(3), with_leaves=False)
-        monkeypatch.setenv("REPRO_SPARSE", "0")
-        array = MultiStrategyReplay([make_strategy("Minim")])
-        monkeypatch.setenv("REPRO_SPARSE", "1")
-        sparse = MultiStrategyReplay([make_strategy("Minim")])
+        array = MultiStrategyReplay([make_strategy("Minim")]).run(events)
+        use_core(monkeypatch, "sparse")
+        sparse = MultiStrategyReplay([make_strategy("Minim")]).run(events)
         assert (array.graph.core, sparse.graph.core) == ("array", "sparse")
-        array.run(events)
-        sparse.run(events)
         assert array.lanes[0].metrics.records == sparse.lanes[0].metrics.records
 
 

@@ -16,6 +16,7 @@ from repro.sim.scenarios import scenario_phases
 from repro.sim.sweep import build_sweep, plan_tasks, run_sweep
 from repro.strategies import make_strategy
 from repro.topology.digraph import AdHocDigraph
+from tests.conftest import core_graph
 
 
 def paired_spec(**overrides):
@@ -38,11 +39,11 @@ def _graph_state(graph: AdHocDigraph):
 # AdHocDigraph.snapshot() / restore()
 # ----------------------------------------------------------------------
 class TestDigraphSnapshot:
-    @pytest.mark.parametrize("sparse", [False, True], ids=["array", "sparse"])
-    def test_restore_then_replay_matches_uninterrupted_graph(self, sparse):
+    @pytest.mark.parametrize("core", ["array", "sparse"])
+    def test_restore_then_replay_matches_uninterrupted_graph(self, core):
         rng = np.random.default_rng(11)
         cfgs = sample_configs(25, rng)
-        g = AdHocDigraph(sparse_core=sparse)
+        g = core_graph(core)
         for c in cfgs[:15]:
             g.add_node(c)
         # full JSON round trip: snapshots must survive serialization

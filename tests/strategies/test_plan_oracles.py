@@ -22,6 +22,7 @@ from repro.sim.scenarios import resolve_sweep, scenario_phases
 from repro.strategies.minim import MinimStrategy, plan_local_matching_recode
 from repro.strategies.minim.join import solve_v1_assignment
 from repro.topology.static import StaticDigraph
+from tests.conftest import use_core
 from tests.strategies.oracles import plan_oracle, solve_v1_oracle
 
 FIGURES = ["fig10-join", "fig10-range", "fig11-power", "fig12-move-disp", "fig12-move-rounds"]
@@ -53,15 +54,15 @@ class OracleCheckedMinim(MinimStrategy):
 
 def replay_checked(name: str, core: str, monkeypatch, *, n: int = 18, **weights) -> int:
     """Replay every sweep value of figure ``name``; the number of plans checked."""
-    monkeypatch.setenv("REPRO_SPARSE", "1" if core == "sparse" else "0")
+    use_core(monkeypatch, core)
     spec = replace(get_scenario(name), n=min(get_scenario(name).n, n))
     checked = 0
     for k, value in enumerate(spec.sweep_values):
         phases = scenario_phases(resolve_sweep(spec, value), np.random.default_rng(100 + k))
         strategy = OracleCheckedMinim(**weights)
         replay = MultiStrategyReplay([strategy], validate=True)
-        assert replay.graph.core == core
         replay.run(phases.events)
+        assert replay.graph.core == core
         checked += strategy.checked
     return checked
 

@@ -26,13 +26,14 @@ from repro.geometry.obstacles import RectObstacle
 from repro.topology.digraph import AdHocDigraph, default_core
 from repro.topology.node import NodeConfig
 from repro.topology.propagation import ObstructedPropagation
+from tests.conftest import core_graph, restore_on
 from tests.topology.oracles import assert_matches_oracle
 
-CORES = {"array": dict(sparse_core=False), "sparse": dict(sparse_core=True)}
+CORES = ("array", "sparse")
 
 
 def _both_cores(prop=None):
-    return [AdHocDigraph(prop, **CORES["array"]), AdHocDigraph(prop, **CORES["sparse"])]
+    return [core_graph("array", prop), core_graph("sparse", prop)]
 
 
 def _random_trace(graphs, seed, steps, check, area=100.0, first_id=1, alive=None):
@@ -122,14 +123,14 @@ class TestRandomizedArrayEquivalence:
 
     @pytest.mark.parametrize("core", sorted(CORES))
     def test_grid_tracks_every_node(self, core):
-        g = AdHocDigraph(**CORES[core])
+        g = core_graph(core)
         g.add_node(NodeConfig(1, 10.0, 10.0, 25.0))
         assert g.grid_index is not None  # forces the deferred build
         assert len(g.grid_index) == 1
 
     @pytest.mark.parametrize("core", sorted(CORES))
     def test_regrid_on_large_power_raise(self, core):
-        g = AdHocDigraph(**CORES[core])
+        g = core_graph(core)
         for i in range(1, 10):
             g.add_node(NodeConfig(i, 10.0 * i, 5.0, 4.0))
         small_cell = g.grid_index.cell_size
@@ -140,7 +141,7 @@ class TestRandomizedArrayEquivalence:
 
     @pytest.mark.parametrize("core", sorted(CORES))
     def test_copy_preserves_the_core(self, core):
-        g = AdHocDigraph(**CORES[core])
+        g = core_graph(core)
         rng = np.random.default_rng(3)
         for i in range(1, 30):
             g.add_node(
@@ -247,7 +248,7 @@ class TestCornerTraces:
 class TestSlotQuerySurface:
     @pytest.fixture(params=sorted(CORES))
     def graph(self, request):
-        g = AdHocDigraph(**CORES[request.param])
+        g = core_graph(request.param)
         rng = np.random.default_rng(11)
         for i in range(1, 40):
             g.add_node(
@@ -292,12 +293,13 @@ class TestSlotQuerySurface:
 
 class TestSparseCoreEquivalence:
     @pytest.mark.parametrize(("src", "dst"), [("array", "sparse"), ("sparse", "array")])
-    def test_cross_core_snapshot_restore(self, src, dst):
-        origin = AdHocDigraph(**CORES[src])
+    def test_cross_core_snapshot_restore(self, src, dst, sparse_restores):
+        origin = core_graph(src)
         _random_trace([origin], seed=13, steps=50, check=lambda *_: None)
         snap = origin.snapshot()
-        restored = AdHocDigraph.restore(snap, **CORES[dst])
+        restored = restore_on(dst, snap)
         assert restored.core == dst
+        assert sparse_restores == (["triples"] if dst == "sparse" else [])
         assert restored.snapshot() == snap  # round-trip is byte-identical
         # and the restored graph *continues* identically under churn
         _random_trace(
@@ -309,25 +311,43 @@ class TestSparseCoreEquivalence:
             alive=origin.node_ids(),
         )
 
-    def test_auto_promotion_matches_pinned_cores(self, monkeypatch):
+    def test_auto_promotion_matches_the_sparse_core(self, monkeypatch):
         import repro.topology.digraph as digraph_mod
 
-        monkeypatch.delenv("REPRO_SPARSE", raising=False)
         monkeypatch.setattr(digraph_mod, "_SPARSE_AUTO_MIN", 10)
-        graphs = [AdHocDigraph(), *_both_cores()]  # first: auto-promotion armed
+        graphs = [AdHocDigraph(), core_graph("sparse")]
         assert graphs[0].core == "array"
         _random_trace(graphs, seed=5, steps=80, check=_assert_cores_agree)
         assert graphs[0].core == "sparse"  # crossed the threshold mid-trace
-        assert graphs[1].core == "array"  # an explicit pin never promotes
+
+    def test_batched_rounds_and_restores_promote_up_front(self, monkeypatch):
+        import repro.topology.digraph as digraph_mod
+
+        monkeypatch.setattr(digraph_mod, "_SPARSE_AUTO_MIN", 10)
+        rng = np.random.default_rng(8)
+        configs = [
+            NodeConfig(i, float(rng.uniform(0, 100)), float(rng.uniform(0, 100)), 25.0)
+            for i in range(1, 13)
+        ]
+        bulk, rounds, sequential = AdHocDigraph(), AdHocDigraph(), AdHocDigraph()
+        bulk.bulk_join(configs)
+        rounds.apply_round([JoinEvent(cfg) for cfg in configs])
+        for cfg in configs:
+            sequential.add_node(cfg)
+        restored = AdHocDigraph.restore(sequential.snapshot())
+        for g in (bulk, rounds, sequential, restored):
+            assert g.core == "sparse"
+            assert g.snapshot() == sequential.snapshot()
+            assert_matches_oracle(g)
 
 
 class TestSparseRoundBatching:
     @pytest.mark.parametrize("seed", range(3))
     def test_apply_round_matches_sequential(self, seed):
         rng = np.random.default_rng(seed)
-        batched = AdHocDigraph(sparse_core=True)
-        sequential = AdHocDigraph(sparse_core=True)
-        witness = AdHocDigraph(sparse_core=False)
+        batched = core_graph("sparse")
+        sequential = core_graph("sparse")
+        witness = core_graph("array")
         alive: list[int] = []
         next_id = 1
         for _ in range(8):
@@ -363,7 +383,7 @@ class TestSparseRoundBatching:
             assert_matches_oracle(batched)
 
     def test_non_sparse_cores_fall_back_to_sequential(self):
-        g = AdHocDigraph(sparse_core=False)
+        g = core_graph("array")
         events = [
             JoinEvent(NodeConfig(1, 10.0, 10.0, 30.0)),
             JoinEvent(NodeConfig(2, 20.0, 10.0, 30.0)),
@@ -390,8 +410,8 @@ class TestBulkJoin:
     @pytest.mark.parametrize("seed", range(3))
     def test_bulk_join_matches_sequential(self, seed):
         configs = self._configs(120, seed)
-        bulk = AdHocDigraph(sparse_core=True)
-        sequential = AdHocDigraph(sparse_core=True)
+        bulk = core_graph("sparse")
+        sequential = core_graph("sparse")
         deltas = bulk.bulk_join(configs)
         for cfg in configs:
             sequential.add_node(cfg)
@@ -403,8 +423,8 @@ class TestBulkJoin:
 
     def test_apply_round_routes_all_join_rounds(self):
         configs = self._configs(40, seed=4)
-        routed = AdHocDigraph(sparse_core=True)
-        sequential = AdHocDigraph(sparse_core=True)
+        routed = core_graph("sparse")
+        sequential = core_graph("sparse")
         got = routed.apply_round([JoinEvent(cfg) for cfg in configs])
         want = [sequential.apply_event(JoinEvent(cfg)) for cfg in configs]
         assert got == want
@@ -413,7 +433,7 @@ class TestBulkJoin:
     def test_duplicate_join_fails_before_any_mutation(self):
         from repro.errors import DuplicateNodeError
 
-        g = AdHocDigraph(sparse_core=True)
+        g = core_graph("sparse")
         configs = self._configs(10, seed=2)
         snap = None
         g.bulk_join(configs)
@@ -425,10 +445,10 @@ class TestBulkJoin:
 
     def test_non_sparse_core_falls_back_to_sequential(self):
         configs = self._configs(12, seed=6)
-        g = AdHocDigraph(sparse_core=False)
+        g = core_graph("array")
         deltas = g.bulk_join(configs)
         assert [d.version for d in deltas] == list(range(1, 13))
-        witness = AdHocDigraph(sparse_core=False)
+        witness = core_graph("array")
         for cfg in configs:
             witness.add_node(cfg)
         assert g.snapshot() == witness.snapshot()
@@ -437,7 +457,7 @@ class TestBulkJoin:
 class TestConflictSlotLists:
     @pytest.fixture()
     def graph(self):
-        g = AdHocDigraph(sparse_core=True)
+        g = core_graph("sparse")
         rng = np.random.default_rng(21)
         for i in range(1, 80):
             g.add_node(
@@ -476,7 +496,7 @@ class TestConflictSlotLists:
 
     def test_empty_and_non_sparse_fallback(self, graph):
         assert graph.conflict_slot_lists(np.asarray([], dtype=np.intp)) == []
-        dense = AdHocDigraph(sparse_core=False)
+        dense = core_graph("array")
         dense.add_node(NodeConfig(1, 10.0, 10.0, 30.0))
         dense.add_node(NodeConfig(2, 20.0, 10.0, 30.0))
         (row,) = dense.conflict_slot_lists(np.asarray([0], dtype=np.intp))
@@ -484,28 +504,23 @@ class TestConflictSlotLists:
 
 
 class TestArrayCoreDefaults:
-    def test_array_is_the_default_core(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPARSE", raising=False)
+    def test_array_is_the_default_core(self):
         assert AdHocDigraph().core == "array"
         assert default_core() == "array"
 
-    def test_sparse_env_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARSE", "1")
-        assert AdHocDigraph().core == "sparse"
-        assert default_core() == "sparse"
-        # an explicit core pin beats the env knob
-        assert AdHocDigraph(sparse_core=False).core == "array"
-
-    def test_default_core_accounts_for_population(self, monkeypatch):
+    def test_default_core_accounts_for_population(self):
         import repro.topology.digraph as digraph_mod
 
-        monkeypatch.delenv("REPRO_SPARSE", raising=False)
         threshold = digraph_mod._SPARSE_AUTO_MIN
         assert default_core() == "array"
         assert default_core(threshold - 1) == "array"
         assert default_core(threshold) == "sparse"
-        monkeypatch.setenv("REPRO_SPARSE", "0")  # pin disables auto-promotion
-        assert default_core(threshold) == "array"
+
+    def test_core_choice_parameter_is_gone(self):
+        with pytest.raises(TypeError):
+            AdHocDigraph(sparse_core=True)
+        with pytest.raises(TypeError):
+            AdHocDigraph.restore(json.loads(_DICT_MODE_SNAPSHOT), sparse_core=True)
 
 
 class TestRetiredKnobs:
@@ -513,7 +528,8 @@ class TestRetiredKnobs:
 
     def _assert_rejected(self, monkeypatch, var, value):
         monkeypatch.setenv(var, value)
-        for build in (AdHocDigraph, lambda: AdHocDigraph(sparse_core=True), default_core):
+        snapshot = json.loads(_DICT_MODE_SNAPSHOT)
+        for build in (AdHocDigraph, lambda: AdHocDigraph.restore(snapshot), default_core):
             with pytest.raises(ConfigurationError, match=f"{var}=.*removed"):
                 build()
 
@@ -529,6 +545,11 @@ class TestRetiredKnobs:
     def test_repro_array_off_rejected(self, monkeypatch, value):
         self._assert_rejected(monkeypatch, "REPRO_ARRAY", value)
 
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_repro_sparse_rejected(self, monkeypatch, value):
+        # it chose between the two cores by hand; the population does now
+        self._assert_rejected(monkeypatch, "REPRO_SPARSE", value)
+
     def test_former_no_op_settings_stay_accepted(self, monkeypatch):
         monkeypatch.delenv("REPRO_SPARSE", raising=False)
         for var, value in [
@@ -537,6 +558,7 @@ class TestRetiredKnobs:
             ("REPRO_SPARSE_SCALAR", "0"),
             ("REPRO_SPARSE_SCALAR", ""),
             ("REPRO_ARRAY", "1"),
+            ("REPRO_SPARSE", ""),
         ]:
             monkeypatch.setenv(var, value)
             assert AdHocDigraph().core == default_core() == "array"
@@ -564,7 +586,7 @@ _DICT_MODE_SNAPSHOT = (
 
 
 def _compat_graph(core):
-    g = AdHocDigraph(**CORES[core])
+    g = core_graph(core)
     joins = [(10, 10, 25), (30, 12, 18), (22, 30, 30), (50, 40, 12), (45, 20, 28), (5, 35, 22)]
     for i, (x, y, r) in enumerate(joins, 1):
         g.add_node(NodeConfig(i, float(x), float(y), float(r)))
@@ -572,6 +594,20 @@ def _compat_graph(core):
     g.set_range(4, 26.0)
     g.remove_node(2)
     return g
+
+
+@pytest.fixture
+def sparse_restores(monkeypatch):
+    """The C2 form handed to each sparse-row restore, in call order."""
+    calls: list[str] = []
+    original = AdHocDigraph._restore_sparse_state
+
+    def spy(self, n, edges, c2, *, triples=False):
+        calls.append("re-derived" if c2 is None else "triples" if triples else "matrix")
+        return original(self, n, edges, c2, triples=triples)
+
+    monkeypatch.setattr(AdHocDigraph, "_restore_sparse_state", spy)
+    return calls
 
 
 class TestSnapshotCompatibility:
@@ -583,10 +619,13 @@ class TestSnapshotCompatibility:
 
     @pytest.mark.parametrize("core", sorted(CORES))
     @pytest.mark.parametrize("literal", ["dense", "dict"])
-    def test_former_core_snapshots_restore(self, core, literal):
+    def test_former_core_snapshots_restore(self, core, literal, sparse_restores):
         text = _DENSE_MODE_SNAPSHOT if literal == "dense" else _DICT_MODE_SNAPSHOT
-        restored = AdHocDigraph.restore(json.loads(text), **CORES[core])
+        restored = restore_on(core, json.loads(text))
         assert restored.core == core
+        # the sparse core restores its rows directly, never via the array core
+        form = "re-derived" if literal == "dense" else "triples"
+        assert sparse_restores == ([form] if core == "sparse" else [])
         assert restored.version == 9
         assert_matches_oracle(restored)  # dense: the C2 counters were re-derived
         if literal == "dict":
@@ -603,7 +642,7 @@ class TestSnapshotCompatibility:
 
     @pytest.mark.parametrize("core", sorted(CORES))
     @pytest.mark.parametrize("schema", [1, 2])
-    def test_legacy_schema_payloads_restore(self, core, schema):
+    def test_legacy_schema_payloads_restore(self, core, schema, sparse_restores):
         # schemas 1 and 2 stored C2 as a dense n x n matrix; schema 1
         # also predates the recorded propagation model
         payload = json.loads(_DICT_MODE_SNAPSHOT)
@@ -614,7 +653,8 @@ class TestSnapshotCompatibility:
         payload.update(schema=schema, c2=c2)
         if schema == 1:
             del payload["propagation"]
-        restored = AdHocDigraph.restore(payload, **CORES[core])
+        restored = restore_on(core, payload)
         assert restored.core == core
+        assert sparse_restores == (["matrix"] if core == "sparse" else [])
         assert_matches_oracle(restored)
         assert json.dumps(restored.snapshot()) == _DICT_MODE_SNAPSHOT

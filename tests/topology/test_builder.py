@@ -9,6 +9,9 @@ from repro.topology.builder import build_digraph, bulk_adjacency
 from repro.topology.node import NodeConfig
 from repro.topology.propagation import ObstructedPropagation
 
+# run every test once per conflict core (see tests/conftest.py::use_core)
+pytestmark = pytest.mark.usefixtures("each_core")
+
 
 class TestBuildDigraph:
     def test_duplicate_ids_rejected(self):

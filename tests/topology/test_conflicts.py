@@ -14,6 +14,9 @@ from repro.topology.conflicts import (
 from repro.topology.static import StaticDigraph
 from tests.conftest import make_random_graph
 
+# run every test once per conflict core (see tests/conftest.py::use_core)
+pytestmark = pytest.mark.usefixtures("each_core")
+
 
 def brute_force_conflicts(adj: np.ndarray) -> np.ndarray:
     """CA1/CA2 by direct definition, nested loops."""

@@ -1,11 +1,16 @@
 """Tests for connectivity predicates."""
 
+import pytest
+
 from repro.topology.builder import build_digraph
 from repro.topology.connectivity import (
     has_minimal_connectivity,
     weakly_connected_components,
 )
 from repro.topology.node import NodeConfig
+
+# run every test once per conflict core (see tests/conftest.py::use_core)
+pytestmark = pytest.mark.usefixtures("each_core")
 
 
 def cfg(i, x, r=12.0):

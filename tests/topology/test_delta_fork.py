@@ -21,13 +21,14 @@ from repro.geometry.obstacles import RectObstacle
 from repro.sim.random_networks import sample_configs
 from repro.topology.digraph import AdHocDigraph
 from repro.topology.propagation import ObstructedPropagation
+from tests.conftest import core_graph
 from tests.topology.oracles import assert_matches_oracle
 
 CORES = ("array", "sparse")
 
 
 def make_graph(core: str) -> AdHocDigraph:
-    return AdHocDigraph(sparse_core=core == "sparse")
+    return core_graph(core)
 
 
 def canonical(graph: AdHocDigraph) -> str:
@@ -97,7 +98,7 @@ class TestDeltaRoundTrips:
         # oracle re-derives them with the walls in place
         walls = (RectObstacle(20.0, 30.0, 35.0, 80.0), RectObstacle(60.0, 10.0, 70.0, 55.0))
         rng = np.random.default_rng(23)
-        g = AdHocDigraph(ObstructedPropagation(walls), sparse_core=core == "sparse")
+        g = core_graph(core, ObstructedPropagation(walls))
         cfgs = sample_configs(30, rng)
         for cfg in cfgs:
             g.apply_event(JoinEvent(cfg))

@@ -10,14 +10,18 @@ from repro.topology.builder import build_digraph, bulk_adjacency
 from repro.topology.digraph import AdHocDigraph
 from repro.topology.node import NodeConfig
 
+# run every test once per conflict core (see tests/conftest.py::use_core)
+pytestmark = pytest.mark.usefixtures("each_core")
+
 
 def cfg(i, x, y, r=12.0):
     return NodeConfig(i, float(x), float(y), tx_range=float(r))
 
 
 class TestBasicOps:
-    def test_empty(self):
+    def test_empty(self, each_core):
         g = AdHocDigraph()
+        assert g.core == each_core  # from construction on, before any join
         assert len(g) == 0
         assert g.node_ids() == []
         assert g.edge_count() == 0

@@ -6,6 +6,9 @@ from repro.topology.neighborhoods import join_partition, k_hop_neighbors, vicini
 from repro.topology.static import StaticDigraph
 from tests.conftest import make_random_graph
 
+# run every test once per conflict core (see tests/conftest.py::use_core)
+pytestmark = pytest.mark.usefixtures("each_core")
+
 
 @pytest.fixture
 def star():

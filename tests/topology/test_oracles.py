@@ -15,9 +15,9 @@ import pytest
 
 from repro.geometry.obstacles import RectObstacle
 from repro.topology.conflicts import conflict_matrix
-from repro.topology.digraph import AdHocDigraph
 from repro.topology.node import NodeConfig
 from repro.topology.propagation import ObstructedPropagation
+from tests.conftest import core_graph
 from tests.topology.oracles import (
     adjacency_oracle,
     assert_matches_oracle,
@@ -25,11 +25,11 @@ from tests.topology.oracles import (
     c2_oracle,
 )
 
-CORES = {"array": dict(sparse_core=False), "sparse": dict(sparse_core=True)}
+CORES = ("array", "sparse")
 
 
 def _graph(nodes, prop=None, core="array"):
-    g = AdHocDigraph(prop, **CORES[core])
+    g = core_graph(core, prop)
     for node_id, x, y, r in nodes:
         g.add_node(NodeConfig(node_id, float(x), float(y), float(r)))
     return g
@@ -52,7 +52,7 @@ def _by_loops(adj):
 class TestAdjacencyOracle:
     @pytest.mark.parametrize("core", sorted(CORES))
     def test_empty_graph(self, core):
-        g = AdHocDigraph(**CORES[core])
+        g = core_graph(core)
         ids, adj = adjacency_oracle(g)
         assert ids == [] and adj.shape == (0, 0)
         assert c2_oracle(adj).shape == (0, 0)

@@ -1,6 +1,7 @@
 """Tests for propagation models."""
 
 import numpy as np
+import pytest
 
 from repro.geometry.obstacles import RectObstacle
 from repro.topology.builder import build_digraph
@@ -10,6 +11,9 @@ from repro.topology.propagation import (
     ObstructedPropagation,
     PropagationModel,
 )
+
+# run every test once per conflict core (see tests/conftest.py::use_core)
+pytestmark = pytest.mark.usefixtures("each_core")
 
 
 class TestFreeSpace:

@@ -21,9 +21,10 @@ from repro.geometry.obstacles import RectObstacle
 from repro.topology.digraph import AdHocDigraph
 from repro.topology.node import NodeConfig
 from repro.topology.propagation import ObstructedPropagation
+from tests.conftest import core_graph
 from tests.topology.oracles import assert_matches_oracle
 
-CORES = {"array": dict(sparse_core=False), "sparse": dict(sparse_core=True)}
+CORES = ("array", "sparse")
 
 
 def _check_slot_tables(g: AdHocDigraph) -> None:
@@ -121,20 +122,20 @@ class TestSlotInvariantsUnderChurn:
     @pytest.mark.parametrize("core", sorted(CORES))
     @pytest.mark.parametrize("seed", range(6))
     def test_random_churn_preserves_invariants(self, core, seed):
-        _churn(AdHocDigraph(**CORES[core]), seed)
+        _churn(core_graph(core), seed)
 
     @pytest.mark.parametrize("core", sorted(CORES))
     @pytest.mark.parametrize("seed", range(3))
     def test_churn_under_obstruction_preserves_invariants(self, core, seed):
         # line-of-sight prunes links inside the grid's candidate discs
         walls = (RectObstacle(30.0, 20.0, 45.0, 90.0), RectObstacle(70.0, 60.0, 110.0, 75.0))
-        _churn(AdHocDigraph(ObstructedPropagation(walls), **CORES[core]), seed + 10)
+        _churn(core_graph(core, ObstructedPropagation(walls)), seed + 10)
 
     @pytest.mark.parametrize("core", sorted(CORES))
     def test_remove_last_slot_and_drain_to_empty(self, core):
         # the i == last branch (no swap), then drain through repeated
         # swap-deletes of slot 0, then rebuild on the emptied tables
-        g = AdHocDigraph(**CORES[core])
+        g = core_graph(core)
         for i in range(1, 13):
             g.add_node(NodeConfig(i, float(3 * i), float(2 * i), 20.0))
         g.remove_node(12)  # departing node *is* the last slot
