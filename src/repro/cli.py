@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default=None,
         metavar="DEST|KEY|SUB",
-        help="migration target (migrate), quarantined task key (inspect), "
+        help="migration target (migrate), quarantined task key (inspect, requeue), "
         "or checkpoint subaction 'ls'/'gc' (ckpt; default ls)",
     )
     pst.add_argument(
@@ -693,7 +693,8 @@ def _run_store_cmd(args: argparse.Namespace) -> int:
             inspect_quarantined(backend, args.dest)
             return 0
         if args.action == "requeue":
-            keys = args.key if args.key else backend.list_quarantined()
+            named = [*(args.key or ()), *([args.dest] if args.dest else ())]
+            keys = named or backend.list_quarantined()
             released = 0
             for key in keys:
                 if backend.requeue_quarantined(key):

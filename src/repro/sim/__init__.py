@@ -17,7 +17,6 @@ from repro.sim.registry import available_scenarios, get_scenario, register_scena
 from repro.sim.results import (
     JsonDirBackend,
     ResultsBackend,
-    ResultsStore,
     SqliteBackend,
     migrate_store,
     open_backend,
@@ -70,7 +69,6 @@ __all__ = [
     "PrecisionTarget",
     "ProcessExecutor",
     "ResultsBackend",
-    "ResultsStore",
     "RunController",
     "ScenarioSpec",
     "SerialExecutor",

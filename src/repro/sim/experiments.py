@@ -15,7 +15,7 @@ Every data point is averaged over ``runs`` independent random networks
 (paper: 100; default here: 5, overridable via the ``REPRO_RUNS``
 environment variable or the ``runs`` argument).  Workloads are generated
 once per run and replayed identically against every strategy; passing a
-:class:`~repro.sim.results.ResultsStore` makes re-invocations resume
+:class:`~repro.sim.results.ResultsBackend` makes re-invocations resume
 from completed points.
 """
 

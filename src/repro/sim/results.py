@@ -1,9 +1,9 @@
 """Pluggable results backends for experiment sweeps.
 
-A sweep persists four kinds of artifact through one
-:class:`ResultsBackend`:
+A sweep persists everything through one :class:`ResultsBackend`, as
+JSON records in nine key-value tables:
 
-* **points** — one artifact per (sweep point, run), keyed by a content
+* **points** — one record per (sweep point, run), keyed by a content
   hash of the fully resolved point spec plus the run's seed.  Because
   keys depend only on *what was computed*, re-invoking an identical
   sweep finds every point already present and skips the computation
@@ -17,40 +17,47 @@ A sweep persists four kinds of artifact through one
   :class:`~repro.analysis.series.ExperimentSeries` per experiment id
   (latest-wins by design; the per-sweep copy inside the manifest stays
   addressable by sweep key).
-* **tasks + claims** — the shared work queue of the worker executor
-  (:mod:`repro.sim.executor`): pending task descriptors plus lease
-  claims with a TTL, giving multiple worker processes (or hosts on a
-  shared filesystem) at-least-once draining of one sweep.
-* **checkpoints** — content-keyed delta-chain links of the execution
-  timeline (:mod:`repro.sim.timeline`): each row is one stage
-  boundary serialized as an O(changes) delta against its base link.
-  Conditional puts (if-absent) make concurrent workers race-free, and
-  because keys commit to the whole event prefix, any process or host
-  that hits a stored key resumes the shared prefix instead of
-  replaying it.  ``store ckpt <path> ls/gc`` lists and prunes the
-  table; :meth:`~ResultsBackend.gc_checkpoints` keeps only links some
-  live manifest's points reference.
+* **tasks** — the shared work queue of the worker executor
+  (:mod:`repro.sim.executor`): pending task descriptors, drained under
+  TTL claims (leases) by any number of worker processes, or hosts on a
+  shared filesystem, with at-least-once semantics.
 * **churn + quarantine** — the control plane's health state: per-task
   lease-break counters (bumped whenever :meth:`~ResultsBackend.try_claim`
   breaks a stale lease) and a quarantine table holding descriptors that
   churned too often or failed to decode, so one poison task stops being
   re-claimed forever.  ``minim-cdma store stats`` surfaces both and
   ``store requeue`` releases quarantined tasks back into the queue.
+* **heartbeats** — each worker's latest liveness stamp, so the monitor
+  flags a stale worker instead of showing it as silently live.
+* **checkpoints + meta** — content-keyed delta-chain links of the
+  execution timeline (:mod:`repro.sim.timeline`): each record is one
+  stage boundary serialized as an O(changes) delta against its base
+  link.  Conditional puts (if-absent) make concurrent workers
+  race-free, and because keys commit to the whole event prefix, any
+  process or host that hits a stored key resumes the shared prefix
+  instead of replaying it.  The one ``meta`` record holds the table's
+  fleet counters.  ``store ckpt <path> ls/gc`` lists and prunes the
+  table; :meth:`~ResultsBackend.gc_checkpoints` keeps only links some
+  live manifest's points reference.
 
-Two backends implement the interface:
+Every table is written once, on :class:`ResultsBackend`, over a small
+storage interface (per-table get/put/put-if-absent/delete/keys, bulk
+items and stat) plus the claim primitives.  Two backends implement it:
 
-* :class:`JsonDirBackend` (the historical ``ResultsStore``) — plain
-  JSON files under one root directory, rsyncable and diffable with
-  ordinary tools.  Claims are ``O_EXCL`` lease files.
+* :class:`JsonDirBackend` — one JSON file per record under a root
+  directory, rsyncable and diffable with ordinary tools.  Claims are
+  ``O_EXCL`` lease files.
 * :class:`SqliteBackend` — one stdlib-``sqlite3`` file holding every
-  artifact kind as a table, for sweeps with 10⁴+ points where a
-  directory of tiny JSON files stops scaling.  Claims are
-  ``INSERT OR IGNORE`` rows.
+  table as rows of one ``artifacts`` table, for sweeps with 10⁴+
+  points where a directory of tiny JSON files stops scaling.  Claims
+  are ``INSERT OR IGNORE`` rows of a ``claims`` table.
 
 :func:`open_backend` resolves a path (or locator string) to the right
-backend, :func:`migrate_store` copies any backend into any other, and
-:meth:`JsonDirBackend.compact` folds a JSON directory store into a
-single SQLite table in place.
+backend, :func:`migrate_store` copies the durable tables of any backend
+into any other, and :meth:`JsonDirBackend.compact` folds a JSON
+directory store into a single SQLite file in place.  The storage
+contract and the on-disk layout of both backends are described in
+``docs/architecture/results-store.md``.
 """
 
 from __future__ import annotations
@@ -79,7 +86,6 @@ __all__ = [
     "CheckpointScope",
     "JsonDirBackend",
     "ResultsBackend",
-    "ResultsStore",
     "SqliteBackend",
     "migrate_store",
     "open_backend",
@@ -100,6 +106,23 @@ DEFAULT_CLAIM_TTL = 60.0
 #: :func:`open_backend` sniffs to route a directory to SQLite).
 _SQLITE_BASENAME = "store.sqlite"
 _SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+
+#: Every key-value table of a store.
+_TABLES = (
+    "points",
+    "manifests",
+    "series",
+    "tasks",
+    "churn",
+    "quarantine",
+    "heartbeats",
+    "checkpoints",
+    "meta",
+)
+
+#: The tables :func:`migrate_store` copies; the rest is queue state
+#: and fleet counters.
+_DURABLE_TABLES = ("points", "manifests", "series", "checkpoints")
 
 
 def _canonical(obj: Any) -> str:
@@ -142,11 +165,21 @@ def point_key(point_spec: "ScenarioSpec", seed) -> str:
 
 
 class ResultsBackend(abc.ABC):
-    """Storage interface every sweep artifact flows through.
+    """The nine store tables, written once over a small storage interface.
 
-    Concrete backends implement the raw record operations; the shared
-    point/series conveniences (payload wrapping, missing-series errors,
-    content keys) live here so all backends behave identically.
+    Every domain method below is a short call into the storage
+    primitives a backend implements:
+
+    * per table: :meth:`_get`, :meth:`_put`, :meth:`_put_if_absent`,
+      :meth:`_delete` and :meth:`_keys`;
+    * in bulk: :meth:`_items` (records of a table, or of some keys of
+      it) and :meth:`_stat` (record count and stored bytes);
+    * the claim primitives :meth:`try_claim`, :meth:`renew_claim`,
+      :meth:`release_claim`, :meth:`claim_info` and :meth:`claim_age`,
+      whose atomicity differs per backend.
+
+    Every key entering through a domain method or a claim primitive is
+    checked by :meth:`_key`, so both backends accept the same keys.
     """
 
     #: String that re-opens this backend in another process via
@@ -163,6 +196,96 @@ class ResultsBackend(abc.ABC):
         """The artifact key of one (resolved point spec, run seed) pair."""
         return point_key(point_spec, seed)
 
+    def _key(self, key: str) -> str:
+        """``key`` itself when it is a valid store key.
+
+        A key names one file of the JSON layout, so a key that is empty,
+        starts with ``.``, or holds a path separator or NUL raises a
+        :class:`ConfigurationError` on every backend alike.
+        """
+        if not key or key[0] == "." or any(c in key for c in "/\\\0"):
+            raise ConfigurationError(
+                f"invalid store key {key!r} for {self.locator}: keys are non-empty, "
+                "do not start with '.' and hold no '/', '\\' or NUL"
+            )
+        return key
+
+    # ------------------------------------------------------------------
+    # Storage primitives
+    # ------------------------------------------------------------------
+    @abc.abstractmethod
+    def _get(self, table: str, key: str) -> dict | None:
+        """The record stored under ``key`` in ``table``, or ``None``."""
+
+    @abc.abstractmethod
+    def _put(self, table: str, key: str, record: dict) -> None:
+        """Store ``record`` under ``key`` atomically (last write wins)."""
+
+    @abc.abstractmethod
+    def _put_if_absent(self, table: str, key: str, record: dict) -> bool:
+        """Store ``record`` unless ``key`` exists; ``True`` when this call won."""
+
+    @abc.abstractmethod
+    def _delete(self, table: str, key: str) -> None:
+        """Remove ``key`` from ``table`` (no-op when absent)."""
+
+    @abc.abstractmethod
+    def _keys(self, table: str) -> list[str]:
+        """All keys of ``table``, ascending."""
+
+    @abc.abstractmethod
+    def _items(self, table: str, keys: "list[str] | None" = None) -> Iterator[tuple[str, dict]]:
+        """``(key, record)`` for every record of ``table`` (ascending keys),
+        or for each of ``keys`` that is stored; absent keys are skipped."""
+
+    @abc.abstractmethod
+    def _stat(self, table: str) -> tuple[int, int]:
+        """``(records, stored bytes)`` of ``table``, without decoding any."""
+
+    # ------------------------------------------------------------------
+    # Claim primitives
+    # ------------------------------------------------------------------
+    @abc.abstractmethod
+    def try_claim(self, key: str, owner: str, *, ttl: float = DEFAULT_CLAIM_TTL) -> bool:
+        """Atomically claim ``key`` for ``owner``; ``True`` on success.
+
+        A claim older than ``ttl`` seconds counts as abandoned and is
+        broken, so a worker that died mid-computation never wedges the
+        queue (at-least-once semantics: the point may then be computed
+        twice, which is safe because saves are idempotent).  Breaking a
+        stale claim counts one lease break for ``key``.
+        """
+
+    @abc.abstractmethod
+    def renew_claim(self, key: str, owner: str) -> None:
+        """Refresh a held claim's timestamp (no-op when absent).
+
+        Drain loops call this as each group member completes, so a
+        lease only goes stale when its holder stops making progress for
+        a whole TTL — not merely because the group is large.
+        """
+
+    @abc.abstractmethod
+    def release_claim(self, key: str) -> None:
+        """Release a claim (no-op when absent)."""
+
+    @abc.abstractmethod
+    def claim_info(self) -> dict[str, dict]:
+        """``{key: {"owner": str, "age": seconds}}`` for every live claim.
+
+        ``age`` counts from the last grant *or renewal*, i.e. it is the
+        time the lease has gone without progress — the quantity the TTL
+        staleness check and ``store stats`` both care about.
+        """
+
+    @abc.abstractmethod
+    def claim_age(self, key: str) -> float | None:
+        """Age of one key's claim in seconds, or ``None`` when unclaimed."""
+
+    def list_claims(self) -> list[str]:
+        """Keys currently under claim, ascending."""
+        return sorted(self.claim_info())
+
     # ------------------------------------------------------------------
     # Point artifacts
     # ------------------------------------------------------------------
@@ -171,14 +294,7 @@ class ResultsBackend(abc.ABC):
         record = self.load_point_record(key)
         if _met.ENABLED:
             _met.REGISTRY.inc("store.point.hit" if record is not None else "store.point.miss")
-        if record is None:
-            return None
-        try:
-            return record["result"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(
-                f"corrupt results artifact {self.point_locator(key)}: {exc}"
-            ) from exc
+        return None if record is None else self._result(key, record)
 
     def save_point(self, key: str, result: Any, *, context: dict | None = None) -> None:
         """Persist one point result (with provenance context) atomically.
@@ -197,46 +313,63 @@ class ResultsBackend(abc.ABC):
         """``{key: result}`` for every stored key in ``keys``.
 
         Absent keys are omitted.  The batched cache probe of the claim
-        stage and the worker drain loop; backends with a cheaper bulk
-        path (SQLite) override the default per-key loop.
+        stage and the worker drain loop.
         """
-        out: dict[str, Any] = {}
-        for key in keys:
-            result = self.load_point(key)
-            if result is not None:
-                out[key] = result
+        if not keys:
+            return {}
+        items = self._items("points", [self._key(key) for key in keys])
+        out = {key: self._result(key, record) for key, record in items}
+        if _met.ENABLED:
+            _met.REGISTRY.inc("store.point.hit", len(out))
+            _met.REGISTRY.inc("store.point.miss", len(keys) - len(out))
         return out
+
+    def _result(self, key: str, record: dict) -> Any:
+        try:
+            return record["result"]
+        except (KeyError, TypeError) as exc:
+            raise ConfigurationError(
+                f"corrupt results artifact {self.point_locator(key)}: {exc}"
+            ) from exc
 
     def point_locator(self, key: str) -> str:
         """Human-readable location of one point artifact (error messages)."""
         return f"{self.locator}::points/{key}"
 
-    @abc.abstractmethod
     def load_point_record(self, key: str) -> dict | None:
         """The full stored record for ``key`` (schema/context/result)."""
+        return self._get("points", self._key(key))
 
-    @abc.abstractmethod
     def save_point_record(self, key: str, record: dict) -> None:
         """Persist one full point record atomically."""
+        self._put("points", self._key(key), record)
 
-    @abc.abstractmethod
     def list_points(self) -> list[str]:
-        """All stored point keys, ascending (compaction / migration)."""
+        """All stored point keys, ascending."""
+        return self._keys("points")
+
+    def iter_point_records(self) -> Iterator[tuple[str, dict]]:
+        """Yield ``(key, record)`` for every stored point, ascending.
+
+        The monitor and ``store export`` walk this for point-level
+        contexts (sweep value, run, worker, save time).
+        """
+        yield from self._items("points")
 
     # ------------------------------------------------------------------
     # Sweep manifests
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def save_manifest(self, sweep_key: str, manifest: dict) -> None:
         """Persist a sweep's run manifest."""
+        self._put("manifests", self._key(sweep_key), manifest)
 
-    @abc.abstractmethod
     def load_manifest(self, sweep_key: str) -> dict | None:
         """The manifest for ``sweep_key``, or ``None`` if absent."""
+        return self._get("manifests", self._key(sweep_key))
 
-    @abc.abstractmethod
     def list_manifests(self) -> list[str]:
         """All stored sweep keys, ascending."""
+        return self._keys("manifests")
 
     # ------------------------------------------------------------------
     # Assembled series
@@ -258,81 +391,36 @@ class ResultsBackend(abc.ABC):
             )
         return ExperimentSeries.from_dict(data)
 
-    @abc.abstractmethod
     def save_series_dict(self, experiment_id: str, data: dict) -> None:
         """Persist one assembled series as a plain dict."""
+        self._put("series", self._key(experiment_id), data)
 
-    @abc.abstractmethod
     def load_series_dict(self, experiment_id: str) -> dict | None:
         """The stored series dict for ``experiment_id``, or ``None``."""
+        return self._get("series", self._key(experiment_id))
 
-    @abc.abstractmethod
     def list_series(self) -> list[str]:
         """Experiment ids with an assembled series, ascending."""
+        return self._keys("series")
 
     # ------------------------------------------------------------------
-    # Worker queue: tasks + claims
+    # Worker queue
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def save_task(self, key: str, payload: dict) -> None:
         """Publish one pending task descriptor under ``key``."""
+        self._put("tasks", self._key(key), payload)
 
-    @abc.abstractmethod
     def load_task(self, key: str) -> dict | None:
         """The pending task descriptor for ``key``, or ``None``."""
+        return self._get("tasks", self._key(key))
 
-    @abc.abstractmethod
     def delete_task(self, key: str) -> None:
         """Remove a task descriptor (no-op when already gone)."""
+        self._delete("tasks", self._key(key))
 
-    @abc.abstractmethod
     def pending_task_keys(self) -> list[str]:
         """Keys of all published task descriptors, ascending."""
-
-    @abc.abstractmethod
-    def try_claim(self, key: str, owner: str, *, ttl: float = DEFAULT_CLAIM_TTL) -> bool:
-        """Atomically claim ``key`` for ``owner``; ``True`` on success.
-
-        A claim older than ``ttl`` seconds counts as abandoned and is
-        broken, so a worker that died mid-computation never wedges the
-        queue (at-least-once semantics: the point may then be computed
-        twice, which is safe because saves are idempotent).
-        """
-
-    @abc.abstractmethod
-    def renew_claim(self, key: str, owner: str) -> None:
-        """Refresh a held claim's timestamp (no-op when absent).
-
-        Drain loops call this as each group member completes, so a
-        lease only goes stale when its holder stops making progress for
-        a whole TTL — not merely because the group is large.
-        """
-
-    @abc.abstractmethod
-    def release_claim(self, key: str) -> None:
-        """Release a claim (no-op when absent)."""
-
-    @abc.abstractmethod
-    def list_claims(self) -> list[str]:
-        """Keys currently under claim, ascending."""
-
-    @abc.abstractmethod
-    def claim_info(self) -> dict[str, dict]:
-        """``{key: {"owner": str, "age": seconds}}`` for every live claim.
-
-        ``age`` counts from the last grant *or renewal*, i.e. it is the
-        time the lease has gone without progress — the quantity the TTL
-        staleness check and ``store stats`` both care about.
-        """
-
-    def claim_age(self, key: str) -> float | None:
-        """Age of one key's claim in seconds, or ``None`` when unclaimed.
-
-        The O(1) lookup the quarantine check polls per task; backends
-        override the full-table default with a single stat/row read.
-        """
-        info = self.claim_info().get(key)
-        return None if info is None else info["age"]
+        return self._keys("tasks")
 
     # ------------------------------------------------------------------
     # Lease churn + quarantine
@@ -343,25 +431,30 @@ class ResultsBackend(abc.ABC):
     # (they kill whoever claims them) and get parked in the quarantine
     # table instead of being re-claimed forever.
 
-    @abc.abstractmethod
     def record_lease_break(self, key: str) -> int:
         """Count one broken lease for ``key``; returns the new total.
 
-        Called by ``try_claim`` implementations whenever they evict a
-        stale claim, so churn accounting is uniform across callers.
+        Read-modify-write, hence advisory under concurrent breakers; the
+        claim primitives call it only from the breaker that won.
         """
+        breaks = self.lease_breaks(key) + 1
+        self._put("churn", key, {"breaks": breaks})
+        obs.event("queue.lease_break", cat="queue", key=key, breaks=breaks)
+        return breaks
 
-    @abc.abstractmethod
     def lease_breaks(self, key: str) -> int:
         """How many times ``key``'s lease has been broken (0 if never)."""
+        record = self._get("churn", self._key(key))
+        return int(record.get("breaks", 0)) if record else 0
 
-    @abc.abstractmethod
     def lease_break_counts(self) -> dict[str, int]:
         """``{key: breaks}`` for every key with at least one break."""
+        counts = {key: int(record.get("breaks", 0)) for key, record in self._items("churn")}
+        return {key: breaks for key, breaks in counts.items() if breaks > 0}
 
-    @abc.abstractmethod
     def reset_lease_breaks(self, key: str) -> None:
         """Forget ``key``'s break counter (requeue gives a clean slate)."""
+        self._delete("churn", self._key(key))
 
     def quarantine_task(self, key: str, *, reason: str = "") -> bool:
         """Park ``key``'s pending descriptor in the quarantine table.
@@ -412,24 +505,24 @@ class ResultsBackend(abc.ABC):
         self.release_claim(key)
         return True
 
-    @abc.abstractmethod
     def save_quarantined(self, key: str, record: dict) -> None:
         """Persist one quarantine record."""
+        self._put("quarantine", self._key(key), record)
 
-    @abc.abstractmethod
     def load_quarantined(self, key: str) -> dict | None:
         """The quarantine record for ``key``, or ``None``."""
+        return self._get("quarantine", self._key(key))
 
-    @abc.abstractmethod
     def delete_quarantined(self, key: str) -> None:
         """Remove a quarantine record (no-op when already gone)."""
+        self._delete("quarantine", self._key(key))
 
-    @abc.abstractmethod
     def list_quarantined(self) -> list[str]:
         """Keys currently quarantined, ascending."""
+        return self._keys("quarantine")
 
     # ------------------------------------------------------------------
-    # Checkpoint table (timeline delta-chain links)
+    # Checkpoint table (timeline delta-chain links) + its meta row
     # ------------------------------------------------------------------
     def put_checkpoint(self, key: str, payload: dict) -> bool:
         """Store one checkpoint chain link if absent; ``True`` if created.
@@ -455,37 +548,31 @@ class ResultsBackend(abc.ABC):
             _met.REGISTRY.inc("store.ckpt.hit" if record is not None else "store.ckpt.miss")
         return record
 
-    @abc.abstractmethod
     def save_checkpoint_record(self, key: str, payload: dict) -> bool:
         """Persist one chain link if absent; ``True`` when this call won."""
+        return self._put_if_absent("checkpoints", self._key(key), payload)
 
-    @abc.abstractmethod
     def load_checkpoint_record(self, key: str) -> dict | None:
         """The stored chain link for ``key``, or ``None``."""
+        return self._get("checkpoints", self._key(key))
 
-    @abc.abstractmethod
     def list_checkpoints(self) -> list[str]:
         """All stored checkpoint keys, ascending."""
+        return self._keys("checkpoints")
 
-    @abc.abstractmethod
     def delete_checkpoint(self, key: str) -> None:
         """Remove one chain link (no-op when already gone)."""
+        self._delete("checkpoints", self._key(key))
 
     def checkpoint_stats(self) -> dict:
         """``{count, bytes, hits, misses, writes, gc_removed}`` for the table.
 
-        ``count``/``bytes`` are live table state; the rest are
-        cumulative fleet totals from the meta row (best-effort — see
-        :meth:`_bump_checkpoint_meta`).  Backends with a cheaper bulk
-        path (SQLite) override the size scan.
+        ``count``/``bytes`` are live table state (no payload reads); the
+        rest are cumulative fleet totals from the meta row (best-effort
+        — see :meth:`_bump_checkpoint_meta`).
         """
-        total = 0
-        keys = self.list_checkpoints()
-        for key in keys:
-            record = self.load_checkpoint_record(key)
-            if record is not None:
-                total += len(json.dumps(record, sort_keys=True))
-        return {"count": len(keys), "bytes": total, **self._checkpoint_meta()}
+        count, size = self._stat("checkpoints")
+        return {"count": count, "bytes": size, **self._checkpoint_meta()}
 
     def _checkpoint_meta(self) -> dict:
         meta = self.load_checkpoint_meta() or {}
@@ -504,13 +591,13 @@ class ResultsBackend(abc.ABC):
         meta[field] = int(meta.get(field, 0)) + by
         self.save_checkpoint_meta(meta)
 
-    @abc.abstractmethod
     def save_checkpoint_meta(self, meta: dict) -> None:
         """Persist the checkpoint-table counter row (latest-wins)."""
+        self._put("meta", "checkpoints", meta)
 
-    @abc.abstractmethod
     def load_checkpoint_meta(self) -> dict | None:
         """The checkpoint-table counter row, or ``None``."""
+        return self._get("meta", "checkpoints")
 
     def gc_checkpoints(self) -> dict:
         """Prune chain links no live sweep manifest references.
@@ -524,17 +611,14 @@ class ResultsBackend(abc.ABC):
         correctness.  Returns ``{"kept": n, "removed": n}``.
         """
         live: set[str] = set()
-        for sweep_key in self.list_manifests():
-            manifest = self.load_manifest(sweep_key) or {}
+        for _, manifest in self._items("manifests"):
             live.update(manifest.get("points", ()))
         kept = removed = 0
-        for key in self.list_checkpoints():
-            record = self.load_checkpoint_record(key)
-            refs = (record or {}).get("points") or ()
-            if record is not None and any(point in live for point in refs):
+        for key, record in self._items("checkpoints"):
+            if any(point in live for point in record.get("points") or ()):
                 kept += 1
             else:
-                self.delete_checkpoint(key)
+                self._delete("checkpoints", key)
                 removed += 1
         if removed:
             self._bump_checkpoint_meta("gc_removed", removed)
@@ -560,29 +644,17 @@ class ResultsBackend(abc.ABC):
             for worker, record in self.heartbeat_records().items()
         }
 
-    @abc.abstractmethod
     def save_heartbeat_record(self, worker: str, record: dict) -> None:
         """Persist one worker's latest heartbeat record."""
+        self._put("heartbeats", self._key(worker), record)
 
-    @abc.abstractmethod
     def heartbeat_records(self) -> dict[str, dict]:
         """All stored heartbeat records keyed by worker name."""
+        return dict(self._items("heartbeats"))
 
     # ------------------------------------------------------------------
     # Introspection / migration
     # ------------------------------------------------------------------
-    def iter_point_records(self) -> Iterator[tuple[str, dict]]:
-        """Yield ``(key, record)`` for every stored point.
-
-        The monitor and ``store export`` walk this for point-level
-        contexts (sweep value, run, worker, save time); backends with a
-        cheaper bulk path (SQLite) override the per-key default.
-        """
-        for key in self.list_points():
-            record = self.load_point_record(key)
-            if record is not None:
-                yield key, record
-
     def queue_stats(
         self,
         *,
@@ -599,18 +671,16 @@ class ResultsBackend(abc.ABC):
         the backend twice for the same scan.
         """
         info = self.claim_info() if claim_info is None else claim_info
-        parked = self.list_quarantined() if quarantined is None else quarantined
-        ages = [c["age"] for c in info.values()]
         return {
             "backend": self.kind,
             "locator": self.locator,
-            "points": len(self.list_points()),
-            "manifests": len(self.list_manifests()),
-            "series": len(self.list_series()),
-            "tasks": len(self.pending_task_keys()),
+            "points": self._stat("points")[0],
+            "manifests": self._stat("manifests")[0],
+            "series": self._stat("series")[0],
+            "tasks": self._stat("tasks")[0],
             "claims": len(info),
-            "oldest_claim_age": max(ages, default=0.0),
-            "quarantined": len(parked),
+            "oldest_claim_age": max((c["age"] for c in info.values()), default=0.0),
+            "quarantined": self._stat("quarantine")[0] if quarantined is None else len(quarantined),
             "lease_breaks": sum(self.lease_break_counts().values()),
             "checkpoints": self.checkpoint_stats(),
         }
@@ -620,49 +690,38 @@ class ResultsBackend(abc.ABC):
         return {
             "backend": self.kind,
             "locator": self.locator,
-            "points": len(self.list_points()),
-            "manifests": len(self.list_manifests()),
+            "points": self._stat("points")[0],
+            "manifests": self._stat("manifests")[0],
             "series": self.list_series(),
-            "tasks": len(self.pending_task_keys()),
-            "claims": len(self.list_claims()),
-            "quarantined": len(self.list_quarantined()),
-            "checkpoints": len(self.list_checkpoints()),
+            "tasks": self._stat("tasks")[0],
+            "claims": len(self.claim_info()),
+            "quarantined": self._stat("quarantine")[0],
+            "checkpoints": self._stat("checkpoints")[0],
         }
 
     def migrate_to(self, dst: "ResultsBackend") -> dict:
-        """Copy every artifact into ``dst``; returns copy counts."""
+        """Copy every durable artifact into ``dst``; returns copy counts."""
         return migrate_store(self, dst)
 
 
 def migrate_store(src: ResultsBackend, dst: ResultsBackend) -> dict:
-    """Copy all points, manifests and series from ``src`` into ``dst``.
+    """Copy the durable tables — points, manifests, series, checkpoints.
 
-    Pending tasks and claims are transient queue state and are *not*
-    migrated.  Checkpoint chain links travel with the manifests that
-    reference them, so a migrated fleet keeps its shared prefixes.
-    Returns ``{"points": n, "manifests": n, "series": n, "checkpoints": n}``.
+    Records travel through the storage primitives, so neither side's
+    checkpoint counters tick; checkpoint links are put if absent, the
+    rest overwrite.  Queue state (tasks, claims, churn, quarantine,
+    heartbeats) and the meta counters stay behind.  Checkpoint links
+    travel with the manifests that reference them, so a migrated fleet
+    keeps its shared prefixes.  Returns
+    ``{"points": n, "manifests": n, "series": n, "checkpoints": n}``.
     """
-    counts = {"points": 0, "manifests": 0, "series": 0, "checkpoints": 0}
-    for key in src.list_points():
-        record = src.load_point_record(key)
-        if record is not None:
-            dst.save_point_record(key, record)
-            counts["points"] += 1
-    for sweep_key in src.list_manifests():
-        manifest = src.load_manifest(sweep_key)
-        if manifest is not None:
-            dst.save_manifest(sweep_key, manifest)
-            counts["manifests"] += 1
-    for experiment_id in src.list_series():
-        data = src.load_series_dict(experiment_id)
-        if data is not None:
-            dst.save_series_dict(experiment_id, data)
-            counts["series"] += 1
-    for key in src.list_checkpoints():
-        record = src.load_checkpoint_record(key)
-        if record is not None:
-            dst.save_checkpoint_record(key, record)
-            counts["checkpoints"] += 1
+    counts = {}
+    for table in _DURABLE_TABLES:
+        put = dst._put_if_absent if table == "checkpoints" else dst._put
+        counts[table] = 0
+        for key, record in src._items(table):
+            put(table, key, record)
+            counts[table] += 1
     return counts
 
 
@@ -694,13 +753,16 @@ class CheckpointScope:
 
 
 class JsonDirBackend(ResultsBackend):
-    """Filesystem-backed results: one JSON file per artifact.
+    """Filesystem-backed results: one JSON file per record.
 
-    Layout under ``root``: ``points/<key>.json``,
-    ``sweeps/<sweep-key>.json``, ``series/<experiment-id>.json``,
-    ``tasks/<key>.json`` and ``claims/<key>.lease``.  All writes go
-    through write-then-rename, so concurrent readers (and workers on a
-    shared filesystem) never observe partial files.
+    Layout under ``root``: ``<table>/<key>.json`` for every table —
+    ``points/``, ``series/``, ``tasks/``, ``churn/``, ``quarantine/``,
+    ``heartbeats/``, ``checkpoints/`` — except that manifests live in
+    ``sweeps/`` and the checkpoint counters in ``meta/checkpoints.json``;
+    claims are ``claims/<key>.lease`` files.  Records are written as
+    ``indent=2, sort_keys`` JSON plus a newline through write-then-rename,
+    so concurrent readers (and workers on a shared filesystem) never
+    observe partial files.
 
     Parameters
     ----------
@@ -710,6 +772,9 @@ class JsonDirBackend(ResultsBackend):
 
     kind = "json"
 
+    #: Tables whose directory is not named after the table.
+    _DIRS = {"manifests": "sweeps"}
+
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
 
@@ -718,94 +783,79 @@ class JsonDirBackend(ResultsBackend):
         """The store directory (re-opens via :func:`open_backend`)."""
         return str(self.root)
 
-    # ------------------------------------------------------------------
-    # Point artifacts
-    # ------------------------------------------------------------------
-    def point_path(self, key: str) -> Path:
-        """Where the artifact for ``key`` lives."""
-        return self.root / "points" / f"{key}.json"
+    def _path(self, table: str, key: str | None = None) -> Path:
+        """The file of ``key`` in ``table`` (the table's directory for ``None``)."""
+        folder = self.root / self._DIRS.get(table, table)
+        if key is None:
+            return folder
+        return folder / f"{key}{'.lease' if table == 'claims' else '.json'}"
 
     def point_locator(self, key: str) -> str:
         """The point artifact's filesystem path."""
-        return str(self.point_path(key))
-
-    def load_point_record(self, key: str) -> dict | None:
-        """Read one point record, wrapping corrupt JSON with its path."""
-        return self._read_json(self.point_path(key), "results artifact")
-
-    def save_point_record(self, key: str, record: dict) -> None:
-        """Write one point record atomically."""
-        self._write_json(self.point_path(key), record)
-
-    def list_points(self) -> list[str]:
-        """Stored point keys, ascending."""
-        return sorted(p.stem for p in self.root.glob("points/*.json"))
+        return str(self._path("points", key))
 
     # ------------------------------------------------------------------
-    # Sweep manifests
+    # Storage primitives
     # ------------------------------------------------------------------
-    def manifest_path(self, sweep_key: str) -> Path:
-        """Where the manifest for ``sweep_key`` lives."""
-        return self.root / "sweeps" / f"{sweep_key}.json"
+    def _get(self, table: str, key: str) -> dict | None:
+        path = self._path(table, key)
+        try:
+            text = path.read_text()
+        except FileNotFoundError:
+            return None
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"corrupt {table} record {path}: {exc}") from exc
 
-    def save_manifest(self, sweep_key: str, manifest: dict) -> None:
-        """Persist a sweep's run manifest."""
-        self._write_json(self.manifest_path(sweep_key), manifest)
+    def _put(self, table: str, key: str, record: dict) -> None:
+        _write_json(self._path(table, key), record)
 
-    def load_manifest(self, sweep_key: str) -> dict | None:
-        """The manifest for ``sweep_key``, or ``None`` if absent."""
-        return self._read_json(self.manifest_path(sweep_key), "sweep manifest")
+    def _put_if_absent(self, table: str, key: str, record: dict) -> bool:
+        """Atomic tmp-file + ``os.link`` publish.
 
-    def list_manifests(self) -> list[str]:
-        """Stored sweep keys, ascending."""
-        return sorted(p.stem for p in self.root.glob("sweeps/*.json"))
+        ``link(2)`` fails with ``EEXIST`` when the target exists, which
+        makes create-if-absent atomic even on shared filesystems — and
+        readers never observe a partial file, because the payload is
+        fully written before the name appears.
+        """
+        path = self._path(table, key)
+        if path.exists():
+            return False
+        tmp = _write_json(path.with_name(f".{key}.{os.getpid()}.tmp"), record)
+        try:
+            os.link(tmp, path)
+            return True
+        except FileExistsError:
+            return False
+        finally:
+            tmp.unlink(missing_ok=True)
+
+    def _delete(self, table: str, key: str) -> None:
+        self._path(table, key).unlink(missing_ok=True)
+
+    def _keys(self, table: str) -> list[str]:
+        return sorted(p.stem for p in self._path(table).glob("*.json"))
+
+    def _items(self, table: str, keys: "list[str] | None" = None) -> Iterator[tuple[str, dict]]:
+        for key in self._keys(table) if keys is None else keys:
+            record = self._get(table, key)
+            if record is not None:
+                yield key, record
+
+    def _stat(self, table: str) -> tuple[int, int]:
+        count = size = 0
+        for path in self._path(table).glob("*.json"):
+            try:
+                size += path.stat().st_size
+            except FileNotFoundError:  # deleted mid-scan
+                continue
+            count += 1
+        return count, size
 
     # ------------------------------------------------------------------
-    # Assembled series
+    # Claim primitives: O_EXCL lease files
     # ------------------------------------------------------------------
-    def series_path(self, experiment_id: str) -> Path:
-        """Where the assembled series for ``experiment_id`` lives."""
-        return self.root / "series" / f"{experiment_id}.json"
-
-    def save_series_dict(self, experiment_id: str, data: dict) -> None:
-        """Persist one assembled series dict."""
-        self._write_json(self.series_path(experiment_id), data)
-
-    def load_series_dict(self, experiment_id: str) -> dict | None:
-        """Read one series dict, wrapping corrupt JSON with its path."""
-        return self._read_json(self.series_path(experiment_id), "series artifact")
-
-    def list_series(self) -> list[str]:
-        """Experiment ids with an assembled series, ascending."""
-        return sorted(p.stem for p in self.root.glob("series/*.json"))
-
-    # ------------------------------------------------------------------
-    # Worker queue: tasks + claims
-    # ------------------------------------------------------------------
-    def task_path(self, key: str) -> Path:
-        """Where the task descriptor for ``key`` lives."""
-        return self.root / "tasks" / f"{key}.json"
-
-    def save_task(self, key: str, payload: dict) -> None:
-        """Publish one pending task descriptor."""
-        self._write_json(self.task_path(key), payload)
-
-    def load_task(self, key: str) -> dict | None:
-        """The pending task descriptor for ``key``, or ``None``."""
-        return self._read_json(self.task_path(key), "task descriptor")
-
-    def delete_task(self, key: str) -> None:
-        """Remove a task descriptor (idempotent)."""
-        self.task_path(key).unlink(missing_ok=True)
-
-    def pending_task_keys(self) -> list[str]:
-        """Keys of all published task descriptors, ascending."""
-        return sorted(p.stem for p in self.root.glob("tasks/*.json"))
-
-    def claim_path(self, key: str) -> Path:
-        """Where the lease file for ``key`` lives."""
-        return self.root / "claims" / f"{key}.lease"
-
     def try_claim(self, key: str, owner: str, *, ttl: float = DEFAULT_CLAIM_TTL) -> bool:
         """Claim via ``O_CREAT|O_EXCL`` lease file; breaks stale leases.
 
@@ -819,7 +869,7 @@ class JsonDirBackend(ResultsBackend):
         safe, because point saves are idempotent and content-keyed.
         Callers needing hard exclusivity must not build it on leases.
         """
-        path = self.claim_path(key)
+        path = self._path("claims", self._key(key))
         path.parent.mkdir(parents=True, exist_ok=True)
         broke_stale = False
         for attempt in range(2):
@@ -857,7 +907,7 @@ class JsonDirBackend(ResultsBackend):
 
     def renew_claim(self, key: str, owner: str) -> None:
         """Bump the lease mtime while still held by ``owner``."""
-        path = self.claim_path(key)
+        path = self._path("claims", self._key(key))
         if self._claim_owner(path) == owner:
             try:
                 os.utime(path)
@@ -866,11 +916,7 @@ class JsonDirBackend(ResultsBackend):
 
     def release_claim(self, key: str) -> None:
         """Remove the lease file (idempotent)."""
-        self.claim_path(key).unlink(missing_ok=True)
-
-    def list_claims(self) -> list[str]:
-        """Keys currently under claim, ascending."""
-        return sorted(p.stem for p in self.root.glob("claims/*.lease"))
+        self._path("claims", self._key(key)).unlink(missing_ok=True)
 
     def claim_info(self) -> dict[str, dict]:
         """Owner (from the lease body) and age (from the lease mtime).
@@ -880,7 +926,7 @@ class JsonDirBackend(ResultsBackend):
         """
         now = time.time()
         out: dict[str, dict] = {}
-        for path in sorted(self.root.glob("claims/*.lease")):
+        for path in sorted(self._path("claims").glob("*.lease")):
             try:
                 mtime = path.stat().st_mtime
             except FileNotFoundError:  # released mid-scan
@@ -894,205 +940,55 @@ class JsonDirBackend(ResultsBackend):
     def claim_age(self, key: str) -> float | None:
         """One stat call on the lease file (no table scan)."""
         try:
-            mtime = self.claim_path(key).stat().st_mtime
+            mtime = self._path("claims", self._key(key)).stat().st_mtime
         except FileNotFoundError:
             return None
         return max(0.0, time.time() - mtime)
 
     # ------------------------------------------------------------------
-    # Lease churn + quarantine
-    # ------------------------------------------------------------------
-    def churn_path(self, key: str) -> Path:
-        """Where the break counter for ``key`` lives."""
-        return self.root / "churn" / f"{key}.json"
-
-    def record_lease_break(self, key: str) -> int:
-        """Bump the break counter file (read-modify-write; advisory)."""
-        breaks = self.lease_breaks(key) + 1
-        self._write_json(self.churn_path(key), {"breaks": breaks})
-        obs.event("queue.lease_break", cat="queue", key=key, breaks=breaks)
-        return breaks
-
-    def lease_breaks(self, key: str) -> int:
-        """The break counter for ``key`` (0 if never broken)."""
-        record = self._read_json(self.churn_path(key), "lease-break counter")
-        return int(record.get("breaks", 0)) if record else 0
-
-    def lease_break_counts(self) -> dict[str, int]:
-        """Break counters of every churned key."""
-        return {
-            p.stem: breaks
-            for p in sorted(self.root.glob("churn/*.json"))
-            if (breaks := self.lease_breaks(p.stem)) > 0
-        }
-
-    def reset_lease_breaks(self, key: str) -> None:
-        """Drop the break counter file (idempotent)."""
-        self.churn_path(key).unlink(missing_ok=True)
-
-    def quarantine_path(self, key: str) -> Path:
-        """Where the quarantine record for ``key`` lives."""
-        return self.root / "quarantine" / f"{key}.json"
-
-    def save_quarantined(self, key: str, record: dict) -> None:
-        """Write one quarantine record atomically."""
-        self._write_json(self.quarantine_path(key), record)
-
-    def load_quarantined(self, key: str) -> dict | None:
-        """The quarantine record for ``key``, or ``None``."""
-        return self._read_json(self.quarantine_path(key), "quarantine record")
-
-    def delete_quarantined(self, key: str) -> None:
-        """Remove a quarantine record (idempotent)."""
-        self.quarantine_path(key).unlink(missing_ok=True)
-
-    def list_quarantined(self) -> list[str]:
-        """Keys currently quarantined, ascending."""
-        return sorted(p.stem for p in self.root.glob("quarantine/*.json"))
-
-    # ------------------------------------------------------------------
-    # Worker heartbeats
-    # ------------------------------------------------------------------
-    def heartbeat_path(self, worker: str) -> Path:
-        """Where the heartbeat record for ``worker`` lives."""
-        return self.root / "heartbeats" / f"{worker}.json"
-
-    def save_heartbeat_record(self, worker: str, record: dict) -> None:
-        """Write one heartbeat record atomically (latest-wins)."""
-        self._write_json(self.heartbeat_path(worker), record)
-
-    def heartbeat_records(self) -> dict[str, dict]:
-        """All heartbeat records keyed by worker name."""
-        out: dict[str, dict] = {}
-        for path in sorted(self.root.glob("heartbeats/*.json")):
-            record = self._read_json(path, "heartbeat record")
-            if record is not None:
-                out[path.stem] = record
-        return out
-
-    # ------------------------------------------------------------------
-    # Checkpoint table
-    # ------------------------------------------------------------------
-    def checkpoint_path(self, key: str) -> Path:
-        """Where the chain link for ``key`` lives."""
-        return self.root / "checkpoints" / f"{key}.json"
-
-    def save_checkpoint_record(self, key: str, payload: dict) -> bool:
-        """If-absent link write: atomic tmp-file + ``os.link`` publish.
-
-        ``link(2)`` fails with ``EEXIST`` when the target exists, which
-        makes create-if-absent atomic even on shared filesystems — and
-        readers never observe a partial file, because the payload is
-        fully written before the name appears.
-        """
-        path = self.checkpoint_path(key)
-        if path.exists():
-            return False
-        tmp = self._write_json(path.with_name(f".{key}.{os.getpid()}.tmp"), payload)
-        try:
-            os.link(tmp, path)
-            return True
-        except FileExistsError:
-            return False
-        finally:
-            tmp.unlink(missing_ok=True)
-
-    def load_checkpoint_record(self, key: str) -> dict | None:
-        """Read one chain link, wrapping corrupt JSON with its path."""
-        return self._read_json(self.checkpoint_path(key), "checkpoint link")
-
-    def list_checkpoints(self) -> list[str]:
-        """Stored checkpoint keys, ascending."""
-        return sorted(p.stem for p in self.root.glob("checkpoints/*.json"))
-
-    def delete_checkpoint(self, key: str) -> None:
-        """Remove one chain link (idempotent)."""
-        self.checkpoint_path(key).unlink(missing_ok=True)
-
-    def checkpoint_stats(self) -> dict:
-        """Table stats from file sizes (no payload reads)."""
-        files = list(self.root.glob("checkpoints/*.json"))
-        return {
-            "count": len(files),
-            "bytes": sum(p.stat().st_size for p in files),
-            **self._checkpoint_meta(),
-        }
-
-    def save_checkpoint_meta(self, meta: dict) -> None:
-        """Write the counter row atomically (latest-wins)."""
-        self._write_json(self.root / "meta" / "checkpoints.json", meta)
-
-    def load_checkpoint_meta(self) -> dict | None:
-        """Read the counter row."""
-        return self._read_json(self.root / "meta" / "checkpoints.json", "checkpoint meta")
-
-    # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------
     def compact(self) -> "SqliteBackend":
-        """Fold this directory store into one SQLite table set, in place.
+        """Fold this directory store into ``<root>/store.sqlite``, in place.
 
-        Creates ``<root>/store.sqlite`` holding every point, manifest
-        and series, then removes the per-artifact JSON files.  Because
-        :func:`open_backend` routes a directory containing
-        ``store.sqlite`` to :class:`SqliteBackend`, existing
+        Prunes unreferenced checkpoint links, migrates the durable
+        tables (see :func:`migrate_store`) and removes every table
+        directory.  Because :func:`open_backend` routes a directory
+        containing ``store.sqlite`` to :class:`SqliteBackend`, existing
         ``--results <root>`` invocations keep resolving (and resuming)
-        transparently after compaction.  Queue state (tasks, claims,
-        churn counters, quarantine) is transient and is dropped, like
-        in :func:`migrate_store`.
+        transparently after compaction.  Queue state and the meta
+        counters are dropped, as in a migration.
         """
         import shutil
 
         dst = SqliteBackend(self.root / _SQLITE_BASENAME)
         self.gc_checkpoints()  # only links a live manifest references travel
         migrate_store(self, dst)
-        for sub in (
-            "points",
-            "sweeps",
-            "series",
-            "tasks",
-            "claims",
-            "churn",
-            "quarantine",
-            "heartbeats",
-            "checkpoints",
-            "meta",
-        ):
-            shutil.rmtree(self.root / sub, ignore_errors=True)
+        for table in (*_TABLES, "claims"):
+            shutil.rmtree(self._path(table), ignore_errors=True)
         return dst
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _read_json(self, path: Path, what: str) -> dict | None:
-        if not path.exists():
-            return None
-        try:
-            return json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"corrupt {what} {path}: {exc}") from exc
 
-    def _write_json(self, path: Path, payload: Any) -> Path:
-        """Write-then-rename so readers never observe partial files."""
-        from repro.analysis.series import write_json_atomic
+def _write_json(path: Path, payload: Any) -> Path:
+    """Write-then-rename so readers never observe partial files."""
+    from repro.analysis.series import write_json_atomic
 
-        return write_json_atomic(path, payload)
-
-
-#: Backwards-compatible alias: the pre-refactor store class name.
-ResultsStore = JsonDirBackend
+    return write_json_atomic(path, payload)
 
 
 class SqliteBackend(ResultsBackend):
     """Single-file SQLite results store (stdlib ``sqlite3`` only).
 
-    One table per artifact kind (``points`` / ``manifests`` / ``series``
-    / ``tasks`` / ``claims``), each a key → JSON-payload row.  Intended
-    for 10⁴+-point sweeps where a directory of tiny JSON files stops
-    scaling, and as the shared store of multi-process worker drains
-    (SQLite's file locking serializes writers; every operation is one
-    short transaction on its own connection, so backends are trivially
-    picklable across process pools).
+    Every table is one ``kind`` of a single ``artifacts(kind, key,
+    payload)`` table, the payload being the record as
+    ``json.dumps(record, sort_keys=True)``; claims are rows of a second
+    ``claims(key, owner, claimed_at)`` table.  Intended for 10⁴+-point
+    sweeps where a directory of tiny JSON files stops scaling, and as
+    the shared store of multi-process worker drains (SQLite's file
+    locking serializes writers; every operation is one short
+    transaction on its own connection, so backends are trivially
+    picklable across process pools).  Reads never create the database
+    file: on a store that does not exist yet they return empty.
 
     Parameters
     ----------
@@ -1102,19 +998,6 @@ class SqliteBackend(ResultsBackend):
     """
 
     kind = "sqlite"
-
-    #: Artifact kinds stored as rows of the ``artifacts`` table.
-    _TABLES = (
-        "points",
-        "manifests",
-        "series",
-        "tasks",
-        "churn",
-        "quarantine",
-        "heartbeats",
-        "checkpoints",
-        "meta",
-    )
 
     def __init__(self, path: Path | str) -> None:
         path = Path(path)
@@ -1159,179 +1042,85 @@ class SqliteBackend(ResultsBackend):
         finally:
             conn.close()
 
-    # -- generic key/JSON rows ------------------------------------------
-    def _get(self, kind: str, key: str) -> dict | None:
+    # ------------------------------------------------------------------
+    # Storage primitives
+    # ------------------------------------------------------------------
+    def _decode(self, table: str, key: str, payload: str) -> dict:
+        try:
+            return json.loads(payload)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"corrupt {table} row {key!r} in {self.path}: {exc}") from exc
+
+    def _get(self, table: str, key: str) -> dict | None:
+        if not self.path.exists():
+            return None
         with self._connect() as conn:
             row = conn.execute(
-                "SELECT payload FROM artifacts WHERE kind = ? AND key = ?", (kind, key)
+                "SELECT payload FROM artifacts WHERE kind = ? AND key = ?", (table, key)
             ).fetchone()
-        if row is None:
-            return None
-        try:
-            return json.loads(row[0])
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"corrupt {kind} row {key!r} in {self.path}: {exc}") from exc
+        return None if row is None else self._decode(table, key, row[0])
 
-    def _put(self, kind: str, key: str, payload: dict) -> None:
+    def _put(self, table: str, key: str, record: dict) -> None:
         with self._connect() as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO artifacts (kind, key, payload) VALUES (?, ?, ?)",
-                (kind, key, json.dumps(payload, sort_keys=True)),
+                (table, key, json.dumps(record, sort_keys=True)),
             )
 
-    def _keys(self, kind: str) -> list[str]:
+    def _put_if_absent(self, table: str, key: str, record: dict) -> bool:
+        with self._connect() as conn:
+            cur = conn.execute(
+                "INSERT OR IGNORE INTO artifacts (kind, key, payload) VALUES (?, ?, ?)",
+                (table, key, json.dumps(record, sort_keys=True)),
+            )
+            return cur.rowcount > 0
+
+    def _delete(self, table: str, key: str) -> None:
+        if not self.path.exists():
+            return
+        with self._connect() as conn:
+            conn.execute("DELETE FROM artifacts WHERE kind = ? AND key = ?", (table, key))
+
+    def _keys(self, table: str) -> list[str]:
         if not self.path.exists():
             return []
         with self._connect() as conn:
             rows = conn.execute(
-                "SELECT key FROM artifacts WHERE kind = ? ORDER BY key", (kind,)
+                "SELECT key FROM artifacts WHERE kind = ? ORDER BY key", (table,)
             ).fetchall()
         return [r[0] for r in rows]
 
-    def _delete(self, kind: str, key: str) -> None:
+    def _items(self, table: str, keys: "list[str] | None" = None) -> Iterator[tuple[str, dict]]:
+        """One query for a whole table; one ``IN`` query per 500 keys."""
         if not self.path.exists():
             return
+        select = "SELECT key, payload FROM artifacts WHERE kind = ?"
         with self._connect() as conn:
-            conn.execute("DELETE FROM artifacts WHERE kind = ? AND key = ?", (kind, key))
+            if keys is None:
+                rows = conn.execute(f"{select} ORDER BY key", (table,)).fetchall()
+            else:
+                rows = []
+                for start in range(0, len(keys), 500):
+                    chunk = keys[start : start + 500]
+                    marks = ",".join("?" * len(chunk))  # placeholders only
+                    rows += conn.execute(f"{select} AND key IN ({marks})", (table, *chunk))
+        for key, payload in rows:
+            yield key, self._decode(table, key, payload)
 
-    # -- points ----------------------------------------------------------
-    def load_point_record(self, key: str) -> dict | None:
-        """Read one point record row."""
+    def _stat(self, table: str) -> tuple[int, int]:
         if not self.path.exists():
-            return None
-        return self._get("points", key)
-
-    def save_point_record(self, key: str, record: dict) -> None:
-        """Upsert one point record row."""
-        self._put("points", key, record)
-
-    def list_points(self) -> list[str]:
-        """Stored point keys, ascending."""
-        return self._keys("points")
-
-    def load_points(self, keys: list[str]) -> dict[str, object]:
-        """Bulk point fetch: one ``IN`` query per chunk of 500 keys."""
-        if not keys or not self.path.exists():
-            if _met.ENABLED and keys:
-                _met.REGISTRY.inc("store.point.miss", len(keys))
-            return {}
-        out: dict[str, object] = {}
+            return 0, 0
         with self._connect() as conn:
-            for start in range(0, len(keys), 500):
-                chunk = keys[start : start + 500]
-                marks = ",".join("?" for _ in chunk)
-                rows = conn.execute(
-                    "SELECT key, payload FROM artifacts WHERE kind = 'points' "
-                    f"AND key IN ({marks})",  # marks is "?,?,..." placeholders only
-                    chunk,
-                ).fetchall()
-                for key, payload in rows:
-                    try:
-                        out[key] = json.loads(payload)["result"]
-                    except (json.JSONDecodeError, KeyError) as exc:
-                        raise ConfigurationError(
-                            f"corrupt points row {key!r} in {self.path}: {exc}"
-                        ) from exc
-        if _met.ENABLED:
-            _met.REGISTRY.inc("store.point.hit", len(out))
-            _met.REGISTRY.inc("store.point.miss", len(keys) - len(out))
-        return out
+            count, size = conn.execute(
+                "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) "
+                "FROM artifacts WHERE kind = ?",
+                (table,),
+            ).fetchone()
+        return int(count), int(size)
 
-    # -- manifests -------------------------------------------------------
-    def save_manifest(self, sweep_key: str, manifest: dict) -> None:
-        """Upsert a sweep's run manifest row."""
-        self._put("manifests", sweep_key, manifest)
-
-    def load_manifest(self, sweep_key: str) -> dict | None:
-        """The manifest row for ``sweep_key``, or ``None``."""
-        if not self.path.exists():
-            return None
-        return self._get("manifests", sweep_key)
-
-    def list_manifests(self) -> list[str]:
-        """Stored sweep keys, ascending."""
-        return self._keys("manifests")
-
-    # -- series ----------------------------------------------------------
-    def save_series_dict(self, experiment_id: str, data: dict) -> None:
-        """Upsert one assembled series row."""
-        self._put("series", experiment_id, data)
-
-    def load_series_dict(self, experiment_id: str) -> dict | None:
-        """The stored series dict for ``experiment_id``, or ``None``."""
-        if not self.path.exists():
-            return None
-        return self._get("series", experiment_id)
-
-    def list_series(self) -> list[str]:
-        """Experiment ids with an assembled series, ascending."""
-        return self._keys("series")
-
-    # -- checkpoints -----------------------------------------------------
-    def save_checkpoint_record(self, key: str, payload: dict) -> bool:
-        """If-absent link write: ``INSERT OR IGNORE`` on the artifacts table."""
-        with self._connect() as conn:
-            cur = conn.execute(
-                "INSERT OR IGNORE INTO artifacts (kind, key, payload) "
-                "VALUES ('checkpoints', ?, ?)",
-                (key, json.dumps(payload, sort_keys=True)),
-            )
-            return cur.rowcount > 0
-
-    def load_checkpoint_record(self, key: str) -> dict | None:
-        """The stored chain link for ``key``, or ``None``."""
-        if not self.path.exists():
-            return None
-        return self._get("checkpoints", key)
-
-    def list_checkpoints(self) -> list[str]:
-        """Stored checkpoint keys, ascending."""
-        return self._keys("checkpoints")
-
-    def delete_checkpoint(self, key: str) -> None:
-        """Remove one chain link row (idempotent)."""
-        self._delete("checkpoints", key)
-
-    def checkpoint_stats(self) -> dict:
-        """Table stats in one aggregate query (no payload reads)."""
-        count, total = 0, 0
-        if self.path.exists():
-            with self._connect() as conn:
-                count, total = conn.execute(
-                    "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) "
-                    "FROM artifacts WHERE kind = 'checkpoints'"
-                ).fetchone()
-        return {"count": int(count), "bytes": int(total), **self._checkpoint_meta()}
-
-    def save_checkpoint_meta(self, meta: dict) -> None:
-        """Upsert the counter row."""
-        self._put("meta", "checkpoints", meta)
-
-    def load_checkpoint_meta(self) -> dict | None:
-        """The counter row, or ``None``."""
-        if not self.path.exists():
-            return None
-        return self._get("meta", "checkpoints")
-
-    # -- tasks + claims --------------------------------------------------
-    def save_task(self, key: str, payload: dict) -> None:
-        """Publish one pending task descriptor row."""
-        self._put("tasks", key, payload)
-
-    def load_task(self, key: str) -> dict | None:
-        """The pending task descriptor for ``key``, or ``None``."""
-        if not self.path.exists():
-            return None
-        return self._get("tasks", key)
-
-    def delete_task(self, key: str) -> None:
-        """Remove a task descriptor row (idempotent)."""
-        self._delete("tasks", key)
-
-    def pending_task_keys(self) -> list[str]:
-        """Keys of all published task descriptors, ascending."""
-        return self._keys("tasks")
-
+    # ------------------------------------------------------------------
+    # Claim primitives: INSERT OR IGNORE rows
+    # ------------------------------------------------------------------
     def try_claim(self, key: str, owner: str, *, ttl: float = DEFAULT_CLAIM_TTL) -> bool:
         """Claim via ``INSERT OR IGNORE``; stale rows are purged first.
 
@@ -1339,6 +1128,7 @@ class SqliteBackend(ResultsBackend):
         transaction, so exactly the claimant that evicted the dead
         holder does the churn accounting.
         """
+        self._key(key)
         now = time.time()
         with self._connect() as conn:
             cur = conn.execute(
@@ -1352,49 +1142,6 @@ class SqliteBackend(ResultsBackend):
             )
             return cur.rowcount == 1
 
-    def renew_claim(self, key: str, owner: str) -> None:
-        """Bump the claim row's timestamp while still held by ``owner``."""
-        if not self.path.exists():
-            return
-        with self._connect() as conn:
-            conn.execute(
-                "UPDATE claims SET claimed_at = ? WHERE key = ? AND owner = ?",
-                (time.time(), key, owner),
-            )
-
-    def release_claim(self, key: str) -> None:
-        """Delete the claim row (idempotent)."""
-        if not self.path.exists():
-            return
-        with self._connect() as conn:
-            conn.execute("DELETE FROM claims WHERE key = ?", (key,))
-
-    def list_claims(self) -> list[str]:
-        """Keys currently under claim, ascending."""
-        if not self.path.exists():
-            return []
-        with self._connect() as conn:
-            rows = conn.execute("SELECT key FROM claims ORDER BY key").fetchall()
-        return [r[0] for r in rows]
-
-    def claim_info(self) -> dict[str, dict]:
-        """Owner and age straight from the claim rows."""
-        if not self.path.exists():
-            return {}
-        now = time.time()
-        with self._connect() as conn:
-            rows = conn.execute("SELECT key, owner, claimed_at FROM claims ORDER BY key").fetchall()
-        return {key: {"owner": owner, "age": max(0.0, now - at)} for key, owner, at in rows}
-
-    def claim_age(self, key: str) -> float | None:
-        """One indexed row read (no table scan)."""
-        if not self.path.exists():
-            return None
-        with self._connect() as conn:
-            row = conn.execute("SELECT claimed_at FROM claims WHERE key = ?", (key,)).fetchone()
-        return None if row is None else max(0.0, time.time() - row[0])
-
-    # -- lease churn + quarantine ----------------------------------------
     def _bump_churn(self, conn: sqlite3.Connection, key: str) -> int:
         """Increment the churn row inside the caller's transaction."""
         row = conn.execute(
@@ -1408,160 +1155,46 @@ class SqliteBackend(ResultsBackend):
         obs.event("queue.lease_break", cat="queue", key=key, breaks=breaks)
         return breaks
 
-    def record_lease_break(self, key: str) -> int:
-        """Bump the churn row in its own short transaction."""
-        with self._connect() as conn:
-            return self._bump_churn(conn, key)
-
-    def lease_breaks(self, key: str) -> int:
-        """The break counter for ``key`` (0 if never broken)."""
-        if not self.path.exists():
-            return 0
-        record = self._get("churn", key)
-        return int(record.get("breaks", 0)) if record else 0
-
-    def lease_break_counts(self) -> dict[str, int]:
-        """Break counters of every churned key, one query."""
-        if not self.path.exists():
-            return {}
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT key, payload FROM artifacts WHERE kind = 'churn' ORDER BY key"
-            ).fetchall()
-        out: dict[str, int] = {}
-        for key, payload in rows:
-            breaks = int(json.loads(payload).get("breaks", 0))
-            if breaks > 0:
-                out[key] = breaks
-        return out
-
-    def reset_lease_breaks(self, key: str) -> None:
-        """Drop the churn row (idempotent)."""
-        self._delete("churn", key)
-
-    def save_quarantined(self, key: str, record: dict) -> None:
-        """Upsert one quarantine row."""
-        self._put("quarantine", key, record)
-
-    def load_quarantined(self, key: str) -> dict | None:
-        """The quarantine record for ``key``, or ``None``."""
-        if not self.path.exists():
-            return None
-        return self._get("quarantine", key)
-
-    def delete_quarantined(self, key: str) -> None:
-        """Remove a quarantine row (idempotent)."""
-        self._delete("quarantine", key)
-
-    def list_quarantined(self) -> list[str]:
-        """Keys currently quarantined, ascending."""
-        return self._keys("quarantine")
-
-    # -- heartbeats ------------------------------------------------------
-    def save_heartbeat_record(self, worker: str, record: dict) -> None:
-        """Upsert one worker's heartbeat row (latest-wins)."""
-        self._put("heartbeats", worker, record)
-
-    def heartbeat_records(self) -> dict[str, dict]:
-        """All heartbeat rows keyed by worker name, one query."""
-        if not self.path.exists():
-            return {}
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT key, payload FROM artifacts WHERE kind = 'heartbeats' ORDER BY key"
-            ).fetchall()
-        return {key: json.loads(payload) for key, payload in rows}
-
-    # -- introspection ---------------------------------------------------
-    def iter_point_records(self) -> Iterator[tuple[str, dict]]:
-        """One query over all point rows (cheaper than per-key loads)."""
+    def renew_claim(self, key: str, owner: str) -> None:
+        """Bump the claim row's timestamp while still held by ``owner``."""
+        self._key(key)
         if not self.path.exists():
             return
         with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT key, payload FROM artifacts WHERE kind = 'points' ORDER BY key"
-            ).fetchall()
-        for key, payload in rows:
-            try:
-                yield key, json.loads(payload)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"corrupt points row {key!r} in {self.path}: {exc}"
-                ) from exc
-
-    def queue_stats(
-        self,
-        *,
-        claim_info: dict[str, dict] | None = None,
-        quarantined: "list[str] | None" = None,
-    ) -> dict:
-        """All aggregate counts in one connection (watch-loop friendly).
-
-        Prefetched ``claim_info``/``quarantined`` (see the base method)
-        take precedence over the freshly queried values, so a caller's
-        snapshot stays internally consistent.
-        """
-        stats = {
-            "backend": self.kind,
-            "locator": self.locator,
-            "points": 0,
-            "manifests": 0,
-            "series": 0,
-            "tasks": 0,
-            "claims": len(claim_info) if claim_info is not None else 0,
-            "oldest_claim_age": 0.0,
-            "quarantined": len(quarantined) if quarantined is not None else 0,
-            "lease_breaks": 0,
-            "checkpoints": {
-                "count": 0,
-                "bytes": 0,
-                "hits": 0,
-                "misses": 0,
-                "writes": 0,
-                "gc_removed": 0,
-            },
-        }
-        if claim_info is not None:
-            ages = [c["age"] for c in claim_info.values()]
-            stats["oldest_claim_age"] = max(ages, default=0.0)
-        if not self.path.exists():
-            return stats
-        with self._connect() as conn:
-            kind_counts = dict(
-                conn.execute("SELECT kind, COUNT(*) FROM artifacts GROUP BY kind").fetchall()
+            conn.execute(
+                "UPDATE claims SET claimed_at = ? WHERE key = ? AND owner = ?",
+                (time.time(), key, owner),
             )
-            ckpt_count, ckpt_bytes = conn.execute(
-                "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) "
-                "FROM artifacts WHERE kind = 'checkpoints'"
-            ).fetchone()
-            if claim_info is None:
-                n_claims, oldest = conn.execute(
-                    "SELECT COUNT(*), MIN(claimed_at) FROM claims"
-                ).fetchone()
-                stats["claims"] = int(n_claims)
-                stats["oldest_claim_age"] = (
-                    max(0.0, time.time() - oldest) if oldest is not None else 0.0
-                )
-            churn_rows = conn.execute(
-                "SELECT payload FROM artifacts WHERE kind = 'churn'"
-            ).fetchall()
-        stats.update(
-            points=int(kind_counts.get("points", 0)),
-            manifests=int(kind_counts.get("manifests", 0)),
-            series=int(kind_counts.get("series", 0)),
-            tasks=int(kind_counts.get("tasks", 0)),
-            lease_breaks=sum(int(json.loads(p).get("breaks", 0)) for (p,) in churn_rows),
-            checkpoints={
-                "count": int(ckpt_count),
-                "bytes": int(ckpt_bytes),
-                **self._checkpoint_meta(),
-            },
-        )
-        if quarantined is None:
-            stats["quarantined"] = int(kind_counts.get("quarantine", 0))
-        return stats
 
-    # -- maintenance -----------------------------------------------------
+    def release_claim(self, key: str) -> None:
+        """Delete the claim row (idempotent)."""
+        self._key(key)
+        if not self.path.exists():
+            return
+        with self._connect() as conn:
+            conn.execute("DELETE FROM claims WHERE key = ?", (key,))
+
+    def claim_info(self) -> dict[str, dict]:
+        """Owner and age straight from the claim rows."""
+        if not self.path.exists():
+            return {}
+        now = time.time()
+        with self._connect() as conn:
+            rows = conn.execute("SELECT key, owner, claimed_at FROM claims ORDER BY key").fetchall()
+        return {key: {"owner": owner, "age": max(0.0, now - at)} for key, owner, at in rows}
+
+    def claim_age(self, key: str) -> float | None:
+        """One indexed row read (no table scan)."""
+        self._key(key)
+        if not self.path.exists():
+            return None
+        with self._connect() as conn:
+            row = conn.execute("SELECT claimed_at FROM claims WHERE key = ?", (key,)).fetchone()
+        return None if row is None else max(0.0, time.time() - row[0])
+
+    # ------------------------------------------------------------------
+    # Maintenance
+    # ------------------------------------------------------------------
     def compact(self) -> "SqliteBackend":
         """Reclaim free pages (``VACUUM``); returns self for chaining."""
         with self._connect() as conn:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from repro.sim.registry import get_scenario
 from repro.sim.results import (
     CheckpointScope,
     JsonDirBackend,
-    ResultsStore,
     SqliteBackend,
     migrate_store,
     open_backend,
@@ -32,6 +32,12 @@ def tiny_spec():
         strategies=("Minim",),
         sweep_values=(6.0, 8.0),
     )
+
+
+@pytest.fixture(params=["json", "sqlite"])
+def backend(request, tmp_path):
+    """A fresh, not yet created store of each kind under ``tmp_path/store``."""
+    return open_backend(tmp_path / "store", request.param)
 
 
 class TestKeys:
@@ -55,117 +61,202 @@ class TestKeys:
 
 class TestStoreIO:
     def test_point_roundtrip(self, tmp_path):
-        store = ResultsStore(tmp_path)
+        store = JsonDirBackend(tmp_path)
         assert store.load_point("abc") is None
         store.save_point("abc", [[1.0, 2.0, 3.0]], context={"run": 0})
         assert store.load_point("abc") == [[1.0, 2.0, 3.0]]
-        payload = json.loads(store.point_path("abc").read_text())
+        payload = json.loads((tmp_path / "points" / "abc.json").read_text())
+        assert store.point_locator("abc") == str(tmp_path / "points" / "abc.json")
         assert payload["context"] == {"run": 0}
 
     def test_corrupt_point_raises(self, tmp_path):
-        store = ResultsStore(tmp_path)
-        store.point_path("bad").parent.mkdir(parents=True)
-        store.point_path("bad").write_text("{not json")
+        store = JsonDirBackend(tmp_path)
+        (tmp_path / "points").mkdir()
+        (tmp_path / "points" / "bad.json").write_text("{not json")
         with pytest.raises(ConfigurationError, match="corrupt"):
             store.load_point("bad")
 
-    def test_series_roundtrip(self, tmp_path):
-        store = ResultsStore(tmp_path)
-        series = ExperimentSeries(
-            experiment="exp-x",
-            x_label="N",
-            x_values=[1.0, 2.0],
-            metrics={"recodings": {"Minim": [1.0, 2.0]}},
-            runs=2,
-            stderr={"recodings": {"Minim": [0.1, 0.2]}},
-        )
-        store.save_series(series)
-        loaded = store.load_series("exp-x")
-        assert loaded == series
-        assert store.list_series() == ["exp-x"]
-
-    def test_missing_series_lists_catalog(self, tmp_path):
-        store = ResultsStore(tmp_path)
-        with pytest.raises(ConfigurationError, match="no stored series"):
-            store.load_series("nope")
-
-    def test_results_store_is_the_json_backend(self):
-        # backwards compatibility: the pre-refactor class name resolves
-        assert ResultsStore is JsonDirBackend
-
     def test_corrupt_manifest_raises_with_path(self, tmp_path):
-        store = ResultsStore(tmp_path)
-        path = store.manifest_path("bad")
+        store = JsonDirBackend(tmp_path)
+        path = tmp_path / "sweeps" / "bad.json"
         path.parent.mkdir(parents=True)
         path.write_text("{not json")
         with pytest.raises(ConfigurationError, match=str(path)):
             store.load_manifest("bad")
 
     def test_corrupt_series_raises_with_path(self, tmp_path):
-        store = ResultsStore(tmp_path)
-        path = store.series_path("bad")
+        store = JsonDirBackend(tmp_path)
+        path = tmp_path / "series" / "bad.json"
         path.parent.mkdir(parents=True)
         path.write_text("{not json")
         with pytest.raises(ConfigurationError, match=str(path)):
             store.load_series("bad")
 
 
-class TestSqliteBackend:
-    def test_point_roundtrip(self, tmp_path):
-        store = SqliteBackend(tmp_path / "s.sqlite")
-        assert store.load_point("abc") is None
-        store.save_point("abc", [[1.0, 2.0, 3.0]], context={"run": 0})
-        assert store.load_point("abc") == [[1.0, 2.0, 3.0]]
-        assert store.load_point_record("abc")["context"] == {"run": 0}
-        assert store.list_points() == ["abc"]
+class TestTables:
+    """One round trip per table, on both backends."""
 
-    def test_manifest_and_series_roundtrip(self, tmp_path):
-        store = SqliteBackend(tmp_path / "s.sqlite")
-        store.save_manifest("sw", {"runs": 2})
-        assert store.load_manifest("sw") == {"runs": 2}
+    def test_points(self, backend):
+        assert backend.load_point("abc") is None
+        backend.save_point("abc", [[1.0, 2.0, 3.0]], context={"run": 0})
+        assert backend.load_point("abc") == [[1.0, 2.0, 3.0]]
+        assert backend.load_point_record("abc")["context"] == {"run": 0}
+        assert backend.list_points() == ["abc"]
+
+    def test_load_points_bulk_matches_per_key(self, backend):
+        keys = [f"k{i}" for i in range(7)]
+        for i, key in enumerate(keys[:5]):
+            backend.save_point(key, [[float(i)]])
+        bulk = backend.load_points(keys)
+        assert bulk == {key: backend.load_point(key) for key in keys[:5]}
+        assert backend.load_points([]) == {}
+
+    def test_manifests(self, backend):
+        assert backend.load_manifest("sw") is None
+        backend.save_manifest("sw", {"runs": 2})
+        backend.save_manifest("sw", {"runs": 3})  # latest wins
+        assert backend.load_manifest("sw") == {"runs": 3}
+        assert backend.list_manifests() == ["sw"]
+
+    def test_series(self, backend):
         series = ExperimentSeries(
             experiment="exp-s",
             x_label="N",
             x_values=[1.0],
             metrics={"recodings": {"Minim": [1.0]}},
             runs=1,
+            stderr={"recodings": {"Minim": [0.1]}},
         )
-        store.save_series(series)
-        assert store.load_series("exp-s") == series
-        assert store.list_series() == ["exp-s"]
+        backend.save_series(series)
+        assert backend.load_series("exp-s") == series
+        assert backend.load_series_dict("exp-s") == series.to_dict()
+        assert backend.list_series() == ["exp-s"]
         with pytest.raises(ConfigurationError, match="no stored series"):
-            store.load_series("nope")
+            backend.load_series("nope")
 
-    def test_tasks_roundtrip(self, tmp_path):
-        store = SqliteBackend(tmp_path / "s.sqlite")
-        assert store.pending_task_keys() == []
-        store.save_task("t1", {"k": 1})
-        assert store.load_task("t1") == {"k": 1}
-        assert store.pending_task_keys() == ["t1"]
-        store.delete_task("t1")
-        store.delete_task("t1")  # idempotent
-        assert store.load_task("t1") is None
+    def test_tasks(self, backend):
+        assert backend.pending_task_keys() == []
+        backend.save_task("t1", {"k": 1})
+        assert backend.load_task("t1") == {"k": 1}
+        assert backend.pending_task_keys() == ["t1"]
+        backend.delete_task("t1")
+        backend.delete_task("t1")  # idempotent
+        assert backend.load_task("t1") is None
 
+    def test_churn(self, backend):
+        assert backend.lease_breaks("k") == 0
+        assert backend.record_lease_break("k") == 1
+        assert backend.record_lease_break("k") == 2
+        assert backend.record_lease_break("other") == 1
+        assert backend.lease_break_counts() == {"k": 2, "other": 1}
+        backend.reset_lease_breaks("k")
+        backend.reset_lease_breaks("k")  # idempotent
+        assert backend.lease_breaks("k") == 0
+
+    def test_quarantine(self, backend):
+        record = {"schema": 1, "payload": {"x": 1}, "reason": "r"}
+        assert backend.load_quarantined("q") is None
+        backend.save_quarantined("q", record)
+        assert backend.load_quarantined("q") == record
+        assert backend.list_quarantined() == ["q"]
+        backend.delete_quarantined("q")
+        backend.delete_quarantined("q")  # idempotent
+        assert backend.list_quarantined() == []
+
+    def test_heartbeats(self, backend):
+        assert backend.heartbeat_records() == {}
+        backend.save_heartbeat_record("w1", {"at": 100.0, "pid": 1})
+        backend.save_heartbeat_record("w1", {"at": 200.0, "pid": 1})  # latest wins
+        backend.record_heartbeat("w2")
+        records = backend.heartbeat_records()
+        assert list(records) == ["w1", "w2"]
+        assert records["w1"] == {"at": 200.0, "pid": 1}
+        assert backend.heartbeats()["w1"] == 200.0
+
+    def test_checkpoints(self, backend):
+        assert backend.load_checkpoint_record("c") is None
+        assert backend.save_checkpoint_record("c", {"version": 1}) is True
+        assert backend.save_checkpoint_record("c", {"version": 2}) is False
+        assert backend.load_checkpoint_record("c") == {"version": 1}
+        assert backend.list_checkpoints() == ["c"]
+        backend.delete_checkpoint("c")
+        assert backend.list_checkpoints() == []
+
+    def test_meta(self, backend):
+        assert backend.load_checkpoint_meta() is None
+        backend.save_checkpoint_meta({"hits": 4, "writes": 1})
+        assert backend.load_checkpoint_meta() == {"hits": 4, "writes": 1}
+        stats = backend.checkpoint_stats()
+        assert (stats["hits"], stats["misses"], stats["writes"]) == (4, 0, 1)
+        backend.get_checkpoint("absent")
+        assert backend.load_checkpoint_meta() == {"hits": 4, "misses": 1, "writes": 1}
+
+    def test_reads_never_create_the_store(self, backend, tmp_path):
+        assert backend.load_point("x") is None
+        assert backend.load_points(["x"]) == {}
+        assert backend.load_manifest("x") is None
+        assert backend.load_task("x") is None
+        assert backend.list_points() == []
+        assert backend.list_claims() == []
+        assert backend.claim_age("x") is None
+        assert backend.heartbeat_records() == {}
+        assert backend.lease_break_counts() == {}
+        assert backend.checkpoint_stats()["count"] == 0
+        assert backend.queue_stats()["points"] == 0
+        assert backend.describe()["points"] == 0
+        backend.release_claim("x")
+        backend.delete_task("x")
+        assert not (tmp_path / "store").exists()
+
+
+class TestSqliteBackend:
     def test_directory_path_resolves_to_store_sqlite(self, tmp_path):
         store = SqliteBackend(tmp_path)
         assert store.path.name == "store.sqlite"
 
-    def test_load_points_bulk_matches_per_key(self, tmp_path):
-        store = SqliteBackend(tmp_path / "s.sqlite")
-        keys = [f"k{i}" for i in range(7)]
-        for i, key in enumerate(keys[:5]):
-            store.save_point(key, [[float(i)]])
-        bulk = store.load_points(keys)
-        assert bulk == {key: store.load_point(key) for key in keys[:5]}
-        assert store.load_points([]) == {}
 
-    def test_reads_never_create_the_database(self, tmp_path):
-        store = SqliteBackend(tmp_path / "s.sqlite")
-        assert store.load_point("x") is None
-        assert store.load_manifest("x") is None
-        assert store.list_points() == []
-        assert store.list_claims() == []
-        assert not store.path.exists()
+class TestStoreKeys:
+    BAD_KEYS = ["", ".hidden", "../x", "a/b", "a\\b", "a\0b"]
+
+    @pytest.mark.parametrize("key", BAD_KEYS)
+    def test_bad_keys_are_refused_everywhere(self, backend, key):
+        calls = [
+            lambda: backend.save_point(key, [[1.0]]),
+            lambda: backend.load_points([key]),
+            lambda: backend.save_task(key, {}),
+            lambda: backend.load_quarantined(key),
+            lambda: backend.put_checkpoint(key, {}),
+            lambda: backend.record_heartbeat(key),
+            lambda: backend.try_claim(key, "w"),
+            lambda: backend.release_claim(key),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigurationError, match="invalid store key") as err:
+                call()
+            assert repr(key) in str(err.value) and backend.locator in str(err.value)
+
+    def test_save_task_writes_nothing_outside_the_root(self, backend, tmp_path):
+        with pytest.raises(ConfigurationError):
+            backend.save_task("../../x", {"schema": 1})
+        assert not list(tmp_path.glob("x*"))
+        assert backend.pending_task_keys() == []
+
+    @pytest.mark.parametrize("form", ["positional", "--key"])
+    def test_cli_requeue_refuses_a_path_key(self, backend, form, capsys):
+        from repro.cli import main
+
+        backend.save_task("K", {"schema": 1, "x": 1})
+        assert backend.quarantine_task("K", reason="poison")
+        key = ["../quarantine/K"] if form == "positional" else ["--key", "../quarantine/K"]
+        code = main(["store", "requeue", backend.locator, *key])
+        assert code == 2
+        assert "invalid store key" in capsys.readouterr().err
+        assert backend.list_quarantined() == ["K"]
+        assert backend.load_quarantined("K")["payload"] == {"schema": 1, "x": 1}
+        assert backend.pending_task_keys() == []
+        # the plain key still requeues
+        assert main(["store", "requeue", backend.locator, "K"]) == 0
+        assert backend.pending_task_keys() == ["K"]
 
 
 class TestOpenBackend:
@@ -235,25 +326,9 @@ class TestBackendParity:
 
 
 class TestChurnAndQuarantine:
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_lease_break_counters(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
-        assert backend.lease_breaks("k") == 0
-        assert backend.record_lease_break("k") == 1
-        assert backend.record_lease_break("k") == 2
-        assert backend.record_lease_break("other") == 1
-        assert backend.lease_break_counts() == {"k": 2, "other": 1}
-        backend.reset_lease_breaks("k")
-        backend.reset_lease_breaks("k")  # idempotent
-        assert backend.lease_breaks("k") == 0
-
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_breaking_a_stale_lease_is_counted(self, tmp_path, backend_cls):
-        import time as _time
-
-        backend = backend_cls(tmp_path / "store")
+    def test_breaking_a_stale_lease_is_counted(self, backend):
         assert backend.try_claim("k", "dead", ttl=0.05)
-        _time.sleep(0.1)
+        time.sleep(0.1)
         assert backend.try_claim("k", "breaker", ttl=0.05)
         assert backend.lease_breaks("k") == 1
         # a vanilla release-then-claim cycle is not churn
@@ -261,9 +336,7 @@ class TestChurnAndQuarantine:
         assert backend.try_claim("k", "next", ttl=60.0)
         assert backend.lease_breaks("k") == 1
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_quarantine_round_trip(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_quarantine_round_trip(self, backend):
         backend.save_task("k", {"schema": 1, "x": 2})
         backend.record_lease_break("k")
         assert backend.quarantine_task("k", reason="why")
@@ -280,9 +353,7 @@ class TestChurnAndQuarantine:
         assert backend.requeue_quarantined("k") is False
         assert backend.quarantine_task("never-published") is False
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_claim_info_reports_owner_and_age(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_claim_info_reports_owner_and_age(self, backend):
         assert backend.claim_info() == {}
         assert backend.try_claim("k", "worker-x", ttl=60.0)
         info = backend.claim_info()
@@ -290,9 +361,7 @@ class TestChurnAndQuarantine:
         assert info["k"]["owner"] == "worker-x"
         assert 0.0 <= info["k"]["age"] < 30.0
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_claim_age_single_key_lookup(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_claim_age_single_key_lookup(self, backend):
         assert backend.claim_age("k") is None
         assert backend.try_claim("k", "worker-x", ttl=60.0)
         age = backend.claim_age("k")
@@ -303,24 +372,20 @@ class TestChurnAndQuarantine:
     def test_racing_breakers_count_one_eviction_once(self, tmp_path):
         # the breaker that goes on to WIN the claim does the accounting;
         # a breaker that loses the race must not also bump the counter
-        import time as _time
-
         backend = JsonDirBackend(tmp_path / "store")
         assert backend.try_claim("k", "dead", ttl=0.05)
-        _time.sleep(0.1)
+        time.sleep(0.1)
         # simulate the losing breaker: the lease vanished under it (a
         # peer broke it first) and the peer's fresh claim now exists
-        backend.claim_path("k").unlink()
+        (tmp_path / "store" / "claims" / "k.lease").unlink()
         assert backend.try_claim("k", "winner", ttl=0.05)
         assert backend.lease_breaks("k") == 0  # winner saw no stale lease
         # the normal single-breaker path still counts exactly once
-        _time.sleep(0.1)
+        time.sleep(0.1)
         assert backend.try_claim("k", "breaker", ttl=0.05)
         assert backend.lease_breaks("k") == 1
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_queue_stats_aggregates(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_queue_stats_aggregates(self, backend):
         empty = backend.queue_stats()
         assert empty["tasks"] == empty["claims"] == empty["quarantined"] == 0
         backend.save_task("a", {"schema": 1})
@@ -335,9 +400,7 @@ class TestChurnAndQuarantine:
         assert stats["quarantined"] == 1 and stats["lease_breaks"] == 1
         assert stats["backend"] == backend.kind and stats["locator"] == backend.locator
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_iter_point_records_matches_per_key_loads(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_iter_point_records_matches_per_key_loads(self, backend):
         for i in range(3):
             backend.save_point(f"k{i}", [[float(i)]], context={"run": i})
         records = dict(backend.iter_point_records())
@@ -360,9 +423,7 @@ class TestCheckpointTable:
             payload["points"] = points
         return payload
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_put_is_conditional_first_writer_wins(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_put_is_conditional_first_writer_wins(self, backend):
         assert backend.get_checkpoint("k1") is None
         assert backend.put_checkpoint("k1", self._link(version=3)) is True
         # content keys mean racers carry identical payloads; the loser's
@@ -371,9 +432,7 @@ class TestCheckpointTable:
         assert backend.get_checkpoint("k1")["version"] == 3
         assert backend.list_checkpoints() == ["k1"]
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_delete_and_stats(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_delete_and_stats(self, backend):
         backend.put_checkpoint("a", self._link())
         backend.put_checkpoint("b", self._link(base="a", version=20))
         backend.get_checkpoint("a")
@@ -386,17 +445,13 @@ class TestCheckpointTable:
         backend.delete_checkpoint("a")  # idempotent
         assert backend.list_checkpoints() == ["b"]
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_queue_stats_carries_the_checkpoint_row(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_queue_stats_carries_the_checkpoint_row(self, backend):
         assert backend.queue_stats()["checkpoints"].get("count", 0) == 0
         backend.put_checkpoint("a", self._link())
         stats = backend.queue_stats()["checkpoints"]
         assert stats["count"] == 1 and stats["bytes"] > 0
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_scope_stamps_the_groups_points(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_scope_stamps_the_groups_points(self, backend):
         scope = CheckpointScope(backend, points=["pA", "pB"])
         assert scope.put_checkpoint("k", self._link()) is True
         assert backend.get_checkpoint("k")["points"] == ["pA", "pB"]
@@ -405,9 +460,7 @@ class TestCheckpointTable:
         bare.put_checkpoint("k2", self._link())
         assert "points" not in backend.get_checkpoint("k2")
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_gc_keeps_only_manifest_referenced_links(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_gc_keeps_only_manifest_referenced_links(self, backend):
         backend.save_manifest("sw", {"points": ["pA", "pB"]})
         backend.put_checkpoint("live", self._link(points=["pA"]))
         backend.put_checkpoint("orphan", self._link(points=["gone"]))
@@ -442,7 +495,7 @@ class TestCheckpointTable:
 
 class TestSweepResume:
     def test_identical_rerun_hits_cache_entirely(self, tmp_path):
-        store = ResultsStore(tmp_path)
+        store = JsonDirBackend(tmp_path)
         spec = tiny_spec()
         first = run_sweep(spec, runs=2, seed=3, store=store)
         assert "4 points computed, 0 from cache" in first.notes
@@ -452,7 +505,7 @@ class TestSweepResume:
         assert first.x_values == second.x_values
 
     def test_extending_runs_recomputes_only_new_points(self, tmp_path):
-        store = ResultsStore(tmp_path)
+        store = JsonDirBackend(tmp_path)
         spec = tiny_spec()
         run_sweep(spec, runs=1, seed=3, store=store)
         grown = run_sweep(spec, runs=2, seed=3, store=store)
@@ -461,14 +514,14 @@ class TestSweepResume:
         assert "2 points computed, 2 from cache" in grown.notes
 
     def test_no_resume_recomputes(self, tmp_path):
-        store = ResultsStore(tmp_path)
+        store = JsonDirBackend(tmp_path)
         spec = tiny_spec()
         run_sweep(spec, runs=1, seed=3, store=store)
         again = run_sweep(spec, runs=1, seed=3, store=store, resume=False)
         assert "2 points computed, 0 from cache" in again.notes
 
     def test_cache_is_spec_sensitive(self, tmp_path):
-        store = ResultsStore(tmp_path)
+        store = JsonDirBackend(tmp_path)
         spec = tiny_spec()
         run_sweep(spec, runs=1, seed=3, store=store)
         other_seed = run_sweep(spec, runs=1, seed=4, store=store)
@@ -479,7 +532,7 @@ class TestSweepResume:
         # real process pool), so a sweep that dies before assembling its
         # series still leaves resumable artifacts: wiping the manifest
         # and series must not force recomputation.
-        store = ResultsStore(tmp_path)
+        store = JsonDirBackend(tmp_path)
         spec = tiny_spec()
         run_sweep(spec, runs=1, seed=3, store=store, processes=2)
         for artifact in list(tmp_path.glob("sweeps/*")) + list(tmp_path.glob("series/*")):
@@ -488,7 +541,7 @@ class TestSweepResume:
         assert "0 points computed, 2 from cache" in again.notes
 
     def test_manifest_written(self, tmp_path, each_core):
-        store = ResultsStore(tmp_path)
+        store = JsonDirBackend(tmp_path)
         spec = tiny_spec()
         run_sweep(spec, runs=2, seed=3, store=store)
         sweep = build_sweep(spec, runs=2, seed=3)
@@ -498,12 +551,12 @@ class TestSweepResume:
         assert manifest["core"] == each_core  # the core the sweep's population ran
         assert len(manifest["points"]) == 4
         for key in manifest["points"]:
-            assert store.point_path(key).exists()
+            assert (tmp_path / "points" / f"{key}.json").exists()
 
     def test_cached_series_loadable_for_reports(self, tmp_path):
         from repro.analysis.report import panels_from_store, render_report
 
-        store = ResultsStore(tmp_path)
+        store = JsonDirBackend(tmp_path)
         run_sweep(tiny_spec(), runs=1, seed=3, store=store)
         panels = panels_from_store(
             store,

@@ -192,7 +192,7 @@ class TestWarmSweeps:
         # drop one of the three point artifacts: the run's warm group
         # must shrink to the missing member instead of recomputing all
         victim = store.list_points()[0]
-        store.point_path(victim).unlink()
+        (tmp_path / "points" / f"{victim}.json").unlink()
         again = run_sweep(spec, runs=1, seed=6, store=store)
         assert "1 points computed, 2 from cache" in again.notes
         assert again.metrics == full.metrics
