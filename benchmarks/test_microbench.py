@@ -7,6 +7,8 @@ Unlike the figure benches these use pytest-benchmark's normal
 multi-round timing.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,15 @@ from repro.cdma.walsh import walsh_codes
 from repro.coloring.bbb import bbb_colors
 from repro.coloring.dsatur import dsatur_color_matrix
 from repro.matching.hungarian import solve_max_weight_dense
-from repro.sim.network import AdHocNetwork
+from repro.sim.network import AdHocNetwork, MultiStrategyReplay
 from repro.sim.random_networks import sample_configs
+from repro.sim.registry import get_scenario
+from repro.sim.scenarios import resolve_sweep, scenario_phases
+from repro.strategies.cp import CPStrategy, plan_cp_join, plan_cp_move
 from repro.strategies.minim import MinimStrategy, plan_local_matching_recode
 from repro.topology.builder import build_digraph
 from repro.topology.conflicts import conflict_matrix
+from repro.topology.node import NodeConfig
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +101,31 @@ def test_join_recode_throughput(benchmark):
 
     plan = benchmark(recode)
     assert last.node_id in plan.changes
+
+
+def test_cp_join_move_800(benchmark):
+    """One CP join and one CP move plan in an 800-node hotspot-churn snapshot.
+
+    The snapshot is the scenario's join phase under CP (the ``churn-cp``
+    perfbench shape); the joiner lands in the hotspot, where the member
+    sets and conflict rows are largest.
+    """
+    spec = resolve_sweep(replace(get_scenario("hotspot-churn"), n=800), 0.4)
+    phases = scenario_phases(spec, np.random.default_rng(9))
+    replay = MultiStrategyReplay([CPStrategy()]).run(phases.baseline)
+    graph, assignment = replay.graph, replay.lanes[0].assignment
+    cx, cy = np.mean([graph.position_of(v) for v in graph.node_ids()], axis=0)
+    joiner = max(graph.node_ids()) + 1
+    graph.add_node(NodeConfig(joiner, float(cx), float(cy), tx_range=25.0))
+    mover = graph.node_ids()[0]
+    graph.move_node(mover, float(cx) + 3.0, float(cy))
+
+    def plans():
+        return plan_cp_join(graph, assignment, joiner), plan_cp_move(graph, assignment, mover)
+
+    join, move = benchmark(plans)
+    assert joiner in join.changes and mover in move.reselect
+    assert len(graph.undirected_neighbors(joiner)) > 20
 
 
 def test_brute_force_disc_query(benchmark):

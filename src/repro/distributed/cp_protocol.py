@@ -23,7 +23,7 @@ from repro.coloring.assignment import CodeAssignment
 from repro.coloring.constraints import lowest_available_color
 from repro.distributed.runtime import ProtocolStats
 from repro.errors import ProtocolError
-from repro.strategies.cp.join import duplicated_members
+from repro.strategies.cp.join import duplicated_members, undirected_degree
 from repro.topology.conflicts import conflict_neighbors
 from repro.topology.neighborhoods import join_partition, k_hop_neighbors
 from repro.topology.static import DigraphLike
@@ -32,10 +32,6 @@ from repro.types import Color, NodeId
 __all__ = ["run_distributed_cp_join"]
 
 _MAX_ROUNDS = 10_000
-
-
-def _undirected_degree(graph: DigraphLike, u: NodeId) -> int:
-    return len(set(graph.in_neighbors(u)) | set(graph.out_neighbors(u)))
 
 
 def run_distributed_cp_join(
@@ -56,11 +52,8 @@ def run_distributed_cp_join(
     reselect = duplicated_members(assignment, members) | {node}
 
     # Initial exchange: the joiner trades state with each 1-hop neighbor.
-    messages = 2 * _undirected_degree(graph, node)
+    messages = 2 * undirected_degree(graph, node)
 
-    working: dict[NodeId, Color] = {
-        v: c for v, c in assignment.items() if v not in reselect
-    }
     uncolored = set(reselect)
     vicinities = {u: k_hop_neighbors(graph, u, 2) for u in reselect}
     new_colors: dict[NodeId, Color] = {}
@@ -71,7 +64,7 @@ def run_distributed_cp_join(
         if rounds > _MAX_ROUNDS:
             raise ProtocolError("CP election failed to make progress")
         # Uncolored nodes announce themselves to their neighborhoods.
-        messages += sum(_undirected_degree(graph, u) for u in uncolored)
+        messages += sum(undirected_degree(graph, u) for u in uncolored)
         # Local maxima: u selects iff no higher-id uncolored node sits in
         # its 2-hop vicinity.
         selectors = [
@@ -86,11 +79,12 @@ def run_distributed_cp_join(
                 around = vicinities[u]
             else:
                 around = conflict_neighbors(graph, u)
-            taken = {working[v] for v in around if v in working}
-            color = lowest_available_color(taken)
-            working[u] = color
+            # Reselect nodes hold what they have chosen so far; the
+            # rest keep their current colors.
+            taken = {new_colors.get(v) if v in reselect else assignment.get(v) for v in around}
+            color = lowest_available_color(taken - {None})
             new_colors[u] = color
-            messages += _undirected_degree(graph, u)  # color announcement
+            messages += undirected_degree(graph, u)  # color announcement
         uncolored.difference_update(selectors)
 
     changes = {

@@ -10,7 +10,7 @@ uncolored, so ``n`` always re-selects — the reason CP pays at least one
 from __future__ import annotations
 
 from repro.coloring.assignment import CodeAssignment
-from repro.strategies.cp.join import CPPlan, plan_cp_join
+from repro.strategies.cp.join import CPPlan, plan_cp_local
 from repro.topology.static import DigraphLike
 from repro.types import NodeId
 
@@ -27,30 +27,19 @@ def plan_cp_move(
 ) -> CPPlan:
     """Plan the CP recode for moved ``node`` (already relocated).
 
-    ``assignment`` still holds the mover's pre-move color; the leave
-    phase discards it (the join phase sees ``node`` uncolored), and the
-    mover's re-selected color counts as a recoding only if it differs
-    from the pre-move color.
+    ``assignment`` still holds the mover's pre-move color.  The plan
+    runs on it as it is: the mover is in its own reselect set, so that
+    color places no constraint (the join phase sees ``node``
+    uncolored), and the mover's re-selected color counts as a recoding
+    only if it differs from the pre-move color.  The re-joined mover
+    announces its selection either way, so its announce messages
+    always count.
     """
-    as_left = assignment.copy()
-    as_left.unassign(node)
-    plan = plan_cp_join(
+    return plan_cp_local(
         graph,
-        as_left,
+        assignment,
         node,
         highest_first=highest_first,
         vicinity_colors=vicinity_colors,
-    )
-    # Recompute the change set against the true (pre-move) colors.
-    changes = {
-        u: (assignment.get(u), c)
-        for u, c in plan.new_colors.items()
-        if assignment.get(u) != c
-    }
-    return CPPlan(
-        node=node,
-        reselect=plan.reselect,
-        new_colors=plan.new_colors,
-        changes=changes,
-        messages=plan.messages,
+        node_announces=True,
     )

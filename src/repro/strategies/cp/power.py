@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from collections.abc import Set
 
+import numpy as np
+
 from repro.coloring.assignment import CodeAssignment
-from repro.strategies.cp.join import CPPlan
-from repro.strategies.cp.selection import reselect_colors
+from repro.strategies.cp.join import CPPlan, plan_reselect, undirected_degree
 from repro.topology.conflicts import conflict_neighbors
 from repro.topology.static import DigraphLike
 from repro.types import NodeId
@@ -37,29 +38,18 @@ def plan_cp_power_increase(
     ``old_conflict_neighbors`` is the node's conflict set before it.
     """
     own = assignment[node]
-    new_conflicts = conflict_neighbors(graph, node) - set(old_conflict_neighbors)
-    # .get: an uncolored conflict neighbor (joined later in the same
-    # round-commit round) has no color to duplicate yet
-    duplicates = {w for w in new_conflicts if assignment.get(w) == own}
-    reselect = duplicates | {node}
-    new_colors = reselect_colors(
+    around = conflict_neighbors(graph, node)
+    row = np.fromiter(around, dtype=np.int64, count=len(around))
+    # An uncolored conflict neighbor (joined later in the same
+    # round-commit round) reads 0 and has no color to duplicate yet.
+    same = row[assignment.color_array(row) == own].tolist()
+    duplicates = [w for w in same if w not in old_conflict_neighbors]
+    return plan_reselect(
         graph,
         assignment,
-        reselect,
+        node,
+        {*duplicates, node},
+        undirected_degree(graph, node),
         highest_first=highest_first,
         vicinity_colors=vicinity_colors,
-    )
-    changes = {
-        u: (assignment.get(u), c) for u, c in new_colors.items() if assignment.get(u) != c
-    }
-    degree = len(set(graph.in_neighbors(node)) | set(graph.out_neighbors(node)))
-    announce = sum(
-        len(set(graph.in_neighbors(u)) | set(graph.out_neighbors(u))) for u in changes
-    )
-    return CPPlan(
-        node=node,
-        reselect=frozenset(reselect),
-        new_colors=new_colors,
-        changes=changes,
-        messages=2 * degree + announce,
     )

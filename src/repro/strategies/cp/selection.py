@@ -8,8 +8,8 @@ select "the lowest available color".
 Two unassigned nodes outside each other's 2-hop vicinities share no
 constraints, so the distributed execution is equivalent to processing
 the reselect set sequentially in descending identifier order — which is
-what this oracle implementation does.  (The message-driven version lives
-in :mod:`repro.distributed.cp_protocol` and is tested equivalent.)
+what this implementation does.  (The message-driven version lives in
+:mod:`repro.distributed.cp_protocol` and is tested equivalent.)
 
 What counts as "taken" for a selecting node is governed by
 ``vicinity_colors``:
@@ -29,16 +29,62 @@ undirected hops.
 
 from __future__ import annotations
 
-from collections.abc import Set
+from collections.abc import Sequence, Set
+from itertools import chain
+
+import numpy as np
 
 from repro.coloring.assignment import CodeAssignment
-from repro.coloring.constraints import lowest_available_color
 from repro.topology.conflicts import conflict_neighbors
+from repro.topology.digraph import AdHocDigraph
 from repro.topology.neighborhoods import k_hop_neighbors
 from repro.topology.static import DigraphLike
 from repro.types import Color, NodeId
 
 __all__ = ["reselect_colors"]
+
+
+def _rows(
+    graph: DigraphLike,
+    order: Sequence[NodeId],
+    vicinity_colors: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The "around" row of every node of ``order``, flattened.
+
+    Returns ``(ids, lengths)``: row ``j`` is the next ``lengths[j]``
+    entries of ``ids``.  An :class:`AdHocDigraph` answers the conflict
+    rows with slot rows — one conflict block on the array core, the
+    cached O(deg) rows on the sparse core; other graphs answer through
+    :func:`conflict_neighbors`.  The vicinity rows come from
+    :func:`k_hop_neighbors` on every graph.
+    """
+    if isinstance(graph, AdHocDigraph) and not vicinity_colors:
+        slots = np.fromiter(map(graph.slot_of, order), dtype=np.intp, count=len(order))
+        if graph.sparse_core:
+            lists = graph.conflict_slot_lists(slots)
+        else:
+            rows, cols = np.nonzero(graph.conflict_masks(slots))
+            return graph.slot_ids()[cols], np.bincount(rows, minlength=len(order))
+        lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+        return graph.slot_ids()[np.concatenate(lists)], lengths
+    if vicinity_colors:
+        sets = [k_hop_neighbors(graph, u, 2) for u in order]
+    else:
+        sets = [conflict_neighbors(graph, u) for u in order]
+    lengths = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    ids = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(lengths.sum()))
+    return ids, lengths
+
+
+def _lowest_free(colors: np.ndarray) -> Color:
+    """The lowest color >= 1 missing from ``colors`` (0 marks no color).
+
+    ``m`` entries leave one of ``1..m+1`` free, so it is the first zero
+    of a ``bincount`` at least ``m + 2`` long.
+    """
+    counts = np.bincount(colors, minlength=len(colors) + 2)
+    counts[0] = 1
+    return int(counts.argmin())
 
 
 def reselect_colors(
@@ -59,19 +105,37 @@ def reselect_colors(
 
     A node may land back on its old color — the caller decides whether
     that counts as a recoding (it does not, per the section 5 metric).
+
+    On arrays: the rows of every node are gathered once, and each node
+    in turn overlays the reselect nodes on its row with the colors
+    chosen so far (0, no constraint, for those still to choose) and
+    takes the lowest color its row leaves free (one ``bincount`` over
+    the row).  Nothing outside the rows is read.
     """
-    working: dict[NodeId, Color] = {
-        v: c for v, c in assignment.items() if v not in reselect
-    }
     order = sorted(reselect, reverse=highest_first)
-    out: dict[NodeId, Color] = {}
-    for u in order:
-        if vicinity_colors:
-            around = k_hop_neighbors(graph, u, 2)
-        else:
-            around = conflict_neighbors(graph, u)
-        taken = {working[v] for v in around if v in working}
-        color = lowest_available_color(taken)
-        working[u] = color
-        out[u] = color
-    return out
+    k = len(order)
+    if not k:
+        return {}
+    ids, lengths = _rows(graph, order, vicinity_colors)
+    colors = assignment.color_array(ids)
+    if k == 1:  # no other reselect node sits on the row
+        return {order[0]: _lowest_free(colors)}
+    # Row entries that are reselect nodes: their old colors place no
+    # constraint; they hold what they have chosen so far (0 until then).
+    ascending = np.sort(np.asarray(order, dtype=np.int64))
+    pos = ascending.searchsorted(ids)
+    np.minimum(pos, k - 1, out=pos)
+    hits = np.flatnonzero(ascending[pos] == ids)
+    hit_pos = pos[hits]
+    ends = np.cumsum(lengths).tolist()
+    hit_ends = hits.searchsorted(ends).tolist()
+    own_pos = ascending.searchsorted(order).tolist()
+    chosen = np.zeros(k, dtype=np.int64)
+    lo = hit_lo = 0
+    for j in range(k):
+        hi, hit_hi = ends[j], hit_ends[j]
+        if hit_hi > hit_lo:
+            colors[hits[hit_lo:hit_hi]] = chosen[hit_pos[hit_lo:hit_hi]]
+        chosen[own_pos[j]] = _lowest_free(colors[lo:hi])
+        lo, hit_lo = hi, hit_hi
+    return dict(zip(order, chosen[own_pos].tolist()))

@@ -528,13 +528,7 @@ class AdHocDigraph:
 
     def undirected_neighbors(self, node_id: NodeId) -> list[NodeId]:
         """Union of in- and out-neighbors (sorted)."""
-        i = self._idx(node_id)
-        if self._sparse:
-            both = np.union1d(self._outr[i].view(), self._inr[i].view())
-            return sorted(self._ida[both].tolist())
-        n = len(self._ids)
-        mask = self._adj[i, :n] | self._adj[:n, i]
-        return sorted(self._ida[:n][mask].tolist())
+        return sorted(self._ida[self.undirected_slots(self._idx(node_id))].tolist())
 
     def out_degree(self, node_id: NodeId) -> int:
         """Number of out-neighbors."""
@@ -1573,6 +1567,18 @@ class AdHocDigraph:
             return self._inr[slot].values()
         n = len(self._ids)
         return self._adj[:n, slot].nonzero()[0]
+
+    def undirected_slots(self, slot: int) -> np.ndarray:
+        """Slots with an edge to or from ``slot`` (ascending index array).
+
+        The slot form of :meth:`undirected_neighbors`: one row/column
+        compare on the array core, a merge of the two O(deg) rows on the
+        sparse core.
+        """
+        if self._sparse:
+            return np.union1d(self._outr[slot].view(), self._inr[slot].view())
+        n = len(self._ids)
+        return np.flatnonzero(self._adj[slot, :n] | self._adj[:n, slot])
 
     def v1_slots(self, slot: int) -> np.ndarray:
         """Slots of ``slot``'s closed in-neighborhood (``slot`` + in-neighbors).

@@ -13,9 +13,11 @@ The recoding strategies operate on ``V1 = 1n ∪ 2n ∪ {n}``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field
+from itertools import chain
 
-from repro.topology.digraph import AdHocDigraph
+from repro.topology.static import DigraphLike
 from repro.types import NodeId
 
 __all__ = ["JoinPartition", "join_partition", "k_hop_neighbors", "vicinity"]
@@ -23,13 +25,24 @@ __all__ = ["JoinPartition", "join_partition", "k_hop_neighbors", "vicinity"]
 
 @dataclass(frozen=True)
 class JoinPartition:
-    """The Fig-2 partition of the network around a node ``n``."""
+    """The Fig-2 partition of the network around a node ``n``.
+
+    ``one``/``two``/``three`` come from ``n``'s in- and out-neighbor
+    lists; ``four`` (everything else) is derived from ``graph``'s
+    current node set only when read, so building a partition never
+    costs O(N).
+    """
 
     node: NodeId
     one: frozenset[NodeId]
     two: frozenset[NodeId]
     three: frozenset[NodeId]
-    four: frozenset[NodeId]
+    graph: DigraphLike = field(repr=False, compare=False)
+
+    @property
+    def four(self) -> frozenset[NodeId]:
+        """``4n`` — nodes with no edge to or from ``n``."""
+        return frozenset(self.graph.node_ids()) - self.one - self.two - self.three - {self.node}
 
     @property
     def v1(self) -> frozenset[NodeId]:
@@ -47,29 +60,36 @@ class JoinPartition:
         return self.two | self.three
 
 
-def join_partition(graph: AdHocDigraph, node_id: NodeId) -> JoinPartition:
+def join_partition(graph: DigraphLike, node_id: NodeId) -> JoinPartition:
     """Partition all other nodes into ``1n/2n/3n/4n`` relative to ``node_id``.
 
     ``node_id`` must already be present in ``graph`` (for a join, call
     after inserting the node; for a move, after relocating it).
     """
-    into = set(graph.in_neighbors(node_id))
-    outof = set(graph.out_neighbors(node_id))
+    into = frozenset(graph.in_neighbors(node_id))
+    outof = frozenset(graph.out_neighbors(node_id))
     both = into & outof
-    one = into - both
-    three = outof - both
-    everyone = set(graph.node_ids()) - {node_id}
-    four = everyone - into - outof
-    return JoinPartition(
-        node=node_id,
-        one=frozenset(one),
-        two=frozenset(both),
-        three=frozenset(three),
-        four=frozenset(four),
-    )
+    return JoinPartition(node=node_id, one=into - both, two=both, three=outof - both, graph=graph)
 
 
-def k_hop_neighbors(graph: AdHocDigraph, node_id: NodeId, k: int) -> set[NodeId]:
+def _within_hops(start: int, k: int, row: Callable[[int], Iterable[int]]) -> set[int]:
+    """Vertices 1..``k`` hops from ``start``; ``row(v)`` lists ``v``'s neighbors.
+
+    A breadth-first search that stops after ``k`` frontier steps.
+    """
+    seen = {start}
+    frontier: Iterable[int] = (start,)
+    for _ in range(k):
+        fresh = {w for v in frontier for w in row(v)} - seen
+        if not fresh:
+            break
+        seen |= fresh
+        frontier = fresh
+    seen.discard(start)
+    return seen
+
+
+def k_hop_neighbors(graph: DigraphLike, node_id: NodeId, k: int) -> set[NodeId]:
     """Nodes within ``k`` undirected hops of ``node_id`` (excluding it).
 
     The CP baseline constrains color choices by the colors "taken by any
@@ -77,11 +97,10 @@ def k_hop_neighbors(graph: AdHocDigraph, node_id: NodeId, k: int) -> set[NodeId]
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    dist = graph.undirected_hop_distances(node_id)
-    return {v for v, d in dist.items() if 0 < d <= k}
+    return _within_hops(node_id, k, lambda v: chain(graph.in_neighbors(v), graph.out_neighbors(v)))
 
 
-def vicinity(graph: AdHocDigraph, node_id: NodeId, k: int = 2) -> set[NodeId]:
+def vicinity(graph: DigraphLike, node_id: NodeId, k: int = 2) -> set[NodeId]:
     """``{node_id} ∪ k_hop_neighbors`` — the node's k-hop vicinity."""
     out = k_hop_neighbors(graph, node_id, k)
     out.add(node_id)

@@ -1,8 +1,9 @@
-"""Reference implementations of the Minim matching plan.
+"""Reference implementations of the Minim and CP plans.
 
-These are the per-member loops the array plan in
-``repro.strategies.minim.join`` replaced, kept only as oracles: the
-production plan must return exactly what these return.  The maximum-
+These are the per-member loops the array plans in
+``repro.strategies.minim.join`` and ``repro.strategies.cp`` replaced,
+kept only as oracles: the production plans must return exactly what
+these return.  The maximum-
 weight matching is not always unique (two recoded members can swap
 fresh colors at equal weight), so equality here pins the solver's tie
 path as well as the optimum.
@@ -12,18 +13,27 @@ path as well as the optimum.
 - :func:`solve_v1_oracle` — the weight construction edge by edge through
   ``WeightedBipartiteGraph.add_edge``;
 - :func:`plan_oracle` — constraint collection with one
-  ``forbidden_colors`` call per ``V1`` member.
+  ``forbidden_colors`` call per ``V1`` member;
+- :func:`duplicated_members_oracle`, :func:`reselect_colors_oracle` and
+  :func:`cp_join_oracle` / :func:`cp_move_oracle` /
+  :func:`cp_power_increase_oracle` — CP with color classes in a dict, a
+  ``working`` copy of the whole assignment per event, and a copy of the
+  assignment with the mover unassigned per move.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
+
 import numpy as np
 
 from repro.coloring.assignment import CodeAssignment
-from repro.coloring.constraints import forbidden_colors
+from repro.coloring.constraints import forbidden_colors, lowest_available_color
 from repro.matching import WeightedBipartiteGraph
+from repro.strategies.cp.join import CPPlan
 from repro.strategies.minim.join import LocalRecodePlan
-from repro.topology.neighborhoods import join_partition
+from repro.topology.conflicts import conflict_neighbors
+from repro.topology.neighborhoods import join_partition, k_hop_neighbors
 from repro.topology.static import DigraphLike
 from repro.types import Color, NodeId
 
@@ -156,3 +166,87 @@ def plan_oracle(
         changes=changes,
         messages=messages,
     )
+
+
+def duplicated_members_oracle(
+    assignment: CodeAssignment, members: frozenset[NodeId]
+) -> set[NodeId]:
+    """Members sharing their color with another member, classes in a dict."""
+    classes: dict[Color, list[NodeId]] = {}
+    for u in members:
+        color = assignment.get(u)
+        if color is not None:
+            classes.setdefault(color, []).append(u)
+    return {u for nodes in classes.values() if len(nodes) > 1 for u in nodes}
+
+
+def reselect_colors_oracle(
+    graph: DigraphLike,
+    assignment: CodeAssignment,
+    reselect: Set[NodeId],
+    *,
+    highest_first: bool = True,
+    vicinity_colors: bool = False,
+) -> dict[NodeId, Color]:
+    """The CP selection over a ``working`` copy of every other node's color."""
+    working: dict[NodeId, Color] = {v: c for v, c in assignment.items() if v not in reselect}
+    out: dict[NodeId, Color] = {}
+    for u in sorted(reselect, reverse=highest_first):
+        if vicinity_colors:
+            around = k_hop_neighbors(graph, u, 2)
+        else:
+            around = conflict_neighbors(graph, u)
+        color = lowest_available_color({working[v] for v in around if v in working})
+        working[u] = color
+        out[u] = color
+    return out
+
+
+def _degree(graph: DigraphLike, u: NodeId) -> int:
+    return len(set(graph.in_neighbors(u)) | set(graph.out_neighbors(u)))
+
+
+def _cp_plan(graph, assignment, node, reselect, **options) -> CPPlan:
+    new_colors = reselect_colors_oracle(graph, assignment, reselect, **options)
+    changes = {u: (assignment.get(u), c) for u, c in new_colors.items() if assignment.get(u) != c}
+    messages = 2 * _degree(graph, node) + sum(_degree(graph, u) for u in changes)
+    return CPPlan(node, frozenset(reselect), new_colors, changes, messages)
+
+
+def cp_join_oracle(
+    graph: DigraphLike, assignment: CodeAssignment, node: NodeId, **options
+) -> CPPlan:
+    """CP join: reselect ``node`` and every duplicated member around it."""
+    part = join_partition(graph, node)
+    members = part.in_neighbors | part.out_neighbors
+    reselect = duplicated_members_oracle(assignment, members) | {node}
+    return _cp_plan(graph, assignment, node, reselect, **options)
+
+
+def cp_move_oracle(
+    graph: DigraphLike, assignment: CodeAssignment, node: NodeId, **options
+) -> CPPlan:
+    """CP move: a join on a copy with the mover unassigned, changes re-diffed."""
+    as_left = assignment.copy()
+    as_left.unassign(node)
+    plan = cp_join_oracle(graph, as_left, node, **options)
+    changes = {
+        u: (assignment.get(u), c)
+        for u, c in plan.new_colors.items()
+        if assignment.get(u) != c
+    }
+    return CPPlan(node, plan.reselect, plan.new_colors, changes, plan.messages)
+
+
+def cp_power_increase_oracle(
+    graph: DigraphLike,
+    assignment: CodeAssignment,
+    node: NodeId,
+    old_conflict_neighbors: Set[NodeId],
+    **options,
+) -> CPPlan:
+    """CP power increase: reselect the same-colored gained conflicts and ``node``."""
+    own = assignment[node]
+    gained = conflict_neighbors(graph, node) - set(old_conflict_neighbors)
+    reselect = {w for w in gained if assignment.get(w) == own} | {node}
+    return _cp_plan(graph, assignment, node, reselect, **options)

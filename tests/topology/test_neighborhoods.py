@@ -78,3 +78,15 @@ class TestKHop:
         for u in g.node_ids():
             two_hop = k_hop_neighbors(g, u, 2)
             assert g.conflict_neighbor_ids(u) <= two_hop
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bounded_search_matches_full_bfs(self, k):
+        # The hop-bounded search must return what filtering a full BFS
+        # by d <= k returns, on the running core and on an explicit-edge
+        # copy of the same digraph.
+        g = make_random_graph(seed=14, n=40, min_range=12.5, max_range=22.5)
+        static = StaticDigraph(nodes=g.node_ids(), edges=g.edges())
+        for graph in (g, static):
+            for u in graph.node_ids():
+                full = graph.undirected_hop_distances(u)
+                assert k_hop_neighbors(graph, u, k) == {v for v, d in full.items() if 0 < d <= k}
