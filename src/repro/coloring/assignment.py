@@ -240,17 +240,20 @@ class ArrayCodeAssignment(CodeAssignment):
     def color_array(self, nodes: Iterable[NodeId]) -> np.ndarray:
         """Codes of ``nodes`` as an int64 array, 0 where unassigned.
 
-        One gather from the color array; ids past its end (never
-        assigned) read as 0.
+        One gather from the color array, whose own bounds check is the
+        only test the common case pays; ids past its end (never
+        assigned) read as 0.  Ids are node ids of this assignment,
+        which are non-negative (:meth:`assign` rejects others).
         """
         ids = np.asarray(nodes, dtype=np.intp)
         colors = self._colors
-        inside = (ids >= 0) & (ids < len(colors))
-        if inside.all():
+        try:
             return colors[ids]
-        out = np.zeros(len(ids), dtype=np.int64)
-        out[inside] = colors[ids[inside]]
-        return out
+        except IndexError:  # some id lies past the end
+            out = np.zeros(len(ids), dtype=np.int64)
+            inside = (ids >= 0) & (ids < len(colors))
+            out[inside] = colors[ids[inside]]
+            return out
 
     # -- mutation -------------------------------------------------------
     def assign(self, node: NodeId, color: Color) -> None:

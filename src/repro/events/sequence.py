@@ -14,6 +14,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.events.base import Event, JoinEvent
 from repro.topology.digraph import AdHocDigraph
+from repro.topology.neighborhoods import k_hop_neighbors
 
 __all__ = ["EventLog", "plan_parallel_join_batches"]
 
@@ -62,39 +63,28 @@ def plan_parallel_join_batches(
     undirected hops apart (or disconnected).  Planning is greedy in input
     order, so earlier joins fill earlier batches.
 
-    The input ``graph`` is not modified (planning runs on a scratch
-    copy).
+    Planning runs on one scratch copy of ``graph`` (the input is not
+    modified): each candidate is inserted and kept or removed again
+    after one bounded search — a batch-mate within ``min_separation -
+    1`` hops of it is too close — and each batch stays inserted as the
+    base of the next one.
     """
     if min_separation < 1:
         raise ValueError(f"min_separation must be >= 1, got {min_separation}")
     pending = list(joins)
     batches: list[list[JoinEvent]] = []
+    scratch = graph.copy()
     while pending:
-        scratch = graph.copy()
         batch: list[JoinEvent] = []
         leftovers: list[JoinEvent] = []
         for ev in pending:
             scratch.add_node(ev.config)
-            dist = scratch.undirected_hop_distances(ev.config.node_id)
-            ok = all(
-                dist.get(other.config.node_id, min_separation) >= min_separation
-                for other in batch
-            )
-            if ok:
-                batch.append(ev)
-            else:
+            near = k_hop_neighbors(scratch, ev.config.node_id, min_separation - 1)
+            if any(other.config.node_id in near for other in batch):
                 scratch.remove_node(ev.config.node_id)
                 leftovers.append(ev)
+            else:
+                batch.append(ev)
         batches.append(batch)
-        # Members of this batch are now considered part of the network
-        # for subsequent batches.
-        for ev in batch:
-            graph = _with_node(graph, ev)
         pending = leftovers
     return batches
-
-
-def _with_node(graph: AdHocDigraph, ev: JoinEvent) -> AdHocDigraph:
-    g = graph.copy()
-    g.add_node(ev.config)
-    return g

@@ -153,24 +153,6 @@ def _pinned_core(mode: str) -> Iterator[None]:
         digraph._SPARSE_AUTO_MIN = shipped
 
 
-def _apply_setup(graph: AdHocDigraph, setup: list[Event] | None, mode: str) -> None:
-    """Build the untimed starting topology for a bench driver.
-
-    Sparse-core graphs admit it through one
-    :meth:`~repro.topology.digraph.AdHocDigraph.apply_round` (the bulk
-    join path — byte-identical to sequential application and the only
-    way an N=10⁵ setup finishes in bench-friendly time); the array core
-    replays it event by event.
-    """
-    if not setup:
-        return
-    if mode == "sparse":
-        graph.apply_round(setup)
-    else:
-        for ev in setup:
-            graph.apply_event(ev)
-
-
 def drive_event_loop(
     events: list[Event],
     *,
@@ -184,17 +166,15 @@ def drive_event_loop(
     recoding strategy issues as its first step (constraint collection
     over ``V1``), so every mode answers the same workload:
 
-    - ``"array"`` — the array core; V1 is gathered as a slot index
-      array and all its conflict rows come from one batched
-      :meth:`~repro.topology.digraph.AdHocDigraph.conflict_masks` call.
-    - ``"sparse"`` — the sparse (CSR rows) core; V1's conflict rows
-      come from one batched
-      :meth:`~repro.topology.digraph.AdHocDigraph.conflict_slot_lists`
-      call, its row-native query that never widens to an N-sized mask.
+    - ``"array"`` — the array core;
+    - ``"sparse"`` — the sparse (CSR rows) core.
 
-    Each mode drives its *native* query pattern deliberately: the bench
-    compares the end-to-end event loop a strategy replay would run on
-    that core, not one query API transplanted across cores.
+    V1 is gathered as a slot index array and all its conflict rows come
+    from one batched
+    :meth:`~repro.topology.digraph.AdHocDigraph.conflict_pairs` call,
+    which each core answers in its native form (one boolean block on
+    the array core, cached CSR rows on the sparse core) — the event
+    loop a strategy replay would run on that core.
 
     ``setup`` events, when given, build the starting topology *outside*
     the timed region (no conflict queries) — the mobility benches use
@@ -202,7 +182,9 @@ def drive_event_loop(
     """
     with _pinned_core(mode):
         graph = AdHocDigraph()
-        _apply_setup(graph, setup, mode)
+        # One batched round (the bulk join path on the sparse core —
+        # the only way an N=10⁵ setup finishes in bench-friendly time).
+        graph.apply_round(setup or ())
         start = perf_seconds()
         for ev in events:
             if isinstance(ev, JoinEvent):
@@ -214,11 +196,7 @@ def drive_event_loop(
             elif isinstance(ev, LeaveEvent):
                 graph.remove_node(ev.node_id)
                 continue  # nothing to recode around a departed node
-            s = graph.slot_of(ev.node_id)
-            if mode == "sparse":
-                graph.conflict_slot_lists(graph.v1_slots(s))
-            else:
-                graph.conflict_masks(graph.v1_slots(s))
+            graph.conflict_pairs(graph.v1_slots(graph.slot_of(ev.node_id)))
         return perf_seconds() - start
 
 
@@ -237,25 +215,21 @@ def drive_event_rounds(
     streaming :meth:`~repro.topology.digraph.AdHocDigraph.bulk_join`
     path), then the same V1 conflict queries run per delta against the
     post-round graph, batched through
-    :meth:`~repro.topology.digraph.AdHocDigraph.conflict_slot_lists`
-    under the sparse core.  ``setup`` builds the starting topology
-    untimed, as in :func:`drive_event_loop`.  Used by the large-n
+    :meth:`~repro.topology.digraph.AdHocDigraph.conflict_pairs`.
+    ``setup`` builds the starting topology untimed, as in
+    :func:`drive_event_loop`.  Used by the large-n
     bench's ``sparse`` and ``sparse-rounds`` entries.
     """
     with _pinned_core(mode):
         graph = AdHocDigraph()
-        _apply_setup(graph, setup, mode)
+        graph.apply_round(setup or ())
         start = perf_seconds()
         for round_events in rounds:
             deltas = graph.apply_round(round_events)
             for delta in deltas:
                 if delta.kind == "leave" or delta.node_id not in graph:
                     continue
-                s = graph.slot_of(delta.node_id)
-                if mode == "sparse":
-                    graph.conflict_slot_lists(graph.v1_slots(s))
-                else:
-                    graph.conflict_masks(graph.v1_slots(s))
+                graph.conflict_pairs(graph.v1_slots(graph.slot_of(delta.node_id)))
         return perf_seconds() - start
 
 

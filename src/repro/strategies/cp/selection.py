@@ -53,20 +53,14 @@ def _rows(
 
     Returns ``(ids, lengths)``: row ``j`` is the next ``lengths[j]``
     entries of ``ids``.  An :class:`AdHocDigraph` answers the conflict
-    rows with slot rows — one conflict block on the array core, the
-    cached O(deg) rows on the sparse core; other graphs answer through
-    :func:`conflict_neighbors`.  The vicinity rows come from
-    :func:`k_hop_neighbors` on every graph.
+    rows with one :meth:`AdHocDigraph.conflict_pairs` query; other
+    graphs answer through :func:`conflict_neighbors`.  The vicinity
+    rows come from :func:`k_hop_neighbors` on every graph.
     """
     if isinstance(graph, AdHocDigraph) and not vicinity_colors:
         slots = np.fromiter(map(graph.slot_of, order), dtype=np.intp, count=len(order))
-        if graph.sparse_core:
-            lists = graph.conflict_slot_lists(slots)
-        else:
-            rows, cols = np.nonzero(graph.conflict_masks(slots))
-            return graph.slot_ids()[cols], np.bincount(rows, minlength=len(order))
-        lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-        return graph.slot_ids()[np.concatenate(lists)], lengths
+        rows, cols = graph.conflict_pairs(slots)
+        return graph.slot_ids()[cols], np.bincount(rows, minlength=len(order))
     if vicinity_colors:
         sets = [k_hop_neighbors(graph, u, 2) for u in order]
     else:

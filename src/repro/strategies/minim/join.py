@@ -128,25 +128,18 @@ def _v1_constraints(
     when uncolored) and ``forbidden[i, c]`` marks color ``c`` as held by a
     conflict neighbor of ``v1_list[i]`` outside ``V1``.  ``forbidden``
     has ``max + 1`` columns (column 0 unused), ``max`` being step 3's
-    palette bound.  Conflict rows come from one batched query — CSR rows
-    on the sparse core, a boolean block on the array core, the whole
-    conflict matrix for any other graph — and colors from one gather.
+    palette bound.  Conflict rows come from one batched query —
+    :meth:`AdHocDigraph.conflict_pairs`, or the whole conflict matrix
+    for any other graph — and colors from one gather.
     """
     k = len(v1_list)
     if isinstance(graph, AdHocDigraph):
         slots = np.fromiter(map(graph.slot_of, v1_list), dtype=np.intp, count=k)
         in_v1 = np.zeros(len(graph), dtype=bool)
         in_v1[slots] = True
-        if graph.sparse_core:
-            lists = graph.conflict_slot_lists(slots)
-            cols = np.concatenate(lists)
-            rows = np.repeat(np.arange(k), [len(r) for r in lists])
-            outside = ~in_v1[cols]
-            rows, cols = rows[outside], cols[outside]
-        else:
-            block = graph.conflict_masks(slots)
-            block[:, in_v1] = False
-            rows, cols = np.nonzero(block)
+        rows, cols = graph.conflict_pairs(slots)
+        outside = ~in_v1[cols]
+        rows, cols = rows[outside], cols[outside]
         neighbor_ids = graph.slot_ids()[cols]
     else:
         ids, conflicts = conflict_adjacency(graph)

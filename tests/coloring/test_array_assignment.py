@@ -10,6 +10,7 @@ the end of the array).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.coloring.assignment import ArrayCodeAssignment, CodeAssignment
@@ -57,7 +58,15 @@ class TestObservableEquivalence:
         expected = [codes.get(v, 0) for v in nodes]
         assert arr.color_array(nodes).tolist() == expected
         assert ref.color_array(nodes).tolist() == expected
-        assert arr.color_array([]).tolist() == []
+        assert arr.color_array(np.asarray(nodes)).tolist() == expected
+        # every id in range, every id past the end, nothing at all
+        inside = [v for v in nodes if v < 64]
+        assert arr.color_array(inside).tolist() == [codes.get(v, 0) for v in inside]
+        past = [10_000, 64, 1 << 20]
+        assert arr.color_array(past).tolist() == ref.color_array(past).tolist() == [0, 0, 0]
+        for empty in ([], np.asarray([], dtype=np.int64)):
+            for got in (arr.color_array(empty), ref.color_array(empty)):
+                assert got.dtype == np.int64 and got.shape == (0,)
 
     def test_getitem_and_membership(self):
         arr = ArrayCodeAssignment({4: 9})

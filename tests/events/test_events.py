@@ -1,5 +1,6 @@
 """Tests for event ADTs, logs and parallel-join batching."""
 
+import numpy as np
 import pytest
 
 from repro.events.base import JoinEvent, LeaveEvent, MoveEvent, PowerChangeEvent
@@ -102,3 +103,61 @@ class TestParallelJoinBatches:
             return net.assignment.as_dict()
 
         assert run(batches[0]) == run(list(reversed(batches[0])))
+
+
+def plan_batches_oracle(graph, joins, min_separation):
+    """The join-batch planner as a plain loop: one full hop-distance BFS
+    per candidate, and a fresh copy of the base graph per batch."""
+    pending = list(joins)
+    batches = []
+    while pending:
+        scratch = graph.copy()
+        batch, leftovers = [], []
+        for ev in pending:
+            scratch.add_node(ev.config)
+            dist = scratch.undirected_hop_distances(ev.config.node_id)
+            if all(
+                dist.get(other.config.node_id, min_separation) >= min_separation
+                for other in batch
+            ):
+                batch.append(ev)
+            else:
+                scratch.remove_node(ev.config.node_id)
+                leftovers.append(ev)
+        batches.append(batch)
+        for ev in batch:
+            graph = graph.copy()
+            graph.add_node(ev.config)
+        pending = leftovers
+    return batches
+
+
+class TestJoinBatchPlannerOracle:
+    @staticmethod
+    def _configs(rng, ids):
+        return [
+            NodeConfig(
+                i,
+                float(rng.uniform(0, 100)),
+                float(rng.uniform(0, 100)),
+                float(rng.uniform(8, 22)),
+            )
+            for i in ids
+        ]
+
+    @pytest.mark.parametrize("min_separation", range(1, 6))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batches_match_the_full_bfs_planner(self, each_core, seed, min_separation):
+        rng = np.random.default_rng(seed)
+        base = build_digraph(self._configs(rng, range(30)))
+        assert base.core == each_core
+        joins = [JoinEvent(cfg) for cfg in self._configs(rng, range(100, 116))]
+        before = base.snapshot()
+        got = plan_parallel_join_batches(base, joins, min_separation=min_separation)
+        assert got == plan_batches_oracle(base, joins, min_separation)
+        assert base.snapshot() == before
+        assert sorted(ev.node_id for batch in got for ev in batch) == list(range(100, 116))
+        if min_separation == 1:
+            assert len(got) == 1  # distinct nodes are always >= 1 hop apart
+        elif min_separation >= 3:
+            assert len(got) > 1  # the random joins crowd each other

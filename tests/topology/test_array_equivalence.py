@@ -5,7 +5,7 @@ both cores must match the brute-force oracle
 (``tests/topology/oracles.py`` — adjacency, conflict sets and CA2
 witness counters re-derived from the node configurations) after every
 event, and their snapshots must be byte-identical to each other.  The
-slot-indexed query surface (``v1_slots``, ``conflict_masks``) must
+slot-indexed query surface (``v1_slots``, ``conflict_pairs``) must
 agree with the id-level queries it replaces, the sparse core's round
 batching (:meth:`AdHocDigraph.apply_round`) must land on exactly the
 state sequential application produces, and snapshots written by the
@@ -280,14 +280,18 @@ class TestSlotQuerySurface:
             expected = sorted(set(graph.in_slots(s).tolist()) | {s})
             assert graph.v1_slots(s).tolist() == expected
 
-    def test_conflict_masks_match_conflict_neighbor_ids(self, graph):
+    def test_conflict_pairs_match_conflict_neighbor_ids(self, graph):
         ids = graph.slot_ids()
-        slots = np.arange(len(ids), dtype=np.intp)
-        rows = graph.conflict_masks(slots)
-        assert rows.shape == (len(ids), len(ids))
-        assert not rows.diagonal().any()
-        for s in slots.tolist():
-            got = set(ids[rows[s]].tolist())
+        slots = np.arange(len(ids), dtype=np.intp)[::-1]  # rows follow the request
+        rows, cols = graph.conflict_pairs(slots)
+        assert rows.shape == cols.shape
+        assert (cols >= 0).all() and (cols < len(ids)).all()
+        assert not (cols == slots[rows]).any()  # no diagonal
+        # row-major: rows never decrease, columns ascend within a row
+        assert (np.diff(rows) >= 0).all()
+        assert (np.diff(cols)[np.diff(rows) == 0] > 0).all()
+        for j, s in enumerate(slots.tolist()):
+            got = set(ids[cols[rows == j]].tolist())
             assert got == graph.conflict_neighbor_ids(int(ids[s]))
 
 
@@ -320,7 +324,7 @@ class TestSparseCoreEquivalence:
         _random_trace(graphs, seed=5, steps=80, check=_assert_cores_agree)
         assert graphs[0].core == "sparse"  # crossed the threshold mid-trace
 
-    def test_batched_rounds_and_restores_promote_up_front(self, monkeypatch):
+    def test_batched_rounds_and_restores_promote_up_front(self, monkeypatch, sparse_restores):
         import repro.topology.digraph as digraph_mod
 
         monkeypatch.setattr(digraph_mod, "_SPARSE_AUTO_MIN", 10)
@@ -335,6 +339,7 @@ class TestSparseCoreEquivalence:
         for cfg in configs:
             sequential.add_node(cfg)
         restored = AdHocDigraph.restore(sequential.snapshot())
+        assert sparse_restores == ["triples"]  # loaded straight onto sparse rows
         for g in (bulk, rounds, sequential, restored):
             assert g.core == "sparse"
             assert g.snapshot() == sequential.snapshot()
@@ -342,11 +347,12 @@ class TestSparseCoreEquivalence:
 
 
 class TestSparseRoundBatching:
+    @pytest.mark.parametrize("core", sorted(CORES))
     @pytest.mark.parametrize("seed", range(3))
-    def test_apply_round_matches_sequential(self, seed):
+    def test_apply_round_matches_sequential(self, seed, core):
         rng = np.random.default_rng(seed)
-        batched = core_graph("sparse")
-        sequential = core_graph("sparse")
+        batched = core_graph(core)
+        sequential = core_graph(core)
         witness = core_graph("array")
         alive: list[int] = []
         next_id = 1
@@ -382,7 +388,7 @@ class TestSparseRoundBatching:
             assert batched.snapshot() == sequential.snapshot() == witness.snapshot()
             assert_matches_oracle(batched)
 
-    def test_non_sparse_cores_fall_back_to_sequential(self):
+    def test_array_core_rounds_match_sequential(self):
         g = core_graph("array")
         events = [
             JoinEvent(NodeConfig(1, 10.0, 10.0, 30.0)),
@@ -392,6 +398,11 @@ class TestSparseRoundBatching:
         deltas = g.apply_round(events)
         assert [d.kind for d in deltas] == ["join", "join", "move"]
         assert [d.version for d in deltas] == [1, 2, 3]
+        witness = core_graph("array")
+        for ev in events:
+            witness.apply_event(ev)
+        assert g.snapshot() == witness.snapshot()
+        assert_matches_oracle(g)
 
 
 class TestBulkJoin:
@@ -443,7 +454,7 @@ class TestBulkJoin:
             g.bulk_join(dupe)
         assert g.snapshot() == snap  # pre-validation left no half-commit
 
-    def test_non_sparse_core_falls_back_to_sequential(self):
+    def test_array_core_bulk_join_matches_sequential(self):
         configs = self._configs(12, seed=6)
         g = core_graph("array")
         deltas = g.bulk_join(configs)
@@ -454,53 +465,81 @@ class TestBulkJoin:
         assert g.snapshot() == witness.snapshot()
 
 
-class TestConflictSlotLists:
-    @pytest.fixture()
-    def graph(self):
-        g = core_graph("sparse")
-        rng = np.random.default_rng(21)
-        for i in range(1, 80):
-            g.add_node(
-                NodeConfig(
-                    i,
-                    float(rng.uniform(0, 200)),
-                    float(rng.uniform(0, 200)),
-                    float(rng.uniform(10, 45)),
-                )
+def _scattered_graph(core):
+    g = core_graph(core)
+    rng = np.random.default_rng(21)
+    for i in range(1, 80):
+        g.add_node(
+            NodeConfig(
+                i,
+                float(rng.uniform(0, 200)),
+                float(rng.uniform(0, 200)),
+                float(rng.uniform(10, 45)),
             )
-        return g
+        )
+    return g
+
+
+class TestConflictPairs:
+    @pytest.fixture(params=sorted(CORES))
+    def graph(self, request):
+        return _scattered_graph(request.param)
+
+    @staticmethod
+    def _split(rows, cols, k):
+        return [cols[rows == j] for j in range(k)]
 
     def test_matches_per_slot_query(self, graph):
         slots = np.arange(len(graph.slot_ids()), dtype=np.intp)
-        rows = graph.conflict_slot_lists(slots)
-        assert len(rows) == len(slots)
-        for s, row in zip(slots.tolist(), rows):
+        rows, cols = graph.conflict_pairs(slots)
+        for s, row in zip(slots.tolist(), self._split(rows, cols, len(slots))):
             np.testing.assert_array_equal(row, graph.conflict_slots(int(s)))
 
-    def test_rows_are_frozen_and_cached(self, graph):
+    def test_duplicate_requests_repeat_the_row(self, graph):
         slots = np.asarray([0, 3, 0, 7], dtype=np.intp)
-        first = graph.conflict_slot_lists(slots)
+        rows, cols = graph.conflict_pairs(slots)
+        split = self._split(rows, cols, len(slots))
+        np.testing.assert_array_equal(split[0], split[2])
+        for s, row in zip(slots.tolist(), split):
+            np.testing.assert_array_equal(row, graph.conflict_slots(s))
+
+    def test_mutation_is_seen_by_the_next_query(self, graph):
+        slots = np.asarray([0, 1, 2], dtype=np.intp)
+        graph.conflict_pairs(slots)
+        graph.move_node(3, 0.0, 0.0)
+        rows, cols = graph.conflict_pairs(slots)
+        for s, row in zip(slots.tolist(), self._split(rows, cols, len(slots))):
+            np.testing.assert_array_equal(row, graph.conflict_slots(int(s)))
+
+    def test_empty_request(self, graph):
+        rows, cols = graph.conflict_pairs(np.asarray([], dtype=np.intp))
+        assert rows.size == cols.size == 0
+
+
+class TestSparseConflictRowCache:
+    @pytest.fixture()
+    def graph(self):
+        return _scattered_graph("sparse")
+
+    def test_rows_are_frozen_and_cached(self, graph):
+        core = graph._core
+        slots = np.asarray([0, 3, 0, 7], dtype=np.intp)
+        first = core.conflict_rows(slots, graph.version)
         assert not first[0].flags.writeable
         assert first[0] is first[2]  # duplicate request, one derivation
-        again = graph.conflict_slot_lists(slots)
+        graph.conflict_pairs(slots)  # the batched query reads the same cache
+        again = core.conflict_rows(slots, graph.version)
         assert all(a is b for a, b in zip(first, again))  # version cache hit
 
     def test_mutation_invalidates_cache(self, graph):
+        core = graph._core
         slots = np.asarray([0, 1, 2], dtype=np.intp)
-        stale = graph.conflict_slot_lists(slots)
+        stale = core.conflict_rows(slots, graph.version)
         graph.move_node(3, 0.0, 0.0)
-        fresh = graph.conflict_slot_lists(slots)
+        fresh = core.conflict_rows(slots, graph.version)
         for s, row in zip(slots.tolist(), fresh):
             np.testing.assert_array_equal(row, graph.conflict_slots(int(s)))
         assert not any(a is b for a, b in zip(stale, fresh))
-
-    def test_empty_and_non_sparse_fallback(self, graph):
-        assert graph.conflict_slot_lists(np.asarray([], dtype=np.intp)) == []
-        dense = core_graph("array")
-        dense.add_node(NodeConfig(1, 10.0, 10.0, 30.0))
-        dense.add_node(NodeConfig(2, 20.0, 10.0, 30.0))
-        (row,) = dense.conflict_slot_lists(np.asarray([0], dtype=np.intp))
-        np.testing.assert_array_equal(row, dense.conflict_slots(0))
 
 
 class TestArrayCoreDefaults:
@@ -598,15 +637,25 @@ def _compat_graph(core):
 
 @pytest.fixture
 def sparse_restores(monkeypatch):
-    """The C2 form handed to each sparse-row restore, in call order."""
+    """The C2 form of each snapshot restored onto sparse rows, in call order.
+
+    Restore normalises a snapshot's C2 field once, after the population
+    has picked the core and before the state is loaded into it, so a
+    restore that lands on the array core first (and promotes later)
+    records nothing.
+    """
     calls: list[str] = []
-    original = AdHocDigraph._restore_sparse_state
+    original = AdHocDigraph._snapshot_c2
 
-    def spy(self, n, edges, c2, *, triples=False):
-        calls.append("re-derived" if c2 is None else "triples" if triples else "matrix")
-        return original(self, n, edges, c2, triples=triples)
+    def spy(self, snapshot, edges):
+        if self.core == "sparse":
+            c2 = snapshot["c2"]
+            calls.append(
+                "re-derived" if c2 is None else "triples" if snapshot["schema"] == 3 else "matrix"
+            )
+        return original(self, snapshot, edges)
 
-    monkeypatch.setattr(AdHocDigraph, "_restore_sparse_state", spy)
+    monkeypatch.setattr(AdHocDigraph, "_snapshot_c2", spy)
     return calls
 
 

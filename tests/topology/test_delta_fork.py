@@ -72,6 +72,22 @@ class TestDeltaRoundTrips:
         assert_matches_oracle(shadow)
 
     @pytest.mark.parametrize("core", CORES)
+    def test_delta_grows_the_population_past_capacity(self, core):
+        # the applier starts with room for 16 slots; the delta brings 45
+        rng = np.random.default_rng(9)
+        g = make_graph(core)
+        cfgs = sample_configs(45, rng)
+        for cfg in cfgs[:5]:
+            g.apply_event(JoinEvent(cfg))
+        shadow = AdHocDigraph.restore(g.snapshot())
+        base = g.version
+        for cfg in cfgs[5:]:
+            g.apply_event(JoinEvent(cfg))
+        shadow.apply_delta(json.loads(json.dumps(g.delta_snapshot(base))))
+        assert canonical(shadow) == canonical(g)
+        assert_matches_oracle(shadow)
+
+    @pytest.mark.parametrize("core", CORES)
     def test_chained_deltas_compose(self, core):
         # the checkpoint-chain lifecycle: every round's delta is cut
         # against the previous round's version and applied in order

@@ -163,11 +163,11 @@ class TestOracleCatchesCorruption:
         assert_matches_oracle(g)
         s, t = g._index[1], g._index[3]
         if g.core == "sparse":
-            g._c2s[s][t] += 1
-            g._c2s[t][s] += 1
+            g._core.c2s[s][t] += 1
+            g._core.c2s[t][s] += 1
         else:
-            g._c2[s, t] += 1
-            g._c2[t, s] += 1
+            g._core.c2[s, t] += 1
+            g._core.c2[t, s] += 1
         with pytest.raises(AssertionError):
             assert_matches_oracle(g)
 

@@ -2,11 +2,11 @@
 
 ``AdHocDigraph._vacate_slot`` is the shared swap-delete tail of every
 removal: it renumbers the last slot into the freed one across *all*
-per-slot tables (positions, ranges, id maps, adjacency/C2 blocks,
-sparse rows and witness dicts, grid membership).  These tests hammer it
-with seeded random add/remove/move/set-range sequences and assert the
-full set of structural invariants after every step, for both conflict
-cores, plus agreement with the brute-force topology oracle — the class
+per-slot tables (positions, ranges, id maps, the core's adjacency/C2
+blocks or sparse rows and witness dicts, grid membership).  These tests
+hammer it with seeded random add/remove/move/set-range sequences and
+assert the full set of structural invariants after every step, for both
+conflict cores, plus agreement with the brute-force topology oracle — the class
 of bug a swap-delete rewrite can introduce (a stale slot reference, an
 uncleared trailing row, an asymmetric witness count) surfaces here
 rather than as a downstream equivalence drift.
@@ -45,37 +45,40 @@ def _check_slot_tables(g: AdHocDigraph) -> None:
 def _check_trailing_slots_clear(g: AdHocDigraph) -> None:
     """Swap-delete must zero the freed trailing rows, not just hide them."""
     n = len(g.node_ids())
-    assert not g._adj[n:].any()
-    assert not g._adj[:, n:].any()
-    assert not g._c2[n:].any()
-    assert not g._c2[:, n:].any()
+    core = g._core
+    assert core.n == n
+    assert not core.adj[n:].any()
+    assert not core.adj[:, n:].any()
+    assert not core.c2[n:].any()
+    assert not core.c2[:, n:].any()
 
 
 def _check_sparse_rows(g: AdHocDigraph) -> None:
     """CSR rows are sorted/unique/in-range, mirrored, and the witness
     dicts hold exactly the positive |out(u) ∩ out(v)| counts."""
     n = len(g.node_ids())
-    assert len(g._outr) == len(g._inr) == len(g._c2s) == n
+    outr, inr, c2s = g._core.outr, g._core.inr, g._core.c2s
+    assert len(outr) == len(inr) == len(c2s) == n
     outs = []
     for u in range(n):
-        for row in (g._outr[u], g._inr[u]):
+        for row in (outr[u], inr[u]):
             entries = row.view()
             assert (np.diff(entries) > 0).all()  # strictly ascending = unique
             if entries.size:
                 assert 0 <= int(entries[0]) and int(entries[-1]) < n
                 assert u not in entries.tolist()  # no self-loops
-        outs.append(set(g._outr[u].view().tolist()))
-        for v in g._outr[u].view().tolist():
-            assert u in g._inr[v].view().tolist()  # out/in mirror
-        for v in g._inr[u].view().tolist():
-            assert u in g._outr[v].view().tolist()
+        outs.append(set(outr[u].view().tolist()))
+        for v in outr[u].view().tolist():
+            assert u in inr[v].view().tolist()  # out/in mirror
+        for v in inr[u].view().tolist():
+            assert u in outr[v].view().tolist()
     for u in range(n):
-        for v, count in g._c2s[u].items():
+        for v, count in c2s[u].items():
             assert v != u and count > 0  # zero entries must be deleted
-            assert g._c2s[v][u] == count  # symmetric mirror
+            assert c2s[v][u] == count  # symmetric mirror
     for u in range(n):  # completeness: every overlapping pair is witnessed
         for v in range(u + 1, n):
-            assert g._c2s[u].get(v, 0) == len(outs[u] & outs[v])
+            assert c2s[u].get(v, 0) == len(outs[u] & outs[v])
 
 
 def _check_all(g: AdHocDigraph) -> None:
