@@ -1,34 +1,31 @@
-"""CI gate: compare a fresh event-loop bench against the committed baseline.
+"""CI gate: compare a fresh component bench against the committed baseline.
 
 Usage::
 
     python benchmarks/check_bench_regression.py \
         --baseline BENCH_eventloop.json --fresh bench-fresh.json [--min-ratio 0.5] \
-        [--min-speedup speedup_vs_cold=1.2 --min-speedup speedup_vs_per_strategy=1.2 \
-         --min-speedup run_savings_vs_fixed=1.2]
+        [--min-speedup large-join/sparse:speedup_vs_array=3]
 
 Entries are matched by ``(scenario, mode)`` and compared on
 ``events_per_sec``.  The gate fails (exit 1) when any matched entry
 drops below ``min-ratio`` times the committed baseline — loose enough
-to absorb runner-hardware variance, tight enough to catch an event-loop
-fast path silently falling back to dense scans (those regressions are
-2-4x, not 2x variance).  Entries present on only one side are reported
-but do not fail the gate (bench coverage may grow PR over PR).
+to absorb runner-hardware variance, tight enough to catch a fast path
+silently falling back to dense scans (those regressions are 2-4x, not
+2x variance).  A baseline entry missing from the fresh run fails the
+gate too: a deleted or renamed family must not drop its throughput
+check silently (regenerate the baseline with it instead).  A fresh
+entry missing from the baseline is only reported (coverage may grow).
 
 ``--min-speedup [SCENARIO/MODE:]FIELD=MIN`` (repeatable) additionally
-gates the fresh run's *intra-run* ratios — the
-warm-start-vs-cold-rebuild and shared-vs-per-strategy replay speedups,
-the sparse core's ``speedup_vs_array``, and the
-adaptive controller's ``run_savings_vs_fixed`` run-budget ratio (a
-seeded run-count ratio, not a timing, so it is exactly reproducible) —
-which don't depend on runner hardware and therefore hold a much
-tighter floor than cross-run throughput.  Unscoped, every fresh entry
-carrying ``FIELD`` must report at least ``MIN``; with the optional
-``SCENARIO/MODE:`` scope only that one entry is gated (needed since
-small-N sparse entries deliberately publish a ``speedup_vs_array``
-*below* 1 — the honest small-N regression record — while the large-N
-entry holds a hard floor).  Either way, a floor that matches no fresh
-entry fails the gate.
+gates the fresh run's *intra-run* ratios — the sparse core's
+``speedup_vs_array``, the round batcher's ``round_batch_speedup``,
+the delta checkpoint's ``ckpt_delta_speedup`` and the tracing layer's
+``trace_on_vs_off`` — which don't depend on runner hardware and
+therefore hold a much tighter floor than cross-run throughput.
+Unscoped, every fresh entry carrying ``FIELD`` must report at least
+``MIN``; with the optional ``SCENARIO/MODE:`` scope only that one entry
+is gated.  Either way, a floor that matches no fresh entry fails the
+gate.
 
 ``--max-mem SCENARIO/MODE=MB`` (repeatable) puts a ceiling on one
 fresh entry's ``peak_mem_mb`` — the memory gate of the sparse large-N
@@ -102,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         default=[],
         metavar="[SCENARIO/MODE:]FIELD=MIN",
         help="fail when a fresh entry's FIELD speedup is below MIN "
-        "(repeatable, e.g. speedup_vs_cold=1.2 or "
+        "(repeatable, e.g. round_batch_speedup=1.5 or "
         "large-join/sparse:speedup_vs_array=3)",
     )
     parser.add_argument(
@@ -143,9 +140,11 @@ def main(argv: list[str] | None = None) -> int:
     failures: list[str] = []
     for key in sorted(baseline.keys() | fresh.keys()):
         scenario, mode = key
-        if key not in baseline or key not in fresh:
-            side = "baseline" if key not in baseline else "fresh run"
-            print(f"note: {scenario}/{mode} missing from {side}; skipping")
+        if key not in fresh:
+            failures.append(f"{scenario}/{mode} missing from the fresh run")
+            continue
+        if key not in baseline:
+            print(f"note: {scenario}/{mode} missing from baseline; skipping")
             continue
         base_eps = baseline[key]["events_per_sec"]
         fresh_eps = fresh[key]["events_per_sec"]

@@ -19,10 +19,10 @@ def files(tmp_path):
     entries = [
         {"scenario": "s", "mode": "grid", "events_per_sec": 1000.0},
         {
-            "scenario": "warm",
-            "mode": "warm",
+            "scenario": "rounds",
+            "mode": "sparse-rounds",
             "events_per_sec": 2000.0,
-            "speedup_vs_cold": 2.0,
+            "round_batch_speedup": 2.0,
         },
     ]
     baseline = _write(tmp_path / "baseline.json", entries)
@@ -46,26 +46,38 @@ class TestGate:
     def test_speedup_floor_pass_and_fail(self, files):
         baseline, fresh = files
         ok = ["--baseline", str(baseline), "--fresh", str(fresh)]
-        assert gate(ok + ["--min-speedup", "speedup_vs_cold=1.5"]) == 0
-        assert gate(ok + ["--min-speedup", "speedup_vs_cold=2.5"]) == 1
+        assert gate(ok + ["--min-speedup", "round_batch_speedup=1.5"]) == 0
+        assert gate(ok + ["--min-speedup", "round_batch_speedup=2.5"]) == 1
 
-    def test_run_savings_floor_gates_the_adaptive_entry(self, files, tmp_path):
-        # the adaptive controller's run-budget ratio is gated exactly
-        # like the timing speedups
+    def test_baseline_entry_missing_from_fresh_run_fails(self, files, tmp_path):
+        # a deleted or renamed family must not drop its throughput
+        # check silently: the baseline has to be regenerated with it
+        baseline, _ = files
+        partial = _write(
+            tmp_path / "partial.json",
+            [{"scenario": "s", "mode": "grid", "events_per_sec": 1000.0}],
+        )
+        assert gate(["--baseline", str(baseline), "--fresh", str(partial)]) == 1
+
+    def test_fresh_entry_missing_from_baseline_passes(self, files, tmp_path):
+        # coverage may grow: a new family has no baseline yet
+        _, fresh = files
+        partial = _write(
+            tmp_path / "partial.json",
+            [{"scenario": "s", "mode": "grid", "events_per_sec": 1000.0}],
+        )
+        assert gate(["--baseline", str(partial), "--fresh", str(fresh)]) == 0
+
+    def test_scoped_floor_gates_only_its_entry(self, tmp_path):
+        # the same field can be a hard claim on one entry only
         entries = [
-            {"scenario": "adaptive-sweep", "mode": "fixed", "events_per_sec": 700.0},
-            {
-                "scenario": "adaptive-sweep",
-                "mode": "adaptive",
-                "events_per_sec": 700.0,
-                "run_savings_vs_fixed": 1.8,
-            },
+            {"scenario": "a", "mode": "sparse", "events_per_sec": 10.0, "speedup": 0.5},
+            {"scenario": "b", "mode": "sparse", "events_per_sec": 10.0, "speedup": 4.0},
         ]
-        baseline = _write(tmp_path / "ab.json", entries)
-        fresh = _write(tmp_path / "af.json", entries)
-        args = ["--baseline", str(baseline), "--fresh", str(fresh)]
-        assert gate(args + ["--min-speedup", "run_savings_vs_fixed=1.2"]) == 0
-        assert gate(args + ["--min-speedup", "run_savings_vs_fixed=2.5"]) == 1
+        path = _write(tmp_path / "scoped.json", entries)
+        args = ["--baseline", str(path), "--fresh", str(path)]
+        assert gate(args + ["--min-speedup", "b/sparse:speedup=3"]) == 0
+        assert gate(args + ["--min-speedup", "speedup=3"]) == 1
 
     def test_floor_matching_no_entry_fails_the_gate(self, files):
         # a typo'd field (or a bench that stopped emitting it) must not
@@ -74,7 +86,7 @@ class TestGate:
         args = ["--baseline", str(baseline), "--fresh", str(fresh)]
         assert gate(args + ["--min-speedup", "speedup_vs_nothing=9.9"]) == 1
 
-    @pytest.mark.parametrize("bad", ["speedup_vs_cold=fast", "=1.2", "nofloor"])
+    @pytest.mark.parametrize("bad", ["round_batch_speedup=fast", "=1.2", "nofloor"])
     def test_malformed_min_speedup_is_a_usage_error(self, files, bad):
         baseline, fresh = files
         argv = ["--baseline", str(baseline), "--fresh", str(fresh), "--min-speedup", bad]

@@ -20,7 +20,7 @@ Usage (installed as ``minim-cdma`` or via ``python -m repro``)::
     minim-cdma store export store.sqlite --parquet points.parquet
     minim-cdma store compact results-store/
     minim-cdma store migrate results-store/ store.sqlite
-    minim-cdma bench --runs 3 --n 120
+    minim-cdma bench --large-n 0 --runs 3
     minim-cdma scenario fig10-join --trace trace.jsonl
     minim-cdma report trace.jsonl
     minim-cdma report trace.jsonl --check --chrome trace.chrome.json
@@ -53,11 +53,10 @@ write ``PATH.<pid>`` sidecars), and ``report TRACE`` summarizes it —
 top spans by self-time, cache-hit ratios, checkpoint replay savings,
 per-worker timelines — with ``--chrome OUT`` exporting a
 chrome://tracing / Perfetto file and ``--check`` failing the exit code
-when planned tasks are missing closed spans.  ``bench`` times the topology
-event loop (array vs sparse conflict core), shared vs
-per-strategy multi-strategy replay, checkpoint-timeline prefix sharing
-vs per-point round replay, and adaptive vs fixed run budgets, writing
-``BENCH_eventloop.json``.  Each experiment command prints metric tables
+when planned tasks are missing closed spans.  ``bench`` times what the
+end-to-end ``perfbench`` cannot reach — the large-N conflict cores,
+checkpoint fork/serialize paths at N=10⁴, and tracing overhead —
+writing ``BENCH_eventloop.json``.  Each experiment command prints metric tables
 plus shape checks; ``--out DIR`` additionally writes markdown tables.
 """
 
@@ -296,16 +295,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser(
         "bench",
-        help="time the event loop (array vs sparse cores, batched rounds, "
-        "shared vs per-strategy replay, cold vs warm-start sweeps)",
+        help="time what perfbench cannot reach (large-N array vs sparse cores, "
+        "batched rounds, N=10^4 checkpoint forks, tracing overhead)",
     )
-    pb.add_argument("--runs", type=int, default=3, help="timing repetitions per trace")
-    pb.add_argument("--n", type=int, default=120, help="node count for the benchmark traces")
+    pb.add_argument(
+        "--runs",
+        type=int,
+        default=3,
+        help="paired off/on rounds of the tracing-overhead bench "
+        "(the large-N and checkpoint legs run once)",
+    )
     pb.add_argument(
         "--large-n",
         type=int,
         default=10000,
-        help="node count for the large-N array-vs-sparse traces (0 skips them)",
+        help="node count for the large-N array-vs-sparse traces (0 skips them "
+        "and the checkpoint bench, leaving the tracing-overhead bench)",
     )
     pb.add_argument(
         "--max-mem",
@@ -324,26 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="wrap the timed benches in cProfile and write the top-25 "
         "cumulative rows next to the JSON output",
     )
-    pb.add_argument(
-        "--scenario", default="random-waypoint", help="registered scenario for the second trace"
-    )
-    pb.add_argument(
-        "--lanes", type=int, default=3, help="strategy lanes for the replay comparison"
-    )
     pb.add_argument("--seed", type=int, default=2001, help="trace-generation seed")
     pb.add_argument(
         "--out", type=Path, default=None, help="output path (default BENCH_eventloop.json)"
-    )
-    pb.add_argument(
-        "--obs-overhead",
-        action="store_true",
-        help="also measure tracing overhead (obs-overhead off/on entries "
-        "with the on/off throughput ratio)",
-    )
-    pb.add_argument(
-        "--obs-overhead-only",
-        action="store_true",
-        help="run only the tracing-overhead bench (the obs-trace CI job's mode)",
     )
     pb.add_argument(
         "--trace",
@@ -491,47 +479,34 @@ def _run_scenario_cmd(args: argparse.Namespace) -> int:
 
 def _collect_bench_entries(args: argparse.Namespace, max_mem: float | None) -> list[dict]:
     """Run the bench suites selected by ``args``; return their entries."""
+    from repro import obs
     from repro.errors import ConfigurationError
     from repro.sim.bench import (
-        run_adaptive_bench,
         run_checkpoint_bench,
-        run_event_loop_bench,
         run_large_n_bench,
         run_obs_overhead_bench,
-        run_replay_bench,
-        run_timeline_bench,
-        run_warmstart_bench,
     )
 
-    if args.obs_overhead_only:
-        return run_obs_overhead_bench(n=args.n, runs=args.runs, seed=args.seed)
     if args.large_n_only:
         if not args.large_n:
             raise ConfigurationError("--large-n-only needs --large-n > 0")
         return run_large_n_bench(n=args.large_n, runs=1, seed=args.seed, max_mem_mb=max_mem)
-    entries = run_event_loop_bench(
-        n=args.n, runs=args.runs, scenario=args.scenario, seed=args.seed
-    )
+    entries: list[dict] = []
     if args.large_n:
         entries.extend(
             run_large_n_bench(n=args.large_n, runs=1, seed=args.seed, max_mem_mb=max_mem)
         )
-    entries.extend(run_replay_bench(n=args.n, runs=args.runs, lanes=args.lanes, seed=args.seed))
-    entries.extend(run_warmstart_bench(n=args.n, runs=args.runs, lanes=args.lanes, seed=args.seed))
-    # pinned n: the timeline bench measures round sharing on the
-    # real strategy pipeline; its trace size is its own knob
-    entries.extend(run_timeline_bench(runs=args.runs, seed=args.seed))
-    # no n: the adaptive bench pins its own small noisy sweep (the
-    # controller, not the event loop, is what it measures)
-    entries.extend(run_adaptive_bench(runs=args.runs, seed=args.seed))
-    # pinned n=10^4, runs=1: the checkpoint bench prices the delta
-    # chain at the canonical large-N point; its full-snapshot rival
-    # leg is the expensive part, so repetitions stay off by default
-    # and `--large-n 0` skips it along with the other scale traces
-    if args.large_n:
+        # pinned n=10^4, runs=1: the checkpoint bench prices the delta
+        # chain at the canonical large-N point; its full-snapshot rival
+        # leg is the expensive part, so repetitions stay off by default
+        # and `--large-n 0` skips it along with the other scale traces
         entries.extend(run_checkpoint_bench(runs=1, seed=args.seed))
-    if args.obs_overhead:
-        entries.extend(run_obs_overhead_bench(n=args.n, seed=args.seed))
+    if obs.enabled():
+        # the overhead family toggles tracing itself, so under --trace
+        # its off leg would time the on configuration
+        print("note: --trace is on; skipping the obs-overhead family", file=sys.stderr)
+    else:
+        entries.extend(run_obs_overhead_bench(runs=args.runs, seed=args.seed))
     return entries
 
 
@@ -594,10 +569,7 @@ def _print_bench_table(entries: list[dict]) -> None:
         for field in (
             "speedup_vs_array",
             "round_batch_speedup",
-            "speedup_vs_per_strategy",
-            "speedup_vs_cold",
-            "timeline_prefix_sharing",
-            "run_savings_vs_fixed",
+            "ckpt_delta_speedup",
             "trace_on_vs_off",
         ):
             if field in e:

@@ -1,87 +1,36 @@
-"""Event-loop benchmarks: conflict maintenance modes and replay sharing.
+"""Component benchmarks for what the end-to-end benchmark cannot reach.
 
-``minim-cdma bench`` times the strategy-independent core of the
-simulator — topology mutation plus the conflict-set derivation every
-recoding strategy consumes (the conflict sets of the event node and its
-in-neighbors, i.e. the ``V1`` of Fig 3) — over two traces:
+``perfbench`` times the paper's workloads end to end at the sizes they
+run at.  ``minim-cdma bench`` keeps three families outside that range,
+each timing one mechanism in isolation:
 
-* the paper's join sweep at ``--n`` nodes, and
-* one registered scenario's full event trace (default
-  ``random-waypoint``, re-based to ``--n`` nodes so moves dominate).
+* :func:`run_large_n_bench` drives N≥2000 join traces at constant node
+  density on both conflict cores, the regime where the array core's
+  O(N²) blocks and N-wide masks collapse.  Its sparse entry drives the
+  whole trace through the streaming bulk-join path and carries the
+  CI-gated ``speedup_vs_array`` and a tracemalloc memory ceiling; a
+  round-structured mobility entry measures
+  :meth:`~repro.topology.digraph.AdHocDigraph.apply_round` batching.
+* :func:`run_checkpoint_bench` prices the checkpoint fork/serialize
+  paths at N=10⁴: after each churn round the state is captured as a
+  full in-process ``copy`` (the pre-CoW fork), a ``full`` JSON snapshot
+  round-trip, a ``replay`` of the whole round prefix from the shared
+  base (what a consumer pays with no checkpoint at all), and a
+  ``delta`` — CoW :meth:`~AdHocDigraph.fork` plus a serialized
+  :meth:`~AdHocDigraph.delta_snapshot` /
+  :meth:`~AdHocDigraph.apply_delta` round-trip onto a consumer shadow.
+  The delta entry carries the CI-gated ``ckpt_delta_speedup`` (the
+  best rival wall over the delta wall) and ``ckpt_bytes_ratio`` (delta
+  bytes over full-snapshot bytes, a ceiling gate).
+* :func:`run_obs_overhead_bench` prices the observability layer
+  itself: the same join trace with tracing off and on, the ``on``
+  entry carrying the CI-gated ``trace_on_vs_off`` throughput ratio
+  (the ≤3%-overhead contract of :mod:`repro.obs`).
 
-Each trace runs once per conflict core: the array core (flat numpy
-slots, batched conflict rows — what these sizes select) and the sparse
-CSR-row core (what N≥4096 selects), each pinned for the drive by moving
-the promotion threshold.  A separate :func:`run_large_n_bench`
-drives N≥2000 join traces at constant node density on both cores, the
-regime where the array core's O(N²) blocks and N-wide masks collapse;
-its sparse entry drives the whole trace through the streaming
-bulk-join path and carries the CI-gated ``speedup_vs_array`` and a
-tracemalloc memory ceiling, and a round-structured mobility entry
-measures
-:meth:`~repro.topology.digraph.AdHocDigraph.apply_round` batching.
-Every entry records ``peak_mem_mb`` (the traced warmup's peak), so
-``BENCH_eventloop.json`` tracks the memory trajectory alongside
-events/sec.
-
-A second comparison (:func:`run_replay_bench`) times what the unified
-sweep pipeline deduplicates: replaying one workload against several
-strategy lanes.  ``per-strategy`` rebuilds an
-:class:`~repro.sim.network.AdHocNetwork` per lane — the pre-pipeline
-pattern, paying topology mutation and conflict-delta computation once
-*per strategy* — while ``shared`` drives one
-:class:`~repro.sim.network.MultiStrategyReplay` that pays them once per
-event and fans the delta out to all lanes.  Lanes run the first-fit
-floor common to every recoding strategy (read the event node's conflict
-set, commit a color, record metrics), so the comparison isolates the
-replay core; full-strategy sweeps add per-lane matching/recolor work on
-top that no replay can share.
-
-A third comparison (:func:`run_warmstart_bench`) times what snapshot
-warm starts save on paired delta sweeps: ``cold`` rebuilds the shared
-baseline network for every sweep value, ``warm`` builds it once and
-replays each value's perturbation round on a
-:meth:`~repro.sim.network.MultiStrategyReplay.fork`.
-
-A fourth comparison (:func:`run_adaptive_bench`) measures what the
-adaptive run-count controller saves on the *sampling* budget: ``fixed``
-runs every sweep point at the worst-case run count, ``adaptive`` starts
-small and adds runs per point only until the confidence-interval target
-is met (:mod:`repro.sim.control`).  Here ``events`` counts simulation
-runs, and the adaptive entry's ``run_savings_vs_fixed`` is the
-fixed/adaptive run-count ratio — deterministic for a given seed, so CI
-can gate it like the other intra-run speedups.
-
-A fifth comparison (:func:`run_timeline_bench`) times what the
-checkpoint-tree execution timeline saves beyond the PR 3 warm path on
-round-structured sweeps — a ``delta_rounds``-style sweep whose point
-``k`` samples the cumulative delta after round ``k``.  ``warm-rounds``
-forks the shared baseline once per point and replays rounds ``1..k``
-cold (the PR 3 behavior, Σk rounds total); ``timeline`` walks the same
-members over the checkpoint tree, so point ``k`` forks from point
-``k-1``'s last shared round and the sweep replays max(k) rounds total.
-The timeline entry's ``timeline_prefix_sharing`` ratio is gated in CI.
-
-A sixth comparison (:func:`run_obs_overhead_bench`) prices the
-observability layer itself: the same join trace with tracing off and
-on, the ``on`` entry carrying the CI-gated ``trace_on_vs_off``
-throughput ratio (the ≤3%-overhead contract of :mod:`repro.obs`).
-
-A seventh comparison (:func:`run_checkpoint_bench`) prices the
-checkpoint fork/serialize paths at N=10⁴: after each churn round the
-state is captured as a full in-process ``copy`` (the pre-CoW fork), a
-``full`` JSON snapshot round-trip, a ``replay`` of the whole round
-prefix from the shared base (what a consumer pays with no checkpoint
-at all), and a ``delta`` — CoW :meth:`~AdHocDigraph.fork` plus a
-serialized :meth:`~AdHocDigraph.delta_snapshot` /
-:meth:`~AdHocDigraph.apply_delta` round-trip onto a consumer shadow.
-The delta entry carries the CI-gated ``ckpt_delta_speedup`` (the best
-rival wall over the delta wall) and ``ckpt_bytes_ratio`` (delta bytes
-over full-snapshot bytes, a ceiling gate).
-
+Every entry records ``peak_mem_mb`` (its traced warmup's peak).
 Results land in ``BENCH_eventloop.json`` (one entry per trace × mode
 with ``scenario``, ``n``, ``wall_seconds``, ``events_per_sec``) so the
-perf trajectory is machine-readable from CI artifacts.
+trajectory is machine-readable from CI artifacts.
 """
 
 from __future__ import annotations
@@ -89,38 +38,25 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Iterator, Set
+from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from repro.coloring.assignment import CodeAssignment
-from repro.coloring.constraints import lowest_available_color
 from repro.errors import ConfigurationError
 from repro.events.base import Event, JoinEvent, LeaveEvent, MoveEvent, PowerChangeEvent
 from repro.obs.clock import perf_seconds, traced_peak_mb
-from repro.sim.network import AdHocNetwork, MultiStrategyReplay
 from repro.sim.random_networks import sample_configs
-from repro.sim.registry import get_scenario
-from repro.strategies.base import RecodeResult, RecodingStrategy
 from repro.topology import digraph
 from repro.topology.digraph import AdHocDigraph
-from repro.topology.static import DigraphLike
-from repro.types import Color, NodeId
 
 __all__ = [
     "drive_event_loop",
     "drive_event_rounds",
-    "run_adaptive_bench",
     "run_checkpoint_bench",
-    "run_event_loop_bench",
     "run_large_n_bench",
     "run_obs_overhead_bench",
-    "run_replay_bench",
-    "run_timeline_bench",
-    "run_warmstart_bench",
     "write_bench_json",
 ]
 
@@ -177,8 +113,9 @@ def drive_event_loop(
     loop a strategy replay would run on that core.
 
     ``setup`` events, when given, build the starting topology *outside*
-    the timed region (no conflict queries) — the mobility benches use
-    this to time churn over an already-joined population.
+    the timed region (no conflict queries) — the large-n bench's
+    rounds leg uses this to time churn over an already-joined
+    population.
     """
     with _pinned_core(mode):
         graph = AdHocDigraph()
@@ -233,63 +170,6 @@ def drive_event_rounds(
         return perf_seconds() - start
 
 
-def _traces(n: int, scenario: str, seed: int) -> list[tuple[str, int, list[Event]]]:
-    """The benchmark traces: ``(label, n, events)`` triples."""
-    from repro.sim.scenarios import resolve_sweep, scenario_trace
-
-    rng = np.random.default_rng(seed)
-    join_events: list[Event] = [JoinEvent(c) for c in sample_configs(n, rng)]
-    spec = get_scenario(scenario)
-    spec = resolve_sweep(replace(spec, n=n), spec.sweep_values[-1])
-    _, scen_events = scenario_trace(spec, np.random.default_rng(seed + 1))
-    return [("fig10-join", n, join_events), (spec.name, spec.n, scen_events)]
-
-
-def run_event_loop_bench(
-    *,
-    n: int = 120,
-    runs: int = 3,
-    scenario: str = "random-waypoint",
-    seed: int = 2001,
-) -> list[dict]:
-    """Time all traces in both conflict cores; return the entries.
-
-    Each entry is ``{scenario, n, mode, events, runs, wall_seconds,
-    events_per_sec, peak_mem_mb}`` with ``wall_seconds`` the median
-    over ``runs`` repetitions and ``peak_mem_mb`` the tracemalloc peak
-    of the untimed warmup repetition.  Sparse entries carry an ungated
-    ``speedup_vs_array`` that is *below 1 at this scale* — honest
-    visibility for the small-N regression (per-row bookkeeping beats
-    dense blocks only once N is large; auto-promotion therefore waits
-    for N≥4096).  The sparse core's gated regime is
-    :func:`run_large_n_bench`.
-    """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    entries: list[dict] = []
-    for label, trace_n, events in _traces(n, scenario, seed):
-        timings: dict[str, float] = {}
-        per_mode: dict[str, dict] = {}
-        for mode in _EVENT_LOOP_MODES:
-            peak = traced_peak_mb(lambda: drive_event_loop(events, mode=mode))  # warmup
-            wall = float(np.median([drive_event_loop(events, mode=mode) for _ in range(runs)]))
-            timings[mode] = wall
-            entry = {
-                "scenario": label,
-                "n": trace_n,
-                "mode": mode,
-                "events": len(events),
-                "runs": runs,
-                "wall_seconds": wall,
-                "events_per_sec": len(events) / wall if wall > 0 else float("inf"),
-                "peak_mem_mb": peak,
-            }
-            per_mode[mode] = entry
-            entries.append(entry)
-        per_mode["sparse"]["speedup_vs_array"] = timings["array"] / timings["sparse"]
-    return entries
-
-
 def run_large_n_bench(
     *,
     n: int = 10000,
@@ -328,7 +208,7 @@ def run_large_n_bench(
     ``(scenario, mode)`` keys never mix entries from different N.
     Every entry records ``peak_mem_mb`` from its untimed traced
     warmup.  ``n`` below 2000 is a configuration error: smaller traces
-    measure the event-loop bench's regime, not this one.
+    are the paper's sizes, which ``perfbench`` measures end to end.
     """
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
@@ -448,390 +328,9 @@ def _substep_rounds(
     return out
 
 
-class _FirstFitLane(RecodingStrategy):
-    """The per-event floor shared by all recoding strategies.
-
-    On every event it reads the initiating node's conflict set and
-    keeps/claims the lowest consistent color — i.e. exactly the
-    constraint collection + commit step that Minim, CP and BBB all
-    perform before their strategy-specific optimization.  Used by the
-    replay bench so the shared/per-strategy comparison measures the
-    replay core rather than matching/recolor cost.
-    """
-
-    name = "FirstFit"
-
-    def _first_fit(
-        self, graph: DigraphLike, assignment: CodeAssignment, node_id: NodeId, kind: str
-    ) -> RecodeResult:
-        taken = set()
-        for u in graph.conflict_neighbor_ids(node_id):
-            color = assignment.get(u)
-            if color is not None:
-                taken.add(color)
-        old = assignment.get(node_id)
-        if old is not None and old not in taken:
-            return RecodeResult(kind, node_id, {})
-        new = lowest_available_color(taken)
-        return RecodeResult(kind, node_id, {node_id: (old, new)})
-
-    def on_join(
-        self, graph: DigraphLike, assignment: CodeAssignment, node_id: NodeId
-    ) -> RecodeResult:
-        return self._first_fit(graph, assignment, node_id, "join")
-
-    def on_leave(
-        self,
-        graph: DigraphLike,
-        assignment: CodeAssignment,
-        node_id: NodeId,
-        old_color: Color,
-    ) -> RecodeResult:
-        return RecodeResult("leave", node_id, {})
-
-    def on_move(
-        self, graph: DigraphLike, assignment: CodeAssignment, node_id: NodeId
-    ) -> RecodeResult:
-        return self._first_fit(graph, assignment, node_id, "move")
-
-    def on_power_change(
-        self,
-        graph: DigraphLike,
-        assignment: CodeAssignment,
-        node_id: NodeId,
-        *,
-        increased: bool,
-        old_conflict_neighbors: Set[NodeId],
-    ) -> RecodeResult:
-        kind = "power_increase" if increased else "power_decrease"
-        if not increased:
-            return RecodeResult(kind, node_id, {})
-        return self._first_fit(graph, assignment, node_id, kind)
-
-
-def _drive_per_strategy(events: list[Event], lanes: int) -> float:
-    """Replay ``events`` once per lane on independent networks."""
-    start = perf_seconds()
-    for _ in range(lanes):
-        net = AdHocNetwork(_FirstFitLane())
-        for ev in events:
-            net.apply(ev)
-    return perf_seconds() - start
-
-
-def _drive_shared(events: list[Event], lanes: int) -> float:
-    """Replay ``events`` single-pass against ``lanes`` strategy lanes."""
-    start = perf_seconds()
-    replay = MultiStrategyReplay([_FirstFitLane() for _ in range(lanes)])
-    replay.run(events)
-    return perf_seconds() - start
-
-
-def run_replay_bench(
-    *,
-    n: int = 120,
-    runs: int = 3,
-    lanes: int = 3,
-    seed: int = 2001,
-) -> list[dict]:
-    """Time shared vs per-strategy replay of the N-node join sweep.
-
-    Returns two entries (modes ``per-strategy`` and ``shared``) shaped
-    like the event-loop bench's; the shared entry carries
-    ``speedup_vs_per_strategy`` — the events/sec ratio the single-pass
-    multi-strategy replay achieves over rebuilding a network per
-    strategy.  ``wall_seconds`` is the median over ``runs`` repetitions.
-    """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if lanes < 1:
-        raise ValueError(f"lanes must be >= 1, got {lanes}")
-    rng = np.random.default_rng(seed)
-    events: list[Event] = [JoinEvent(c) for c in sample_configs(n, rng)]
-    entries: list[dict] = []
-    timings: dict[str, float] = {}
-    for mode, drive in (("per-strategy", _drive_per_strategy), ("shared", _drive_shared)):
-        peak = traced_peak_mb(lambda: drive(events, lanes))  # warmup
-        wall = float(np.median([drive(events, lanes) for _ in range(runs)]))
-        timings[mode] = wall
-        entries.append(
-            {
-                "scenario": "multi-strategy-replay",
-                "n": n,
-                "mode": mode,
-                "lanes": lanes,
-                "events": len(events),
-                "runs": runs,
-                "wall_seconds": wall,
-                "events_per_sec": len(events) / wall if wall > 0 else float("inf"),
-                "peak_mem_mb": peak,
-            }
-        )
-    entries[-1]["speedup_vs_per_strategy"] = timings["per-strategy"] / timings["shared"]
-    return entries
-
-
-def _drive_cold_sweep(baseline: list[Event], rounds: list[list[Event]], lanes: int) -> float:
-    """Rebuild the baseline network for every sweep value (pre-warm-start)."""
-    start = perf_seconds()
-    for round_events in rounds:
-        replay = MultiStrategyReplay([_FirstFitLane() for _ in range(lanes)])
-        replay.run(baseline)
-        replay.run(round_events)
-    return perf_seconds() - start
-
-
-def _drive_warm_sweep(baseline: list[Event], rounds: list[list[Event]], lanes: int) -> float:
-    """Build the baseline once; fork it per sweep value (warm start)."""
-    start = perf_seconds()
-    base = MultiStrategyReplay([_FirstFitLane() for _ in range(lanes)])
-    base.run(baseline)
-    for round_events in rounds:
-        base.fork().run(round_events)
-    return perf_seconds() - start
-
-
-def run_warmstart_bench(
-    *,
-    n: int = 100,
-    runs: int = 3,
-    sweep_points: int = 5,
-    lanes: int = 3,
-    seed: int = 2001,
-) -> list[dict]:
-    """Time cold-rebuild vs snapshot-fork replay of a paired delta sweep.
-
-    The workload mirrors the fig11-style paired sweeps: one shared
-    baseline join phase of ``n`` nodes, then one power-raise
-    perturbation round per sweep value.  ``cold`` rebuilds the baseline
-    network per value (the pre-warm-start pipeline); ``warm`` builds it
-    once and replays each value's round on a
-    :meth:`~repro.sim.network.MultiStrategyReplay.fork`.  Both entries
-    report the *logical* event count of the sweep (values × trace
-    length), so their ``events_per_sec`` ratio equals
-    ``speedup_vs_cold`` on the warm entry.  ``wall_seconds`` is the
-    median over ``runs`` repetitions.
-    """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if sweep_points < 1:
-        raise ValueError(f"sweep_points must be >= 1, got {sweep_points}")
-    from repro.sim.workloads import power_raise_workload
-
-    rng = np.random.default_rng(seed)
-    configs = sample_configs(n, rng)
-    baseline: list[Event] = [JoinEvent(c) for c in configs]
-    rounds = [
-        list(
-            power_raise_workload(
-                configs, 1.5 + k, np.random.default_rng(seed + 1 + k), fraction=0.5
-            )
-        )
-        for k in range(sweep_points)
-    ]
-    logical_events = sum(len(baseline) + len(r) for r in rounds)
-    entries: list[dict] = []
-    timings: dict[str, float] = {}
-    for mode, drive in (("cold", _drive_cold_sweep), ("warm", _drive_warm_sweep)):
-        peak = traced_peak_mb(lambda: drive(baseline, rounds, lanes))  # warmup
-        wall = float(np.median([drive(baseline, rounds, lanes) for _ in range(runs)]))
-        timings[mode] = wall
-        entries.append(
-            {
-                "scenario": "warmstart-delta-sweep",
-                "n": n,
-                "mode": mode,
-                "lanes": lanes,
-                "sweep_points": sweep_points,
-                "events": logical_events,
-                "runs": runs,
-                "wall_seconds": wall,
-                "events_per_sec": logical_events / wall if wall > 0 else float("inf"),
-                "peak_mem_mb": peak,
-            }
-        )
-    entries[-1]["speedup_vs_cold"] = timings["cold"] / timings["warm"]
-    return entries
-
-
-def run_timeline_bench(
-    *,
-    n: int = 60,
-    runs: int = 3,
-    sweep_points: int = 6,
-    seed: int = 2001,
-) -> list[dict]:
-    """Time checkpoint-tree round sharing against per-point round replay.
-
-    The workload is a ``delta_rounds`` sweep decomposed into points: a
-    paired delta sweep over ``steps`` in ``2, 4, …, 2·sweep_points``
-    (jump mobility on ``n`` nodes), where sampling round ``k`` is point
-    ``k`` of the sweep.  ``warm-rounds`` is the PR 3 warm path — the
-    shared baseline is forked once per point and every point replays
-    its own rounds cold, Σk rounds in total; ``timeline`` executes the
-    identical members through :func:`repro.sim.timeline.compute_group`,
-    whose checkpoint tree lets each point fork from the previous one's
-    last shared round, max(k) rounds in total.  Both modes run the real
-    strategy pipeline and report the sweep's *logical* event count, so
-    the events/sec ratio equals ``timeline_prefix_sharing`` on the
-    timeline entry.  ``wall_seconds`` is the median over ``runs``
-    repetitions.
-    """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if sweep_points < 2:
-        raise ValueError(f"sweep_points must be >= 2, got {sweep_points}")
-    from repro.sim.scenarios import MobilitySpec
-    from repro.sim.sweep import build_sweep, plan_tasks
-    from repro.sim.timeline import _ExecState, build_plan, compute_group
-
-    spec = replace(
-        get_scenario("fig12-move-rounds"),
-        n=n,
-        strategies=("Minim",),
-        mobility=MobilitySpec(kind="jumps", steps=2, maxdisp=40.0),
-        sweep_axis="steps",
-        sweep_values=tuple(float(2 * k) for k in range(1, sweep_points + 1)),
-        measure="delta",
-    )
-    sweep = build_sweep(spec, runs=1, seed=seed)
-    (group,) = plan_tasks(sweep)
-    assert group.warm and len(group.points) == sweep_points
-    logical_events = sum(
-        len(build_plan(point, group.seed).events) for point in group.points
-    )
-
-    def drive_warm_rounds() -> None:
-        # PR 3: one baseline build, then every point replays its own
-        # rounds from a baseline fork
-        plans = [build_plan(point, group.seed) for point in group.points]
-        base = _ExecState.fresh(plans[0].strategies)
-        base.apply_stage(plans[0].stages[0], plans[0].measure)
-        for plan in plans:
-            state = base.fork()
-            for stage in plan.stages[1:]:
-                state.apply_stage(stage, plan.measure)
-            state.result(plan.measure)
-
-    def drive_timeline() -> None:
-        compute_group(group.points, group.seed)
-
-    entries: list[dict] = []
-    timings: dict[str, float] = {}
-    for mode, drive in (("warm-rounds", drive_warm_rounds), ("timeline", drive_timeline)):
-        peak = traced_peak_mb(drive)  # warmup
-        walls = []
-        for _ in range(runs):
-            start = perf_seconds()
-            drive()
-            walls.append(perf_seconds() - start)
-        wall = float(np.median(walls))
-        timings[mode] = wall
-        entries.append(
-            {
-                "scenario": "timeline-prefix-sharing",
-                "n": n,
-                "mode": mode,
-                "sweep_points": sweep_points,
-                "events": logical_events,
-                "runs": runs,
-                "wall_seconds": wall,
-                "events_per_sec": logical_events / wall if wall > 0 else float("inf"),
-                "peak_mem_mb": peak,
-            }
-        )
-    entries[-1]["timeline_prefix_sharing"] = timings["warm-rounds"] / timings["timeline"]
-    return entries
-
-
-def run_adaptive_bench(
-    *,
-    runs: int = 3,
-    fixed_runs: int = 12,
-    seed: int = 2001,
-) -> list[dict]:
-    """Time a fixed-budget sweep against its adaptive equivalent.
-
-    Both modes run the same seeded smoke sweep through
-    :func:`repro.sim.sweep.run_sweep` without a store, so every
-    repetition honestly recomputes.  Unlike the event-loop benches this
-    one deliberately ignores ``--n``: it measures the *controller*, so
-    the workload is pinned to a small, genuinely noisy sweep (tiny
-    ``paper-join`` networks, variance large relative to the means)
-    where the growth loop actually has to iterate — at large ``n`` the
-    means dwarf the noise, every point converges at the starting budget
-    and the gated ratio would degenerate into the constant
-    ``fixed_runs / min_runs``, blind to controller regressions.
-
-    ``fixed`` spends ``fixed_runs`` runs on every sweep point;
-    ``adaptive`` starts at 2 runs per point and lets the
-    :class:`~repro.sim.control.RunController` add runs until the CI
-    target is met, capped at the same ``fixed_runs``.  ``events``
-    counts simulation runs and the adaptive entry carries
-    ``run_savings_vs_fixed`` — the run-budget ratio the controller
-    saves, which is deterministic for a given seed (same samples, same
-    convergence decisions) and therefore CI-gateable.  ``wall_seconds``
-    is the median over ``runs`` repetitions.
-    """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if fixed_runs < 2:
-        raise ValueError(f"fixed_runs must be >= 2, got {fixed_runs}")
-    from repro.sim.control import PrecisionTarget, RunController
-    from repro.sim.sweep import run_sweep
-
-    spec = replace(
-        get_scenario("paper-join"),
-        n=16,
-        strategies=("Minim",),
-        sweep_values=(6.0, 8.0, 10.0),
-    )
-    target = PrecisionTarget(rel=0.5, abs_tol=2.0, min_runs=2, max_runs=fixed_runs)
-
-    def drive_fixed() -> tuple[float, int]:
-        start = perf_seconds()
-        run_sweep(spec, runs=fixed_runs, seed=seed)
-        return perf_seconds() - start, fixed_runs * len(spec.sweep_values)
-
-    def drive_adaptive() -> tuple[float, int]:
-        controller = RunController(target)
-        start = perf_seconds()
-        run_sweep(spec, runs=2, seed=seed, precision=controller)
-        assert controller.total_runs is not None
-        return perf_seconds() - start, controller.total_runs
-
-    entries: list[dict] = []
-    totals: dict[str, int] = {}
-    for mode, drive in (("fixed", drive_fixed), ("adaptive", drive_adaptive)):
-        peak = traced_peak_mb(drive)  # warmup
-        samples = [drive() for _ in range(runs)]
-        walls = [w for w, _ in samples]
-        run_counts = {t for _, t in samples}
-        if len(run_counts) != 1:  # pragma: no cover - seeded, hence stable
-            raise RuntimeError(f"non-deterministic {mode} run count: {run_counts}")
-        total = run_counts.pop()
-        wall = float(np.median(walls))
-        totals[mode] = total
-        entries.append(
-            {
-                "scenario": "adaptive-sweep",
-                "n": spec.n,
-                "mode": mode,
-                "sweep_points": len(spec.sweep_values),
-                "events": total,
-                "runs": runs,
-                "wall_seconds": wall,
-                "events_per_sec": total / wall if wall > 0 else float("inf"),
-                "peak_mem_mb": peak,
-            }
-        )
-    entries[-1]["run_savings_vs_fixed"] = totals["fixed"] / totals["adaptive"]
-    return entries
-
-
 def run_obs_overhead_bench(
     *,
-    n: int = 240,
+    n: int = 120,
     runs: int = 5,
     inner: int = 10,
     seed: int = 2001,

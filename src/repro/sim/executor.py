@@ -204,13 +204,10 @@ def _ckpt_scope(backend: "ResultsBackend | None", group: "TaskGroup"):
 
     Store-backed checkpointing defaults **on** whenever a results
     backend is present and the group is warm (cold groups and
-    singletons never serialize boundaries); ``REPRO_CKPT_STORE=0``
-    turns it off fleet-wide.  Links are stamped with the group's point
+    singletons never serialize boundaries).  Links are stamped with the group's point
     keys so ``store gc`` can tie them back to live sweep manifests.
     """
     if backend is None or not group.warm:
-        return None
-    if os.environ.get("REPRO_CKPT_STORE", "").strip().lower() in ("0", "off", "false", "no"):
         return None
     from repro.sim.results import CheckpointScope
 

@@ -375,7 +375,7 @@ class CheckpointTree:
     is evicted — so a K-point round chain holds one live checkpoint at
     a time instead of K.  Checkpoints stored without a budget are
     pinned (externally threaded trees).  ``hits``/``stored``/``evicted``
-    feed the bench and tests.
+    feed the trace report and tests.
 
     With a ``store`` (a results backend exposing
     ``put_checkpoint``/``get_checkpoint``) or a byte budget

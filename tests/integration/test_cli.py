@@ -1,6 +1,7 @@
 """Tests for the CLI."""
 
 import json
+import re
 
 import pytest
 
@@ -134,17 +135,17 @@ class TestScenarioCommand:
 class TestBenchCommand:
     def test_bench_writes_json(self, tmp_path, capsys):
         out_path = tmp_path / "BENCH_eventloop.json"
-        # --large-n 0 skips the N=10⁴ scale trace: this test covers the
-        # harness plumbing, not the ~minutes large-join measurement
-        # (CI's smoke-bench job runs it through the default CLI
-        # invocation, and the sparse-core job smokes it at N=20000).
+        # --large-n 0 skips the N=10⁴ scale traces (large-n and
+        # checkpoint families): this test covers the harness plumbing,
+        # not the ~minutes large-join measurement (CI's smoke-bench job
+        # runs it through the default CLI invocation, and the
+        # sparse-core job smokes it at N=20000), so only the cheap
+        # tracing-overhead family runs.
         rc = main(
             [
                 "bench",
                 "--runs",
                 "1",
-                "--n",
-                "24",
                 "--large-n",
                 "0",
                 "--profile",
@@ -162,37 +163,19 @@ class TestBenchCommand:
         # module rather than one row
         assert "Ordered by: cumulative time" in profile_text
         assert "repro/sim/bench.py" in profile_text
-        assert "fig10-join" in printed and "speedup" in printed
-        assert "multi-strategy-replay" in printed
+        assert "obs-overhead" in printed and "speedup" in printed
         entries = json.loads(out_path.read_text())
-        assert {e["mode"] for e in entries} == {
-            "array",
-            "sparse",
-            "per-strategy",
-            "shared",
-            "cold",
-            "warm",
-            "warm-rounds",
-            "timeline",
-            "fixed",
-            "adaptive",
-        }
+        assert [(e["scenario"], e["mode"]) for e in entries] == [
+            ("obs-overhead", "off"),
+            ("obs-overhead", "on"),
+        ]
         for e in entries:
             assert {"scenario", "n", "wall_seconds", "events_per_sec"} <= set(e)
-        sparse = [e for e in entries if e["mode"] == "sparse"]
-        assert len(sparse) == 2 and all(e["speedup_vs_array"] > 0 for e in sparse)
-        assert not any(e["scenario"] == "large-join" for e in entries)
-        shared = [e for e in entries if e["mode"] == "shared"]
-        assert len(shared) == 1 and shared[0]["speedup_vs_per_strategy"] > 0
-        warm = [e for e in entries if e["mode"] == "warm"]
-        assert len(warm) == 1 and warm[0]["speedup_vs_cold"] > 0
-        timeline = [e for e in entries if e["mode"] == "timeline"]
-        assert len(timeline) == 1 and timeline[0]["timeline_prefix_sharing"] > 0
-        adaptive = [e for e in entries if e["mode"] == "adaptive"]
-        assert len(adaptive) == 1 and adaptive[0]["run_savings_vs_fixed"] >= 1.0
+            assert e["n"] == 120 and e["runs"] == 1
+        assert entries[-1]["trace_on_vs_off"] > 0
 
     def test_bench_rejects_small_large_n(self, capsys):
-        rc = main(["bench", "--runs", "1", "--n", "24", "--large-n", "100"])
+        rc = main(["bench", "--runs", "1", "--large-n", "100"])
         assert rc == 2
         assert "large-n" in capsys.readouterr().err
 
@@ -200,6 +183,44 @@ class TestBenchCommand:
         rc = main(["bench", "--runs", "1", "--large-n", "0", "--large-n-only"])
         assert rc == 2
         assert "large-n-only" in capsys.readouterr().err
+
+    def test_trace_skips_the_obs_overhead_family(self, tmp_path, capsys):
+        out_path = tmp_path / "bench.json"
+        trace_path = tmp_path / "t.jsonl"
+        rc = main(
+            [
+                "bench",
+                "--runs",
+                "1",
+                "--large-n",
+                "0",
+                "--trace",
+                str(trace_path),
+                "--out",
+                str(out_path),
+            ]
+        )
+        assert rc == 0
+        assert "skipping the obs-overhead family" in capsys.readouterr().err
+        assert json.loads(out_path.read_text()) == []
+        assert trace_path.exists()
+
+    def test_help_lists_the_bench_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--help"])
+        assert exc.value.code == 0
+        # "-h, --help" leads its line, so this reads the eight options besides it
+        options = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
+        assert options == {
+            "--runs",
+            "--large-n",
+            "--max-mem",
+            "--large-n-only",
+            "--profile",
+            "--seed",
+            "--out",
+            "--trace",
+        }
 
 
 class TestWorkerAndStoreCommands:

@@ -1,4 +1,4 @@
-"""The event-loop benchmark harness and its JSON artifact."""
+"""The component benchmark harness and its JSON artifact."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.events.base import JoinEvent, MoveEvent
 from repro.sim.bench import (
     drive_event_loop,
     drive_event_rounds,
-    run_event_loop_bench,
     write_bench_json,
 )
 from repro.sim.random_networks import sample_configs
@@ -67,42 +66,6 @@ class TestDrive:
         assert drive_event_rounds(rounds, mode="array", setup=setup) > 0.0
 
 
-class TestBenchHarness:
-    @pytest.fixture(scope="class")
-    def entries(self):
-        return run_event_loop_bench(n=24, runs=1, seed=5)
-
-    def test_entry_schema(self, entries):
-        assert len(entries) == 4  # 2 traces x 2 modes
-        for e in entries:
-            assert {"scenario", "n", "mode", "events", "wall_seconds", "events_per_sec"} <= set(e)
-            assert e["events_per_sec"] > 0
-            assert e["wall_seconds"] > 0
-            assert e["peak_mem_mb"] > 0  # every entry tracks its memory
-
-    def test_traces_and_modes_present(self, entries):
-        assert {e["scenario"] for e in entries} == {"fig10-join", "random-waypoint"}
-        assert {e["mode"] for e in entries} == {"array", "sparse"}
-
-    def test_small_n_sparse_entries_publish_their_array_ratio(self, entries):
-        # the honest small-N record: the sparse core is slower than the
-        # array core here (ratio typically < 1), which is exactly why
-        # auto-promotion waits for N >= 4096 — the field must be present
-        # either way so the regression is visible in the artifact
-        sparse = [e for e in entries if e["mode"] == "sparse"]
-        assert len(sparse) == 2
-        assert all("speedup_vs_array" in e and e["speedup_vs_array"] > 0 for e in sparse)
-
-    def test_json_written(self, entries, tmp_path):
-        path = write_bench_json(entries, tmp_path / "BENCH_eventloop.json")
-        loaded = json.loads(path.read_text())
-        assert loaded == json.loads(json.dumps(entries))  # round-trips losslessly
-
-    def test_bad_runs_rejected(self):
-        with pytest.raises(ValueError):
-            run_event_loop_bench(n=8, runs=0)
-
-
 class TestLargeNBench:
     def test_rejects_sub_scale_n(self):
         from repro.sim.bench import run_large_n_bench
@@ -134,6 +97,11 @@ class TestLargeNBench:
         assert entries[2]["round_batch_speedup"] > 0
         assert all(e["peak_mem_mb"] > 0 for e in entries)
 
+    def test_json_written(self, entries, tmp_path):
+        path = write_bench_json(entries, tmp_path / "BENCH_eventloop.json")
+        loaded = json.loads(path.read_text())
+        assert loaded == json.loads(json.dumps(entries))  # round-trips losslessly
+
     def test_comparison_legs_drop_beyond_their_ceilings(self, monkeypatch):
         import repro.sim.bench as bench
 
@@ -152,71 +120,75 @@ class TestLargeNBench:
             bench.run_large_n_bench(n=2000, runs=1, seed=5, max_mem_mb=0.001)
 
 
-class TestWarmstartBench:
+class TestCheckpointBench:
+    # the canonical N=10^4 point runs in CI's smoke-bench job (with its
+    # ckpt_delta_speedup floor and ckpt_bytes_ratio ceiling); tier-1
+    # pins the entry shape and the byte accounting on a tiny trace
     @pytest.fixture(scope="class")
     def entries(self):
-        from repro.sim.bench import run_warmstart_bench
+        from repro.sim.bench import run_checkpoint_bench
 
-        return run_warmstart_bench(n=20, runs=1, sweep_points=3, lanes=2, seed=5)
+        return run_checkpoint_bench(n=120, runs=1, rounds=2, seed=5)
 
-    def test_entry_schema(self, entries):
-        assert [e["mode"] for e in entries] == ["cold", "warm"]
-        for e in entries:
-            assert e["scenario"] == "warmstart-delta-sweep"
-            assert e["wall_seconds"] > 0 and e["events_per_sec"] > 0
-
-    def test_both_modes_report_logical_events(self, entries):
-        # same logical sweep either way, so events counts must match and
-        # the events/sec ratio equals the recorded speedup
-        assert entries[0]["events"] == entries[1]["events"]
-        assert entries[1]["speedup_vs_cold"] > 0
-
-    def test_bad_args_rejected(self):
-        from repro.sim.bench import run_warmstart_bench
-
-        with pytest.raises(ValueError):
-            run_warmstart_bench(n=8, runs=0)
-        with pytest.raises(ValueError):
-            run_warmstart_bench(n=8, sweep_points=0)
-
-
-class TestAdaptiveBench:
     @pytest.fixture(scope="class")
-    def entries(self):
-        from repro.sim.bench import run_adaptive_bench
+    def trace(self):
+        from repro.sim.bench import _substep_rounds
 
-        return run_adaptive_bench(runs=1, fixed_runs=8, seed=5)
+        joins = [JoinEvent(c) for c in sample_configs(60, np.random.default_rng(5))]
+        template = AdHocDigraph()
+        template.apply_round(joins)
+        return template, _substep_rounds(joins, 100.0, seed=6, rounds=2)
 
-    def test_entry_schema(self, entries):
-        assert [e["mode"] for e in entries] == ["fixed", "adaptive"]
+    def test_labels_carry_the_node_count_off_the_canonical_point(self, entries):
+        assert [e["mode"] for e in entries] == ["copy", "full", "replay", "delta"]
+        assert {e["scenario"] for e in entries} == {"large-ckpt-120"}
         for e in entries:
-            assert e["scenario"] == "adaptive-sweep"
-            assert e["wall_seconds"] > 0 and e["events_per_sec"] > 0
+            assert e["n"] == 120 and e["events"] == 2  # one checkpoint per round
+            assert e["wall_seconds"] > 0 and e["peak_mem_mb"] > 0
 
-    def test_adaptive_never_exceeds_the_fixed_budget(self, entries):
-        fixed, adaptive = entries
-        assert fixed["events"] == 8 * fixed["sweep_points"]
-        assert adaptive["events"] <= fixed["events"]
-        assert adaptive["run_savings_vs_fixed"] == fixed["events"] / adaptive["events"]
-        assert adaptive["run_savings_vs_fixed"] >= 1.0
+    def test_delta_entry_carries_the_gated_fields(self, entries):
+        *rivals, delta = entries
+        assert delta["ckpt_delta_speedup"] > 0
+        assert delta["ckpt_bytes_ratio"] == delta["ckpt_delta_bytes"] / delta["ckpt_full_bytes"]
+        assert not any("ckpt_delta_speedup" in e for e in rivals)
 
-    def test_workload_is_noisy_enough_to_exercise_the_growth_loop(self, entries):
-        # if every point converged at the 2-run starting budget the gated
-        # ratio would be the constant fixed_runs/2, blind to controller
-        # regressions — the pinned spec must force at least one extra pass
-        _, adaptive = entries
-        assert adaptive["events"] > 2 * adaptive["sweep_points"]
+    def test_delta_bytes_stay_a_fraction_of_the_full_snapshot(self, entries):
+        # the O(changes) contract CI gates at N=10^4 holds at any scale
+        assert entries[-1]["ckpt_bytes_ratio"] <= 0.2
 
-    def test_run_counts_are_seed_deterministic(self, entries):
-        from repro.sim.bench import run_adaptive_bench
+    @pytest.mark.parametrize("kwargs", [{"runs": 0}, {"rounds": 1}])
+    def test_bad_args_rejected(self, kwargs):
+        from repro.sim.bench import run_checkpoint_bench
 
-        again = run_adaptive_bench(runs=1, fixed_runs=8, seed=5)
-        assert [e["events"] for e in again] == [e["events"] for e in entries]
+        with pytest.raises(ConfigurationError):
+            run_checkpoint_bench(n=120, **kwargs)
 
-    def test_bad_args_rejected(self):
-        from repro.sim.bench import run_adaptive_bench
+    @pytest.mark.parametrize(
+        ("mode", "serializes"),
+        [("copy", False), ("full", True), ("replay", False), ("delta", True)],
+    )
+    def test_only_serializing_modes_count_bytes(self, trace, mode, serializes):
+        from repro.sim.bench import _drive_checkpoints
+
+        template, rounds = trace
+        version = template.version
+        wall, nbytes = _drive_checkpoints(mode, template, rounds)
+        assert wall > 0.0
+        assert (nbytes > 0) is serializes
+        assert template.version == version  # the producer works on a copy
+
+
+class TestObsOverheadBench:
+    def test_default_n_is_the_ci_point(self):
+        from repro.sim.bench import run_obs_overhead_bench
+
+        # every CI invocation measures N=120 through the default
+        entries = run_obs_overhead_bench(runs=1, inner=1)
+        assert [(e["mode"], e["n"]) for e in entries] == [("off", 120), ("on", 120)]
+
+    @pytest.mark.parametrize("kwargs", [{"runs": 0}, {"inner": 0}])
+    def test_bad_args_rejected(self, kwargs):
+        from repro.sim.bench import run_obs_overhead_bench
 
         with pytest.raises(ValueError):
-            run_adaptive_bench(runs=0)
-        with pytest.raises(ValueError):
-            run_adaptive_bench(fixed_runs=1)
+            run_obs_overhead_bench(n=10, **kwargs)

@@ -227,6 +227,31 @@ class TestAdaptiveRunSweep:
         a.pop("notes"), b.pop("notes")  # notes records the invocation split
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_run_savings_over_the_fixed_budget(self):
+        # a tiny paper-join sweep noisy enough that the growth loop has
+        # to iterate: at large n every point would converge at the
+        # starting budget and the ratio would be the constant
+        # max_runs/min_runs, blind to controller regressions
+        spec = replace(noisy_spec(), n=16)
+        target = PrecisionTarget(rel=0.5, abs_tol=2.0, min_runs=2, max_runs=12)
+        ctrl = RunController(target)
+        run_sweep(spec, runs=2, seed=2001, precision=ctrl)
+        fixed = target.max_runs * len(spec.sweep_values)
+        assert ctrl.total_runs > target.min_runs * len(spec.sweep_values)
+        assert fixed / ctrl.total_runs >= 1.2  # 36/26 at the time of writing
+
+    def test_adaptive_run_counts_are_seed_deterministic(self):
+        # the run-savings ratio above is a fixed count, not a timing:
+        # the same seed must grow the same points by the same passes
+        spec = replace(noisy_spec(), n=16)
+        target = PrecisionTarget(rel=0.5, abs_tol=2.0, min_runs=2, max_runs=12)
+        totals = []
+        for _ in range(2):
+            ctrl = RunController(target)
+            run_sweep(spec, runs=2, seed=2001, precision=ctrl)
+            totals.append(ctrl.total_runs)
+        assert totals[0] == totals[1]
+
     def test_notes_and_manifest_record_the_adaptive_outcome(self, tmp_path):
         store = SqliteBackend(tmp_path / "s.sqlite")
         ctrl = RunController(SMOKE_TARGET)

@@ -402,10 +402,9 @@ class TestWorkerLoop:
 # ----------------------------------------------------------------------
 class TestWorkerCheckpointLinks:
     @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_worker_drain_stores_delta_links(self, tmp_path, backend_cls, monkeypatch):
+    def test_worker_drain_stores_delta_links(self, tmp_path, backend_cls):
         # a warm group walked by a worker persists its boundary states
         # as delta links in the store's checkpoint table
-        monkeypatch.delenv("REPRO_CKPT_STORE", raising=False)
         backend = backend_cls(tmp_path / "store")
         _publish(backend, paired_spec(), runs=1, seed=3)
         assert run_worker(backend, once=True) >= 1
@@ -413,12 +412,11 @@ class TestWorkerCheckpointLinks:
         assert stats["count"] > 0
         assert stats["writes"] >= stats["count"]
 
-    def test_deeper_sweep_resumes_from_another_workers_links(self, tmp_path, monkeypatch):
+    def test_deeper_sweep_resumes_from_another_workers_links(self, tmp_path):
         # the cross-process pickup story: worker A drains a paired sweep,
         # worker B (a fresh process state — nothing warm in memory) drains
         # a deeper sweep over the same axis and serves the shared prefix
         # from A's stored links instead of replaying it
-        monkeypatch.delenv("REPRO_CKPT_STORE", raising=False)
         backend = SqliteBackend(tmp_path / "store.sqlite")
         spec = paired_spec()
         _publish(backend, spec, runs=1, seed=3)
@@ -433,17 +431,9 @@ class TestWorkerCheckpointLinks:
         assert series.metrics == ref.metrics
         assert series.stderr == ref.stderr
 
-    def test_env_kill_switch_disables_link_writes(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CKPT_STORE", "0")
-        backend = SqliteBackend(tmp_path / "store.sqlite")
-        _publish(backend, paired_spec(), runs=1, seed=3)
-        run_worker(backend, once=True)
-        assert backend.checkpoint_stats()["count"] == 0
-
-    def test_cold_groups_never_write_links(self, tmp_path, monkeypatch):
+    def test_cold_groups_never_write_links(self, tmp_path):
         # unpaired sweeps plan singleton (cold) groups; serializing their
         # boundaries would be pure overhead, so the scope stays off
-        monkeypatch.delenv("REPRO_CKPT_STORE", raising=False)
         backend = SqliteBackend(tmp_path / "store.sqlite")
         groups = _publish(backend, tiny_spec(), runs=1, seed=3)
         assert all(not g.warm for g in groups)
