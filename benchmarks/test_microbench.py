@@ -16,6 +16,8 @@ from repro.cdma.spreading import despread, spread
 from repro.cdma.walsh import walsh_codes
 from repro.coloring.bbb import bbb_colors
 from repro.coloring.dsatur import dsatur_color_matrix
+from repro.coloring.greedy import greedy_color_matrix
+from repro.coloring.smallest_last import smallest_last_order
 from repro.matching.hungarian import solve_max_weight_dense
 from repro.sim.network import AdHocNetwork, MultiStrategyReplay
 from repro.sim.random_networks import sample_configs
@@ -41,12 +43,26 @@ def test_conflict_matrix_250(benchmark, big_adjacency):
     assert out.shape == (250, 250)
 
 
-def test_dsatur_150(benchmark):
+@pytest.fixture(scope="module")
+def conflicts_150():
     rng = np.random.default_rng(1)
     adj = rng.random((150, 150)) < 0.1
     np.fill_diagonal(adj, False)
-    conflicts = conflict_matrix(adj)
-    colors = benchmark(dsatur_color_matrix, conflicts)
+    return conflict_matrix(adj)
+
+
+def test_dsatur_150(benchmark, conflicts_150):
+    colors = benchmark(dsatur_color_matrix, conflicts_150)
+    assert colors.min() >= 1
+
+
+def test_smallest_last_greedy_150(benchmark, conflicts_150):
+    """BBB's second pass: the smallest-last order, then first-fit in that order."""
+
+    def second_pass():
+        return greedy_color_matrix(conflicts_150, smallest_last_order(conflicts_150))
+
+    colors = benchmark(second_pass)
     assert colors.min() >= 1
 
 

@@ -10,41 +10,27 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import _native
 from repro.coloring.assignment import CodeAssignment
-from repro.topology.conflicts import conflict_adjacency
+from repro.topology.conflicts import checked_conflict_matrix, conflict_adjacency
 from repro.topology.digraph import AdHocDigraph
 
 __all__ = ["dsatur_coloring", "dsatur_color_matrix"]
 
 
 def dsatur_color_matrix(conflicts: np.ndarray) -> np.ndarray:
-    """DSATUR colors (1-based) for a boolean conflict matrix.
+    """DSATUR colors (1-based) for a square boolean conflict matrix.
 
-    Each step is a handful of O(n) array operations.  The selection key
-    packs (saturation, degree) exactly into one float,
-    ``saturation + degree·2⁻ᵏ`` with ``2ᵏ > n``, so ``argmax`` — which
-    returns the first maximum — picks max saturation, then max degree,
-    then min index; colored vertices sit at ``-inf``.  ``used[c]`` marks
-    the vertices with a neighbor of color ``c``, so a vertex's smallest
-    free color is the first unmarked entry of its column.
+    Each step picks the uncolored vertex of max saturation, then max
+    degree, then min index (integer keys, compared in that order) and
+    gives it its smallest free color; the loop runs in the compiled
+    kernel library (:mod:`repro._native`).
     """
-    conflicts = np.asarray(conflicts, dtype=bool)
+    conflicts = checked_conflict_matrix(conflicts)
     n = conflicts.shape[0]
-    colors = np.zeros(n, dtype=np.int64)
-    key = np.ldexp(conflicts.sum(axis=1, dtype=np.float64), -n.bit_length())
-    used = np.zeros((n + 2, n), dtype=bool)
-    fresh = np.empty(n, dtype=bool)
-    top = 0  # colors above top are unused, so column slices stop at top + 1
-    for _ in range(n):
-        v = int(key.argmax())
-        c = 1 + int(used[1 : top + 2, v].argmin())
-        colors[v] = c
-        key[v] = -np.inf
-        top = max(top, c)
-        row, marked = conflicts[v], used[c]
-        np.greater(row, marked, out=fresh)  # neighbors that gain color c
-        key += fresh
-        marked |= row
+    colors = np.empty(n, dtype=np.int64)
+    if _native.library().repro_dsatur(n, conflicts.ctypes.data, colors.ctypes.data):
+        raise MemoryError(f"DSATUR scratch for n = {n}")
     return colors
 
 

@@ -6,8 +6,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro import _native
 from repro.coloring.assignment import CodeAssignment
-from repro.topology.conflicts import conflict_adjacency
+from repro.topology.conflicts import checked_conflict_matrix, conflict_adjacency
 from repro.topology.digraph import AdHocDigraph
 from repro.types import NodeId
 
@@ -17,22 +18,25 @@ __all__ = ["first_fit_coloring", "greedy_color_matrix"]
 def greedy_color_matrix(conflicts: np.ndarray, order: Sequence[int]) -> np.ndarray:
     """First-fit colors (1-based) for a conflict matrix in ``order``.
 
-    ``order`` is a permutation of matrix indices; node ``order[0]`` gets
-    color 1, later nodes get the smallest color not used by their already
-    colored conflict neighbors.  ``used[c]`` marks the nodes with a
-    neighbor of color ``c``, so each step is one column scan and one row
-    update.
+    ``order`` must be a permutation of the matrix indices; node
+    ``order[0]`` gets color 1, later nodes get the smallest color not
+    used by their already colored conflict neighbors.  The loop runs in
+    the compiled kernel library (:mod:`repro._native`).
     """
-    conflicts = np.asarray(conflicts, dtype=bool)
+    conflicts = checked_conflict_matrix(conflicts)
     n = conflicts.shape[0]
-    colors = np.zeros(n, dtype=np.int64)
-    used = np.zeros((n + 2, n), dtype=bool)
-    top = 0  # colors above top are unused, so column slices stop at top + 1
-    for i in order:
-        c = 1 + int(used[1 : top + 2, i].argmin())
-        colors[i] = c
-        used[c] |= conflicts[i]
-        top = max(top, c)
+    idx = np.asarray(order)
+    if (
+        idx.shape != (n,)
+        or (n and idx.dtype.kind not in "iu")
+        or not np.array_equal(np.sort(idx), np.arange(n))
+    ):
+        raise ValueError("order must cover every node exactly once")
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    colors = np.empty(n, dtype=np.int64)
+    lib = _native.library()
+    if lib.repro_greedy(n, conflicts.ctypes.data, idx.ctypes.data, colors.ctypes.data):
+        raise MemoryError(f"first-fit scratch for n = {n}")
     return colors
 
 
@@ -45,15 +49,11 @@ def first_fit_coloring(
     Parameters
     ----------
     order:
-        Node ids in coloring order; defaults to ascending id.
+        Node ids in coloring order; defaults to ascending id.  Every
+        node must appear exactly once.
     """
     ids, conflicts = conflict_adjacency(graph)
     index = {v: i for i, v in enumerate(ids)}
-    if order is None:
-        idx_order = list(range(len(ids)))
-    else:
-        idx_order = [index[v] for v in order]
-        if len(idx_order) != len(ids):
-            raise ValueError("order must cover every node exactly once")
+    idx_order = range(len(ids)) if order is None else [index[v] for v in order]
     colors = greedy_color_matrix(conflicts, idx_order)
     return CodeAssignment({ids[i]: int(colors[i]) for i in range(len(ids))})

@@ -11,35 +11,28 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import _native
 from repro.coloring.assignment import CodeAssignment
 from repro.coloring.greedy import greedy_color_matrix
-from repro.topology.conflicts import conflict_adjacency
+from repro.topology.conflicts import checked_conflict_matrix, conflict_adjacency
 from repro.topology.digraph import AdHocDigraph
 from repro.types import NodeId
 
 __all__ = ["smallest_last_order", "smallest_last_coloring"]
 
-_REMOVED = np.iinfo(np.int64).max  # minus at most n decrements, still above any degree
-
 
 def smallest_last_order(conflicts: np.ndarray) -> list[int]:
     """Coloring order: reverse of iterated minimum-degree removal.
 
-    Ties break on the lower index for determinism: a removed vertex's
-    degree is pinned above any live one, so ``argmin`` (first minimum)
-    makes the whole choice.
+    Ties break on the lower index (the first minimum) for determinism.
+    The loop runs in the compiled kernel library (:mod:`repro._native`).
     """
-    conflicts = np.asarray(conflicts, dtype=bool)
+    conflicts = checked_conflict_matrix(conflicts)
     n = conflicts.shape[0]
-    degree = conflicts.sum(axis=1, dtype=np.int64)
-    removal: list[int] = []
-    for _ in range(n):
-        i = int(degree.argmin())
-        removal.append(i)
-        degree[i] = _REMOVED
-        degree -= conflicts[i]
-    removal.reverse()
-    return removal
+    order = np.empty(n, dtype=np.int64)
+    if _native.library().repro_smallest_last(n, conflicts.ctypes.data, order.ctypes.data):
+        raise MemoryError(f"smallest-last scratch for n = {n}")
+    return order.tolist()
 
 
 def smallest_last_coloring(graph: AdHocDigraph) -> CodeAssignment:

@@ -50,12 +50,15 @@ class WeightedBipartiteGraph:
     def from_matrix(cls, left: list, right: list, weights: np.ndarray) -> "WeightedBipartiteGraph":
         """The graph whose edges are the positive entries of ``weights``.
 
-        ``weights`` is a ``(len(left), len(right))`` array; zero marks a
-        forbidden pair.  The array is used as is (not copied).
+        ``weights`` is a ``(len(left), len(right))`` array of finite,
+        non-negative numbers; zero marks a forbidden pair.  The array is
+        used as is (not copied).
         """
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (len(left), len(right)):
             raise MatchingError(f"weight matrix shape {w.shape} != ({len(left)}, {len(right)})")
+        if not np.isfinite(w).all():
+            raise MatchingError("edge weights must be finite")
         if (w < 0).any():
             raise MatchingError("edge weights must be positive (0 marks a forbidden pair)")
         graph = cls(left=list(left), right=list(right))
@@ -89,7 +92,9 @@ class WeightedBipartiteGraph:
         self.right.append(vertex)
 
     def add_edge(self, left, right, weight: float) -> None:
-        """Add edge ``left -- right`` with a strictly positive weight."""
+        """Add edge ``left -- right`` with a strictly positive, finite weight."""
+        if not np.isfinite(weight):
+            raise MatchingError(f"edge weight must be finite, got {weight}")
         if weight <= 0:
             raise MatchingError(f"edge weight must be positive, got {weight}")
         if left not in self._left_index:

@@ -20,6 +20,7 @@ from repro.types import NodeId
 
 __all__ = [
     "are_conflicting",
+    "checked_conflict_matrix",
     "conflict_adjacency",
     "conflict_degree",
     "conflict_matrix",
@@ -45,6 +46,21 @@ def conflict_matrix(adjacency: np.ndarray) -> np.ndarray:
     conflicts = a | a.T | common_out
     np.fill_diagonal(conflicts, False)
     return conflicts
+
+
+def checked_conflict_matrix(conflicts: np.ndarray) -> np.ndarray:
+    """``conflicts`` as a C-contiguous array, after checking its form.
+
+    The compiled coloring kernels index the matrix as ``n * n`` bytes,
+    so it must be a square, 2-D, boolean array; anything else raises
+    :class:`ValueError` before a kernel reads it.
+    """
+    a = np.asarray(conflicts)
+    if a.dtype != bool or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(
+            f"conflict matrix must be a square 2-D boolean array, got {a.dtype} of shape {a.shape}"
+        )
+    return np.ascontiguousarray(a)
 
 
 def conflict_adjacency(graph) -> tuple[list[NodeId], np.ndarray]:

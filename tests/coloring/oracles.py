@@ -1,8 +1,9 @@
-"""Pure-Python reference kernels for the vectorized coloring heuristics.
+"""Pure-Python reference kernels for the compiled coloring heuristics.
 
-These are the textbook set-based loops the numpy kernels in
-``repro.coloring`` replaced.  They are kept only as oracles: the
-production kernels must return exactly what these return, tie-breaking
+These are the textbook set-based loops that the production kernels
+replaced; those now run as compiled C (``repro._native``) behind the
+entry points in ``repro.coloring``.  The loops are kept only as oracles:
+the kernels must return exactly what these return, tie-breaking
 included, so every BBB series stays byte-identical.
 """
 

@@ -81,6 +81,12 @@ class TestHungarianBasics:
         pairs = solve_max_weight_dense(np.array([[1.0, 5.0, 2.0]]))
         assert pairs == [(0, 1)]
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_dense_solver_rejects_non_finite_weights(self, bad):
+        # An infinite weight used to hang the search; NaN read as forbidden.
+        with pytest.raises(MatchingError, match="finite"):
+            solve_max_weight_dense(np.array([[bad, 1.0], [2.0, 3.0]]))
+
 
 class TestHungarianAgainstScipy:
     @pytest.mark.parametrize("seed", range(40))
@@ -138,11 +144,40 @@ class TestJVAgainstPerStepOracle:
             np.full((5, 1), 1.0),  # a single column
             np.array([[1.0], [0.0], [3.0], [3.0]]),  # single column, tied best
             np.ones((1, 1)),
+            np.zeros((0, 0)),
+            np.zeros((0, 5)),  # no rows
+            np.zeros((5, 0)),  # no columns
+            np.full((300, 300), 7.0),  # all ties at n = 300
         ],
-        ids=["all-forbidden", "forbidden-rows", "n>m", "m>n", "one-col", "one-col-tie", "1x1"],
+        ids=[
+            "all-forbidden",
+            "forbidden-rows",
+            "n>m",
+            "m>n",
+            "one-col",
+            "one-col-tie",
+            "1x1",
+            "0x0",
+            "0x5",
+            "5x0",
+            "ties-300",
+        ],
     )
     def test_edge_shapes(self, w):
         assert solve_max_weight_dense(w) == jv_oracle(w)
+
+    @pytest.mark.parametrize("n,m", [(300, 300), (300, 60)])
+    def test_n_300(self, n, m):
+        w = tie_heavy_matrix(n + m, n, m, 3, 0.4)
+        assert solve_max_weight_dense(w) == jv_oracle(w)
+
+    def test_non_integer_weights(self):
+        # Off the integer grid random weights have one optimum, found by both.
+        rng = np.random.default_rng(11)
+        for n, m in [(7, 17), (40, 25), (60, 80)]:
+            w = rng.random((n, m)) * 100
+            w[rng.random((n, m)) < 0.4] = 0
+            assert solve_max_weight_dense(w) == jv_oracle(w)
 
     def test_minim_sized_matrices(self):
         # The p99 recoding matrix is about 65x84 (the median 7x17).
@@ -187,6 +222,15 @@ class TestFromMatrix:
             WeightedBipartiteGraph.from_matrix([0, 1], ["x"], np.ones((1, 1)))
         with pytest.raises(MatchingError, match="positive"):
             WeightedBipartiteGraph.from_matrix([0], ["x"], -np.ones((1, 1)))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(MatchingError, match="finite"):
+            WeightedBipartiteGraph.from_matrix([0, 1], ["x", "y"], np.array([[bad, 1.0], [2, 3]]))
+        g = WeightedBipartiteGraph(left=[0], right=["x"])
+        with pytest.raises(MatchingError, match="finite"):
+            g.add_edge(0, "x", bad)
+        assert g.edge_count() == 0
 
 
 class TestBackendDispatch:
