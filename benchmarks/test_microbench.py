@@ -144,6 +144,35 @@ def test_cp_join_move_800(benchmark):
     assert len(graph.undirected_neighbors(joiner)) > 20
 
 
+def test_array_core_churn_800(benchmark):
+    """A join, a move and a removal at the hotspot of an 800-node snapshot.
+
+    The ``hotspot-churn`` join phase under CP, as in
+    :func:`test_cp_join_move_800`; each round admits a node at the
+    hotspot centre, moves it, and removes it again, so the array core's
+    counter upkeep runs on its largest cliques and the graph returns to
+    the same edges every round.
+    """
+    spec = resolve_sweep(replace(get_scenario("hotspot-churn"), n=800), 0.4)
+    phases = scenario_phases(spec, np.random.default_rng(9))
+    graph = MultiStrategyReplay([CPStrategy()]).run(phases.baseline).graph
+    assert graph.core == "array"
+    cx, cy = np.mean([graph.position_of(v) for v in graph.node_ids()], axis=0)
+    joiner = max(graph.node_ids()) + 1
+    before = graph.adjacency()
+
+    def churn():
+        graph.add_node(NodeConfig(joiner, float(cx), float(cy), tx_range=25.0))
+        graph.move_node(joiner, float(cx) + 3.0, float(cy))
+        in_degree = len(graph.in_neighbors(joiner))
+        graph.remove_node(joiner)
+        return in_degree
+
+    assert benchmark(churn) > 100
+    after = graph.adjacency()
+    assert after[0] == before[0] and (after[1] == before[1]).all()
+
+
 def test_brute_force_disc_query(benchmark):
     rng = np.random.default_rng(4)
     pts = rng.uniform(0, 1000, (5000, 2))

@@ -1,10 +1,12 @@
 """The compiled kernels: ``kernels.c``, built with the system C compiler.
 
 DSATUR, smallest-last, first-fit and the JV matcher run as C step loops
-(see ``docs/architecture/strategies.md``, "Kernels").  The library is
-compiled on the first kernel call, not at import, with :data:`FLAGS`
-and no host-specific or fast-math option, so float64 arithmetic in the
-matcher rounds exactly as the reference search does.
+(see ``docs/architecture/strategies.md``, "Kernels"), and so does the
+array conflict core's CA2 witness-counter upkeep (``repro_c2_row`` and
+``repro_c2_col``; see ``docs/architecture/conflict-cores.md``).  The
+library is compiled on the first kernel call, not at import, with
+:data:`FLAGS` and no host-specific or fast-math option, so float64
+arithmetic in the matcher rounds exactly as the reference search does.
 
 The build lands in :data:`CACHE_DIR` under a name keyed by the SHA-256
 of the source and the flags, so an edited source or changed flags build
@@ -41,6 +43,8 @@ _SIGNATURES = {
     "repro_smallest_last": (_I64, _PTR, _PTR),
     "repro_greedy": (_I64, _PTR, _PTR, _PTR),
     "repro_max_weight": (_I64, _I64, _PTR, _PTR),
+    "repro_c2_row": (_I64, _I64, _PTR, _PTR, _I64, _PTR),
+    "repro_c2_col": (_I64, _I64, _PTR, _PTR, _I64, _PTR),
 }
 
 _library: ctypes.CDLL | None = None

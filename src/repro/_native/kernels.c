@@ -1,13 +1,17 @@
 /*
- * Exact-path kernels of the coloring and matching layers.
+ * Exact-path kernels of the coloring and matching layers, and the
+ * array conflict core's CA2 witness-counter upkeep.
  *
- * The Python wrappers in repro.coloring.{dsatur,smallest_last,greedy}
- * and repro.matching.hungarian validate their arguments and call these
- * functions through ctypes; see repro._native for the build.
+ * The Python wrappers in repro.coloring.{dsatur,smallest_last,greedy},
+ * repro.matching.hungarian and repro.topology.cores.array validate
+ * their arguments and call these functions through ctypes; see
+ * repro._native for the build.
  *
  * Every tie rule here is part of the kernels' contract: recoding series
  * are byte-identical only if each kernel picks the same vertex, color
- * and column as the pure-Python oracles in the test suite.
+ * and column as the pure-Python oracles in the test suite.  The counter
+ * kernels are exact int32 sums, so their result does not depend on the
+ * order of the adds.
  *
  * Conventions: a conflict matrix is n*n bytes, row-major, nonzero for a
  * conflict.  Colors are 1-based.  Each function returns 0, or -1 when
@@ -243,5 +247,125 @@ out:
     free(way);
     free(settled);
     free(done);
+    return rc;
+}
+
+/*
+ * The array core's blocks: adj is cap*cap bytes (0 or 1), c2 is cap*cap
+ * int32, both row-major; slots 0..n-1 are live.  adj[u][w] means u
+ * covers w, and c2[u][v] = |out(u) & out(v)| for u != v, with a zero
+ * diagonal.  Both kernels read the old row or column of slot i from adj,
+ * update c2 by the difference to the new one (n bytes, 0 or 1, with
+ * entry i zero), then write it into adj.  Rows are walked in order and
+ * each row's entries are gathered from it, so the cap-strided column is
+ * never read in the inner loops.
+ */
+
+/*
+ * Replace slot i's out-row.  When i starts (stops) covering w, every
+ * in-neighbour u of w gains (loses) one witness with i: the signed sum
+ * of adj[u][w] over the changed receivers w is added to c2[i][u] and
+ * c2[u][i].  Row i itself is skipped: there is no (i, i) pair.
+ */
+int repro_c2_row(int64_t n, int64_t cap, uint8_t *adj, int32_t *c2, int64_t i,
+                 const uint8_t *new_row)
+{
+    uint8_t *row_i = adj + i * cap;
+    int64_t *idx = malloc(((size_t)n + 1) * sizeof *idx);
+    int32_t *sign = malloc(((size_t)n + 1) * sizeof *sign);
+    int rc = -1;
+    if (!idx || !sign)
+        goto out;
+    int64_t k = 0;
+    for (int64_t w = 0; w < n; w++) {
+        if (row_i[w] != new_row[w]) {
+            idx[k] = w;
+            sign[k++] = new_row[w] ? 1 : -1;
+        }
+    }
+    if (k) {
+        int32_t *c2_i = c2 + i * cap;
+        for (int64_t u = 0; u < n; u++) {
+            if (u == i)
+                continue;
+            const uint8_t *row = adj + u * cap;
+            int32_t cnt = 0;
+            for (int64_t a = 0; a < k; a++)
+                cnt += row[idx[a]] * sign[a];
+            if (cnt) {
+                c2_i[u] += cnt;
+                c2[u * cap + i] += cnt;
+            }
+        }
+        for (int64_t a = 0; a < k; a++)
+            row_i[idx[a]] = (uint8_t)(sign[a] > 0);
+    }
+    rc = 0;
+out:
+    free(idx);
+    free(sign);
+    return rc;
+}
+
+/*
+ * Replace slot i's in-column.  A pair (u, v) of distinct slots holds a
+ * witness at i iff both cover i, so c2[u][v] changes by
+ * d(u, v) = new[u] new[v] - old[u] old[v], which is zero unless u or v
+ * is a changed in-neighbour.  Two passes write exactly those pairs:
+ * each changed row against every slot in old | new (the diagonal term
+ * taken back after the row), then each kept row (in old and new)
+ * against the changed slots, where d is the changed slot's +1 or -1.
+ * Kept pairs are never touched.
+ */
+int repro_c2_col(int64_t n, int64_t cap, uint8_t *adj, int32_t *c2, int64_t i,
+                 const uint8_t *new_col)
+{
+    int64_t *changed = malloc(((size_t)n + 1) * sizeof *changed);
+    int64_t *kept = malloc(((size_t)n + 1) * sizeof *kept);
+    int64_t *uni = malloc(((size_t)n + 1) * sizeof *uni);
+    int32_t *old_u = malloc(((size_t)n + 1) * sizeof *old_u);
+    int32_t *new_u = malloc(((size_t)n + 1) * sizeof *new_u);
+    int32_t *sign = malloc(((size_t)n + 1) * sizeof *sign);
+    int rc = -1;
+    if (!changed || !kept || !uni || !old_u || !new_u || !sign)
+        goto out;
+    int64_t nc = 0, nk = 0, nu = 0;
+    for (int64_t u = 0; u < n; u++) {
+        int32_t o = adj[u * cap + i], w = new_col[u];
+        if (o | w) {
+            uni[nu] = u;
+            old_u[nu] = o;
+            new_u[nu++] = w;
+        }
+        if (o != w) {
+            changed[nc] = u;
+            sign[nc++] = w - o;
+        } else if (o) {
+            kept[nk++] = u;
+        }
+    }
+    for (int64_t a = 0; a < nc; a++) {
+        int64_t u = changed[a];
+        int32_t o = adj[u * cap + i], w = new_col[u];
+        int32_t *row = c2 + u * cap;
+        for (int64_t b = 0; b < nu; b++)
+            row[uni[b]] += w * new_u[b] - o * old_u[b];
+        row[u] -= w - o;
+    }
+    for (int64_t a = 0; a < nk; a++) {
+        int32_t *row = c2 + kept[a] * cap;
+        for (int64_t b = 0; b < nc; b++)
+            row[changed[b]] += sign[b];
+    }
+    for (int64_t a = 0; a < nc; a++)
+        adj[changed[a] * cap + i] = (uint8_t)(sign[a] > 0);
+    rc = 0;
+out:
+    free(changed);
+    free(kept);
+    free(uni);
+    free(old_u);
+    free(new_u);
+    free(sign);
     return rc;
 }

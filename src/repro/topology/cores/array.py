@@ -11,9 +11,10 @@ One of the two slot-level conflict cores behind
 * Each join/move recomputes the slot's out- and in-edges from **one**
   candidate fetch (the graph's slot grid) and **one** pairwise distance
   pass (:func:`repro.topology.propagation.pairwise_masks`).
-* The CA1/CA2 update is batched: the counters are adjusted only for the
-  in-neighbor pairs that actually changed, via broadcast index
-  arithmetic.
+* The CA1/CA2 update is a delta: the compiled kernels
+  ``repro_c2_row`` and ``repro_c2_col`` (:mod:`repro._native`) adjust
+  the counters only for the pairs that touch a changed edge, walking
+  the blocks row by row.
 * Removal keeps the live block contiguous: the last slot is renamed
   into the vacated one, and trailing rows are always zero.
 
@@ -27,6 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro import _native
 from repro.topology.propagation import pairwise_masks
 
 if TYPE_CHECKING:  # pragma: no cover - the graph passes itself in
@@ -185,41 +187,11 @@ class ArrayCore:
     def insert(self, g: "AdHocDigraph", i: int) -> None:
         """Create the edges of the freshly admitted slot ``i``.
 
-        The join specialization of :meth:`refresh`: the fresh slot's
-        row, column and witness counters are all zero, so every
-        out-edge contributes ``+1`` (the witness counts with ``i`` are
-        straight sums over the receivers' columns) and the in-neighbor
-        clique is asserted without a retraction.  Same arithmetic as
-        the general deltas on an empty old state, so the result is
-        byte-identical.
+        A :meth:`refresh` from the empty row and column: the kernels
+        only visit what changes, so a join costs no more than its own
+        edges and clique.
         """
-        if not g._fs or g._candidates(i, g._max_range) is not None:
-            self.refresh(g, i)
-            return
-        self._own()
-        n = self.n
-        diff = g._pos[:n] - g._pos[i]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        r = float(g._range[i])
-        new_row = d2 <= r * r
-        rr = g._range[:n]
-        new_col = d2 <= rr * rr
-        new_row[i] = False
-        new_col[i] = False
-        a = self.adj
-        c2 = self.c2
-        idx = new_row.nonzero()[0]
-        if idx.size:
-            cnt = a[:n, idx].sum(axis=1, dtype=np.int32)
-            # cnt[i] is 0 by construction: row i is still empty.
-            c2[i, :n] = cnt
-            c2[:n, i] = cnt
-        a[i, :n] = new_row
-        new = new_col.nonzero()[0]
-        if new.size:
-            c2[new[:, None], new] += 1
-            c2[new, new] -= 1
-        a[:n, i] = new_col
+        self.refresh(g, i)
 
     def refresh(self, g: "AdHocDigraph", i: int) -> None:
         """Recompute slot ``i``'s out- and in-edges from its geometry.
@@ -306,22 +278,17 @@ class ArrayCore:
     def unlink(self, i: int) -> None:
         """Retract every edge and witness of slot ``i``.
 
-        The receiver clique at ``i`` dissolves: every pair of its
-        in-neighbors loses one common-out-neighbor witness.  With its
-        out-row gone every ``C2[i, ·]`` is zero, so the row and column
-        are cleared outright.
+        The receiver clique at ``i`` dissolves: replacing its in-column
+        with an empty one takes one witness from every pair of its
+        in-neighbors.  With its out-row gone every ``C2[i, ·]`` is zero,
+        so the row and column are cleared outright.
         """
         self._own()
         n = self.n
-        a, c2 = self.adj, self.c2
-        src = np.flatnonzero(a[:n, i])
-        if src.size > 1:
-            c2[np.ix_(src, src)] -= 1
-            c2[src, src] += 1
-        a[i, :n] = False
-        a[:n, i] = False
-        c2[i, :n] = 0
-        c2[:n, i] = 0
+        self._apply_col(i, np.zeros(n, dtype=bool))
+        self.adj[i, :n] = False
+        self.c2[i, :n] = 0
+        self.c2[:n, i] = 0
 
     def rename(self, last: int, i: int) -> None:
         """Move slot ``last`` into the unlinked slot ``i`` and clear ``last``."""
@@ -340,49 +307,38 @@ class ArrayCore:
         c2[:end, last] = 0
 
     def _apply_row(self, i: int, new_row: np.ndarray) -> None:
-        """Batched out-edge replacement for slot ``i``.
-
-        When ``i`` starts (stops) covering a receiver ``w``, every other
-        in-neighbor of ``w`` gains (loses) one CA2 witness with ``i``.
-        The update is fused into a single signed matvec: gather the
-        changed receivers' in-neighbor columns once and multiply by ±1
-        per receiver.  Exact integer arithmetic, so the counters stay
-        exact.
-        """
-        n = self.n
-        a = self.adj
-        old_row = a[i, :n]
-        idx = (old_row != new_row).nonzero()[0]
-        if idx.size:
-            sign = np.where(new_row[idx], np.int32(1), np.int32(-1))
-            cnt = a[:n, idx] @ sign
-            cnt[i] = 0  # no (i, i) pair; i's own row is the one changing
-            c2 = self.c2
-            c2[i, :n] += cnt
-            c2[:n, i] += cnt
-        a[i, :n] = new_row
+        """Replace slot ``i``'s out-row; ``repro_c2_row`` keeps C2 exact."""
+        self._kernel("repro_c2_row", i, new_row)
 
     def _apply_col(self, i: int, new_col: np.ndarray) -> None:
-        """Batched in-edge replacement for slot ``i``.
+        """Replace slot ``i``'s in-column; ``repro_c2_col`` keeps C2 exact."""
+        self._kernel("repro_c2_col", i, new_col)
 
-        A pair ``(u, v)`` holds a CA2 witness at ``i`` iff both are
-        in-neighbors, so the update is "retract the old clique, assert
-        the new one": ``C2[old × old] -= 1`` then ``C2[new × new] +=
-        1``.  Pairs kept in both cancel exactly (integer adds commute),
-        with two broadcast writes plus two diagonal corrections (the
-        diagonal stays 0 by convention).
+    def _kernel(self, name: str, i: int, new: np.ndarray) -> None:
+        """Run a counter kernel of :mod:`repro._native` on the blocks.
+
+        The kernels write through raw pointers, so the blocks must be
+        private (:meth:`_own` ran) C-contiguous ``bool``/``int32``
+        ``(cap, cap)`` arrays, and ``new`` a contiguous ``bool`` array of
+        the ``n`` live slots; anything else raises before a pointer is
+        passed.
         """
-        n = self.n
-        a = self.adj
-        old_col = a[:n, i]
-        if (old_col != new_col).any():
-            c2 = self.c2
-            old = old_col.nonzero()[0]
-            new = new_col.nonzero()[0]
-            if old.size:
-                c2[old[:, None], old] -= 1
-                c2[old, old] += 1
-            if new.size:
-                c2[new[:, None], new] += 1
-                c2[new, new] -= 1
-        a[:n, i] = new_col
+        n, adj, c2 = self.n, self.adj, self.c2
+        cap = len(adj)
+        if self._shared:
+            raise RuntimeError(f"{name}: blocks shared with a fork; call _own() first")
+        if not (
+            adj.dtype == np.bool_
+            and c2.dtype == np.int32
+            and adj.shape == c2.shape == (cap, cap)
+            and adj.flags.c_contiguous
+            and c2.flags.c_contiguous
+        ):
+            raise ValueError(f"{name}: blocks must be C-contiguous bool/int32 (cap, cap) arrays")
+        if not (new.dtype == np.bool_ and new.shape == (n,) and new.flags.c_contiguous):
+            raise ValueError(f"{name}: expected a contiguous bool array of {n} slots")
+        if not 0 <= i < n <= cap:
+            raise ValueError(f"{name}: slot {i} outside the {n} live slots")
+        fn = getattr(_native.library(), name)
+        if fn(n, cap, adj.ctypes.data, c2.ctypes.data, int(i), new.ctypes.data):
+            raise MemoryError(f"{name} scratch for n = {n}")

@@ -65,3 +65,44 @@ def assert_matches_oracle(graph) -> None:
     snap_ids, c2 = c2_from_snapshot(graph.snapshot())
     assert snap_ids == ids
     np.testing.assert_array_equal(c2, c2_oracle(adj))
+
+
+def apply_row_oracle(adj: np.ndarray, c2: np.ndarray, n: int, i: int, new_row: np.ndarray) -> None:
+    """Replace slot ``i``'s out-row of ``(cap, cap)`` core blocks in numpy.
+
+    The array core's former batched form, kept as the reference for
+    ``repro_c2_row``: when ``i`` starts (stops) covering a receiver
+    ``w``, every other in-neighbor of ``w`` gains (loses) one witness
+    with ``i``, fused into one signed matvec over the changed receivers'
+    columns.
+    """
+    old_row = adj[i, :n]
+    idx = (old_row != new_row).nonzero()[0]
+    if idx.size:
+        sign = np.where(new_row[idx], np.int32(1), np.int32(-1))
+        cnt = adj[:n, idx] @ sign
+        cnt[i] = 0  # no (i, i) pair; i's own row is the one changing
+        c2[i, :n] += cnt
+        c2[:n, i] += cnt
+    adj[i, :n] = new_row
+
+
+def apply_col_oracle(adj: np.ndarray, c2: np.ndarray, n: int, i: int, new_col: np.ndarray) -> None:
+    """Replace slot ``i``'s in-column of ``(cap, cap)`` core blocks in numpy.
+
+    The array core's former form, kept as the reference for
+    ``repro_c2_col``: retract the old in-neighbor clique
+    (``C2[old × old] -= 1``), assert the new one (``C2[new × new] +=
+    1``), and take the diagonal terms back.
+    """
+    old_col = adj[:n, i]
+    if (old_col != new_col).any():
+        old = old_col.nonzero()[0]
+        new = new_col.nonzero()[0]
+        if old.size:
+            c2[old[:, None], old] -= 1
+            c2[old, old] += 1
+        if new.size:
+            c2[new[:, None], new] += 1
+            c2[new, new] -= 1
+    adj[:n, i] = new_col

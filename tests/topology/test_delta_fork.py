@@ -20,6 +20,7 @@ from repro.events.base import JoinEvent, LeaveEvent, MoveEvent, PowerChangeEvent
 from repro.geometry.obstacles import RectObstacle
 from repro.sim.random_networks import sample_configs
 from repro.topology.digraph import AdHocDigraph
+from repro.topology.node import NodeConfig
 from repro.topology.propagation import ObstructedPropagation
 from tests.conftest import core_graph
 from tests.topology.oracles import assert_matches_oracle
@@ -222,6 +223,58 @@ class TestCopyOnWriteFork:
         g.apply_event(MoveEvent(int(g.node_ids()[0]), 2.0, 2.0))
         g.apply_event(PowerChangeEvent(int(g.node_ids()[1]), 30.0))
         assert canonical(child) == frozen
+
+    @pytest.mark.parametrize("writer", ("parent", "child"))
+    @pytest.mark.parametrize(
+        "op", ("insert", "refresh", "refresh_out", "set_rows", "unlink", "rename")
+    )
+    def test_array_core_writes_stay_on_their_side(self, op, writer):
+        # the counter kernels write through raw pointers: every array
+        # core mutation must privatize the shared blocks first
+        g = make_graph("array")
+        for cfg in sample_configs(20, np.random.default_rng(13)):
+            g.apply_event(JoinEvent(cfg))
+        child = g.fork()
+        side, other = (g, child) if writer == "parent" else (child, g)
+        adj, c2 = other._core.adj.tobytes(), other._core.c2.tobytes()
+        core = side._core
+        assert core.adj is other._core.adj  # still shared before the write
+        if op == "insert":
+            side.add_node(NodeConfig(999, 50.0, 50.0, 40.0))  # 21 slots of 32
+        elif op == "refresh":
+            side.move_node(side.node_ids()[3], 50.0, 50.0)
+        elif op == "refresh_out":
+            side.set_range(side.node_ids()[3], 45.0)
+        elif op == "set_rows":
+            core.set_rows(3, np.arange(4, 12), np.arange(0, 3))
+        elif op == "unlink":
+            core.unlink(3)
+        else:
+            core.rename(19, 3)
+        assert core.adj is not other._core.adj
+        assert (core.adj.tobytes(), core.c2.tobytes()) != (adj, c2)
+        assert other._core.adj.tobytes() == adj
+        assert other._core.c2.tobytes() == c2
+
+    def test_counter_kernels_refuse_shared_or_malformed_blocks(self):
+        g = make_graph("array")
+        for cfg in sample_configs(10, np.random.default_rng(2)):
+            g.apply_event(JoinEvent(cfg))
+        child = g.fork()
+        core = child._core
+        row = np.zeros(10, dtype=bool)
+        with pytest.raises(RuntimeError, match="_own"):
+            core._apply_row(0, row)
+        core._own()
+        with pytest.raises(ValueError, match="10 slots"):
+            core._apply_col(0, np.zeros(9, dtype=bool))
+        with pytest.raises(ValueError, match="10 slots"):
+            core._apply_row(0, np.zeros(20, dtype=bool)[::2])
+        with pytest.raises(ValueError, match="outside"):
+            core._apply_row(10, row)
+        core.c2 = core.c2.astype(np.int64)
+        with pytest.raises(ValueError, match="bool/int32"):
+            core._apply_row(0, row)
 
     def test_fork_then_diverge_then_delta_each_side(self):
         # both sides of a fork stay valid delta producers: deltas cut

@@ -18,11 +18,17 @@ import numpy as np
 import pytest
 
 from repro.geometry.obstacles import RectObstacle
+from repro.topology.cores.array import ArrayCore
 from repro.topology.digraph import AdHocDigraph
 from repro.topology.node import NodeConfig
 from repro.topology.propagation import ObstructedPropagation
 from tests.conftest import core_graph
-from tests.topology.oracles import assert_matches_oracle
+from tests.topology.oracles import (
+    apply_col_oracle,
+    apply_row_oracle,
+    assert_matches_oracle,
+    c2_oracle,
+)
 
 CORES = ("array", "sparse")
 
@@ -149,3 +155,129 @@ class TestSlotInvariantsUnderChurn:
         for i in range(20, 26):
             g.add_node(NodeConfig(i, float(i), float(i), 15.0))
         _check_all(g)
+
+
+def _dense_cluster_churn(g: AdHocDigraph, seed: int) -> dict:
+    """Joins, moves, range changes and removals inside one dense cluster.
+
+    Nearly every node covers every other, so receiver in-degrees pass
+    100 and every join or move rewrites a clique of that size.  The
+    population climbs past the 128-slot capacity (the blocks double to
+    256 partway through, so ``cap != n``) and then drains to below 128
+    (``cap > n`` again), checked after every step.
+    """
+    rng = np.random.default_rng(seed)
+    alive: list[int] = []
+    next_id = 1
+    seen = {"caps": set(), "max_in": 0}
+
+    def join() -> None:
+        nonlocal next_id
+        x, y = rng.uniform(0, 24, size=2)
+        g.add_node(NodeConfig(next_id, float(x), float(y), float(rng.uniform(28, 40))))
+        alive.append(next_id)
+        next_id += 1
+
+    def step(op: int) -> None:
+        if op == 0:
+            join()
+        elif op == 1:
+            g.remove_node(alive.pop(int(rng.integers(0, len(alive)))))
+        elif op == 2:
+            v = alive[int(rng.integers(0, len(alive)))]
+            g.move_node(v, float(rng.uniform(0, 24)), float(rng.uniform(0, 24)))
+        else:
+            v = alive[int(rng.integers(0, len(alive)))]
+            g.set_range(v, float(rng.uniform(10, 40)))
+        _check_all(g)
+        seen["caps"].add(len(g._core.adj))
+        seen["max_in"] = max(seen["max_in"], int(g._core.in_degrees().max()))
+
+    for _ in range(100):
+        join()
+    _check_all(g)
+    while len(alive) < 140:
+        step(int(rng.choice(4, p=[0.55, 0.15, 0.2, 0.1])))
+    while len(alive) > 110:
+        step(int(rng.choice(4, p=[0.1, 0.6, 0.2, 0.1])))
+    return seen
+
+
+def _random_blocks(rng, n: int, cap: int, density: float):
+    """An array core at ``n`` live slots of ``cap`` with a random digraph."""
+    adj = np.zeros((cap, cap), dtype=bool)
+    adj[:n, :n] = rng.random((n, n)) < density
+    np.fill_diagonal(adj, False)
+    a = adj.astype(np.int32)
+    c2 = a @ a.T
+    np.fill_diagonal(c2, 0)
+    core = ArrayCore(cap)
+    core.resize(n)
+    core.adj[:] = adj
+    core.c2[:] = c2
+    return core
+
+
+def _random_edit(rng, old: np.ndarray, i: int) -> np.ndarray:
+    """A new row/column for slot ``i``: a few flips, a fresh draw or empty."""
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        new = np.zeros(len(old), dtype=bool)
+    elif kind == 1:
+        new = rng.random(len(old)) < rng.uniform(0.05, 0.9)
+    else:
+        new = old.copy()
+        flips = rng.integers(0, len(old), size=int(rng.integers(1, 12)))
+        new[flips] = ~new[flips]
+    new[i] = False
+    return new
+
+
+class TestDenseClusterChurn:
+    @pytest.mark.parametrize("seed", range(2))
+    def test_dense_cluster_churn_keeps_exact_counters(self, seed):
+        g = core_graph("array")
+        seen = _dense_cluster_churn(g, seed)
+        assert seen["max_in"] > 100
+        assert {128, 256} <= seen["caps"]
+        # the cluster crossed the doubling and drained back below it
+        assert g._core.n < 128 < len(g._core.adj)
+
+
+class TestCounterKernelsMatchTheNumpyForm:
+    """``repro_c2_row``/``repro_c2_col`` against the former numpy bodies
+    (:func:`apply_row_oracle`, :func:`apply_col_oracle`), whole blocks
+    compared byte for byte after every event."""
+
+    @pytest.mark.parametrize(("n", "cap"), [(45, 64), (64, 64)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_events(self, n, cap, seed):
+        rng = np.random.default_rng(seed)
+        core = _random_blocks(rng, n, cap, density=rng.uniform(0.1, 0.6))
+        adj, c2 = core.adj.copy(), core.c2.copy()
+        for _ in range(300):
+            i = int(rng.integers(0, n))
+            op = int(rng.integers(0, 4))
+            if op == 0:
+                new = _random_edit(rng, adj[i, :n], i)
+                core._apply_row(i, new)
+                apply_row_oracle(adj, c2, n, i, new)
+            elif op == 1:
+                new = _random_edit(rng, adj[:n, i], i)
+                core._apply_col(i, new)
+                apply_col_oracle(adj, c2, n, i, new)
+            elif op == 2:
+                row = _random_edit(rng, adj[i, :n], i)
+                col = _random_edit(rng, adj[:n, i], i)
+                core.set_rows(i, row.nonzero()[0], col.nonzero()[0])
+                apply_row_oracle(adj, c2, n, i, row)
+                apply_col_oracle(adj, c2, n, i, col)
+            else:
+                core.unlink(i)
+                apply_col_oracle(adj, c2, n, i, np.zeros(n, dtype=bool))
+                adj[i, :n] = False
+                c2[i, :n] = 0
+                c2[:n, i] = 0
+            assert core.adj.tobytes() == adj.tobytes()
+            assert core.c2.tobytes() == c2.tobytes()
+        np.testing.assert_array_equal(c2[:n, :n], c2_oracle(adj[:n, :n]))
