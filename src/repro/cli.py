@@ -716,11 +716,7 @@ def _run_store_cmd(args: argparse.Namespace) -> int:
                 print(f"error: unknown ckpt subaction {sub_action!r} (ls/gc)", file=sys.stderr)
                 return 2
             stats = backend.checkpoint_stats()
-            print(
-                f"{stats['count']} checkpoint link(s), {stats['bytes']} byte(s) "
-                f"({stats['hits']} hit(s), {stats['misses']} miss(es), "
-                f"{stats['writes']} write(s), {stats['gc_removed']} gc-removed)"
-            )
+            print(f"{stats['count']} checkpoint link(s), {stats['bytes']} byte(s)")
             for key in backend.list_checkpoints():
                 record = backend.load_checkpoint_record(key) or {}
                 base = record.get("base") or "<fresh>"

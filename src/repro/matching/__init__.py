@@ -12,8 +12,9 @@ is that black box, implemented from scratch:
   potentials, O(n^2 m).
 * :func:`~repro.matching.hopcroft_karp.hopcroft_karp_matching` —
   maximum-cardinality matching (used by tests and ablations).
-* :mod:`~repro.matching.scipy_backend` — optional SciPy
-  ``linear_sum_assignment`` backend, used as an independent oracle.
+* :mod:`~repro.matching.scipy_backend` — SciPy
+  ``linear_sum_assignment`` matching, used by tests as an independent
+  oracle.
 """
 
 from repro.matching.bipartite import MatchingResult, WeightedBipartiteGraph
@@ -29,21 +30,6 @@ __all__ = [
 ]
 
 
-def max_weight_matching(
-    graph: WeightedBipartiteGraph,
-    backend: str = "hungarian",
-) -> MatchingResult:
-    """Maximum-weight matching of ``graph`` with the chosen backend.
-
-    Parameters
-    ----------
-    backend:
-        ``"hungarian"`` (default, no dependencies) or ``"scipy"``.
-    """
-    if backend == "hungarian":
-        return hungarian_matching(graph)
-    if backend == "scipy":
-        from repro.matching.scipy_backend import scipy_matching
-
-        return scipy_matching(graph)
-    raise ValueError(f"unknown matching backend {backend!r}")
+def max_weight_matching(graph: WeightedBipartiteGraph) -> MatchingResult:
+    """Maximum-weight matching of ``graph`` (the Hungarian solver)."""
+    return hungarian_matching(graph)

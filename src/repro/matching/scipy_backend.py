@@ -1,9 +1,8 @@
-"""SciPy ``linear_sum_assignment`` matching backend.
+"""SciPy ``linear_sum_assignment`` matching.
 
-Optional backend used as an independent oracle in tests and the
-microbenchmarks.  SciPy is a test-extra dependency; importing this module
-without SciPy installed raises ``ImportError`` at call time, not at
-package import.
+An independent oracle for the tests.  SciPy is a test-extra
+dependency; importing this module without SciPy installed raises
+``ImportError`` at call time, not at package import.
 """
 
 from __future__ import annotations

@@ -147,7 +147,6 @@ def render_report(records: Iterable[dict], *, top: int = 15) -> str:
             ("timeline.checkpoint.stored", "checkpoints stored"),
             ("timeline.checkpoint.hits", "checkpoint hits"),
             ("timeline.checkpoint.evicted", "checkpoints evicted"),
-            ("timeline.checkpoint.bytes", "live state bytes"),
             ("ckpt.delta.stored", "delta links stored"),
             ("ckpt.delta.applied", "delta links applied"),
             ("ckpt.delta.bytes", "delta bytes"),

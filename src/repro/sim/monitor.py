@@ -162,12 +162,7 @@ class StoreStats:
         ]
         if self.checkpoints:
             c = self.checkpoints
-            lines.append(
-                f"  checkpoints {c.get('count', 0)} "
-                f"({_fmt_bytes(c.get('bytes', 0))}, "
-                f"{c.get('hits', 0)} hit(s), {c.get('misses', 0)} miss(es), "
-                f"{c.get('gc_removed', 0)} gc-removed)"
-            )
+            lines.append(f"  checkpoints {c.get('count', 0)} ({_fmt_bytes(c.get('bytes', 0))})")
         if self.claim_details:
             lines.append("  claims:")
             for key, info in sorted(self.claim_details.items()):

@@ -463,61 +463,3 @@ class MultiStrategyReplay(_TopologyOwner):
         for event in events:
             self.apply(event)
         return self
-
-    def apply_round(self, events: Iterable[Event]) -> list[list[RecodeResult]]:
-        """Apply one churn round with batched topology commit.
-
-        **Round-commit semantics**: the whole round's topology mutations
-        land first via :meth:`AdHocDigraph.apply_round` (one batched
-        pass under the sparse core, sequential otherwise), then every
-        per-event :class:`TopologyDelta` fans out to the lanes in event
-        order — so lane reactions observe the *post-round* graph rather
-        than each intermediate state.  Under the sparse core this is
-        what makes sustained-churn replay scale: a receiver row touched
-        by ``k`` events in the round reconciles once, not ``k`` times.
-        All-join rounds go further and stream through
-        :meth:`AdHocDigraph.bulk_join` — flash-crowd admission (e.g. a
-        whole 10⁵-node population as one round) costs one grid-bucketed
-        candidate sweep instead of one candidate query per joiner,
-        with per-event deltas and final state byte-identical to
-        sequential joins, so lane reactions are unaffected.
-
-        This is deliberately **not** byte-identical to :meth:`run` on
-        traces where strategies read the graph between events of the
-        same round (recode choices may differ while both stay valid);
-        registered scenario sweeps therefore keep the sequential path.
-        Connectivity policing likewise moves to the round boundary: each
-        delta's node is checked against the post-round graph (leaves,
-        and nodes that left later in the same round, are skipped).
-
-        Returns the per-event lists of lane results, in event order.
-        """
-        deltas = self.graph.apply_round(events)
-        graph = self.graph
-        if self.enforce_connectivity:
-            for delta in deltas:
-                if delta.kind != "leave" and delta.node_id in graph:
-                    self._check_connectivity(delta.node_id, delta.kind)
-        results: list[list[RecodeResult]] = []
-        ephemeral: set[NodeId] = set()
-        for delta in deltas:
-            if delta.kind != "leave" and delta.node_id not in graph:
-                # The node joined/moved and then left within this round:
-                # reacting against the post-round graph would query a
-                # departed node, so the lanes never see it (nor its
-                # matching leave below — it was never assigned a code).
-                ephemeral.add(delta.node_id)
-                results.append([])
-                continue
-            if delta.kind == "leave" and delta.node_id in ephemeral:
-                ephemeral.discard(delta.node_id)
-                results.append([])
-                continue
-            results.append([lane.react(graph, delta) for lane in self.lanes])
-        return results
-
-    def run_rounds(self, rounds: Iterable[Iterable[Event]]) -> "MultiStrategyReplay":
-        """Apply round-structured events via :meth:`apply_round`."""
-        for round_events in rounds:
-            self.apply_round(round_events)
-        return self

@@ -1,7 +1,7 @@
 """Pluggable results backends for experiment sweeps.
 
 A sweep persists everything through one :class:`ResultsBackend`, as
-JSON records in nine key-value tables:
+JSON records in eight key-value tables:
 
 * **points** — one record per (sweep point, run), keyed by a content
   hash of the fully resolved point spec plus the run's seed.  Because
@@ -29,16 +29,15 @@ JSON records in nine key-value tables:
   ``store requeue`` releases quarantined tasks back into the queue.
 * **heartbeats** — each worker's latest liveness stamp, so the monitor
   flags a stale worker instead of showing it as silently live.
-* **checkpoints + meta** — content-keyed delta-chain links of the
+* **checkpoints** — content-keyed delta-chain links of the
   execution timeline (:mod:`repro.sim.timeline`): each record is one
   stage boundary serialized as an O(changes) delta against its base
   link.  Conditional puts (if-absent) make concurrent workers
   race-free, and because keys commit to the whole event prefix, any
   process or host that hits a stored key resumes the shared prefix
-  instead of replaying it.  The one ``meta`` record holds the table's
-  fleet counters.  ``store ckpt <path> ls/gc`` lists and prunes the
-  table; :meth:`~ResultsBackend.gc_checkpoints` keeps only links some
-  live manifest's points reference.
+  instead of replaying it.  ``store ckpt <path> ls/gc`` lists and
+  prunes the table; :meth:`~ResultsBackend.gc_checkpoints` keeps only
+  links some live manifest's points reference.
 
 Every table is written once, on :class:`ResultsBackend`, over a small
 storage interface (per-table get/put/put-if-absent/delete/keys, bulk
@@ -107,7 +106,8 @@ DEFAULT_CLAIM_TTL = 60.0
 _SQLITE_BASENAME = "store.sqlite"
 _SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
-#: Every key-value table of a store.
+#: Every key-value table of a store.  Stores written by older code may
+#: also hold a ``meta`` table of checkpoint counters; nothing reads it.
 _TABLES = (
     "points",
     "manifests",
@@ -117,11 +117,9 @@ _TABLES = (
     "quarantine",
     "heartbeats",
     "checkpoints",
-    "meta",
 )
 
-#: The tables :func:`migrate_store` copies; the rest is queue state
-#: and fleet counters.
+#: The tables :func:`migrate_store` copies; the rest is queue state.
 _DURABLE_TABLES = ("points", "manifests", "series", "checkpoints")
 
 
@@ -522,7 +520,7 @@ class ResultsBackend(abc.ABC):
         return self._keys("quarantine")
 
     # ------------------------------------------------------------------
-    # Checkpoint table (timeline delta-chain links) + its meta row
+    # Checkpoint table (timeline delta-chain links)
     # ------------------------------------------------------------------
     def put_checkpoint(self, key: str, payload: dict) -> bool:
         """Store one checkpoint chain link if absent; ``True`` if created.
@@ -534,8 +532,6 @@ class ResultsBackend(abc.ABC):
         correctness requirement.
         """
         created = self.save_checkpoint_record(key, payload)
-        if created:
-            self._bump_checkpoint_meta("writes")
         if _met.ENABLED:
             _met.REGISTRY.inc("store.ckpt.write" if created else "store.ckpt.dup")
         return created
@@ -543,7 +539,6 @@ class ResultsBackend(abc.ABC):
     def get_checkpoint(self, key: str) -> dict | None:
         """The chain link stored under ``key``, or ``None`` if absent."""
         record = self.load_checkpoint_record(key)
-        self._bump_checkpoint_meta("hits" if record is not None else "misses")
         if _met.ENABLED:
             _met.REGISTRY.inc("store.ckpt.hit" if record is not None else "store.ckpt.miss")
         return record
@@ -565,39 +560,9 @@ class ResultsBackend(abc.ABC):
         self._delete("checkpoints", self._key(key))
 
     def checkpoint_stats(self) -> dict:
-        """``{count, bytes, hits, misses, writes, gc_removed}`` for the table.
-
-        ``count``/``bytes`` are live table state (no payload reads); the
-        rest are cumulative fleet totals from the meta row (best-effort
-        — see :meth:`_bump_checkpoint_meta`).
-        """
+        """``{count, bytes}`` of the table (live state, no payload reads)."""
         count, size = self._stat("checkpoints")
-        return {"count": count, "bytes": size, **self._checkpoint_meta()}
-
-    def _checkpoint_meta(self) -> dict:
-        meta = self.load_checkpoint_meta() or {}
-        return {
-            field: int(meta.get(field, 0)) for field in ("hits", "misses", "writes", "gc_removed")
-        }
-
-    def _bump_checkpoint_meta(self, field: str, by: int = 1) -> None:
-        """Best-effort fleet counter (read-modify-write; races lose ticks).
-
-        The meta row feeds ``store stats``' checkpoint line only — it is
-        never consulted by resume logic, so a lost increment under
-        concurrent workers costs nothing but display precision.
-        """
-        meta = self.load_checkpoint_meta() or {}
-        meta[field] = int(meta.get(field, 0)) + by
-        self.save_checkpoint_meta(meta)
-
-    def save_checkpoint_meta(self, meta: dict) -> None:
-        """Persist the checkpoint-table counter row (latest-wins)."""
-        self._put("meta", "checkpoints", meta)
-
-    def load_checkpoint_meta(self) -> dict | None:
-        """The checkpoint-table counter row, or ``None``."""
-        return self._get("meta", "checkpoints")
+        return {"count": count, "bytes": size}
 
     def gc_checkpoints(self) -> dict:
         """Prune chain links no live sweep manifest references.
@@ -620,8 +585,6 @@ class ResultsBackend(abc.ABC):
             else:
                 self._delete("checkpoints", key)
                 removed += 1
-        if removed:
-            self._bump_checkpoint_meta("gc_removed", removed)
         return {"kept": kept, "removed": removed}
 
     # ------------------------------------------------------------------
@@ -707,10 +670,9 @@ class ResultsBackend(abc.ABC):
 def migrate_store(src: ResultsBackend, dst: ResultsBackend) -> dict:
     """Copy the durable tables — points, manifests, series, checkpoints.
 
-    Records travel through the storage primitives, so neither side's
-    checkpoint counters tick; checkpoint links are put if absent, the
-    rest overwrite.  Queue state (tasks, claims, churn, quarantine,
-    heartbeats) and the meta counters stay behind.  Checkpoint links
+    Records travel through the storage primitives; checkpoint links
+    are put if absent, the rest overwrite.  Queue state (tasks, claims,
+    churn, quarantine, heartbeats) stays behind.  Checkpoint links
     travel with the manifests that reference them, so a migrated fleet
     keeps its shared prefixes.  Returns
     ``{"points": n, "manifests": n, "series": n, "checkpoints": n}``.
@@ -758,11 +720,10 @@ class JsonDirBackend(ResultsBackend):
     Layout under ``root``: ``<table>/<key>.json`` for every table —
     ``points/``, ``series/``, ``tasks/``, ``churn/``, ``quarantine/``,
     ``heartbeats/``, ``checkpoints/`` — except that manifests live in
-    ``sweeps/`` and the checkpoint counters in ``meta/checkpoints.json``;
-    claims are ``claims/<key>.lease`` files.  Records are written as
-    ``indent=2, sort_keys`` JSON plus a newline through write-then-rename,
-    so concurrent readers (and workers on a shared filesystem) never
-    observe partial files.
+    ``sweeps/``; claims are ``claims/<key>.lease`` files.  Records are
+    written as ``indent=2, sort_keys`` JSON plus a newline through
+    write-then-rename, so concurrent readers (and workers on a shared
+    filesystem) never observe partial files.
 
     Parameters
     ----------
@@ -956,15 +917,16 @@ class JsonDirBackend(ResultsBackend):
         directory.  Because :func:`open_backend` routes a directory
         containing ``store.sqlite`` to :class:`SqliteBackend`, existing
         ``--results <root>`` invocations keep resolving (and resuming)
-        transparently after compaction.  Queue state and the meta
-        counters are dropped, as in a migration.
+        transparently after compaction.  Queue state is dropped, as in a
+        migration.
         """
         import shutil
 
         dst = SqliteBackend(self.root / _SQLITE_BASENAME)
         self.gc_checkpoints()  # only links a live manifest references travel
         migrate_store(self, dst)
-        for table in (*_TABLES, "claims"):
+        # older stores also carry a ``meta/`` counter directory
+        for table in (*_TABLES, "claims", "meta"):
             shutil.rmtree(self._path(table), ignore_errors=True)
         return dst
 

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -297,13 +296,6 @@ class _ExecState:
             "samples": [[list(t) for t in lane] for lane in self.samples],
         }
 
-    def nbytes(self) -> int:
-        """Estimated live footprint (the LRU budget's unit of account)."""
-        total = self.replay.graph.state_nbytes()
-        for lane in self.replay.lanes:
-            total += 64 * len(lane.metrics.records)
-        return total
-
     def apply_stage(self, stage: Stage, measure: str) -> None:
         """Replay one stage's events and record its measurement state."""
         replay = self.replay
@@ -356,13 +348,6 @@ def _decode_baselines(data: list | None) -> list | None:
     return [MetricsSnapshot(int(e), int(r), int(m), int(c)) for e, r, m, c in data]
 
 
-def _ckpt_budget_bytes() -> int | None:
-    raw = os.environ.get("REPRO_CKPT_MEM_MB", "").strip()
-    if not raw:
-        return None
-    return int(float(raw) * 1_000_000)
-
-
 class CheckpointTree:
     """Checkpointed replay states, addressed by stage key.
 
@@ -378,26 +363,21 @@ class CheckpointTree:
     feed the trace report and tests.
 
     With a ``store`` (a results backend exposing
-    ``put_checkpoint``/``get_checkpoint``) or a byte budget
-    (``max_bytes``, defaulting from ``REPRO_CKPT_MEM_MB``), the tree
+    ``put_checkpoint``/``get_checkpoint``) the tree is **chained**: it
     additionally keeps every checkpointed boundary as a **(base key,
-    delta) chain link**: an O(changes) payload cut against the previous
-    serialized boundary on the same lineage.  Chain links make live
-    states evictable (an evicted boundary is rebuilt by walking its
-    chain back to the fresh root and applying payloads forward) and —
-    through the store — durable and shared, so a second process or host
-    resumes a boundary some other worker walked.  Without a store or
-    budget the tree behaves exactly as before: live forks only, no
-    serialization.
+    delta) chain link** — an O(changes) payload cut against the
+    previous serialized boundary on the same lineage — and writes it
+    through to the store, so a second process or host resumes a
+    boundary some other worker walked by walking its chain back to the
+    fresh root and applying payloads forward.  Without a store the tree
+    keeps live forks only, with no serialization.
     """
 
-    def __init__(self, *, store=None, max_bytes: int | None = None) -> None:
-        self._states: dict[str, _ExecState] = {}  # insertion order doubles as LRU order
+    def __init__(self, *, store=None) -> None:
+        self._states: dict[str, _ExecState] = {}
         self._consumers: dict[str, int] = {}
-        self._nbytes: dict[str, int] = {}
         self._chains: dict[str, dict] = {}
         self._store = store
-        self._max_bytes = _ckpt_budget_bytes() if max_bytes is None else max_bytes
         self.hits = 0
         self.stored = 0
         self.evicted = 0
@@ -415,7 +395,7 @@ class CheckpointTree:
     @property
     def chained(self) -> bool:
         """Whether boundaries are serialized as delta chains."""
-        return self._store is not None or self._max_bytes is not None
+        return self._store is not None
 
     def checkpoint(
         self, key: str, state: _ExecState, *, consumers: int | None = None, live: bool = True
@@ -435,11 +415,9 @@ class CheckpointTree:
             return
         if key not in self._states:
             self._states[key] = state.fork()
-            self._nbytes[key] = state.nbytes()
             self.stored += 1
             if consumers is not None:
                 self._consumers[key] = consumers
-            self._enforce_budget(keep=key)
 
     def _persist(self, key: str, state: _ExecState) -> dict:
         """Cut ``state``'s delta link, write it through, advance its anchor."""
@@ -463,7 +441,7 @@ class CheckpointTree:
         return entry
 
     def _rebuild(self, key: str, strategies: Sequence[str]) -> _ExecState:
-        """Reconstruct an evicted/remote boundary from its delta chain."""
+        """Reconstruct a boundary with no live state from its delta chain."""
         chain = []
         k = key
         while k is not None:
@@ -487,24 +465,6 @@ class CheckpointTree:
         self.rebuilds += 1
         return state
 
-    def _enforce_budget(self, *, keep: str | None = None) -> None:
-        """Evict least-recently-used live states past ``max_bytes``.
-
-        Only runs when chained (every live state then has a chain link
-        to rebuild from), and never evicts the state just stored.
-        """
-        if self._max_bytes is None:
-            return
-        total = sum(self._nbytes.values())
-        for key in list(self._states):
-            if total <= self._max_bytes:
-                return
-            if key == keep:
-                continue
-            del self._states[key]
-            total -= self._nbytes.pop(key)
-            self.evicted += 1
-
     def _consume(self, key: str) -> None:
         """Decrement a rebuilt boundary's consumer budget (no live state)."""
         left = self._consumers.get(key)
@@ -522,9 +482,9 @@ class CheckpointTree:
         prefix is checkpointed.  A consumer-counted checkpoint's final
         resume receives the stored state itself and evicts the node;
         earlier resumes (and pinned checkpoints) receive forks.  On a
-        chained tree, a boundary with no live state (evicted under the
-        byte budget, or written by another process into the store) is
-        rebuilt from its delta chain.
+        chained tree, a boundary with no live state (recorded
+        ``live=False``, or written by another process into the store)
+        is rebuilt from its delta chain.
         """
         for i in range(len(plan.stages) - 1, -1, -1):
             key = plan.stages[i].key
@@ -540,13 +500,11 @@ class CheckpointTree:
             left = self._consumers.get(key)
             if left is not None and left <= 1:
                 del self._states[key]
-                self._nbytes.pop(key, None)
                 del self._consumers[key]
                 self.evicted += 1
                 return cached, i + 1  # last consumer: take it by move
             if left is not None:
                 self._consumers[key] = left - 1
-            self._states[key] = self._states.pop(key)  # refresh LRU position
             return cached.fork(), i + 1
         return _ExecState.fresh(plan.strategies), 0
 
@@ -638,7 +596,6 @@ def compute_group(
         _met.REGISTRY.inc("timeline.checkpoint.hits", tree.hits - hits0)
         _met.REGISTRY.inc("timeline.checkpoint.evicted", tree.evicted - evicted0)
         if chained:
-            _met.REGISTRY.inc("timeline.checkpoint.bytes", tree.delta_bytes - dbytes0)
             _met.REGISTRY.inc("ckpt.delta.stored", tree.delta_stored - dstored0)
             _met.REGISTRY.inc("ckpt.delta.applied", tree.delta_applied - dapplied0)
             _met.REGISTRY.inc("ckpt.delta.bytes", tree.delta_bytes - dbytes0)

@@ -59,9 +59,7 @@ def duplicated_members(
 
     Members with no assigned code place no constraints and cannot
     duplicate — the same mid-protocol tolerance as
-    :func:`repro.coloring.constraints.forbidden_colors` (under
-    round-commit replay a member may have joined later in the same
-    round and not yet selected its color).
+    :func:`repro.coloring.constraints.forbidden_colors`.
     """
     ids = np.fromiter(members, dtype=np.int64, count=len(members))
     return set(ids[_duplicated(assignment.color_array(ids))].tolist())

@@ -40,8 +40,8 @@ def plan_cp_power_increase(
     own = assignment[node]
     around = conflict_neighbors(graph, node)
     row = np.fromiter(around, dtype=np.int64, count=len(around))
-    # An uncolored conflict neighbor (joined later in the same
-    # round-commit round) reads 0 and has no color to duplicate yet.
+    # An uncolored conflict neighbor reads 0 and has no color to
+    # duplicate yet.
     same = row[assignment.color_array(row) == own].tolist()
     duplicates = [w for w in same if w not in old_conflict_neighbors]
     return plan_reselect(

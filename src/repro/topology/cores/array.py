@@ -122,10 +122,6 @@ class ArrayCore:
         core.c2[t[:, 0], t[:, 1]] = t[:, 2]
         return core
 
-    def state_nbytes(self) -> int:
-        """Bytes held by the blocks."""
-        return self.adj.nbytes + self.c2.nbytes
-
     # -- queries --------------------------------------------------------
     def has_edge(self, i: int, j: int) -> bool:
         """Whether the edge ``i -> j`` exists."""

@@ -345,14 +345,6 @@ class SparseCore:
             c2s[u][v] = count
         return core
 
-    def state_nbytes(self) -> int:
-        """Approximate bytes held by the rows and witness dicts."""
-        total = 0
-        for s in range(len(self.outr)):
-            total += self.outr[s].data.nbytes + self.inr[s].data.nbytes
-            total += 64 * len(self.c2s[s])
-        return total
-
     # -- queries --------------------------------------------------------
     def has_edge(self, i: int, j: int) -> bool:
         """Whether the edge ``i -> j`` exists."""

@@ -627,18 +627,6 @@ class AdHocDigraph:
         self._flush_round_batch(batch, deltas)
         return deltas
 
-    def replay_rounds(
-        self, rounds: Iterable[Iterable["Event"]]
-    ) -> Iterator[list[TopologyDelta]]:
-        """Lazily apply round-structured events via :meth:`apply_round`.
-
-        Yields the per-round delta lists; the graph advances one round
-        at a time, so derived queries between yields observe the
-        just-committed round (round-commit semantics).
-        """
-        for round_events in rounds:
-            yield self.apply_round(round_events)
-
     def _flush_round_batch(self, batch: list, deltas: list[TopologyDelta]) -> None:
         """Commit a contiguous join/move run as one batched mutation.
 
@@ -1067,16 +1055,6 @@ class AdHocDigraph:
                 s, np.asarray(out, dtype=np.intp), np.asarray(inn, dtype=np.intp)
             )
         self._version = version
-
-    def state_nbytes(self) -> int:
-        """Rough in-memory footprint of the conflict state, in bytes.
-
-        Used by checkpoint eviction budgets; counts the core's heavy
-        state (blocks, or rows + witness dicts) plus the flat per-slot
-        tables, not Python object overhead.
-        """
-        flat = self._pos.nbytes + self._range.nbytes + self._ida.nbytes
-        return flat + self._core.state_nbytes()
 
     # ------------------------------------------------------------------
     # Graph algorithms

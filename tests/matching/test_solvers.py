@@ -1,7 +1,5 @@
 """Tests for the matching solvers: Hungarian, Hopcroft–Karp, SciPy oracle."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,9 +193,7 @@ class TestJVAgainstScipyOracle:
         g = StaticDigraph(nodes=range(6), edges=[(i, 0) for i in range(1, 6)])
         a = CodeAssignment(dict(zip(range(1, 6), [1, 1, 2, 3, 3])))
         jv = plan_local_matching_recode(g, a, 0)
-        monkeypatch.setattr(
-            minim_join, "max_weight_matching", partial(max_weight_matching, backend="scipy")
-        )
+        monkeypatch.setattr(minim_join, "max_weight_matching", scipy_matching)
         assert plan_local_matching_recode(g, a, 0).new_colors == jv.new_colors
 
 
@@ -240,11 +236,7 @@ class TestBackendDispatch:
 
     def test_scipy_backend(self):
         g = graph_from_matrix(np.array([[1.0]]))
-        assert max_weight_matching(g, backend="scipy").pairs == {0: "c0"}
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            max_weight_matching(WeightedBipartiteGraph(), backend="nope")
+        assert scipy_matching(g).pairs == {0: "c0"}
 
 
 class TestHopcroftKarp:

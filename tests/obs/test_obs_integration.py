@@ -134,6 +134,23 @@ def test_report_command_round_trip(tmp_path, capsys):
     assert chrome.exists()
 
 
+def test_chained_walk_report_shows_delta_bytes(tmp_path):
+    from repro.obs.report import render_report
+    from repro.sim.results import SqliteBackend
+
+    spec = get_scenario("fig11-power")
+    paired = replace(spec, n=12, strategies=("Minim",), sweep_values=spec.sweep_values[:2])
+    path = tmp_path / "trace.jsonl"
+    obs.enable(path)
+    try:
+        run_sweep(paired, runs=1, seed=42, store=SqliteBackend(tmp_path / "s.sqlite"))
+    finally:
+        obs.close()
+    out = render_report(obs.load_trace(path))
+    assert "delta links stored" in out and "delta bytes" in out
+    assert "live state bytes" not in out
+
+
 def test_report_command_missing_file(tmp_path, capsys):
     from repro.cli import main
 

@@ -142,55 +142,31 @@ def _rounds(events, size):
 
 
 class TestRoundReplay:
-    """``MultiStrategyReplay.apply_round``: round-commit semantics.
+    """``AdHocDigraph.apply_round`` on a scenario's replay stream.
 
-    Lane reactions observe the post-round graph, so recode *choices*
-    may legitimately differ from the sequential path — but the graph
-    itself must land byte-identically, every assignment must stay
-    conflict-free, and the per-event result lists must stay aligned
-    with the round's events.
+    Round commit lives at the graph level only: lanes always react
+    event by event.  Batching a replay's events into rounds must still
+    land the graph byte-identically on the state the lane replay
+    reaches, with one delta per event, equal to the sequential ones.
     """
 
-    @pytest.mark.parametrize("core", ["array", "sparse"])
+    @pytest.mark.parametrize("core", sorted(_CORES))
     def test_rounds_land_on_the_sequential_graph_state(self, core, monkeypatch):
-        use_core(monkeypatch, core)
         events = _replay_events(n=16, seed=9)
-        rounds = _rounds(events, 5)
-        batched = MultiStrategyReplay([make_strategy("Minim")]).run_rounds(rounds)
+        batched = core_graph(core)
+        for round_events in _rounds(events, 5):
+            batched.apply_round(round_events)
+        use_core(monkeypatch, core)
         sequential = MultiStrategyReplay([make_strategy("Minim")]).run(events)
-        assert batched.graph.snapshot() == sequential.graph.snapshot()
-        from repro.coloring.verify import is_valid
+        assert batched.core == sequential.graph.core == core
+        assert batched.snapshot() == sequential.graph.snapshot()
+        assert_matches_oracle(batched)
 
-        for lane in batched.lanes:
-            assert is_valid(batched.graph, lane.assignment)  # recodes stay valid
-
-    def test_result_lists_align_with_events(self, monkeypatch):
-        use_core(monkeypatch, "sparse")
+    def test_result_lists_align_with_events(self):
         events = _replay_events(n=12, seed=3)
-        replay = MultiStrategyReplay([make_strategy("Minim"), make_strategy("CP")])
+        batched = core_graph("sparse")
+        sequential = core_graph("sparse")
         for round_events in _rounds(events, 4):
-            results = replay.apply_round(round_events)
-            assert len(results) == len(round_events)
-
-    def test_node_joining_and_leaving_within_a_round_is_skipped(self, monkeypatch):
-        from repro.events.base import JoinEvent, LeaveEvent
-        from repro.topology.node import NodeConfig
-
-        use_core(monkeypatch, "sparse")
-        replay = MultiStrategyReplay([make_strategy("Minim")])
-        replay.run(_replay_events(n=8, seed=1)[:8])
-        base = replay.graph.snapshot()
-        round_events = [
-            JoinEvent(NodeConfig(901, 5.0, 5.0, 20.0)),
-            JoinEvent(NodeConfig(902, 8.0, 5.0, 20.0)),
-            LeaveEvent(901),  # ephemeral: lanes never saw it
-        ]
-        results = replay.apply_round(round_events)
-        assert len(results) == 3
-        assert results[0] == [] and results[2] == []  # join+leave suppressed
-        assert 901 not in replay.graph and 902 in replay.graph
-        assert replay.graph.snapshot() != base
-        from repro.coloring.verify import is_valid
-
-        for lane in replay.lanes:
-            assert is_valid(replay.graph, lane.assignment)
+            deltas = batched.apply_round(round_events)
+            assert len(deltas) == len(round_events)
+            assert deltas == [sequential.apply_event(ev) for ev in round_events]

@@ -408,11 +408,9 @@ class TestWorkerCheckpointLinks:
         backend = backend_cls(tmp_path / "store")
         _publish(backend, paired_spec(), runs=1, seed=3)
         assert run_worker(backend, once=True) >= 1
-        stats = backend.checkpoint_stats()
-        assert stats["count"] > 0
-        assert stats["writes"] >= stats["count"]
+        assert backend.checkpoint_stats()["count"] > 0
 
-    def test_deeper_sweep_resumes_from_another_workers_links(self, tmp_path):
+    def test_deeper_sweep_resumes_from_another_workers_links(self, tmp_path, monkeypatch):
         # the cross-process pickup story: worker A drains a paired sweep,
         # worker B (a fresh process state — nothing warm in memory) drains
         # a deeper sweep over the same axis and serves the shared prefix
@@ -421,11 +419,20 @@ class TestWorkerCheckpointLinks:
         spec = paired_spec()
         _publish(backend, spec, runs=1, seed=3)
         run_worker(backend, once=True)
-        hits_before = backend.checkpoint_stats()["hits"]
+        hits = []
+        read = backend.get_checkpoint
+
+        def spy(key):
+            record = read(key)
+            if record is not None:
+                hits.append(key)
+            return record
+
+        monkeypatch.setattr(backend, "get_checkpoint", spy)
         deeper = replace(spec, sweep_values=(2.0, 4.0, 6.0, 8.0))
         _publish(backend, deeper, runs=1, seed=3)
         run_worker(backend, once=True)
-        assert backend.checkpoint_stats()["hits"] > hits_before
+        assert hits  # worker B read links worker A stored
         series = run_sweep(deeper, runs=1, seed=3, store=backend)
         ref = run_sweep(deeper, runs=1, seed=3)
         assert series.metrics == ref.metrics

@@ -271,29 +271,11 @@ def steps_point(steps: int):
 
 
 # ----------------------------------------------------------------------
-# Chained trees: delta links, byte budgets, store-backed sharing
+# Chained trees: delta links, store-backed sharing
 # ----------------------------------------------------------------------
 class TestChainedCheckpointTree:
     def test_default_tree_is_not_chained(self):
         assert not CheckpointTree().chained
-
-    def test_env_budget_makes_trees_chained(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CKPT_MEM_MB", "64")
-        tree = CheckpointTree()
-        assert tree.chained
-        assert tree._max_bytes == 64_000_000
-
-    def test_budget_starved_walk_matches_cold(self):
-        # max_bytes=1 evicts every live state the moment the next one
-        # lands; resumes must come back through delta rebuilds and the
-        # member results must stay byte-identical to cold execution
-        (group,) = plan_tasks(build_sweep(steps_spec(), runs=1, seed=3))
-        tree = CheckpointTree(max_bytes=1)
-        shared = compute_group(group.points, group.seed, tree=tree)
-        cold = [compute_point(point, group.seed) for point in group.points]
-        assert json.dumps(shared) == json.dumps(cold)
-        assert tree.delta_stored > 0
-        assert tree.delta_bytes > 0
 
     def test_rebuild_from_link_only_chain(self):
         # live=False records the serialized link without keeping state:
@@ -410,9 +392,12 @@ class TestChainedScenarioEquivalence:
     @pytest.mark.parametrize("name", sorted(available_scenarios()))
     def test_every_scenario_chained_equals_cold(self, name):
         # the acceptance criterion with delta checkpointing ON: a
-        # store-backed chained walk, and a second walk resuming purely
-        # from stored links (max_bytes=0 evicts all live state), both
-        # byte-identical to cold execution
+        # store-backed chained walk is byte-identical to cold execution,
+        # and so is every plan resumed at each of its boundaries by a
+        # fresh tree over that store — no live state, so each resume is
+        # rebuilt purely from stored links — and walked on to the end
+        from repro.sim.timeline import _ExecState
+
         spec = get_scenario(name)
         shrunk = replace(
             spec,
@@ -425,9 +410,20 @@ class TestChainedScenarioEquivalence:
             cold = [compute_point(point, group.seed) for point in group.points]
             first = compute_group(group.points, group.seed, store=store)
             assert json.dumps(first) == json.dumps(cold)
-            tree = CheckpointTree(store=store, max_bytes=0)
-            again = compute_group(group.points, group.seed, tree=tree)
-            assert json.dumps(again) == json.dumps(cold)
+            for point, expected in zip(group.points, cold):
+                plan = build_plan(point, group.seed)
+                writer = CheckpointTree(store=store)
+                state = _ExecState.fresh(plan.strategies)
+                for stage in plan.stages:  # singleton groups stored no links
+                    state.apply_stage(stage, plan.measure)
+                    writer.checkpoint(stage.key, state, live=False)
+                for depth in range(1, len(plan.stages) + 1):
+                    tree = CheckpointTree(store=store)
+                    resumed, start = tree.resume(replace(plan, stages=plan.stages[:depth]))
+                    assert (start, tree.rebuilds) == (depth, 1)
+                    for stage in plan.stages[start:]:
+                        resumed.apply_stage(stage, plan.measure)
+                    assert json.dumps(resumed.result(plan.measure)) == json.dumps(expected)
 
 
 class TestGroupStageTokens:
