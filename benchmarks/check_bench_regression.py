@@ -4,7 +4,7 @@ Usage::
 
     python benchmarks/check_bench_regression.py \
         --baseline BENCH_eventloop.json --fresh bench-fresh.json [--min-ratio 0.5] \
-        [--min-speedup large-join/sparse:speedup_vs_array=3]
+        [--min-speedup obs-overhead/on:trace_on_vs_off=0.97]
 
 Entries are matched by ``(scenario, mode)`` and compared on
 ``events_per_sec``.  The gate fails (exit 1) when any matched entry
@@ -17,29 +17,13 @@ check silently (regenerate the baseline with it instead).  A fresh
 entry missing from the baseline is only reported (coverage may grow).
 
 ``--min-speedup [SCENARIO/MODE:]FIELD=MIN`` (repeatable) additionally
-gates the fresh run's *intra-run* ratios — the sparse core's
-``speedup_vs_array``, the round batcher's ``round_batch_speedup``,
-the delta checkpoint's ``ckpt_delta_speedup`` and the tracing layer's
+gates the fresh run's *intra-run* ratios — the tracing layer's
 ``trace_on_vs_off`` — which don't depend on runner hardware and
 therefore hold a much tighter floor than cross-run throughput.
 Unscoped, every fresh entry carrying ``FIELD`` must report at least
 ``MIN``; with the optional ``SCENARIO/MODE:`` scope only that one entry
 is gated.  Either way, a floor that matches no fresh entry fails the
 gate.
-
-``--max-mem SCENARIO/MODE=MB`` (repeatable) puts a ceiling on one
-fresh entry's ``peak_mem_mb`` — the memory gate of the sparse large-N
-regime (e.g. ``--max-mem large-join/sparse=512``).  A spec that
-matches no fresh entry fails the gate: a silently vanished entry must
-not turn the ceiling into a no-op.
-
-``--max-field [SCENARIO/MODE:]FIELD=MAX`` (repeatable) is the generic
-*ceiling* counterpart of ``--min-speedup``: every fresh entry carrying
-``FIELD`` (or just the scoped one) must report at most ``MAX``.  The
-checkpoint bench's ``ckpt_bytes_ratio`` gates here — a delta chain
-whose serialized bytes creep toward the full snapshot's has lost its
-O(changes) contract even when the wall clock still looks healthy.
-Like the floors, a ceiling that matches no fresh entry fails the gate.
 """
 
 from __future__ import annotations
@@ -61,8 +45,7 @@ def _parse_field_specs(
 
     Returns ``(scope, field) -> bound``, where scope is a
     ``(scenario, mode)`` pair or None for "every entry carrying the
-    field" — shared by the ``--min-speedup`` floors and the
-    ``--max-field`` ceilings.
+    field".
     """
     specs: dict[tuple[tuple[str, str] | None, str], float] = {}
     for item in items:
@@ -99,40 +82,11 @@ def main(argv: list[str] | None = None) -> int:
         default=[],
         metavar="[SCENARIO/MODE:]FIELD=MIN",
         help="fail when a fresh entry's FIELD speedup is below MIN "
-        "(repeatable, e.g. round_batch_speedup=1.5 or "
-        "large-join/sparse:speedup_vs_array=3)",
-    )
-    parser.add_argument(
-        "--max-mem",
-        action="append",
-        default=[],
-        metavar="SCENARIO/MODE=MB",
-        help="fail when the named fresh entry's peak_mem_mb exceeds MB "
-        "(repeatable, e.g. large-join/sparse=512)",
-    )
-    parser.add_argument(
-        "--max-field",
-        action="append",
-        default=[],
-        metavar="[SCENARIO/MODE:]FIELD=MAX",
-        help="fail when a fresh entry's FIELD exceeds MAX "
-        "(repeatable, e.g. large-ckpt/delta:ckpt_bytes_ratio=0.2)",
+        "(repeatable, e.g. obs-overhead/on:trace_on_vs_off=0.97)",
     )
     args = parser.parse_args(argv)
 
     speedup_floors = _parse_field_specs(parser, args.min_speedup, "--min-speedup")
-    field_ceilings = _parse_field_specs(parser, args.max_field, "--max-field")
-
-    mem_ceilings: dict[tuple[str, str], float] = {}
-    for item in args.max_mem:
-        key, _, ceiling = item.partition("=")
-        scenario, slash, mode = key.partition("/")
-        if not scenario or not slash or not mode or not ceiling:
-            parser.error(f"--max-mem expects SCENARIO/MODE=MB, got {item!r}")
-        try:
-            mem_ceilings[(scenario, mode)] = float(ceiling)
-        except ValueError:
-            parser.error(f"--max-mem ceiling must be a number, got {item!r}")
 
     baseline = _by_key(json.loads(args.baseline.read_text()))
     fresh = _by_key(json.loads(args.fresh.read_text()))
@@ -158,7 +112,6 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(f"{scenario}/{mode} at {ratio:.2f}x (< {args.min_ratio}x)")
 
     floors_matched = dict.fromkeys(speedup_floors, 0)
-    ceilings_matched = dict.fromkeys(field_ceilings, 0)
     for key in sorted(fresh):
         entry = fresh[key]
         scenario, mode = key
@@ -174,46 +127,14 @@ def main(argv: list[str] | None = None) -> int:
             )
             if value < minimum:
                 failures.append(f"{scenario}/{mode} {field} at {value:.2f}x (< {minimum}x)")
-        for (scope, field), maximum in field_ceilings.items():
-            if field not in entry or (scope is not None and scope != key):
-                continue
-            ceilings_matched[(scope, field)] += 1
-            value = entry[field]
-            verdict = "ok" if value <= maximum else "REGRESSION"
-            print(
-                f"{scenario:<22} {mode:>12}: {field} {value:.4g} "
-                f"(ceiling {maximum:.4g}) {verdict}"
-            )
-            if value > maximum:
-                failures.append(f"{scenario}/{mode} {field} at {value:.4g} (> {maximum:.4g})")
-    for (scenario, mode), ceiling in sorted(mem_ceilings.items()):
-        entry = fresh.get((scenario, mode))
-        if entry is None or "peak_mem_mb" not in entry:
-            missing = "entry" if entry is None else "peak_mem_mb"
-            failures.append(f"--max-mem {scenario}/{mode}: no fresh {missing} to gate")
-            continue
-        peak = entry["peak_mem_mb"]
-        verdict = "ok" if peak <= ceiling else "REGRESSION"
-        print(
-            f"{scenario:<22} {mode:>12}: peak_mem {peak:.1f} MiB "
-            f"(ceiling {ceiling:.1f} MiB) {verdict}"
-        )
-        if peak > ceiling:
-            failures.append(
-                f"{scenario}/{mode} peak_mem_mb at {peak:.1f} MiB (> {ceiling:.1f} MiB)"
-            )
 
-    for flag, matched_by_spec in (
-        ("--min-speedup", floors_matched),
-        ("--max-field", ceilings_matched),
-    ):
-        for (scope, field), matched in matched_by_spec.items():
-            if matched == 0:
-                # an unmatched bound means the bench stopped emitting
-                # the field (or the CI arg is typo'd) — the gate must
-                # not silently become a no-op
-                label = field if scope is None else f"{scope[0]}/{scope[1]}:{field}"
-                failures.append(f"{flag} {label}: no fresh entry carries this field")
+    for (scope, field), matched in floors_matched.items():
+        if matched == 0:
+            # an unmatched floor means the bench stopped emitting the
+            # field (or the CI arg is typo'd) — the gate must not
+            # silently become a no-op
+            label = field if scope is None else f"{scope[0]}/{scope[1]}:{field}"
+            failures.append(f"--min-speedup {label}: no fresh entry carries this field")
 
     if failures:
         print("\nbench regression gate FAILED:", file=sys.stderr)

@@ -19,10 +19,10 @@ def files(tmp_path):
     entries = [
         {"scenario": "s", "mode": "grid", "events_per_sec": 1000.0},
         {
-            "scenario": "rounds",
-            "mode": "sparse-rounds",
+            "scenario": "obs-overhead",
+            "mode": "on",
             "events_per_sec": 2000.0,
-            "round_batch_speedup": 2.0,
+            "trace_on_vs_off": 2.0,
         },
     ]
     baseline = _write(tmp_path / "baseline.json", entries)
@@ -46,8 +46,8 @@ class TestGate:
     def test_speedup_floor_pass_and_fail(self, files):
         baseline, fresh = files
         ok = ["--baseline", str(baseline), "--fresh", str(fresh)]
-        assert gate(ok + ["--min-speedup", "round_batch_speedup=1.5"]) == 0
-        assert gate(ok + ["--min-speedup", "round_batch_speedup=2.5"]) == 1
+        assert gate(ok + ["--min-speedup", "trace_on_vs_off=1.5"]) == 0
+        assert gate(ok + ["--min-speedup", "trace_on_vs_off=2.5"]) == 1
 
     def test_baseline_entry_missing_from_fresh_run_fails(self, files, tmp_path):
         # a deleted or renamed family must not drop its throughput
@@ -71,12 +71,12 @@ class TestGate:
     def test_scoped_floor_gates_only_its_entry(self, tmp_path):
         # the same field can be a hard claim on one entry only
         entries = [
-            {"scenario": "a", "mode": "sparse", "events_per_sec": 10.0, "speedup": 0.5},
-            {"scenario": "b", "mode": "sparse", "events_per_sec": 10.0, "speedup": 4.0},
+            {"scenario": "a", "mode": "on", "events_per_sec": 10.0, "speedup": 0.5},
+            {"scenario": "b", "mode": "on", "events_per_sec": 10.0, "speedup": 4.0},
         ]
         path = _write(tmp_path / "scoped.json", entries)
         args = ["--baseline", str(path), "--fresh", str(path)]
-        assert gate(args + ["--min-speedup", "b/sparse:speedup=3"]) == 0
+        assert gate(args + ["--min-speedup", "b/on:speedup=3"]) == 0
         assert gate(args + ["--min-speedup", "speedup=3"]) == 1
 
     def test_floor_matching_no_entry_fails_the_gate(self, files):
@@ -86,7 +86,7 @@ class TestGate:
         args = ["--baseline", str(baseline), "--fresh", str(fresh)]
         assert gate(args + ["--min-speedup", "speedup_vs_nothing=9.9"]) == 1
 
-    @pytest.mark.parametrize("bad", ["round_batch_speedup=fast", "=1.2", "nofloor"])
+    @pytest.mark.parametrize("bad", ["trace_on_vs_off=fast", "=1.2", "nofloor"])
     def test_malformed_min_speedup_is_a_usage_error(self, files, bad):
         baseline, fresh = files
         argv = ["--baseline", str(baseline), "--fresh", str(fresh), "--min-speedup", bad]

@@ -156,7 +156,6 @@ def test_array_core_churn_800(benchmark):
     spec = resolve_sweep(replace(get_scenario("hotspot-churn"), n=800), 0.4)
     phases = scenario_phases(spec, np.random.default_rng(9))
     graph = MultiStrategyReplay([CPStrategy()]).run(phases.baseline).graph
-    assert graph.core == "array"
     cx, cy = np.mean([graph.position_of(v) for v in graph.node_ids()], axis=0)
     joiner = max(graph.node_ids()) + 1
     before = graph.adjacency()

@@ -1,9 +1,8 @@
-"""EXPERIMENTS-style markdown report generation.
+"""Paper-vs-measured markdown report generation.
 
 Turns a collection of :class:`~repro.analysis.series.ExperimentSeries`
-plus their shape-check verdicts into the paper-vs-measured markdown that
-``EXPERIMENTS.md`` records.  Used by the CLI's ``--out`` mode and by the
-maintainer script that refreshes the committed report.  Panels can be
+plus their shape-check verdicts into paper-vs-measured markdown.  Used
+by the CLI's ``--out`` mode.  Panels can be
 built from live series or loaded back out of a sweep's
 :class:`~repro.sim.results.ResultsBackend` — JSON directory or SQLite
 file alike (:func:`panels_from_store`), so reports are reproducible

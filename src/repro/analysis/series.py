@@ -124,7 +124,7 @@ class ExperimentSeries:
         return "\n".join(lines)
 
     def to_markdown(self, metric: str) -> str:
-        """Markdown table of one metric (for EXPERIMENTS.md)."""
+        """Markdown table of one metric (for the ``--out`` report)."""
         strategies = list(self.metrics[metric])
         lines = [
             "| " + self.x_label + " | " + " | ".join(strategies) + " |",

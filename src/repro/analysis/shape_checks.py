@@ -5,7 +5,7 @@ The reproduction is not expected to match the paper's absolute numbers
 *conclusions* must hold: who wins each metric, by roughly what factor.
 Each figure's claims are encoded as checks over an
 :class:`~repro.analysis.series.ExperimentSeries`; benches assert them
-and EXPERIMENTS.md records them.
+and the ``--out`` markdown report prints their verdicts.
 """
 
 from __future__ import annotations

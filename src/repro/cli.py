@@ -20,7 +20,7 @@ Usage (installed as ``minim-cdma`` or via ``python -m repro``)::
     minim-cdma store export store.sqlite --parquet points.parquet
     minim-cdma store compact results-store/
     minim-cdma store migrate results-store/ store.sqlite
-    minim-cdma bench --large-n 0 --runs 3
+    minim-cdma bench --runs 3
     minim-cdma scenario fig10-join --trace trace.jsonl
     minim-cdma report trace.jsonl
     minim-cdma report trace.jsonl --check --chrome trace.chrome.json
@@ -46,17 +46,16 @@ queue (``requeue``), dumps point-level rows (``export --csv`` /
 ``export --parquet``, the latter with sweep-level join columns, gated
 on pyarrow), folds a JSON directory into one SQLite table (``compact``)
 or copies between backends (``migrate``).  ``--trace PATH`` turns on
-the observability layer (:mod:`repro.obs`) for any sweep, worker, or
-bench invocation: phase/task spans, queue events, and conflict-core /
+the observability layer (:mod:`repro.obs`) for any sweep or worker
+invocation: phase/task spans, queue events, and conflict-core /
 timeline / store counters stream to a JSONL file (child processes
 write ``PATH.<pid>`` sidecars), and ``report TRACE`` summarizes it —
 top spans by self-time, cache-hit ratios, checkpoint replay savings,
 per-worker timelines — with ``--chrome OUT`` exporting a
 chrome://tracing / Perfetto file and ``--check`` failing the exit code
 when planned tasks are missing closed spans.  ``bench`` times what the
-end-to-end ``perfbench`` cannot reach — the large-N conflict cores,
-checkpoint fork/serialize paths at N=10⁴, and tracing overhead —
-writing ``BENCH_eventloop.json``.  Each experiment command prints metric tables
+end-to-end ``perfbench`` cannot reach — the tracing layer's own
+overhead — writing ``BENCH_eventloop.json``.  Each experiment command prints metric tables
 plus shape checks; ``--out DIR`` additionally writes markdown tables.
 """
 
@@ -295,50 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser(
         "bench",
-        help="time what perfbench cannot reach (large-N array vs sparse cores, "
-        "batched rounds, N=10^4 checkpoint forks, tracing overhead)",
+        help="time what perfbench cannot reach (the tracing layer's overhead)",
     )
     pb.add_argument(
-        "--runs",
-        type=int,
-        default=3,
-        help="paired off/on rounds of the tracing-overhead bench "
-        "(the large-N and checkpoint legs run once)",
-    )
-    pb.add_argument(
-        "--large-n",
-        type=int,
-        default=10000,
-        help="node count for the large-N array-vs-sparse traces (0 skips them "
-        "and the checkpoint bench, leaving the tracing-overhead bench)",
-    )
-    pb.add_argument(
-        "--max-mem",
-        type=float,
-        default=512.0,
-        help="tracemalloc ceiling in MiB for the sparse large-N run (0 disables)",
-    )
-    pb.add_argument(
-        "--large-n-only",
-        action="store_true",
-        help="run only the large-N bench (the sparse-core CI job's smoke mode)",
-    )
-    pb.add_argument(
-        "--profile",
-        action="store_true",
-        help="wrap the timed benches in cProfile and write the top-25 "
-        "cumulative rows next to the JSON output",
+        "--runs", type=int, default=3, help="paired off/on rounds of the tracing-overhead bench"
     )
     pb.add_argument("--seed", type=int, default=2001, help="trace-generation seed")
     pb.add_argument(
         "--out", type=Path, default=None, help="output path (default BENCH_eventloop.json)"
-    )
-    pb.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write observability spans/events/metrics to this JSONL file",
     )
 
     pr = sub.add_parser(
@@ -477,83 +440,16 @@ def _run_scenario_cmd(args: argparse.Namespace) -> int:
     return 0
 
 
-def _collect_bench_entries(args: argparse.Namespace, max_mem: float | None) -> list[dict]:
-    """Run the bench suites selected by ``args``; return their entries."""
-    from repro import obs
-    from repro.errors import ConfigurationError
-    from repro.sim.bench import (
-        run_checkpoint_bench,
-        run_large_n_bench,
-        run_obs_overhead_bench,
-    )
-
-    if args.large_n_only:
-        if not args.large_n:
-            raise ConfigurationError("--large-n-only needs --large-n > 0")
-        return run_large_n_bench(n=args.large_n, runs=1, seed=args.seed, max_mem_mb=max_mem)
-    entries: list[dict] = []
-    if args.large_n:
-        entries.extend(
-            run_large_n_bench(n=args.large_n, runs=1, seed=args.seed, max_mem_mb=max_mem)
-        )
-        # pinned n=10^4, runs=1: the checkpoint bench prices the delta
-        # chain at the canonical large-N point; its full-snapshot rival
-        # leg is the expensive part, so repetitions stay off by default
-        # and `--large-n 0` skips it along with the other scale traces
-        entries.extend(run_checkpoint_bench(runs=1, seed=args.seed))
-    if obs.enabled():
-        # the overhead family toggles tracing itself, so under --trace
-        # its off leg would time the on configuration
-        print("note: --trace is on; skipping the obs-overhead family", file=sys.stderr)
-    else:
-        entries.extend(run_obs_overhead_bench(runs=args.runs, seed=args.seed))
-    return entries
-
-
-def _write_bench_profile(profiler, json_path: Path) -> Path:
-    """Write the top-25 cumulative profile rows next to the bench JSON.
-
-    The rows reproduce the hot-path evidence perf PRs cite: anyone can
-    re-derive "X dominates the large-join profile" from
-    ``minim-cdma bench --profile`` instead of trusting the PR text.
-    """
-    import io
-    import pstats
-
-    buf = io.StringIO()
-    pstats.Stats(profiler, stream=buf).sort_stats("cumulative").print_stats(25)
-    prof_path = json_path.with_name(json_path.stem + "_profile.txt")
-    prof_path.write_text(buf.getvalue())
-    return prof_path
-
-
 def _run_bench_cmd(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
-    from repro.sim.bench import write_bench_json
+    from repro.sim.bench import run_obs_overhead_bench, write_bench_json
 
-    max_mem = args.max_mem if args.max_mem > 0 else None
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
     try:
-        if profiler is not None:
-            profiler.enable()
-        try:
-            entries = _collect_bench_entries(args, max_mem)
-        finally:
-            if profiler is not None:
-                profiler.disable()
-    except (ConfigurationError, ValueError) as exc:
+        entries = run_obs_overhead_bench(runs=args.runs, seed=args.seed)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _print_bench_table(entries)
-    path = write_bench_json(entries, args.out)
-    print(f"wrote {path}")
-    if profiler is not None:
-        prof_path = _write_bench_profile(profiler, path)
-        print(f"wrote {prof_path}")
+    print(f"wrote {write_bench_json(entries, args.out)}")
     return 0
 
 
@@ -565,16 +461,7 @@ def _print_bench_table(entries: list[dict]) -> None:
     print(header)
     print("-" * len(header))
     for e in entries:
-        speedup = ""
-        for field in (
-            "speedup_vs_array",
-            "round_batch_speedup",
-            "ckpt_delta_speedup",
-            "trace_on_vs_off",
-        ):
-            if field in e:
-                speedup = f"{e[field]:.2f}x"
-                break
+        speedup = f"{e['trace_on_vs_off']:.2f}x" if "trace_on_vs_off" in e else ""
         mem = f"{e['peak_mem_mb']:.1f}" if "peak_mem_mb" in e else ""
         print(
             f"{e['scenario']:<22} {e['n']:>5} {e['mode']:>12} {e['events']:>7} "

@@ -1,6 +1,6 @@
 """Lower bounds on the number of codes needed.
 
-Used by tests and EXPERIMENTS.md to contextualize heuristic quality: no
+Used by tests to contextualize heuristic quality: no
 valid assignment can use fewer colors than the largest clique of the
 conflict graph.
 """

@@ -294,44 +294,6 @@ class SlotGridIndex:
         cx_hi = math.floor((x + radius) / cs) + _GUARD_CELLS
         cy_lo = math.floor((y - radius) / cs) - _GUARD_CELLS
         cy_hi = math.floor((y + radius) / cs) + _GUARD_CELLS
-        return self._gather_window(cx_lo, cx_hi, cy_lo, cy_hi, cutoff)
-
-    def cell_of(self, slot: int) -> tuple[int, int]:
-        """Return the grid cell ``slot`` currently occupies.
-
-        Lets callers group slots by cell (the bulk-join sweep buckets
-        dirty slots this way) without recomputing ``floor(pos / cell)``
-        from positions they may hold in a different dtype.
-        """
-        if slot not in self:
-            raise UnknownNodeError(slot)
-        return (int(self._cx[slot]), int(self._cy[slot]))
-
-    def candidate_slots_cell(
-        self, cx: int, cy: int, radius: float, *, cutoff: int | None = None
-    ) -> np.ndarray | None:
-        """Candidates for *any* query point inside cell ``(cx, cy)``.
-
-        The bulk-join gather: many dirty nodes sharing a cell need one
-        candidate set that covers each of their personal
-        :meth:`candidate_slots` windows.  The window is computed with
-        integer cell arithmetic — ``floor(radius / cell)`` extra rings
-        on each side, plus one ring because the query point may sit
-        anywhere in the cell, plus the usual guard ring — so it is a
-        superset of every member's window with no floating-point
-        boundary risk.  Same ``cutoff`` bail-out semantics as
-        :meth:`candidate_slots` (supersets either way, so callers'
-        exact filters produce identical membership).
-        """
-        if radius < 0:
-            raise ConfigurationError(f"radius must be non-negative, got {radius}")
-        reach = math.floor(radius / self._cell_size) + 1 + _GUARD_CELLS
-        return self._gather_window(cx - reach, cx + reach, cy - reach, cy + reach, cutoff)
-
-    def _gather_window(
-        self, cx_lo: int, cx_hi: int, cy_lo: int, cy_hi: int, cutoff: int | None
-    ) -> np.ndarray | None:
-        """Gather all slots in the inclusive cell window (or bail to ``None``)."""
         if (
             cutoff is not None
             and cutoff <= self._count

@@ -13,7 +13,7 @@ no function call, no allocation::
     from repro.obs import metrics as _met
     ...
     if _met.ENABLED:
-        _met.REGISTRY.inc("core.crow_cache.hit", hits)
+        _met.REGISTRY.inc("core.memo.hit")
 
 ``ENABLED`` is owned by :func:`repro.obs.enable` / ``disable``; nothing
 else may write it.  Histograms keep streaming aggregates
@@ -25,7 +25,15 @@ from __future__ import annotations
 
 from typing import Iterable
 
-__all__ = ["ENABLED", "REGISTRY", "MetricsRegistry", "inc", "observe", "set_gauge", "merge_snapshots"]
+__all__ = [
+    "ENABLED",
+    "REGISTRY",
+    "MetricsRegistry",
+    "inc",
+    "observe",
+    "set_gauge",
+    "merge_snapshots",
+]
 
 # Toggled (via this module's namespace) by repro.obs.enable/disable.
 # Instrumentation sites read it directly; keep it a plain bool.

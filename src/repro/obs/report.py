@@ -19,10 +19,8 @@ __all__ = ["summarize", "render_report", "check_trace"]
 
 # Counter-name pairs rendered as hit ratios: (label, hits, misses).
 _RATIO_ROWS = (
-    ("conflict-row cache", "core.crow_cache.hit", "core.crow_cache.miss"),
     ("conflict memo", "core.memo.hit", "core.memo.miss"),
     ("grid index (windowed)", "core.grid.window", "core.grid.bailout"),
-    ("join path (bulk rows)", "core.join.bulk", "core.join.sequential"),
     ("store point reads", "store.point.hit", "store.point.miss"),
     ("store checkpoint reads", "store.ckpt.hit", "store.ckpt.miss"),
 )

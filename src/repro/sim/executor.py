@@ -52,7 +52,6 @@ from repro.sim.runner import parallel_map
 from repro.sim.scenarios import ScenarioSpec, scenario_from_dict
 from repro.sim.timeline import compute_group as _compute_group_timeline
 from repro.sim.timeline import prefix_token
-from repro.topology.digraph import default_core
 
 __all__ = [
     "DEFAULT_QUARANTINE_AFTER",
@@ -249,18 +248,15 @@ def compute_group(group: TaskGroup, on_member=None, store=None) -> list[list]:
         )
 
 
-def _provenance(context: dict, worker: str, n: int) -> dict:
+def _provenance(context: dict, worker: str) -> dict:
     """Stamp execution provenance onto a planned task context.
 
-    Adds *who* computed the point, *when* it landed, and which conflict
-    core (``array`` / ``sparse``) its population of ``n`` nodes ran —
-    the cores are byte-identical by contract, so the stamp is an audit
-    trail for that claim, not a result discriminator.  The monitor's
+    Adds *who* computed the point and *when* it landed.  The monitor's
     per-worker throughput view and ``store export`` read these back; the
     planned part of the context (scenario, sweep value, run, seed) stays
     untouched, so point keys and results are unaffected.
     """
-    return {**context, "worker": worker, "saved_at": time.time(), "core": default_core(n)}
+    return {**context, "worker": worker, "saved_at": time.time()}
 
 
 def _claimed_compute(
@@ -275,7 +271,7 @@ def _claimed_compute(
     """
 
     def landed(m: int, out: list) -> None:
-        context = _provenance(group.contexts[m], owner, group.points[m].n)
+        context = _provenance(group.contexts[m], owner)
         backend.save_point(group.keys[m], out, context=context)
         backend.renew_claim(gkey, owner)
         obs.event("queue.lease_renew", cat="queue", key=gkey, owner=owner)
@@ -304,7 +300,7 @@ def _execute_group_task(args: tuple) -> list[list]:
     worker = f"proc-{os.getpid()}"
 
     def landed(m: int, out: list) -> None:
-        context = _provenance(group.contexts[m], worker, group.points[m].n)
+        context = _provenance(group.contexts[m], worker)
         backend.save_point(group.keys[m], out, context=context)
 
     outs = compute_group(group, on_member=landed, store=_ckpt_scope(backend, group))

@@ -81,7 +81,6 @@ CSV_COLUMNS = (
     "messages",
     "worker",
     "saved_at",
-    "core",
 )
 
 
@@ -175,7 +174,9 @@ class StoreStats:
             lines.append("  workers:")
             for w in sorted(self.workers, key=lambda w: w.worker):
                 rate = f"{w.points_per_sec:.2f}/s" if w.points_per_sec is not None else "-"
-                beat = f"heartbeat {w.heartbeat_age:.0f}s ago" if w.heartbeat_age is not None else ""
+                beat = (
+                    f"heartbeat {w.heartbeat_age:.0f}s ago" if w.heartbeat_age is not None else ""
+                )
                 if w.stale:
                     beat += "  STALE (no heartbeat within the lease TTL)"
                 lines.append(f"    {w.worker:<24} {w.points:>6} point(s)  {rate}  {beat}".rstrip())
@@ -322,7 +323,6 @@ def _csv_rows_for_point(key: str, record: dict):
         "measure": context.get("measure", ""),
         "worker": context.get("worker", ""),
         "saved_at": context.get("saved_at", ""),
-        "core": context.get("core", ""),
     }
     for si, lane in enumerate(result):
         strategy = strategies[si] if si < len(strategies) else f"s{si}"
@@ -377,7 +377,7 @@ def _write_csv(backend: ResultsBackend, fh: IO[str]) -> int:
 #: Sweep-level join columns appended to :data:`CSV_COLUMNS` in Parquet
 #: exports, resolved by joining each point key against the stored sweep
 #: manifests.
-PARQUET_SWEEP_COLUMNS = ("sweep_key", "sweep_runs", "sweep_seed", "sweep_executor", "sweep_core")
+PARQUET_SWEEP_COLUMNS = ("sweep_key", "sweep_runs", "sweep_seed", "sweep_executor")
 
 
 def _sweep_join_index(backend: ResultsBackend) -> dict[str, dict]:
@@ -395,7 +395,6 @@ def _sweep_join_index(backend: ResultsBackend) -> dict[str, dict]:
             "sweep_runs": manifest.get("runs"),
             "sweep_seed": manifest.get("seed"),
             "sweep_executor": manifest.get("executor"),
-            "sweep_core": manifest.get("core"),
         }
         for point_key in manifest.get("points", []):
             index[point_key] = columns
@@ -423,12 +422,10 @@ _PARQUET_TYPES = {
     "messages": "float64",
     "worker": "string",
     "saved_at": "float64",
-    "core": "string",
     "sweep_key": "string",
     "sweep_runs": "int64",
     "sweep_seed": "int64",
     "sweep_executor": "string",
-    "sweep_core": "string",
 }
 
 

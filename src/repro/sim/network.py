@@ -407,13 +407,10 @@ class MultiStrategyReplay(_TopologyOwner):
         point of an event chain — mid-sweep, between perturbation
         rounds — continues byte-identically to the live instance
         (pinned by ``tests/sim/test_timeline.py``), so checkpoints can
-        outlive the process that took them.  Snapshots are
-        core-independent: the digraph records topology state, not the
-        conflict core that produced it, and lane assignments serialize
-        as sorted ``(node, color)`` pairs whichever container holds
-        them, so a checkpoint written under the array core restores
-        under the sparse core byte-identically (and vice versa) —
-        pinned by ``tests/sim/test_array_replay.py``.
+        outlive the process that took them.  The digraph records
+        topology state, not the conflict core that produced it, and
+        lane assignments serialize as sorted ``(node, color)`` pairs
+        whichever container holds them.
         """
         return {
             "schema": 1,

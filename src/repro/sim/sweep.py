@@ -45,7 +45,6 @@ from repro.sim.results import ResultsBackend, seed_token, spec_digest
 from repro.sim.results import point_key as _point_key
 from repro.sim.runner import resolve_runs
 from repro.sim.scenarios import ScenarioSpec, resolve_sweep
-from repro.topology.digraph import default_core
 
 __all__ = ["SweepSpec", "build_sweep", "plan_additional_tasks", "plan_tasks", "run_sweep"]
 
@@ -384,10 +383,6 @@ def run_sweep(
             "runs": sweep.runs,
             "seed": sweep.seed,
             "executor": exec_.name,
-            # the conflict core the sweep's largest population runs
-            # (array or sparse) — an audit stamp, never a result
-            # discriminator: cores are byte-identical by contract
-            "core": default_core(max(point.n for point in sweep.points)),
             "points": [
                 keys[(i, r)]
                 for i in range(len(sweep.points))

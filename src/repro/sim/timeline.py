@@ -37,14 +37,10 @@ draw and join trace consume, letting
 :func:`repro.sim.sweep.plan_tasks` group tasks by shared prefix without
 drawing any traces.
 
-Checkpoints are conflict-core independent: a fork deep-copies whichever
-core the replay's digraph runs (the array blocks or the sparse CSR
-rows — :meth:`~repro.topology.digraph.AdHocDigraph.copy` clones the
-per-slot rows and witness counters without densifying), and serialized
-checkpoints restore under either core byte-identically, so a
-checkpoint written before a graph crossed the auto-promotion threshold
-resumes identically after it (pinned by
-``tests/sim/test_array_replay.py``).
+Serialized checkpoints record topology state, not the conflict core
+that produced it: those written while the sparse core still existed
+restore and continue byte-identically (pinned by a fixture in
+``tests/topology/test_delta_fork.py``).
 """
 
 from __future__ import annotations

@@ -1,14 +1,10 @@
-"""The two conflict cores behind :class:`~repro.topology.digraph.AdHocDigraph`.
+"""The conflict core behind :class:`~repro.topology.digraph.AdHocDigraph`.
 
 :class:`~repro.topology.cores.array.ArrayCore` keeps adjacency and the
-CA2 witness counters in dense blocks;
-:class:`~repro.topology.cores.sparse.SparseCore` keeps them in CSR slot
-rows and witness dicts.  Both implement one
-slot-level interface, and the graph's population picks between them
+CA2 witness counters in dense blocks behind a slot-level interface
 (see :mod:`repro.topology.digraph`).
 """
 
 from repro.topology.cores.array import ArrayCore
-from repro.topology.cores.sparse import SparseCore
 
-__all__ = ["ArrayCore", "SparseCore"]
+__all__ = ["ArrayCore"]

@@ -1,9 +1,9 @@
 """The array conflict core: adjacency and CA2 witnesses in dense blocks.
 
-One of the two slot-level conflict cores behind
-:class:`~repro.topology.digraph.AdHocDigraph` (the other is
-:mod:`repro.topology.cores.sparse`).  A graph runs this core below
-``_SPARSE_AUTO_MIN`` nodes, which covers every registered scenario.
+The slot-level conflict core behind
+:class:`~repro.topology.digraph.AdHocDigraph`.  Its blocks cost
+5 B × cap², so the graph caps the population below ``MAX_NODES``
+(4096 nodes, 80 MiB of blocks), far above every registered scenario.
 
 * The adjacency and the CA2 witness counters
   ``C2[u, v] = |out(u) ∩ out(v)|`` live in ``(cap, cap)`` blocks with
@@ -57,8 +57,6 @@ def _capacity(n: int, cap: int = _MIN_CAPACITY) -> int:
 
 class ArrayCore:
     """Dense-block adjacency and CA2 witness counters of the live slots."""
-
-    name = "array"
 
     def __init__(self, cap: int = _MIN_CAPACITY) -> None:
         self.adj = np.zeros((cap, cap), dtype=bool)
@@ -154,7 +152,7 @@ class ArrayCore:
         mask[slot] = False
         return np.flatnonzero(mask)
 
-    def conflict_pairs(self, slots: np.ndarray, version: int) -> tuple[np.ndarray, np.ndarray]:
+    def conflict_pairs(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Conflict rows of ``slots``: one boolean block plus ``np.nonzero``."""
         n = self.n
         a = self.adj
@@ -260,16 +258,6 @@ class ArrayCore:
         col[inn] = True
         self._apply_row(i, row)
         self._apply_col(i, col)
-
-    def commit(self, g: "AdHocDigraph", slots: list[int]) -> None:
-        """Bring the edges of slots whose geometry changed up to date.
-
-        Each slot is refreshed against the committed geometry; the final
-        adjacency depends only on the final configurations, so the
-        order does not matter.
-        """
-        for i in slots:
-            self.refresh(g, i)
 
     def unlink(self, i: int) -> None:
         """Retract every edge and witness of slot ``i``.

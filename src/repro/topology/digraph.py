@@ -11,21 +11,17 @@ version, the per-slot touched journal behind delta snapshots, the
 per-version query memo, the snapshot schema and copy-on-write forks.
 All neighbor queries return id lists sorted ascending for determinism.
 
-Adjacency and the CA2 witness counters live in a *conflict core*
+Adjacency and the CA2 witness counters live in the *conflict core*
 behind one slot-level interface: insert / refresh / set-rows / unlink /
 rename of a slot, out/in/undirected/V1/conflict rows, whole-network
-blocks, and the counter state dump/load.  Two cores implement it —
-:class:`~repro.topology.cores.array.ArrayCore` (dense blocks) and
-:class:`~repro.topology.cores.sparse.SparseCore` (CSR rows and witness
-dicts) — and the population picks between them, with no knob: every
-graph starts on the array core and :meth:`AdHocDigraph._maybe_promote`
-moves it to the sparse core once it has (or, for a batched round or a
-restore, will have) ``_SPARSE_AUTO_MIN`` nodes.  Promotion dumps the
-array core's state and loads it into a sparse core, the same load
-:meth:`AdHocDigraph.restore` uses.
+blocks, and the counter state dump/load.
+:class:`~repro.topology.cores.array.ArrayCore` implements it with dense
+``(cap, cap)`` blocks, so a graph holds fewer than ``_MAX_NODES``
+nodes: one check in :meth:`AdHocDigraph._ensure_capacity`, which every
+join, restore and delta reaches before it writes any state, raises a
+:class:`ConfigurationError` past that.
 
-Both cores answer every query with byte-identical results and
-snapshots, and both are checked on every event against a brute-force
+The core is checked on every event against a brute-force
 re-derivation from the node configurations
 (``tests/topology/oracles.py``).  The slot-native query surface
 (:meth:`AdHocDigraph.slot_of`, :meth:`AdHocDigraph.v1_slots`,
@@ -55,7 +51,7 @@ from repro.errors import (
 )
 from repro.geometry.grid_index import SlotGridIndex
 from repro.obs import metrics as _met
-from repro.topology.cores import ArrayCore, SparseCore
+from repro.topology.cores import ArrayCore
 from repro.topology.node import NodeConfig
 from repro.topology.propagation import FreeSpacePropagation, PropagationModel
 from repro.types import NodeId
@@ -63,7 +59,7 @@ from repro.types import NodeId
 if TYPE_CHECKING:  # pragma: no cover - type-only; events imports topology.node
     from repro.events.base import Event
 
-__all__ = ["AdHocDigraph", "TopologyDelta", "default_core"]
+__all__ = ["AdHocDigraph", "TopologyDelta"]
 
 _INITIAL_CAPACITY = 16
 #: Memo key of the assembled conflict-adjacency pair (node ids are ints,
@@ -72,16 +68,20 @@ _CONFLICT_ADJ_KEY = "conflict_adjacency"
 #: Rebuild the spatial grid when a range exceeds this multiple of the
 #: cell size, so disc queries keep touching O(1) cells as power grows.
 _REGRID_FACTOR = 4.0
+#: The population limit: the array core's adjacency and C2 blocks cost
+#: 5 B × cap², 80 MiB at 4096 slots, and no registered scenario comes
+#: near it (the largest runs 160 nodes).  A fixed constant, not a knob.
+_MAX_NODES = 4096
 
 
 def _reject_retired_knobs() -> None:
     """Raise if the environment selects a conflict core by hand.
 
-    Ignoring such a setting silently would stamp results with a core the
-    user did not ask for.  Settings that were already no-ops (unset, or
-    ``0`` for the removed opt-ins) stay accepted; ``REPRO_SPARSE`` chose
-    between the two remaining cores, which the population now decides,
-    so any value of it is rejected.
+    Ignoring such a setting silently would let the user believe results
+    came from a core that no longer exists.  Settings that were already
+    no-ops (unset, or ``0`` for the removed opt-ins) stay accepted;
+    ``REPRO_SPARSE`` chose the removed sparse core, so any value of it
+    is rejected.
     """
     env = os.environ
     for var, removed in (
@@ -93,8 +93,7 @@ def _reject_retired_knobs() -> None:
         if removed:
             raise ConfigurationError(
                 f"{var}={env[var]!r} selects a conflict core by hand, which was "
-                "removed; the population picks the core (array below "
-                f"{_SPARSE_AUTO_MIN} nodes, sparse from there on) — unset it"
+                "removed; the array core is the only conflict core — unset it"
             )
 
 
@@ -107,42 +106,6 @@ _GRID_LAZY_MIN = 256
 #: with the guard) covers most of the population, so candidate gathering
 #: cannot beat a vectorized full scan and the grid is skipped.
 _MIN_SELECTIVE_CELLS = 32
-
-
-def _count_grid_result(cand):
-    """Fold one grid candidate query into the metrics registry.
-
-    ``None`` is the grid's 3n/4-cutoff bailout ("not selective — scan
-    everyone"); an array is a selective window whose size distribution
-    the report surfaces.  Callers guard on ``_met.ENABLED``.
-    """
-    if cand is None:
-        _met.REGISTRY.inc("core.grid.bailout")
-    else:
-        _met.REGISTRY.inc("core.grid.window")
-        _met.REGISTRY.observe("core.grid.candidate_window", int(cand.size))
-    return cand
-
-#: Population at which an array-core graph auto-promotes itself to the
-#: sparse core: past this size the dense (cap, cap)
-#: adjacency/C2 blocks cost O(N²) memory and full-row C2 updates, while
-#: the sparse rows stay O(N + E).  Chosen well above every scenario the
-#: registry sweeps (≤ a few hundred nodes) and below the large-N bench.
-_SPARSE_AUTO_MIN = 4096
-
-
-def default_core(n: int | None = None) -> str:
-    """The conflict core a graph of ``n`` nodes runs.
-
-    ``"array"`` or ``"sparse"``: the array core hands off to sparse once
-    ``n >= _SPARSE_AUTO_MIN`` (``None`` means a small graph).  Execution
-    provenance (sweep manifests, stored point records) stamps this with
-    the population it ran so results record which core produced them.
-    """
-    _reject_retired_knobs()
-    if n is not None and n >= _SPARSE_AUTO_MIN:
-        return "sparse"
-    return "array"
 
 
 @dataclass(frozen=True)
@@ -215,9 +178,7 @@ class AdHocDigraph:
         self._ids: list[NodeId] = []  # index -> id, for the active block
         self._ida = np.zeros(cap, dtype=np.int64)  # slot-aligned ids (hot queries)
         self._index: dict[NodeId, int] = {}
-        # Every graph starts on the array core; _maybe_promote switches
-        # it to sparse once the population reaches _SPARSE_AUTO_MIN.
-        self._core: ArrayCore | SparseCore = ArrayCore()
+        self._core = ArrayCore()
         self._use_grid = bool(getattr(self._prop, "disc_bounded", False))
         self._grid: SlotGridIndex | None = None
         self._grid_cell = grid_cell_size
@@ -249,9 +210,6 @@ class AdHocDigraph:
         # between the siblings and privatized on first write; the core
         # keeps its own sharing state.
         self._grid_shared = False
-        # The threshold holds at every population, the empty one
-        # included: lowered to zero, it starts a new graph on sparse rows.
-        self._maybe_promote(0)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -260,16 +218,6 @@ class AdHocDigraph:
     def propagation(self) -> PropagationModel:
         """The propagation model edges are computed under."""
         return self._prop
-
-    @property
-    def core(self) -> str:
-        """The active core: ``"array"`` or ``"sparse"``.
-
-        Stamped into sweep manifests and stored point provenance so
-        results record which core produced them.  Note an auto-promoted
-        graph reports ``"sparse"`` from the promotion event on.
-        """
-        return self._core.name
 
     @property
     def version(self) -> int:
@@ -385,9 +333,9 @@ class AdHocDigraph:
 
         ``ids`` is ascending; ``A`` is a copy safe to mutate.  This is the
         entry point for vectorized consumers (conflict-matrix builds,
-        whole-network recoloring).  The sparse core densifies its rows
-        here — this is an O(N²) materialization by contract, meant for
-        whole-network consumers, not per-event hot paths.
+        whole-network recoloring).  This is an O(N²) materialization
+        by contract, meant for whole-network consumers, not per-event
+        hot paths.
         """
         order = sorted(range(len(self._ids)), key=lambda j: self._ids[j])
         ids = [self._ids[j] for j in order]
@@ -410,33 +358,8 @@ class AdHocDigraph:
             raise DuplicateNodeError(cfg.node_id)
         i = self._admit(cfg)
         self._core.insert(self, i)
-        self._maybe_promote(len(self._ids))
         self._version += 1
         self._touched[i] = self._version
-        if _met.ENABLED:
-            _met.REGISTRY.inc("core.join.sequential")
-
-    def bulk_join(self, configs: Iterable[NodeConfig]) -> list[TopologyDelta]:
-        """Admit a whole join round as one batched mutation.
-
-        Returns one ``join`` delta per config, with the same version
-        numbers sequential :meth:`add_node` calls would assign, and
-        leaves the graph in exactly the state they would (final
-        adjacency depends only on the final configurations): the round
-        is :meth:`apply_round` over the joins.  On the sparse core the
-        edges of every joiner come from one grid-bucketed sweep (co-located
-        joiners share one candidate gather and one block distance pass)
-        and one grouped C2 commit per touched receiver, so admission
-        cost scales with touched neighborhoods, never with N per event.
-        A round that takes the population to ``_SPARSE_AUTO_MIN`` or
-        beyond promotes the graph to the sparse core first.
-
-        Useful for flash-crowd initialization (build a 10⁵-node network
-        without 10⁵ separate candidate queries).
-        """
-        from repro.events.base import JoinEvent
-
-        return self.apply_round([JoinEvent(cfg) for cfg in configs])
 
     def remove_node(self, node_id: NodeId) -> NodeConfig:
         """Remove ``node_id`` and all incident edges; returns its config."""
@@ -587,97 +510,6 @@ class AdHocDigraph:
         for event in events:
             yield self.apply_event(event)
 
-    def apply_round(self, events: Iterable["Event"]) -> list[TopologyDelta]:
-        """Apply one churn round of events with multi-event batching.
-
-        Returns one :class:`TopologyDelta` per event, with the same
-        kinds, node ids and version numbers :meth:`apply_event` would
-        produce, and leaves the graph in **exactly** the state
-        sequential application would (the final topology depends only on
-        each live node's final configuration, which batching preserves).
-        The intermediate graph states between the round's events are
-        *not* materialized — callers that must observe them (per-event
-        strategy reactions with sequential semantics) should stay on
-        :meth:`replay_events`.
-
-        A round whose joins take the population to ``_SPARSE_AUTO_MIN``
-        promotes the graph to the sparse core first.  Within the round,
-        contiguous runs of join/move events commit their geometry in one
-        pass and then hand the touched slots to the core in one
-        :meth:`~repro.topology.cores.sparse.SparseCore.commit` call (the
-        sparse core requeries them in one grid-bucketed sweep and
-        reconciles each touched receiver once; the array core refreshes
-        them one by one).  Leave and power-change events flush the run
-        (a leave renumbers slots and must capture the departing
-        configuration; a power delta must capture the pre-event conflict
-        set) and apply sequentially.
-        """
-        events = list(events)
-        from repro.events.base import JoinEvent, MoveEvent
-
-        self._maybe_promote(len(self._ids) + sum(isinstance(ev, JoinEvent) for ev in events))
-        deltas: list[TopologyDelta] = []
-        batch: list[Event] = []
-        for ev in events:
-            if isinstance(ev, (JoinEvent, MoveEvent)):
-                batch.append(ev)
-            else:
-                self._flush_round_batch(batch, deltas)
-                deltas.append(self.apply_event(ev))
-        self._flush_round_batch(batch, deltas)
-        return deltas
-
-    def _flush_round_batch(self, batch: list, deltas: list[TopologyDelta]) -> None:
-        """Commit a contiguous join/move run as one batched mutation.
-
-        One geometry/grid commit pass over the run (emitting the
-        per-event deltas), then one core commit of every touched slot.
-        Exact because the final adjacency depends only on each live
-        node's final (position, range) — joins and moves neither
-        renumber slots nor consult pre-event conflict state, which is
-        why leaves and power changes flush the run.
-        """
-        if not batch:
-            return
-        if len(batch) == 1:
-            deltas.append(self.apply_event(batch[0]))
-            batch.clear()
-            return
-        from repro.events.base import JoinEvent
-
-        # Pre-validate the whole run: sequential application reports
-        # these per event; batched geometry must not fail half-written.
-        live = set(self._index)
-        for ev in batch:
-            if isinstance(ev, JoinEvent):
-                if ev.config.node_id in live:
-                    raise DuplicateNodeError(ev.config.node_id)
-                live.add(ev.config.node_id)
-            elif ev.node_id not in live:
-                raise UnknownNodeError(ev.node_id)
-        if _met.ENABLED and all(isinstance(ev, JoinEvent) for ev in batch):
-            _met.REGISTRY.inc("core.join.bulk", len(batch))
-            _met.REGISTRY.inc("core.join.bulk_batches")
-
-        dirty: dict[int, None] = {}
-        for ev in batch:
-            if isinstance(ev, JoinEvent):
-                i = self._admit(ev.config)
-                kind = "join"
-            else:  # MoveEvent
-                i = self._index[ev.node_id]
-                self._pos[i] = (float(ev.x), float(ev.y))
-                if self._grid is not None:
-                    self._own_grid()
-                    self._grid.move(i, float(ev.x), float(ev.y))
-                kind = "move"
-            dirty[i] = None
-            self._version += 1
-            self._touched[i] = self._version
-            deltas.append(TopologyDelta(kind, ev.node_id, self._version))
-        self._core.commit(self, list(dirty))
-        batch.clear()
-
     # ------------------------------------------------------------------
     # Snapshots (warm starts)
     # ------------------------------------------------------------------
@@ -688,9 +520,8 @@ class AdHocDigraph:
         byte-identically: node configurations (in slot order, so the
         CA2 counters stay aligned), the directed edge list, the
         incremental CA2 witness counters, the spatial grid's current
-        cell size, and the topology version.  Derived caches (the query
-        memo, the conflict-row cache) are rebuilt on demand and are not
-        part of the state.
+        cell size, and the topology version.  The derived query memo is
+        rebuilt on demand and is not part of the state.
 
         Schema 2 additionally records the propagation model's name, so
         chained restores (snapshot → restore → replay → snapshot → …,
@@ -701,12 +532,12 @@ class AdHocDigraph:
         counters as sparse ``[u, v, count]`` triples (row-major,
         ascending columns — the ``np.nonzero`` order) instead of the
         dense N×N list, so snapshot size scales with witnesses, not
-        N².  Edges are row-major with ascending columns too, on either
-        core.  The ``"dense"`` field is always ``False``: it records
-        the retired dense re-derive mode, whose snapshots (``"dense":
-        true``, ``c2 = None``) :meth:`restore` still accepts.  Snapshots
-        are idempotent across the chain — re-snapshotting a restored
-        graph reproduces the original dict byte-for-byte.
+        N².  Edges are row-major with ascending columns too.  The
+        ``"dense"`` field is always ``False``: it records the retired
+        dense re-derive mode, whose snapshots (``"dense": true``,
+        ``c2 = None``) :meth:`restore` still accepts.  Snapshots are
+        idempotent across the chain — re-snapshotting a restored graph
+        reproduces the original dict byte-for-byte.
         """
         n = len(self._ids)
         edges, c2 = self._core.dump()
@@ -750,13 +581,12 @@ class AdHocDigraph:
         schema 2, which refuses to restore a snapshot taken under a
         non-default propagation model unless that model is supplied.
 
-        Snapshots are core-independent: the population picks the core
-        before any state lands (a large snapshot never allocates the
-        array core's blocks), so a snapshot written by either core
-        restores into the core its population selects and re-snapshots
-        byte-identically — pinned by ``tests/sim/test_array_replay.py``.
-        Snapshots written by the retired dict and dense cores restore
-        too (see :meth:`_snapshot_c2`).
+        The schema is core-independent: snapshots written by the retired
+        sparse core restore and re-snapshot byte-identically (pinned by
+        a fixture in ``tests/topology/test_delta_fork.py``), and those
+        written by the retired dict and dense cores restore too (see
+        :meth:`_snapshot_c2`).  A snapshot of ``_MAX_NODES`` nodes or
+        more raises before any block is allocated.
         """
         if snapshot.get("kind") == "digraph-delta":
             raise ConfigurationError(
@@ -780,7 +610,6 @@ class AdHocDigraph:
         g = cls(propagation, grid_cell_size=snapshot["explicit_cell"])
         nodes = snapshot["nodes"]
         n = len(nodes)
-        g._maybe_promote(n)  # the population picks the core before any state lands
         g._ensure_capacity(n)
         for slot, (node_id, x, y, tx_range) in enumerate(nodes):
             g._pos[slot] = (x, y)
@@ -789,7 +618,7 @@ class AdHocDigraph:
             g._ida[slot] = node_id
             g._index[node_id] = slot
         edges = snapshot["edges"]
-        g._load_core(type(g._core), edges, g._snapshot_c2(snapshot, edges))
+        g._core = ArrayCore.load(n, edges, g._snapshot_c2(snapshot, edges))
         if g._use_grid:
             cell = snapshot["grid_cell_size"]
             if cell is None and n:  # schema-1 and dense-mode snapshots lack it
@@ -808,14 +637,13 @@ class AdHocDigraph:
     def _snapshot_c2(self, snapshot: dict, edges: list) -> list:
         """A snapshot's CA2 counters as row-major ``[u, v, count]`` triples.
 
-        The one place legacy forms are normalised, whichever core loads
-        the result: schema 3 already stores triples; schemas 1 and 2
-        store a dense N×N matrix (the schema, not the payload, tells
-        them apart — an N×N list at N = 3 is shape-identical to a
-        triple list); snapshots of the retired dense re-derive mode
-        store none (``c2 = None``), so the counters are re-derived from
-        the edges — each receiver's in-clique contributes one witness
-        per ordered pair.
+        The one place legacy forms are normalised: schema 3 already
+        stores triples; schemas 1 and 2 store a dense N×N matrix (the
+        schema, not the payload, tells them apart — an N×N list at
+        N = 3 is shape-identical to a triple list); snapshots of the
+        retired dense re-derive mode store none (``c2 = None``), so the
+        counters are re-derived from the edges — each receiver's
+        in-clique contributes one witness per ordered pair.
         """
         c2 = snapshot["c2"]
         if snapshot["schema"] == 3 and c2 is not None:
@@ -846,14 +674,13 @@ class AdHocDigraph:
     def fork(self) -> "AdHocDigraph":
         """Copy-on-write fork: a clone sharing the heavy conflict state.
 
-        Both siblings keep referencing the same core storage (the array
-        core's blocks, the sparse core's rows and witness dicts) and the
-        same spatial grid; the first mutation on either side copies only
-        what it touches — whole blocks on the array core, the rows of
-        the mutated slots on the sparse core, the grid on its first
-        geometric change.  Flat O(N) per-slot tables (positions, ranges,
-        ids) are copied eagerly; the checkpoint-tree fork rate makes
-        those copies noise next to the state being shared.
+        Both siblings keep referencing the same core blocks and the same
+        spatial grid; the first mutation on either side copies only what
+        it touches — the blocks on the first edge change, the grid on
+        its first geometric change.  Flat O(N) per-slot tables
+        (positions, ranges, ids) are copied eagerly; the checkpoint-tree
+        fork rate makes those copies noise next to the state being
+        shared.
 
         Either sibling may keep mutating; results are byte-identical
         to a :meth:`copy`-based clone (pinned by the CoW aliasing
@@ -985,6 +812,7 @@ class AdHocDigraph:
                 raise ConfigurationError(
                     f"corrupt delta: grown slot {s} has no dirty record"
                 )
+        self._ensure_capacity(n1)  # the population limit, before any write
 
         # Grid plan: when the delta's recorded cell size matches the
         # live grid's, the grid is maintained in place — O(dirty)
@@ -1080,9 +908,7 @@ class AdHocDigraph:
     def conflict_slots(self, slot: int) -> np.ndarray:
         """Slots conflicting with ``slot`` under CA1 ∪ CA2 (sorted).
 
-        The slot-native counterpart of :meth:`conflict_neighbor_ids`; on
-        the sparse core it unions the out-row, in-row and the C2
-        witness keys — O(deg) work with no N-wide mask.
+        The slot-native counterpart of :meth:`conflict_neighbor_ids`.
         """
         return self._core.conflict_slots(slot)
 
@@ -1163,12 +989,10 @@ class AdHocDigraph:
         Row-major: ``rows`` is non-decreasing and within a row ``cols``
         ascends; the diagonal (a slot with itself) is excluded — the
         ``np.nonzero`` order of the ``(len(slots), N)`` conflict block.
-        One call replaces ``len(slots)`` :meth:`conflict_slots` queries.
-        The array core answers it with one boolean block and
-        ``np.nonzero``; the sparse core concatenates its conflict rows,
-        derived at most once per slot and topology version.
+        One call replaces ``len(slots)`` :meth:`conflict_slots` queries:
+        the core answers it with one boolean block and ``np.nonzero``.
         """
-        return self._core.conflict_pairs(np.asarray(slots, dtype=np.intp), self._version)
+        return self._core.conflict_pairs(np.asarray(slots, dtype=np.intp))
 
     def undirected_hop_distances(self, src: NodeId) -> dict[NodeId, int]:
         """BFS hop counts from ``src`` over the undirected support.
@@ -1217,26 +1041,18 @@ class AdHocDigraph:
         except KeyError:
             raise UnknownNodeError(node_id) from None
 
-    def _maybe_promote(self, population: int) -> None:
-        """Switch to the sparse core once ``population`` reaches the threshold.
-
-        The only place that picks a core.  ``population`` is the node
-        count the graph has, or — for a batched round or a restore — the
-        most it will have once the round or the snapshot has landed.
-        Promotion is pure re-representation: the array core's state is
-        dumped and loaded into a sparse core, the load
-        :meth:`restore` uses, so queries, snapshots and later events
-        are byte-identical either way.
-        """
-        if population >= _SPARSE_AUTO_MIN and isinstance(self._core, ArrayCore):
-            self._load_core(SparseCore, *self._core.dump())
-
-    def _load_core(self, core_cls: type, edges: list, c2: list) -> None:
-        """Replace the core with a ``core_cls`` holding :meth:`snapshot`-form state."""
-        self._core = core_cls.load(len(self._ids), edges, c2)
-
     def _ensure_capacity(self, needed: int) -> None:
-        """Grow the flat per-slot arrays (amortized doubling) to hold ``needed``."""
+        """Grow the flat per-slot arrays (amortized doubling) to hold ``needed``.
+
+        The population limit's one check: every path that adds slots
+        (a join, a restore, a delta) comes here before it writes any
+        state, so a refused graph is left as it was.
+        """
+        if needed >= _MAX_NODES:
+            raise ConfigurationError(
+                f"growing the graph from {len(self._ids)} to {needed} nodes: the "
+                f"array conflict core holds fewer than {_MAX_NODES} nodes"
+            )
         cap = len(self._range)
         if needed <= cap:
             return
@@ -1336,14 +1152,11 @@ class AdHocDigraph:
             float(x), float(y), radius, cutoff=max(1, (3 * len(self._ids)) // 4)
         )
         if _met.ENABLED:
-            _count_grid_result(cand)
-        return cand
-
-    def _cell_candidates(self, cell: tuple[int, int], radius: float) -> np.ndarray | None:
-        """:meth:`_candidates` for every slot of one grid ``cell`` at once."""
-        cand = self._grid.candidate_slots_cell(
-            cell[0], cell[1], radius, cutoff=max(1, (3 * len(self._ids)) // 4)
-        )
-        if _met.ENABLED:
-            _count_grid_result(cand)
+            # ``None`` is the 3n/4 bailout; a selective window's size
+            # distribution is surfaced by the report.
+            if cand is None:
+                _met.REGISTRY.inc("core.grid.bailout")
+            else:
+                _met.REGISTRY.inc("core.grid.window")
+                _met.REGISTRY.observe("core.grid.candidate_window", int(cand.size))
         return cand

@@ -20,7 +20,6 @@ __all__ = [
     "PropagationModel",
     "FreeSpacePropagation",
     "ObstructedPropagation",
-    "block_masks",
     "pairwise_masks",
     "ELEMENTWISE_DEFAULT",
 ]
@@ -61,13 +60,14 @@ class PropagationModel(Protocol):
 #: independently — mask entry ``k`` is a pure function of the source
 #: and target ``k`` alone, never of which other targets appear in the
 #: batch.  Both built-in models satisfy it (distance and line-of-sight
-#: tests are per-pair), and the sparse conflict core depends on it to
-#: evaluate grid-bucketed candidate *subsets*: partitioning the targets
-#: across per-cell blocks and concatenating the filtered results must
-#: equal one whole-array evaluation.  A model that breaks the contract
-#: (e.g. capacity-limited coverage of the nearest k targets) must set
-#: ``elementwise = False`` on the class, which pins such graphs to
-#: whole-population evaluation (the grid prefilter is skipped).
+#: tests are per-pair), and the array conflict core depends on it to
+#: evaluate grid candidate *subsets*: an edge refresh tests only the
+#: slots in the grid cells around a node, which must give the same
+#: mask entries as one whole-population evaluation.  A model that
+#: breaks the contract (e.g. capacity-limited coverage of the nearest k
+#: targets) must set ``elementwise = False`` on the class, which pins
+#: such graphs to whole-population evaluation (the grid prefilter is
+#: skipped).
 ELEMENTWISE_DEFAULT = True
 
 
@@ -97,42 +97,6 @@ def pairwise_masks(
         model.coverage(position, tx_range, positions),
         model.covered_by(position, positions, ranges),
     )
-
-
-def block_masks(
-    model: PropagationModel,
-    positions: np.ndarray,
-    tx_ranges: np.ndarray,
-    target_positions: np.ndarray,
-    target_ranges: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(coverage, covered_by)`` blocks of many sources vs. one candidate set.
-
-    The block-distance contract behind the sparse core's streaming bulk
-    join: ``g`` dirty nodes sharing a grid cell are evaluated against the
-    cell's ``c`` candidates in one call instead of ``g`` separate
-    :func:`pairwise_masks` queries.  Returns two ``(g, c)`` boolean
-    arrays — row ``j`` of ``coverage`` marks the candidates node ``j``
-    covers, row ``j`` of ``covered_by`` marks the candidates covering
-    node ``j``.  Models exposing a ``pairwise_block`` method (the
-    built-in free-space model does) answer from one broadcast distance
-    block; other models fall back to a per-row :func:`pairwise_masks`
-    loop.  Either way every row is bitwise identical to the
-    corresponding single-source query — required for the bulk-join
-    path's byte-equivalence with sequential joins.
-    """
-    native = getattr(model, "pairwise_block", None)
-    if native is not None:
-        return native(positions, tx_ranges, target_positions, target_ranges)
-    g = len(positions)
-    c = len(target_positions)
-    cov = np.zeros((g, c), dtype=bool)
-    covby = np.zeros((g, c), dtype=bool)
-    for j in range(g):
-        cov[j], covby[j] = pairwise_masks(
-            model, positions[j], float(tx_ranges[j]), target_positions, target_ranges
-        )
-    return cov, covby
 
 
 @dataclass(frozen=True)
@@ -198,36 +162,6 @@ class FreeSpacePropagation:
         r = np.asarray(ranges, dtype=np.float64)
         return d2 <= float(tx_range) * float(tx_range), d2 <= r * r
 
-    def pairwise_block(
-        self,
-        positions: np.ndarray,
-        tx_ranges: np.ndarray,
-        target_positions: np.ndarray,
-        target_ranges: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(coverage, covered_by)`` blocks from one broadcast distance pass.
-
-        The free-space leg of the block-distance contract (see
-        :func:`block_masks`): one ``(g, c)`` squared-distance block is
-        compared against the sources' own ranges (out-edges) and the
-        candidates' ranges (in-edges).  Each subtraction and product is
-        the same IEEE-754 operation :meth:`pairwise` performs for the
-        corresponding pair, so every row is bitwise identical to the
-        single-source query.
-        """
-        g = len(positions)
-        c = len(target_positions)
-        if g == 0 or c == 0:
-            empty = np.zeros((g, c), dtype=bool)
-            return empty, empty.copy()
-        pos = np.asarray(positions, dtype=np.float64)
-        tgt = np.asarray(target_positions, dtype=np.float64)
-        diff = tgt[None, :, :] - pos[:, None, :]
-        d2 = np.einsum("gcj,gcj->gc", diff, diff)
-        r = np.asarray(tx_ranges, dtype=np.float64)
-        tr = np.asarray(target_ranges, dtype=np.float64)
-        return d2 <= (r * r)[:, None], d2 <= (tr * tr)[None, :]
-
 
 @dataclass(frozen=True)
 class ObstructedPropagation:
@@ -240,7 +174,7 @@ class ObstructedPropagation:
     """
 
     disc_bounded: ClassVar[bool] = True
-    #: LOS is a per-pair test, so blockwise evaluation stays exact.
+    #: LOS is a per-pair test, so candidate-subset evaluation stays exact.
     elementwise: ClassVar[bool] = True
 
     obstacles: tuple[RectObstacle, ...] = field(default_factory=tuple)

@@ -8,15 +8,17 @@ from repro.coloring.smallest_last import smallest_last_node_order
 from repro.topology.conflicts import conflict_matrix
 from repro.topology.digraph import AdHocDigraph
 from repro.topology.static import StaticDigraph
-from tests.conftest import make_random_graph, restore_on
+from tests.conftest import make_random_graph
+
+# run the test once per neighbour search (see tests/conftest.py::use_scan)
+per_scan = pytest.mark.usefixtures("each_scan")
 
 
 class TestReceiverCliqueBound:
-    @pytest.mark.parametrize("sparse", [False, True])
+    @per_scan
     @pytest.mark.parametrize("seed", range(4))
-    def test_native_in_degrees_match_adjacency(self, seed, sparse):
-        core = "sparse" if sparse else "array"
-        graph = restore_on(core, make_random_graph(seed, 30).snapshot())
+    def test_native_in_degrees_match_adjacency(self, seed):
+        graph = AdHocDigraph.restore(make_random_graph(seed, 30).snapshot())
         ids, adj = graph.adjacency()
         by_slot = dict(zip(graph.slot_ids().tolist(), graph.in_degrees().tolist()))
         assert [by_slot[v] for v in ids] == adj.sum(axis=0).tolist()

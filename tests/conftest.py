@@ -29,44 +29,36 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
-#: The population at which graphs switch to the sparse core, as shipped.
-_SPARSE_AUTO_MIN = digraph_mod._SPARSE_AUTO_MIN
+#: The shipped thresholds of the array core's slot grid (see
+#: ``topology/digraph.py``); no test population reaches them.
+_GRID_LAZY_MIN = digraph_mod._GRID_LAZY_MIN
+_MIN_SELECTIVE_CELLS = digraph_mod._MIN_SELECTIVE_CELLS
+
+#: The two ways the array core finds a slot's neighbours.
+SCANS = ("scan", "grid")
 
 
-def use_core(monkeypatch, core: str) -> None:
-    """Make every graph built or restored from now on run ``core``.
+def use_scan(monkeypatch, scan: str) -> None:
+    """Make every graph built or restored from now on find neighbours by ``scan``.
 
-    The population picks a graph's core, so this moves the promotion
-    threshold: ``sparse`` lowers it to zero, which starts even an empty
-    graph (and every restore) on the sparse rows; ``array`` keeps the
-    shipped threshold, which no test population reaches.
+    ``scan`` keeps the shipped thresholds, so small test graphs test
+    every slot with full-row scans.  ``grid`` drops both thresholds to
+    zero: the slot grid is built from the first node (and on every
+    restore or delta), kept up to date through joins, leaves, moves,
+    regrids, forks and copies, and ``refresh`` gathers from grid
+    candidate subsets wherever the query window is selective.
     """
-    threshold = 0 if core == "sparse" else _SPARSE_AUTO_MIN
-    monkeypatch.setattr(digraph_mod, "_SPARSE_AUTO_MIN", threshold)
+    grid = scan == "grid"
+    monkeypatch.setattr(digraph_mod, "_GRID_LAZY_MIN", 0 if grid else _GRID_LAZY_MIN)
+    monkeypatch.setattr(
+        digraph_mod, "_MIN_SELECTIVE_CELLS", 0 if grid else _MIN_SELECTIVE_CELLS
+    )
 
 
-def core_graph(core: str, propagation=None) -> AdHocDigraph:
-    """An empty digraph on the named conflict core (``array``/``sparse``).
-
-    A graph built on the sparse core never returns to the array core,
-    so the threshold only has to be moved while it is built.
-    """
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        use_core(monkeypatch, core)
-        return AdHocDigraph(propagation)
-
-
-def restore_on(core: str, snapshot: dict, **kwargs) -> AdHocDigraph:
-    """:meth:`AdHocDigraph.restore` ``snapshot`` straight onto ``core``."""
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        use_core(monkeypatch, core)
-        return AdHocDigraph.restore(snapshot, **kwargs)
-
-
-@pytest.fixture(params=["array", "sparse"])
-def each_core(request, monkeypatch) -> str:
-    """Run the requesting test once per conflict core (see :func:`use_core`)."""
-    use_core(monkeypatch, request.param)
+@pytest.fixture(params=SCANS)
+def each_scan(request, monkeypatch) -> str:
+    """Run the requesting test once per neighbour search (see :func:`use_scan`)."""
+    use_scan(monkeypatch, request.param)
     return request.param
 
 

@@ -10,6 +10,9 @@ from repro.strategies.minim import MinimStrategy
 from repro.topology.builder import build_digraph
 from repro.topology.node import NodeConfig
 
+# run the test once per neighbour search (see tests/conftest.py::use_scan)
+per_scan = pytest.mark.usefixtures("each_scan")
+
 
 class TestEventTypes:
     def test_kinds(self):
@@ -145,12 +148,12 @@ class TestJoinBatchPlannerOracle:
             for i in ids
         ]
 
+    @per_scan
     @pytest.mark.parametrize("min_separation", range(1, 6))
     @pytest.mark.parametrize("seed", range(3))
-    def test_batches_match_the_full_bfs_planner(self, each_core, seed, min_separation):
+    def test_batches_match_the_full_bfs_planner(self, seed, min_separation):
         rng = np.random.default_rng(seed)
         base = build_digraph(self._configs(rng, range(30)))
-        assert base.core == each_core
         joins = [JoinEvent(cfg) for cfg in self._configs(rng, range(100, 116))]
         before = base.snapshot()
         got = plan_parallel_join_batches(base, joins, min_separation=min_separation)

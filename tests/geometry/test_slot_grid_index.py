@@ -97,14 +97,12 @@ class TestLifecycle:
         g = SlotGridIndex(10.0)
         g.insert(0, 1.0, 1.0)
         g.move(0, 95.0, 95.0)
-        assert g.cell_of(0) == (9, 9)
         assert g.candidate_slots(1.0, 1.0, 5.0).tolist() == []
         assert g.candidate_slots(95.0, 95.0, 5.0).tolist() == [0]
 
     def test_negative_coordinates_supported(self):
         g = SlotGridIndex(10.0)
         g.insert(0, -25.0, -3.0)
-        assert g.cell_of(0) == (-3, -1)
         assert g.candidate_slots(-25.0, -3.0, 0.5).tolist() == [0]
 
     def test_copy_is_independent(self):
@@ -222,7 +220,7 @@ class TestCutoff:
 
 class TestBoundaryAndBailout:
     """Exact cell-edge radii, queries outside the grown bbox, and the
-    3n/4 full-scan bailout the sparse core's candidate gathers rely on.
+    3n/4 full-scan bailout the array core's candidate gathers rely on.
     """
 
     def test_radius_exactly_on_cell_edge_keeps_boundary_points(self):
@@ -241,13 +239,9 @@ class TestBoundaryAndBailout:
         g.insert(1, -45.0, 32.0)
         for qx, qy in [(1e6, 1e6), (-1e6, 40.0), (50.0, -1e6)]:
             assert g.candidate_slots(qx, qy, 25.0).size == 0
-            # the integer cell-window spelling agrees
-            cx, cy = int(qx // 10.0), int(qy // 10.0)
-            out = g.candidate_slots_cell(cx, cy, 25.0)
-            assert out is not None and out.size == 0
 
     def test_three_quarter_full_scan_bailout(self):
-        # the sparse core hands the grid cutoff = 3n/4: a gather that
+        # the digraph hands the grid cutoff = 3n/4: a gather that
         # reaches it must bail to None (callers scan every slot instead)
         n = 16
         g = SlotGridIndex(10.0)
@@ -337,36 +331,3 @@ class TestAgainstBruteForce:
             r = float(rng.uniform(0, 30))
             cand = g.candidate_slots(qx, qy, r).tolist()
             assert sorted(cand) == sorted(_brute_force_window(pts, cell, qx, qy, r))
-
-
-class TestCellWindowQueries:
-    """``cell_of`` + ``candidate_slots_cell`` — the bulk-join surface."""
-
-    def test_cell_of_matches_insert_position(self):
-        g = SlotGridIndex(10.0)
-        g.insert(3, 25.0, -7.0)
-        assert g.cell_of(3) == (2, -1)
-        with pytest.raises(UnknownNodeError):
-            g.cell_of(99)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_cell_window_covers_every_member_window(self, seed):
-        rng = np.random.default_rng(seed + 50)
-        cell = float(rng.uniform(3.0, 12.0))
-        g = SlotGridIndex(cell)
-        pts = [(float(rng.uniform(0, 100)), float(rng.uniform(0, 100))) for _ in range(120)]
-        for slot, (x, y) in enumerate(pts):
-            g.insert(slot, x, y)
-        radius = float(rng.uniform(0.0, 30.0))
-        for slot, (x, y) in list(enumerate(pts))[::17]:
-            cx, cy = g.cell_of(slot)
-            cell_cand = set(g.candidate_slots_cell(cx, cy, radius).tolist())
-            point_cand = set(g.candidate_slots(x, y, radius).tolist())
-            assert point_cand <= cell_cand  # covers each member's window
-
-    def test_cell_window_negative_radius_and_cutoff(self):
-        g = SlotGridIndex(10.0)
-        g.insert(0, 5.0, 5.0)
-        with pytest.raises(ConfigurationError):
-            g.candidate_slots_cell(0, 0, -1.0)
-        assert g.candidate_slots_cell(0, 0, 100.0, cutoff=1) is None

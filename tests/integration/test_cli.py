@@ -135,34 +135,9 @@ class TestScenarioCommand:
 class TestBenchCommand:
     def test_bench_writes_json(self, tmp_path, capsys):
         out_path = tmp_path / "BENCH_eventloop.json"
-        # --large-n 0 skips the N=10⁴ scale traces (large-n and
-        # checkpoint families): this test covers the harness plumbing,
-        # not the ~minutes large-join measurement (CI's smoke-bench job
-        # runs it through the default CLI invocation, and the
-        # sparse-core job smokes it at N=20000), so only the cheap
-        # tracing-overhead family runs.
-        rc = main(
-            [
-                "bench",
-                "--runs",
-                "1",
-                "--large-n",
-                "0",
-                "--profile",
-                "--out",
-                str(out_path),
-            ]
-        )
+        rc = main(["bench", "--runs", "1", "--out", str(out_path)])
         printed = capsys.readouterr().out
         assert rc == 0
-        profile_path = tmp_path / "BENCH_eventloop_profile.txt"
-        assert profile_path.exists()  # --profile: top-25 rows beside the JSON
-        profile_text = profile_path.read_text()
-        # sorted by cumulative time and showing real harness frames —
-        # which exact function tops the list depends on n, so pin the
-        # module rather than one row
-        assert "Ordered by: cumulative time" in profile_text
-        assert "repro/sim/bench.py" in profile_text
         assert "obs-overhead" in printed and "speedup" in printed
         entries = json.loads(out_path.read_text())
         assert [(e["scenario"], e["mode"]) for e in entries] == [
@@ -174,53 +149,17 @@ class TestBenchCommand:
             assert e["n"] == 120 and e["runs"] == 1
         assert entries[-1]["trace_on_vs_off"] > 0
 
-    def test_bench_rejects_small_large_n(self, capsys):
-        rc = main(["bench", "--runs", "1", "--large-n", "100"])
-        assert rc == 2
-        assert "large-n" in capsys.readouterr().err
-
-    def test_large_n_only_requires_a_large_n(self, capsys):
-        rc = main(["bench", "--runs", "1", "--large-n", "0", "--large-n-only"])
-        assert rc == 2
-        assert "large-n-only" in capsys.readouterr().err
-
-    def test_trace_skips_the_obs_overhead_family(self, tmp_path, capsys):
-        out_path = tmp_path / "bench.json"
-        trace_path = tmp_path / "t.jsonl"
-        rc = main(
-            [
-                "bench",
-                "--runs",
-                "1",
-                "--large-n",
-                "0",
-                "--trace",
-                str(trace_path),
-                "--out",
-                str(out_path),
-            ]
-        )
-        assert rc == 0
-        assert "skipping the obs-overhead family" in capsys.readouterr().err
-        assert json.loads(out_path.read_text()) == []
-        assert trace_path.exists()
+    def test_bench_rejects_zero_runs(self, capsys):
+        assert main(["bench", "--runs", "0"]) == 2
+        assert "runs" in capsys.readouterr().err
 
     def test_help_lists_the_bench_options(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--help"])
         assert exc.value.code == 0
-        # "-h, --help" leads its line, so this reads the eight options besides it
+        # "-h, --help" leads its line, so this reads the three options besides it
         options = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
-        assert options == {
-            "--runs",
-            "--large-n",
-            "--max-mem",
-            "--large-n-only",
-            "--profile",
-            "--seed",
-            "--out",
-            "--trace",
-        }
+        assert options == {"--runs", "--seed", "--out"}
 
 
 class TestWorkerAndStoreCommands:

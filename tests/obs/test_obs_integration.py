@@ -50,6 +50,19 @@ def test_traced_sweep_has_phase_and_task_spans(tmp_path):
     assert check_trace(records) == []
     snaps = [r for r in records if r["type"] == "metrics"]
     assert snaps, "close() must flush a final metrics snapshot"
+
+
+def test_conflict_core_counters_reach_the_trace(tmp_path):
+    # a power change reads the node's pre-event conflict set through
+    # the graph's query memo, which counts its hits and misses
+    spec = replace(get_scenario("fig11-power"), n=16, strategies=("Minim",), sweep_values=(2.0,))
+    path = tmp_path / "trace.jsonl"
+    obs.enable(path)
+    try:
+        run_sweep(spec, runs=1, seed=42)
+    finally:
+        obs.close()
+    snaps = [r for r in obs.load_trace(path) if r["type"] == "metrics"]
     assert any(
         k.startswith("core.") for snap in snaps for k in snap["data"]["counters"]
     ), "conflict-core counters must reach the trace"

@@ -33,8 +33,9 @@ def _sweep_records():
         {"type": "metrics", "ts": 103.0, "pid": 1,
          "data": {"counters": {"core.memo.hit": 8, "core.memo.miss": 2,
                                "timeline.rounds.saved": 3, "timeline.rounds.replayed": 1},
-                  "gauges": {}, "histograms": {"core.grid.candidate_window":
-                                               {"count": 4, "total": 40.0, "min": 5.0, "max": 20.0}}}},
+                  "gauges": {},
+                  "histograms": {"core.grid.candidate_window":
+                                 {"count": 4, "total": 40.0, "min": 5.0, "max": 20.0}}}},
     ]
 
 

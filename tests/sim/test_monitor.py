@@ -154,7 +154,6 @@ class TestExportCsv:
         assert {row["run"] for row in rows} == {"0", "1"}
         assert all(row["strategy"] == "Minim" for row in rows)
         assert all(row["worker"].startswith("proc-") for row in rows)
-        assert all(row["core"] == "array" for row in rows)  # small sweep
         assert all(float(row["recodings"]) >= 0 for row in rows)
 
     def test_delta_rounds_points_get_one_row_per_round(self, tmp_path):
@@ -179,6 +178,15 @@ class TestExportCsv:
         assert export_csv(backend, buf) == 1
         (row,) = csv.DictReader(io.StringIO(buf.getvalue()))
         assert row["strategy"] == "s0" and row["max_color"] == "1.0"
+
+    def test_legacy_core_stamps_still_export(self, tmp_path):
+        # records written while the sweep stamped its conflict core
+        backend = SqliteBackend(tmp_path / "s.sqlite")
+        backend.save_point("old", [[1.0, 2.0, 3.0]], context={"worker": "w", "core": "sparse"})
+        buf = io.StringIO()
+        assert export_csv(backend, buf) == 1
+        (row,) = csv.DictReader(io.StringIO(buf.getvalue()))
+        assert row["worker"] == "w" and "core" not in row
 
 
 class TestInspectQuarantined:

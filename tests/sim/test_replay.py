@@ -12,12 +12,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.coloring.assignment import ArrayCodeAssignment
 from repro.errors import ConfigurationError
 from repro.events.base import Event, JoinEvent, LeaveEvent, MoveEvent, PowerChangeEvent
 from repro.sim.network import AdHocNetwork, MultiStrategyReplay
 from repro.sim.random_networks import sample_configs
 from repro.strategies import make_strategy
-from tests.conftest import use_core
+
+# run the test once per neighbour search (see tests/conftest.py::use_scan)
+per_scan = pytest.mark.usefixtures("each_scan")
+
 
 STRATEGY_SETS = [
     ("Minim",),
@@ -30,14 +34,12 @@ def random_trace(
     n: int,
     extra_events: int,
     rng: np.random.Generator,
-    *,
-    with_leaves: bool = True,
 ) -> list[Event]:
     """n joins followed by random move/power(/leave+rejoin) events."""
     configs = sample_configs(n, rng)
     events: list[Event] = [JoinEvent(cfg) for cfg in configs]
     live = {cfg.node_id: cfg for cfg in configs}
-    kinds = ["move", "power_up", "power_down"] + (["churn"] if with_leaves else [])
+    kinds = ["move", "power_up", "power_down", "churn"]
     for _ in range(extra_events):
         kind = kinds[int(rng.integers(len(kinds)))]
         node = int(rng.choice(sorted(live)))
@@ -59,6 +61,7 @@ def random_trace(
     return events
 
 
+@per_scan
 class TestEquivalencePin:
     @pytest.mark.parametrize("strategies", STRATEGY_SETS)
     @pytest.mark.parametrize("trace_seed", [0, 1, 2])
@@ -85,14 +88,6 @@ class TestEquivalencePin:
 
         for lane in replay.lanes:
             assert is_valid(replay.graph, lane.assignment)
-
-    def test_sparse_core_matches_array_core(self, monkeypatch):
-        events = random_trace(14, 16, np.random.default_rng(3), with_leaves=False)
-        array = MultiStrategyReplay([make_strategy("Minim")]).run(events)
-        use_core(monkeypatch, "sparse")
-        sparse = MultiStrategyReplay([make_strategy("Minim")]).run(events)
-        assert (array.graph.core, sparse.graph.core) == ("array", "sparse")
-        assert array.lanes[0].metrics.records == sparse.lanes[0].metrics.records
 
 
 class TestReplayApi:
@@ -122,3 +117,18 @@ class TestReplayApi:
         assert len({id(lane.assignment) for lane in replay.lanes}) == 3
         for lane in replay.lanes:
             assert len(lane.metrics.records) == 6
+
+
+@per_scan
+class TestLaneContainers:
+    def test_lanes_hold_array_assignments(self):
+        replay = MultiStrategyReplay([make_strategy("Minim")])
+        replay.run(random_trace(8, 4, np.random.default_rng(5)))
+        assert isinstance(replay.lanes[0].assignment, ArrayCodeAssignment)
+
+    def test_fork_preserves_the_container_kind(self):
+        replay = MultiStrategyReplay([make_strategy("Minim")])
+        replay.run(random_trace(8, 6, np.random.default_rng(5)))
+        fork = replay.fork()
+        assert isinstance(fork.lanes[0].assignment, ArrayCodeAssignment)
+        assert fork.lanes[0].assignment.as_dict() == replay.lanes[0].assignment.as_dict()

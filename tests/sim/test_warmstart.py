@@ -16,7 +16,9 @@ from repro.sim.scenarios import scenario_phases
 from repro.sim.sweep import build_sweep, plan_tasks, run_sweep
 from repro.strategies import make_strategy
 from repro.topology.digraph import AdHocDigraph
-from tests.conftest import core_graph
+
+# run the test once per neighbour search (see tests/conftest.py::use_scan)
+per_scan = pytest.mark.usefixtures("each_scan")
 
 
 def paired_spec(**overrides):
@@ -39,11 +41,11 @@ def _graph_state(graph: AdHocDigraph):
 # AdHocDigraph.snapshot() / restore()
 # ----------------------------------------------------------------------
 class TestDigraphSnapshot:
-    @pytest.mark.parametrize("core", ["array", "sparse"])
-    def test_restore_then_replay_matches_uninterrupted_graph(self, core):
+    @per_scan
+    def test_restore_then_replay_matches_uninterrupted_graph(self):
         rng = np.random.default_rng(11)
         cfgs = sample_configs(25, rng)
-        g = core_graph(core)
+        g = AdHocDigraph()
         for c in cfgs[:15]:
             g.add_node(c)
         # full JSON round trip: snapshots must survive serialization
@@ -64,7 +66,6 @@ class TestDigraphSnapshot:
         snap = g.snapshot()
         h = AdHocDigraph.restore(snap)
         assert snap["dense"] is False
-        assert h.core == "array"
         assert h.snapshot() == snap
 
     def test_empty_graph_round_trips(self):

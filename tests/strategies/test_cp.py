@@ -1,27 +1,21 @@
 """Tests for the CP baseline strategy."""
 
-import tracemalloc
-
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.coloring.assignment import ArrayCodeAssignment, CodeAssignment
+from repro.coloring.assignment import CodeAssignment
 from repro.sim.network import AdHocNetwork
 from repro.strategies.cp import (
     CPStrategy,
     plan_cp_join,
-    plan_cp_move,
-    plan_cp_power_increase,
     reselect_colors,
 )
 from repro.strategies.cp.join import duplicated_members
 from repro.strategies.minim import minimal_join_bound
 from repro.sim.random_networks import sample_configs
-from repro.topology.builder import build_digraph
 from repro.topology.node import NodeConfig
 from repro.topology.static import StaticDigraph
-from tests.conftest import use_core
 
 
 class TestDuplicatedMembers:
@@ -147,44 +141,3 @@ class TestVicinityVariantSafety:
         for cfg in sample_configs(12, rng):
             net.join(cfg)
         assert net.is_valid()
-
-
-def _peak_bytes(plan) -> int:
-    """Peak traced allocation of one call of ``plan`` (after a warm-up call)."""
-    plan()
-    tracemalloc.start()
-    try:
-        plan()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-class TestSparseCost:
-    def _plan_peaks(self, remote: int) -> list[int]:
-        # A 120-node cluster, plus ``remote`` nodes on a line far away
-        # with no edge to it: the plans around node 7 see the same rows.
-        rng = np.random.default_rng(3)
-        local = [
-            NodeConfig(i, float(x), float(y), 25.0)
-            for i, (x, y) in enumerate(rng.uniform(0, 100, (120, 2)))
-        ]
-        far = [NodeConfig(1000 + i, 10_000.0 + 30.0 * i, 10_000.0, 25.0) for i in range(remote)]
-        graph = build_digraph(local + far)
-        assert graph.core == "sparse"
-        a = ArrayCodeAssignment({c.node_id: 1 + c.node_id % 4 for c in local + far})
-        return [
-            _peak_bytes(lambda: plan_cp_join(graph, a, 7)),
-            _peak_bytes(lambda: plan_cp_move(graph, a, 7)),
-            _peak_bytes(lambda: plan_cp_power_increase(graph, a, 7, set())),
-            _peak_bytes(lambda: plan_cp_join(graph, a, 7, vicinity_colors=True)),
-        ]
-
-    def test_plans_allocate_nothing_network_wide(self, monkeypatch):
-        # On the sparse core an event costs O(degree): 5,000 more nodes
-        # elsewhere may not grow what a plan allocates (an N-wide bool
-        # mask alone would add 5,000 bytes).
-        use_core(monkeypatch, "sparse")
-        near = self._plan_peaks(0)
-        for small, large in zip(near, self._plan_peaks(5000)):
-            assert large <= small + 1024

@@ -1,13 +1,13 @@
 """The array Minim and CP plans against their per-member oracles.
 
-Every join and move of the paper's figure sweeps, at small ``n`` and on
-both conflict cores, must produce exactly the oracle's plan: the same
-new colors, the same changes in the same order, the same palette bound
-and message count.  A second group pins the float64 exactness guard of
-the lexicographic weights.  The CP group replays the figures and two
+Every join and move of the paper's figure sweeps, at small ``n``, must
+produce exactly the oracle's plan: the same new colors, the same
+changes in the same order, the same palette bound and message count.
+A second group pins the float64 exactness guard of the lexicographic
+weights.  The CP group replays the figures and two
 churn scenarios through an oracle-checked CP lane (every join, move and
 power increase, under every ordering and takenness option), checks
-random networks with partial colorings on both cores and on an
+random networks with partial colorings on the digraph and on an
 explicit-edge graph, and pins the mover and CA2 power-increase cases.
 """
 
@@ -36,7 +36,7 @@ from repro.strategies.minim.join import solve_v1_assignment
 from repro.topology.builder import build_digraph
 from repro.topology.node import NodeConfig
 from repro.topology.static import StaticDigraph
-from tests.conftest import make_random_graph, use_core
+from tests.conftest import make_random_graph
 from tests.strategies.oracles import (
     cp_join_oracle,
     cp_move_oracle,
@@ -46,6 +46,10 @@ from tests.strategies.oracles import (
     reselect_colors_oracle,
     solve_v1_oracle,
 )
+
+# run the test once per neighbour search (see tests/conftest.py::use_scan)
+per_scan = pytest.mark.usefixtures("each_scan")
+
 
 FIGURES = ["fig10-join", "fig10-range", "fig11-power", "fig12-move-disp", "fig12-move-rounds"]
 
@@ -74,11 +78,8 @@ class OracleCheckedMinim(MinimStrategy):
         return super().on_move(graph, assignment, node_id)
 
 
-def replay_checked(
-    name: str, core: str, monkeypatch, *, n: int = 18, checked_cls=OracleCheckedMinim, **options
-) -> int:
+def replay_checked(name: str, *, n: int = 18, checked_cls=OracleCheckedMinim, **options) -> int:
     """Replay every sweep value of scenario ``name``; the number of plans checked."""
-    use_core(monkeypatch, core)
     spec = replace(get_scenario(name), n=min(get_scenario(name).n, n))
     checked = 0
     for k, value in enumerate(spec.sweep_values):
@@ -86,20 +87,19 @@ def replay_checked(
         strategy = checked_cls(**options)
         replay = MultiStrategyReplay([strategy], validate=True)
         replay.run(phases.events)
-        assert replay.graph.core == core
         checked += strategy.checked
     return checked
 
 
-@pytest.mark.parametrize("core", ["array", "sparse"])
+@per_scan
 @pytest.mark.parametrize("name", FIGURES)
-def test_every_figure_plan_matches_oracle(name, core, monkeypatch):
-    assert replay_checked(name, core, monkeypatch) > 0
+def test_every_figure_plan_matches_oracle(name):
+    assert replay_checked(name) > 0
 
 
-@pytest.mark.parametrize("core", ["array", "sparse"])
-def test_weight_ablation_matches_oracle(core, monkeypatch):
-    assert replay_checked("fig12-move-disp", core, monkeypatch, old_color_weight=1) > 0
+@per_scan
+def test_weight_ablation_matches_oracle():
+    assert replay_checked("fig12-move-disp", old_color_weight=1) > 0
 
 
 def test_dict_assignment_and_static_graph_match_oracle():
@@ -199,17 +199,17 @@ class OracleCheckedCP(CPStrategy):
 CP_SCENARIOS = FIGURES + ["hotspot-churn", "random-waypoint"]
 
 
-@pytest.mark.parametrize("core", ["array", "sparse"])
+@per_scan
 @pytest.mark.parametrize("name", CP_SCENARIOS)
-def test_every_cp_plan_matches_oracle(name, core, monkeypatch):
-    assert replay_checked(name, core, monkeypatch, checked_cls=OracleCheckedCP) > 0
+def test_every_cp_plan_matches_oracle(name):
+    assert replay_checked(name, checked_cls=OracleCheckedCP) > 0
 
 
-@pytest.mark.parametrize("core", ["array", "sparse"])
+@per_scan
 @pytest.mark.parametrize("options", CP_OPTIONS[1:], ids=["lowest", "vicinity", "lowest-vicinity"])
 @pytest.mark.parametrize("name", ["fig11-power", "fig12-move-disp", "hotspot-churn"])
-def test_cp_options_match_oracle(name, options, core, monkeypatch):
-    assert replay_checked(name, core, monkeypatch, checked_cls=OracleCheckedCP, **options) > 0
+def test_cp_options_match_oracle(name, options):
+    assert replay_checked(name, checked_cls=OracleCheckedCP, **options) > 0
 
 
 def random_partial_coloring(graph, seed: int) -> dict[int, int]:
@@ -248,10 +248,10 @@ def check_random_plans(graph, codes: dict[int, int], make_assignment, seed: int)
     return checked
 
 
+@per_scan
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_cp_random_networks_match_oracle(seed, each_core):
+def test_cp_random_networks_match_oracle(seed):
     graph = make_random_graph(seed, n=24, min_range=25.5, max_range=40.5)
-    assert graph.core == each_core
     codes = random_partial_coloring(graph, seed)
     assert check_random_plans(graph, codes, ArrayCodeAssignment, seed) > 0
 
@@ -264,7 +264,8 @@ def test_cp_static_digraph_matches_oracle(seed):
     assert check_random_plans(graph, codes, CodeAssignment, seed) > 0
 
 
-def test_duplicated_members_and_reselect_match_oracle(each_core):
+@per_scan
+def test_duplicated_members_and_reselect_match_oracle():
     graph = make_random_graph(4, n=30, min_range=25.5, max_range=40.5)
     codes = random_partial_coloring(graph, 4)
     for make in (CodeAssignment, ArrayCodeAssignment):
@@ -294,7 +295,8 @@ def test_mover_landing_on_its_old_color_still_announces():
     assert_same_cp_plan(plan_cp_move(g, arr, 0), cp_move_oracle(g, a, 0))
 
 
-def test_power_increase_with_gained_ca2_constraint(each_core):
+@per_scan
+def test_power_increase_with_gained_ca2_constraint():
     # 1 raises its range to reach receiver 3, which 2 also reaches: 1 and
     # 2 gain a CA2 constraint (no edge between them) and share color 1.
     graph = build_digraph(
@@ -304,7 +306,6 @@ def test_power_increase_with_gained_ca2_constraint(each_core):
             NodeConfig(3, 10.0, 0.0, tx_range=1.0),
         ]
     )
-    assert graph.core == each_core
     old = graph.conflict_neighbor_ids(1)
     graph.set_range(1, 12.0)
     assert not graph.has_edge(1, 2) and not graph.has_edge(2, 1)

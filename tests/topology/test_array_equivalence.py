@@ -1,15 +1,13 @@
-"""Conflict-core equivalence: array and sparse against the topology oracle.
+"""The array conflict core against the topology oracle.
 
 The acceptance bar for every core change: on randomized event traces
-both cores must match the brute-force oracle
+the core must match the brute-force oracle
 (``tests/topology/oracles.py`` — adjacency, conflict sets and CA2
 witness counters re-derived from the node configurations) after every
-event, and their snapshots must be byte-identical to each other.  The
-slot-indexed query surface (``v1_slots``, ``conflict_pairs``) must
-agree with the id-level queries it replaces, the sparse core's round
-batching (:meth:`AdHocDigraph.apply_round`) must land on exactly the
-state sequential application produces, and snapshots written by the
-retired dict and dense cores must still restore.
+event.  The slot-indexed query surface (``v1_slots``,
+``conflict_pairs``) must agree with the id-level queries it replaces,
+and snapshots written by the retired dict and dense cores must still
+restore.
 """
 
 from __future__ import annotations
@@ -20,23 +18,19 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.events.base import JoinEvent, LeaveEvent, MoveEvent, PowerChangeEvent
 from repro.geometry.grid_index import SlotGridIndex
 from repro.geometry.obstacles import RectObstacle
-from repro.topology.digraph import AdHocDigraph, default_core
+from repro.topology.digraph import AdHocDigraph
 from repro.topology.node import NodeConfig
 from repro.topology.propagation import ObstructedPropagation
-from tests.conftest import core_graph, restore_on
 from tests.topology.oracles import assert_matches_oracle
 
-CORES = ("array", "sparse")
+# run the test once per neighbour search (see tests/conftest.py::use_scan)
+per_scan = pytest.mark.usefixtures("each_scan")
 
 
-def _both_cores(prop=None):
-    return [core_graph("array", prop), core_graph("sparse", prop)]
-
-
-def _random_trace(graphs, seed, steps, check, area=100.0, first_id=1, alive=None):
+def _random_trace(g, seed, steps, area=100.0, first_id=1, alive=None):
+    """Random joins, leaves, moves and power changes; the oracle after each."""
     rng = np.random.default_rng(seed)
     alive = list(alive) if alive is not None else []
     next_id = first_id
@@ -49,88 +43,66 @@ def _random_trace(graphs, seed, steps, check, area=100.0, first_id=1, alive=None
                 float(rng.uniform(0, area)),
                 float(rng.uniform(5, 40)),
             )
-            for g in graphs:
-                g.add_node(cfg)
+            g.add_node(cfg)
             alive.append(next_id)
             next_id += 1
         elif op == 2 and len(alive) > 1:
             v = alive.pop(int(rng.integers(0, len(alive))))
-            for g in graphs:
-                g.remove_node(v)
+            g.remove_node(v)
         elif op == 3:
             v = alive[int(rng.integers(0, len(alive)))]
             x, y = float(rng.uniform(0, area)), float(rng.uniform(0, area))
-            for g in graphs:
-                g.move_node(v, x, y)
+            g.move_node(v, x, y)
         else:
             # occasionally a large raise (exercises the regrid rule)
             v = alive[int(rng.integers(0, len(alive)))]
             r = float(rng.uniform(5, 40)) * (6.0 if rng.random() < 0.1 else 1.0)
-            for g in graphs:
-                g.set_range(v, r)
-        check(graphs, alive)
-
-
-def _assert_cores_agree(graphs, alive):
-    """Every graph matches the oracle and all snapshots are identical."""
-    for g in graphs:
+            g.set_range(v, r)
         assert_matches_oracle(g)
-    reference = graphs[0].snapshot()
-    for g in graphs[1:]:
-        assert g.snapshot() == reference
 
 
 class TestRandomizedArrayEquivalence:
+    @per_scan
     @pytest.mark.parametrize("seed", range(6))
     def test_free_space_traces_identical(self, seed):
-        graphs = _both_cores()
-        assert [g.core for g in graphs] == ["array", "sparse"]
-        _random_trace(graphs, seed, steps=70, check=_assert_cores_agree)
+        _random_trace(AdHocDigraph(), seed, steps=70)
 
+    @per_scan
     @pytest.mark.parametrize("seed", range(4))
     def test_obstructed_propagation_identical(self, seed):
         prop = ObstructedPropagation((RectObstacle(30.0, 30.0, 60.0, 40.0),))
-        _random_trace(_both_cores(prop), seed, steps=45, check=_assert_cores_agree)
+        _random_trace(AdHocDigraph(prop), seed, steps=45)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_sparse_area_engages_grid_candidates(self, seed):
         # a huge area with short ranges spreads nodes over many cells,
-        # pushing both cores past the selectivity gate so the
-        # candidate-gather path itself is equivalence-checked
+        # pushing the core past the selectivity gate so the
+        # candidate-gather path itself is checked against the oracle
         rng = np.random.default_rng(seed)
-        graphs = _both_cores()
+        g = AdHocDigraph()
         for node_id in range(1, 400):
-            cfg = NodeConfig(
-                node_id,
-                float(rng.uniform(0, 2000)),
-                float(rng.uniform(0, 2000)),
-                float(rng.uniform(20, 40)),
+            g.add_node(
+                NodeConfig(
+                    node_id,
+                    float(rng.uniform(0, 2000)),
+                    float(rng.uniform(0, 2000)),
+                    float(rng.uniform(20, 40)),
+                )
             )
-            for g in graphs:
-                g.add_node(cfg)
-        for g in graphs:
-            assert isinstance(g.grid_index, SlotGridIndex)
-            assert g.grid_index.cell_count > 32  # gate open: gathers engage
-        _random_trace(
-            graphs,
-            seed,
-            steps=30,
-            check=_assert_cores_agree,
-            area=2000.0,
-            first_id=400,
-            alive=range(1, 400),
-        )
+        assert isinstance(g.grid_index, SlotGridIndex)
+        assert g.grid_index.cell_count > 32  # gate open: gathers engage
+        _random_trace(g, seed, steps=30, area=2000.0, first_id=400, alive=range(1, 400))
 
-    @pytest.mark.parametrize("core", sorted(CORES))
-    def test_grid_tracks_every_node(self, core):
-        g = core_graph(core)
+    @per_scan
+    def test_grid_tracks_every_node(self):
+        g = AdHocDigraph()
         g.add_node(NodeConfig(1, 10.0, 10.0, 25.0))
         assert g.grid_index is not None  # forces the deferred build
         assert len(g.grid_index) == 1
 
-    @pytest.mark.parametrize("core", sorted(CORES))
-    def test_regrid_on_large_power_raise(self, core):
-        g = core_graph(core)
+    @per_scan
+    def test_regrid_on_large_power_raise(self):
+        g = AdHocDigraph()
         for i in range(1, 10):
             g.add_node(NodeConfig(i, 10.0 * i, 5.0, 4.0))
         small_cell = g.grid_index.cell_size
@@ -139,16 +111,15 @@ class TestRandomizedArrayEquivalence:
         assert g.out_neighbors(3) == [1, 2, 4, 5, 6, 7, 8, 9]
         assert_matches_oracle(g)
 
-    @pytest.mark.parametrize("core", sorted(CORES))
-    def test_copy_preserves_the_core(self, core):
-        g = core_graph(core)
+    @per_scan
+    def test_copies_diverge_independently(self):
+        g = AdHocDigraph()
         rng = np.random.default_rng(3)
         for i in range(1, 30):
             g.add_node(
                 NodeConfig(i, float(rng.uniform(0, 100)), float(rng.uniform(0, 100)), 25.0)
             )
         clone = g.copy()
-        assert clone.core == core
         clone.remove_node(2)
         clone.move_node(7, 0.0, 0.0)
         assert g.snapshot() != clone.snapshot()  # copies diverge independently
@@ -236,19 +207,20 @@ def _apply_op(g, op):
 
 
 class TestCornerTraces:
+    @per_scan
     @pytest.mark.parametrize("name", sorted(_CORNER_TRACES))
-    def test_cores_match_the_oracle_on_every_step(self, name):
-        graphs = _both_cores()
+    def test_core_matches_the_oracle_on_every_step(self, name):
+        g = AdHocDigraph()
         for op in _CORNER_TRACES[name]:
-            for g in graphs:
-                _apply_op(g, op)
-            _assert_cores_agree(graphs, None)
+            _apply_op(g, op)
+            assert_matches_oracle(g)
 
 
+@per_scan
 class TestSlotQuerySurface:
-    @pytest.fixture(params=sorted(CORES))
-    def graph(self, request):
-        g = core_graph(request.param)
+    @pytest.fixture
+    def graph(self):
+        g = AdHocDigraph()
         rng = np.random.default_rng(11)
         for i in range(1, 40):
             g.add_node(
@@ -295,178 +267,8 @@ class TestSlotQuerySurface:
             assert got == graph.conflict_neighbor_ids(int(ids[s]))
 
 
-class TestSparseCoreEquivalence:
-    @pytest.mark.parametrize(("src", "dst"), [("array", "sparse"), ("sparse", "array")])
-    def test_cross_core_snapshot_restore(self, src, dst, sparse_restores):
-        origin = core_graph(src)
-        _random_trace([origin], seed=13, steps=50, check=lambda *_: None)
-        snap = origin.snapshot()
-        restored = restore_on(dst, snap)
-        assert restored.core == dst
-        assert sparse_restores == (["triples"] if dst == "sparse" else [])
-        assert restored.snapshot() == snap  # round-trip is byte-identical
-        # and the restored graph *continues* identically under churn
-        _random_trace(
-            [origin, restored],
-            seed=17,
-            steps=25,
-            check=_assert_cores_agree,
-            first_id=1000,
-            alive=origin.node_ids(),
-        )
-
-    def test_auto_promotion_matches_the_sparse_core(self, monkeypatch):
-        import repro.topology.digraph as digraph_mod
-
-        monkeypatch.setattr(digraph_mod, "_SPARSE_AUTO_MIN", 10)
-        graphs = [AdHocDigraph(), core_graph("sparse")]
-        assert graphs[0].core == "array"
-        _random_trace(graphs, seed=5, steps=80, check=_assert_cores_agree)
-        assert graphs[0].core == "sparse"  # crossed the threshold mid-trace
-
-    def test_batched_rounds_and_restores_promote_up_front(self, monkeypatch, sparse_restores):
-        import repro.topology.digraph as digraph_mod
-
-        monkeypatch.setattr(digraph_mod, "_SPARSE_AUTO_MIN", 10)
-        rng = np.random.default_rng(8)
-        configs = [
-            NodeConfig(i, float(rng.uniform(0, 100)), float(rng.uniform(0, 100)), 25.0)
-            for i in range(1, 13)
-        ]
-        bulk, rounds, sequential = AdHocDigraph(), AdHocDigraph(), AdHocDigraph()
-        bulk.bulk_join(configs)
-        rounds.apply_round([JoinEvent(cfg) for cfg in configs])
-        for cfg in configs:
-            sequential.add_node(cfg)
-        restored = AdHocDigraph.restore(sequential.snapshot())
-        assert sparse_restores == ["triples"]  # loaded straight onto sparse rows
-        for g in (bulk, rounds, sequential, restored):
-            assert g.core == "sparse"
-            assert g.snapshot() == sequential.snapshot()
-            assert_matches_oracle(g)
-
-
-class TestSparseRoundBatching:
-    @pytest.mark.parametrize("core", sorted(CORES))
-    @pytest.mark.parametrize("seed", range(3))
-    def test_apply_round_matches_sequential(self, seed, core):
-        rng = np.random.default_rng(seed)
-        batched = core_graph(core)
-        sequential = core_graph(core)
-        witness = core_graph("array")
-        alive: list[int] = []
-        next_id = 1
-        for _ in range(8):
-            round_events = []
-            for _ in range(int(rng.integers(5, 15))):
-                op = int(rng.integers(0, 6))
-                if op in (0, 1) or not alive:
-                    cfg = NodeConfig(
-                        next_id,
-                        float(rng.uniform(0, 100)),
-                        float(rng.uniform(0, 100)),
-                        float(rng.uniform(5, 40)),
-                    )
-                    round_events.append(JoinEvent(cfg))
-                    alive.append(next_id)
-                    next_id += 1
-                elif op == 2 and len(alive) > 1:
-                    v = alive.pop(int(rng.integers(0, len(alive))))
-                    round_events.append(LeaveEvent(v))
-                elif op in (3, 4):
-                    v = alive[int(rng.integers(0, len(alive)))]
-                    x, y = float(rng.uniform(0, 100)), float(rng.uniform(0, 100))
-                    round_events.append(MoveEvent(v, x, y))
-                else:
-                    v = alive[int(rng.integers(0, len(alive)))]
-                    round_events.append(PowerChangeEvent(v, float(rng.uniform(5, 40))))
-            got = batched.apply_round(round_events)
-            want = [sequential.apply_event(ev) for ev in round_events]
-            for ev in round_events:
-                witness.apply_event(ev)
-            assert got == want  # per-event deltas, byte-for-byte
-            assert batched.snapshot() == sequential.snapshot() == witness.snapshot()
-            assert_matches_oracle(batched)
-
-    def test_array_core_rounds_match_sequential(self):
-        g = core_graph("array")
-        events = [
-            JoinEvent(NodeConfig(1, 10.0, 10.0, 30.0)),
-            JoinEvent(NodeConfig(2, 20.0, 10.0, 30.0)),
-            MoveEvent(1, 15.0, 12.0),
-        ]
-        deltas = g.apply_round(events)
-        assert [d.kind for d in deltas] == ["join", "join", "move"]
-        assert [d.version for d in deltas] == [1, 2, 3]
-        witness = core_graph("array")
-        for ev in events:
-            witness.apply_event(ev)
-        assert g.snapshot() == witness.snapshot()
-        assert_matches_oracle(g)
-
-
-class TestBulkJoin:
-    def _configs(self, n, seed, area=300.0):
-        rng = np.random.default_rng(seed)
-        return [
-            NodeConfig(
-                i + 1,
-                float(rng.uniform(0, area)),
-                float(rng.uniform(0, area)),
-                float(rng.uniform(5, 40)),
-            )
-            for i in range(n)
-        ]
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_bulk_join_matches_sequential(self, seed):
-        configs = self._configs(120, seed)
-        bulk = core_graph("sparse")
-        sequential = core_graph("sparse")
-        deltas = bulk.bulk_join(configs)
-        for cfg in configs:
-            sequential.add_node(cfg)
-        assert [(d.kind, d.node_id, d.version) for d in deltas] == [
-            ("join", cfg.node_id, v + 1) for v, cfg in enumerate(configs)
-        ]
-        assert bulk.snapshot() == sequential.snapshot()
-        assert_matches_oracle(bulk)
-
-    def test_apply_round_routes_all_join_rounds(self):
-        configs = self._configs(40, seed=4)
-        routed = core_graph("sparse")
-        sequential = core_graph("sparse")
-        got = routed.apply_round([JoinEvent(cfg) for cfg in configs])
-        want = [sequential.apply_event(JoinEvent(cfg)) for cfg in configs]
-        assert got == want
-        assert routed.snapshot() == sequential.snapshot()
-
-    def test_duplicate_join_fails_before_any_mutation(self):
-        from repro.errors import DuplicateNodeError
-
-        g = core_graph("sparse")
-        configs = self._configs(10, seed=2)
-        snap = None
-        g.bulk_join(configs)
-        snap = g.snapshot()
-        dupe = [NodeConfig(100, 1.0, 1.0, 10.0), configs[3]]
-        with pytest.raises(DuplicateNodeError):
-            g.bulk_join(dupe)
-        assert g.snapshot() == snap  # pre-validation left no half-commit
-
-    def test_array_core_bulk_join_matches_sequential(self):
-        configs = self._configs(12, seed=6)
-        g = core_graph("array")
-        deltas = g.bulk_join(configs)
-        assert [d.version for d in deltas] == list(range(1, 13))
-        witness = core_graph("array")
-        for cfg in configs:
-            witness.add_node(cfg)
-        assert g.snapshot() == witness.snapshot()
-
-
-def _scattered_graph(core):
-    g = core_graph(core)
+def _scattered_graph():
+    g = AdHocDigraph()
     rng = np.random.default_rng(21)
     for i in range(1, 80):
         g.add_node(
@@ -480,10 +282,11 @@ def _scattered_graph(core):
     return g
 
 
+@per_scan
 class TestConflictPairs:
-    @pytest.fixture(params=sorted(CORES))
-    def graph(self, request):
-        return _scattered_graph(request.param)
+    @pytest.fixture
+    def graph(self):
+        return _scattered_graph()
 
     @staticmethod
     def _split(rows, cols, k):
@@ -516,45 +319,7 @@ class TestConflictPairs:
         assert rows.size == cols.size == 0
 
 
-class TestSparseConflictRowCache:
-    @pytest.fixture()
-    def graph(self):
-        return _scattered_graph("sparse")
-
-    def test_rows_are_frozen_and_cached(self, graph):
-        core = graph._core
-        slots = np.asarray([0, 3, 0, 7], dtype=np.intp)
-        first = core.conflict_rows(slots, graph.version)
-        assert not first[0].flags.writeable
-        assert first[0] is first[2]  # duplicate request, one derivation
-        graph.conflict_pairs(slots)  # the batched query reads the same cache
-        again = core.conflict_rows(slots, graph.version)
-        assert all(a is b for a, b in zip(first, again))  # version cache hit
-
-    def test_mutation_invalidates_cache(self, graph):
-        core = graph._core
-        slots = np.asarray([0, 1, 2], dtype=np.intp)
-        stale = core.conflict_rows(slots, graph.version)
-        graph.move_node(3, 0.0, 0.0)
-        fresh = core.conflict_rows(slots, graph.version)
-        for s, row in zip(slots.tolist(), fresh):
-            np.testing.assert_array_equal(row, graph.conflict_slots(int(s)))
-        assert not any(a is b for a, b in zip(stale, fresh))
-
-
 class TestArrayCoreDefaults:
-    def test_array_is_the_default_core(self):
-        assert AdHocDigraph().core == "array"
-        assert default_core() == "array"
-
-    def test_default_core_accounts_for_population(self):
-        import repro.topology.digraph as digraph_mod
-
-        threshold = digraph_mod._SPARSE_AUTO_MIN
-        assert default_core() == "array"
-        assert default_core(threshold - 1) == "array"
-        assert default_core(threshold) == "sparse"
-
     def test_core_choice_parameter_is_gone(self):
         with pytest.raises(TypeError):
             AdHocDigraph(sparse_core=True)
@@ -568,8 +333,8 @@ class TestRetiredKnobs:
     def _assert_rejected(self, monkeypatch, var, value):
         monkeypatch.setenv(var, value)
         snapshot = json.loads(_DICT_MODE_SNAPSHOT)
-        for build in (AdHocDigraph, lambda: AdHocDigraph.restore(snapshot), default_core):
-            with pytest.raises(ConfigurationError, match=f"{var}=.*removed"):
+        for build in (AdHocDigraph, lambda: AdHocDigraph.restore(snapshot)):
+            with pytest.raises(ConfigurationError, match=f"{var}=.*removed.*only conflict core"):
                 build()
 
     @pytest.mark.parametrize("value", ["1", "yes"])
@@ -586,7 +351,7 @@ class TestRetiredKnobs:
 
     @pytest.mark.parametrize("value", ["0", "1"])
     def test_repro_sparse_rejected(self, monkeypatch, value):
-        # it chose between the two cores by hand; the population does now
+        # it chose the removed sparse core by hand
         self._assert_rejected(monkeypatch, "REPRO_SPARSE", value)
 
     def test_former_no_op_settings_stay_accepted(self, monkeypatch):
@@ -600,7 +365,7 @@ class TestRetiredKnobs:
             ("REPRO_SPARSE", ""),
         ]:
             monkeypatch.setenv(var, value)
-            assert AdHocDigraph().core == default_core() == "array"
+            assert len(AdHocDigraph()) == 0
 
 
 #: Snapshots written at the parent of the core collapse by the retired
@@ -624,8 +389,8 @@ _DICT_MODE_SNAPSHOT = (
 )
 
 
-def _compat_graph(core):
-    g = core_graph(core)
+def _compat_graph():
+    g = AdHocDigraph()
     joins = [(10, 10, 25), (30, 12, 18), (22, 30, 30), (50, 40, 12), (45, 20, 28), (5, 35, 22)]
     for i, (x, y, r) in enumerate(joins, 1):
         g.add_node(NodeConfig(i, float(x), float(y), float(r)))
@@ -635,52 +400,23 @@ def _compat_graph(core):
     return g
 
 
-@pytest.fixture
-def sparse_restores(monkeypatch):
-    """The C2 form of each snapshot restored onto sparse rows, in call order.
-
-    Restore normalises a snapshot's C2 field once, after the population
-    has picked the core and before the state is loaded into it, so a
-    restore that lands on the array core first (and promotes later)
-    records nothing.
-    """
-    calls: list[str] = []
-    original = AdHocDigraph._snapshot_c2
-
-    def spy(self, snapshot, edges):
-        if self.core == "sparse":
-            c2 = snapshot["c2"]
-            calls.append(
-                "re-derived" if c2 is None else "triples" if snapshot["schema"] == 3 else "matrix"
-            )
-        return original(self, snapshot, edges)
-
-    monkeypatch.setattr(AdHocDigraph, "_snapshot_c2", spy)
-    return calls
-
-
+@per_scan
 class TestSnapshotCompatibility:
-    @pytest.mark.parametrize("core", sorted(CORES))
-    def test_snapshot_bytes_are_pinned(self, core):
+    def test_snapshot_bytes_are_pinned(self):
         # schema 3, "dense": false included: stored checkpoints and
         # re-snapshot identity must not move
-        assert json.dumps(_compat_graph(core).snapshot()) == _DICT_MODE_SNAPSHOT
+        assert json.dumps(_compat_graph().snapshot()) == _DICT_MODE_SNAPSHOT
 
-    @pytest.mark.parametrize("core", sorted(CORES))
     @pytest.mark.parametrize("literal", ["dense", "dict"])
-    def test_former_core_snapshots_restore(self, core, literal, sparse_restores):
+    def test_former_core_snapshots_restore(self, literal):
         text = _DENSE_MODE_SNAPSHOT if literal == "dense" else _DICT_MODE_SNAPSHOT
-        restored = restore_on(core, json.loads(text))
-        assert restored.core == core
-        # the sparse core restores its rows directly, never via the array core
-        form = "re-derived" if literal == "dense" else "triples"
-        assert sparse_restores == ([form] if core == "sparse" else [])
+        restored = AdHocDigraph.restore(json.loads(text))
         assert restored.version == 9
         assert_matches_oracle(restored)  # dense: the C2 counters were re-derived
         if literal == "dict":
             assert json.dumps(restored.snapshot()) == text
         # the restored graph continues like one that never left memory
-        live = _compat_graph(core)
+        live = _compat_graph()
         for g in (restored, live):
             g.add_node(NodeConfig(7, 40.0, 30.0, 20.0))
             g.set_range(1, 40.0)
@@ -689,9 +425,8 @@ class TestSnapshotCompatibility:
         assert restored.adjacency()[0] == live.adjacency()[0]
         np.testing.assert_array_equal(restored.adjacency()[1], live.adjacency()[1])
 
-    @pytest.mark.parametrize("core", sorted(CORES))
     @pytest.mark.parametrize("schema", [1, 2])
-    def test_legacy_schema_payloads_restore(self, core, schema, sparse_restores):
+    def test_legacy_schema_payloads_restore(self, schema):
         # schemas 1 and 2 stored C2 as a dense n x n matrix; schema 1
         # also predates the recorded propagation model
         payload = json.loads(_DICT_MODE_SNAPSHOT)
@@ -702,8 +437,6 @@ class TestSnapshotCompatibility:
         payload.update(schema=schema, c2=c2)
         if schema == 1:
             del payload["propagation"]
-        restored = restore_on(core, payload)
-        assert restored.core == core
-        assert sparse_restores == (["matrix"] if core == "sparse" else [])
+        restored = AdHocDigraph.restore(payload)
         assert_matches_oracle(restored)
         assert json.dumps(restored.snapshot()) == _DICT_MODE_SNAPSHOT

@@ -9,8 +9,8 @@ from repro.topology.builder import build_digraph, bulk_adjacency
 from repro.topology.node import NodeConfig
 from repro.topology.propagation import ObstructedPropagation
 
-# run every test once per conflict core (see tests/conftest.py::use_core)
-pytestmark = pytest.mark.usefixtures("each_core")
+# run every test once per neighbour search (see tests/conftest.py::use_scan)
+pytestmark = pytest.mark.usefixtures("each_scan")
 
 
 class TestBuildDigraph:

@@ -14,8 +14,8 @@ from repro.topology.conflicts import (
 from repro.topology.static import StaticDigraph
 from tests.conftest import make_random_graph
 
-# run every test once per conflict core (see tests/conftest.py::use_core)
-pytestmark = pytest.mark.usefixtures("each_core")
+# run every test once per neighbour search (see tests/conftest.py::use_scan)
+pytestmark = pytest.mark.usefixtures("each_scan")
 
 
 def brute_force_conflicts(adj: np.ndarray) -> np.ndarray:

@@ -2,15 +2,18 @@
 
 The O(changes) checkpoint contract: a delta cut between two versions,
 serialized through JSON and applied to a graph sitting at the base
-version, lands on byte-identical state — on every conflict core, under
-chained composition, and through shrink/grow churn.  Forks share state
-copy-on-write, so mutations on either side never leak across.
+version, lands on byte-identical state — under chained composition,
+through shrink/grow churn, and from a snapshot and delta written by
+the retired sparse core.  Forks share state copy-on-write, so
+mutations on either side never leak across.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,14 +25,17 @@ from repro.sim.random_networks import sample_configs
 from repro.topology.digraph import AdHocDigraph
 from repro.topology.node import NodeConfig
 from repro.topology.propagation import ObstructedPropagation
-from tests.conftest import core_graph
 from tests.topology.oracles import assert_matches_oracle
 
-CORES = ("array", "sparse")
+# run the test once per neighbour search (see tests/conftest.py::use_scan)
+per_scan = pytest.mark.usefixtures("each_scan")
 
 
-def make_graph(core: str) -> AdHocDigraph:
-    return core_graph(core)
+#: A snapshot of a 60-node graph after four rounds of mixed churn
+#: (leaves, joins, power changes, moves), one delta cut against it and
+#: the snapshot after that delta, all written by the sparse conflict
+#: core before it was removed.
+_SPARSE_CORE_FIXTURE = Path(__file__).parent / "fixtures" / "sparse_core_snapshot.json"
 
 
 def canonical(graph: AdHocDigraph) -> str:
@@ -58,10 +64,10 @@ def churn_round(graph, rng, live, next_id, *, leaves=2, joins=2, moves=5):
 
 
 class TestDeltaRoundTrips:
-    @pytest.mark.parametrize("core", CORES)
-    def test_single_delta_is_byte_identical(self, core):
+    @per_scan
+    def test_single_delta_is_byte_identical(self):
         rng = np.random.default_rng(5)
-        g = make_graph(core)
+        g = AdHocDigraph()
         for cfg in sample_configs(30, rng):
             g.apply_event(JoinEvent(cfg))
         shadow = g.copy()
@@ -72,11 +78,11 @@ class TestDeltaRoundTrips:
         assert canonical(shadow) == canonical(g)
         assert_matches_oracle(shadow)
 
-    @pytest.mark.parametrize("core", CORES)
-    def test_delta_grows_the_population_past_capacity(self, core):
+    @per_scan
+    def test_delta_grows_the_population_past_capacity(self):
         # the applier starts with room for 16 slots; the delta brings 45
         rng = np.random.default_rng(9)
-        g = make_graph(core)
+        g = AdHocDigraph()
         cfgs = sample_configs(45, rng)
         for cfg in cfgs[:5]:
             g.apply_event(JoinEvent(cfg))
@@ -88,12 +94,12 @@ class TestDeltaRoundTrips:
         assert canonical(shadow) == canonical(g)
         assert_matches_oracle(shadow)
 
-    @pytest.mark.parametrize("core", CORES)
-    def test_chained_deltas_compose(self, core):
+    @per_scan
+    def test_chained_deltas_compose(self):
         # the checkpoint-chain lifecycle: every round's delta is cut
         # against the previous round's version and applied in order
         rng = np.random.default_rng(17)
-        g = make_graph(core)
+        g = AdHocDigraph()
         cfgs = sample_configs(40, rng)
         for cfg in cfgs:
             g.apply_event(JoinEvent(cfg))
@@ -109,13 +115,13 @@ class TestDeltaRoundTrips:
             assert canonical(shadow) == canonical(g), f"diverged at round {step}"
             assert_matches_oracle(shadow)
 
-    @pytest.mark.parametrize("core", CORES)
-    def test_chained_deltas_compose_under_obstruction(self, core):
+    @per_scan
+    def test_chained_deltas_compose_under_obstruction(self):
         # the shadow's links must still respect line of sight: the
         # oracle re-derives them with the walls in place
         walls = (RectObstacle(20.0, 30.0, 35.0, 80.0), RectObstacle(60.0, 10.0, 70.0, 55.0))
         rng = np.random.default_rng(23)
-        g = core_graph(core, ObstructedPropagation(walls))
+        g = AdHocDigraph(ObstructedPropagation(walls))
         cfgs = sample_configs(30, rng)
         for cfg in cfgs:
             g.apply_event(JoinEvent(cfg))
@@ -129,15 +135,15 @@ class TestDeltaRoundTrips:
             assert canonical(shadow) == canonical(g), f"diverged at round {step}"
             assert_matches_oracle(shadow)
 
-    @pytest.mark.parametrize("core", ("array", "sparse"))
-    def test_live_slot_grid_is_maintained_incrementally(self, core):
+    @per_scan
+    def test_live_slot_grid_is_maintained_incrementally(self):
         # above _GRID_LAZY_MIN the slot grid is live, so apply_delta
         # takes the in-place O(dirty) path instead of the full rebuild;
         # conflict queries after chained churn must still agree with a
         # from-scratch restore of the same snapshot
         rng = np.random.default_rng(23)
         cfgs = sample_configs(300, rng, area=(160.0, 160.0))
-        g = make_graph(core)
+        g = AdHocDigraph()
         for cfg in cfgs:
             g.apply_event(JoinEvent(cfg))
         shadow = g.copy()
@@ -155,8 +161,39 @@ class TestDeltaRoundTrips:
                 fresh.conflict_neighbor_ids(nid)
             )
 
+    def test_delta_bytes_stay_a_fraction_of_the_full_snapshot(self):
+        # the O(changes) contract: a round that moves 16 of 1000 nodes
+        # serializes a small fraction of what a full snapshot does
+        n = 1000
+        side = 100.0 * math.sqrt(n / 120.0)  # the paper's node density
+        rng = np.random.default_rng(5)
+        g = AdHocDigraph()
+        for cfg in sample_configs(n, rng, area=(side, side)):
+            g.apply_event(JoinEvent(cfg))
+        ids = g.node_ids()
+        base = g.version
+        delta_bytes = full_bytes = 0
+        for _ in range(2):
+            for nid in rng.choice(ids, size=16, replace=False).tolist():
+                x, y = rng.uniform(0.0, side, size=2).tolist()
+                g.apply_event(MoveEvent(int(nid), x, y))
+            delta_bytes += len(json.dumps(g.delta_snapshot(base), separators=(",", ":")))
+            full_bytes += len(json.dumps(g.snapshot(), separators=(",", ":")))
+            base = g.version
+        assert delta_bytes <= 0.2 * full_bytes
+
+    @per_scan
+    def test_sparse_core_snapshot_and_delta_land_byte_identically(self):
+        fixture = json.loads(_SPARSE_CORE_FIXTURE.read_text())
+        g = AdHocDigraph.restore(fixture["snapshot"])
+        assert json.dumps(g.snapshot()) == json.dumps(fixture["snapshot"])
+        g.apply_delta(fixture["delta"])
+        assert json.dumps(g.snapshot()) == json.dumps(fixture["after"])
+        assert_matches_oracle(g)
+
+    @per_scan
     def test_empty_delta_advances_the_version_only(self):
-        g = make_graph("array")
+        g = AdHocDigraph()
         for cfg in sample_configs(6, np.random.default_rng(1)):
             g.apply_event(JoinEvent(cfg))
         before = canonical(g)
@@ -180,7 +217,7 @@ class TestDeltaRoundTrips:
 class TestDeltaValidation:
     def test_stale_base_rejected_naming_both_versions(self):
         rng = np.random.default_rng(3)
-        g = make_graph("array")
+        g = AdHocDigraph()
         for cfg in sample_configs(10, rng):
             g.apply_event(JoinEvent(cfg))
         stale = g.copy()
@@ -194,16 +231,16 @@ class TestDeltaValidation:
         assert str(stale.version) in str(err.value)
 
     def test_non_delta_dict_rejected(self):
-        g = make_graph("array")
+        g = AdHocDigraph()
         with pytest.raises(ConfigurationError, match="delta_snapshot"):
             g.apply_delta(g.snapshot())
 
 
+@per_scan
 class TestCopyOnWriteFork:
-    @pytest.mark.parametrize("core", CORES)
-    def test_child_mutations_never_leak_into_the_parent(self, core):
+    def test_child_mutations_never_leak_into_the_parent(self):
         rng = np.random.default_rng(9)
-        g = make_graph(core)
+        g = AdHocDigraph()
         for cfg in sample_configs(20, rng):
             g.apply_event(JoinEvent(cfg))
         before = canonical(g)
@@ -212,10 +249,9 @@ class TestCopyOnWriteFork:
         child.apply_event(LeaveEvent(int(child.node_ids()[-1])))
         assert canonical(g) == before
 
-    @pytest.mark.parametrize("core", CORES)
-    def test_parent_mutations_never_leak_into_the_child(self, core):
+    def test_parent_mutations_never_leak_into_the_child(self):
         rng = np.random.default_rng(9)
-        g = make_graph(core)
+        g = AdHocDigraph()
         for cfg in sample_configs(20, rng):
             g.apply_event(JoinEvent(cfg))
         child = g.fork()
@@ -231,7 +267,7 @@ class TestCopyOnWriteFork:
     def test_array_core_writes_stay_on_their_side(self, op, writer):
         # the counter kernels write through raw pointers: every array
         # core mutation must privatize the shared blocks first
-        g = make_graph("array")
+        g = AdHocDigraph()
         for cfg in sample_configs(20, np.random.default_rng(13)):
             g.apply_event(JoinEvent(cfg))
         child = g.fork()
@@ -257,7 +293,7 @@ class TestCopyOnWriteFork:
         assert other._core.c2.tobytes() == c2
 
     def test_counter_kernels_refuse_shared_or_malformed_blocks(self):
-        g = make_graph("array")
+        g = AdHocDigraph()
         for cfg in sample_configs(10, np.random.default_rng(2)):
             g.apply_event(JoinEvent(cfg))
         child = g.fork()
@@ -280,7 +316,7 @@ class TestCopyOnWriteFork:
         # both sides of a fork stay valid delta producers: deltas cut
         # on parent and child apply cleanly to pre-fork copies
         rng = np.random.default_rng(31)
-        g = make_graph("sparse")
+        g = AdHocDigraph()
         for cfg in sample_configs(25, rng):
             g.apply_event(JoinEvent(cfg))
         base_copy = g.copy()

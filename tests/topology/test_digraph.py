@@ -10,8 +10,8 @@ from repro.topology.builder import build_digraph, bulk_adjacency
 from repro.topology.digraph import AdHocDigraph
 from repro.topology.node import NodeConfig
 
-# run every test once per conflict core (see tests/conftest.py::use_core)
-pytestmark = pytest.mark.usefixtures("each_core")
+# run every test once per neighbour search (see tests/conftest.py::use_scan)
+pytestmark = pytest.mark.usefixtures("each_scan")
 
 
 def cfg(i, x, y, r=12.0):
@@ -19,9 +19,8 @@ def cfg(i, x, y, r=12.0):
 
 
 class TestBasicOps:
-    def test_empty(self, each_core):
+    def test_empty(self):
         g = AdHocDigraph()
-        assert g.core == each_core  # from construction on, before any join
         assert len(g) == 0
         assert g.node_ids() == []
         assert g.edge_count() == 0
@@ -156,3 +155,52 @@ class TestNetworkxExport:
         assert set(nxg.nodes) == {1, 2, 3, 4, 5}
         assert set(nxg.edges) == set(line_graph.edges())
         assert nxg.nodes[1]["tx_range"] == 12.0
+
+
+def _edgeless_snapshot(n: int) -> dict:
+    """A snapshot of ``n`` nodes 10 apart on a grid, each with range 1."""
+    return {
+        "schema": 3,
+        "propagation": "FreeSpacePropagation",
+        "dense": False,
+        "version": n,
+        "explicit_cell": None,
+        "grid_cell_size": 1.0,
+        "nodes": [[i, 10.0 * (i % 64), 10.0 * (i // 64), 1.0] for i in range(n)],
+        "edges": [],
+        "c2": [],
+    }
+
+
+class TestPopulationLimit:
+    """The array core's blocks cap a graph below 4096 nodes."""
+
+    @pytest.fixture(scope="class")
+    def full(self):
+        return AdHocDigraph.restore(_edgeless_snapshot(4095))
+
+    def test_join_past_the_limit_raises_and_leaves_the_graph(self, full):
+        before = full.snapshot()
+        with pytest.raises(ConfigurationError, match=r"from 4095 to 4096 nodes.*fewer than 4096"):
+            full.add_node(NodeConfig(5000, 5.0, 5.0, 1.0))
+        assert 5000 not in full
+        assert full.snapshot() == before
+
+    def test_delta_past_the_limit_raises_and_leaves_the_graph(self, full):
+        before = full.snapshot()
+        delta = {
+            "schema": 1,
+            "kind": "digraph-delta",
+            "base_version": full.version,
+            "version": full.version + 1,
+            "n": 4096,
+            "cell": 1.0,
+            "slots": [[4095, 5000, 5.0, 5.0, 1.0, [], []]],
+        }
+        with pytest.raises(ConfigurationError, match="4096 nodes"):
+            full.apply_delta(delta)
+        assert full.snapshot() == before
+
+    def test_restoring_a_snapshot_at_the_limit_raises(self):
+        with pytest.raises(ConfigurationError, match=r"to 4096 nodes.*fewer than 4096"):
+            AdHocDigraph.restore(_edgeless_snapshot(4096))

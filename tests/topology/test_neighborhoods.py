@@ -6,8 +6,8 @@ from repro.topology.neighborhoods import join_partition, k_hop_neighbors, vicini
 from repro.topology.static import StaticDigraph
 from tests.conftest import make_random_graph
 
-# run every test once per conflict core (see tests/conftest.py::use_core)
-pytestmark = pytest.mark.usefixtures("each_core")
+# run every test once per neighbour search (see tests/conftest.py::use_scan)
+pytestmark = pytest.mark.usefixtures("each_scan")
 
 
 @pytest.fixture
@@ -82,7 +82,7 @@ class TestKHop:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_bounded_search_matches_full_bfs(self, k):
         # The hop-bounded search must return what filtering a full BFS
-        # by d <= k returns, on the running core and on an explicit-edge
+        # by d <= k returns, on the digraph and on an explicit-edge
         # copy of the same digraph.
         g = make_random_graph(seed=14, n=40, min_range=12.5, max_range=22.5)
         static = StaticDigraph(nodes=g.node_ids(), edges=g.edges())

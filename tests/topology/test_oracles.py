@@ -1,7 +1,7 @@
 """Self-checks of the brute-force topology oracle.
 
 The equivalence suites take ``tests/topology/oracles.py`` as ground
-truth for both conflict cores, so the oracle itself is pinned here:
+truth for the conflict core, so the oracle itself is pinned here:
 against hand-derived configurations (a one-way link, the CA2 hidden
 receiver, an obstructed link, the closed range boundary), against a
 nested-loop reading of the CA1/CA2 definitions on random networks, and
@@ -15,9 +15,9 @@ import pytest
 
 from repro.geometry.obstacles import RectObstacle
 from repro.topology.conflicts import conflict_matrix
+from repro.topology.digraph import AdHocDigraph
 from repro.topology.node import NodeConfig
 from repro.topology.propagation import ObstructedPropagation
-from tests.conftest import core_graph
 from tests.topology.oracles import (
     adjacency_oracle,
     assert_matches_oracle,
@@ -25,11 +25,12 @@ from tests.topology.oracles import (
     c2_oracle,
 )
 
-CORES = ("array", "sparse")
+# run the test once per neighbour search (see tests/conftest.py::use_scan)
+per_scan = pytest.mark.usefixtures("each_scan")
 
 
-def _graph(nodes, prop=None, core="array"):
-    g = core_graph(core, prop)
+def _graph(nodes, prop=None):
+    g = AdHocDigraph(prop)
     for node_id, x, y, r in nodes:
         g.add_node(NodeConfig(node_id, float(x), float(y), float(r)))
     return g
@@ -50,9 +51,9 @@ def _by_loops(adj):
 
 
 class TestAdjacencyOracle:
-    @pytest.mark.parametrize("core", sorted(CORES))
-    def test_empty_graph(self, core):
-        g = core_graph(core)
+    @per_scan
+    def test_empty_graph(self):
+        g = AdHocDigraph()
         ids, adj = adjacency_oracle(g)
         assert ids == [] and adj.shape == (0, 0)
         assert c2_oracle(adj).shape == (0, 0)
@@ -116,6 +117,7 @@ class TestConflictAndC2Oracle:
         assert c2[0, 3] == c2[3, 0] == 2
         assert c2[1, 2] == 0  # the receivers reach nobody
 
+    @per_scan
     @pytest.mark.parametrize("seed", range(6))
     def test_random_networks_match_the_definitions(self, seed):
         rng = np.random.default_rng(seed)
@@ -131,6 +133,7 @@ class TestConflictAndC2Oracle:
         assert (c2 == c2.T).all() and not c2.diagonal().any()
         assert_matches_oracle(g)
 
+    @per_scan
     @pytest.mark.parametrize("seed", range(2))
     def test_obstructed_networks_match_the_definitions(self, seed):
         rng = np.random.default_rng(seed + 40)
@@ -154,26 +157,22 @@ class TestConflictAndC2Oracle:
 
 class TestOracleCatchesCorruption:
     @staticmethod
-    def _network(core):
-        return _graph([(1, 0, 0, 12), (2, 10, 0, 1), (3, 20, 0, 12), (4, 10, 10, 15)], core=core)
+    def _network():
+        return _graph([(1, 0, 0, 12), (2, 10, 0, 1), (3, 20, 0, 12), (4, 10, 10, 15)])
 
-    @pytest.mark.parametrize("core", sorted(CORES))
-    def test_wrong_c2_counter_is_caught(self, core):
-        g = self._network(core)
+    @per_scan
+    def test_wrong_c2_counter_is_caught(self):
+        g = self._network()
         assert_matches_oracle(g)
         s, t = g._index[1], g._index[3]
-        if g.core == "sparse":
-            g._core.c2s[s][t] += 1
-            g._core.c2s[t][s] += 1
-        else:
-            g._core.c2[s, t] += 1
-            g._core.c2[t, s] += 1
+        g._core.c2[s, t] += 1
+        g._core.c2[t, s] += 1
         with pytest.raises(AssertionError):
             assert_matches_oracle(g)
 
-    @pytest.mark.parametrize("core", sorted(CORES))
-    def test_stale_links_after_an_unannounced_move_are_caught(self, core):
-        g = self._network(core)
+    @per_scan
+    def test_stale_links_after_an_unannounced_move_are_caught(self):
+        g = self._network()
         assert_matches_oracle(g)
         g._pos[g._index[3]] = (500.0, 500.0)  # bypasses move_node
         with pytest.raises(AssertionError):

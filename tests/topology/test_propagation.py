@@ -12,8 +12,8 @@ from repro.topology.propagation import (
     PropagationModel,
 )
 
-# run every test once per conflict core (see tests/conftest.py::use_core)
-pytestmark = pytest.mark.usefixtures("each_core")
+# run every test once per neighbour search (see tests/conftest.py::use_scan)
+pytestmark = pytest.mark.usefixtures("each_scan")
 
 
 class TestFreeSpace:

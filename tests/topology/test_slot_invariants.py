@@ -3,10 +3,10 @@
 ``AdHocDigraph._vacate_slot`` is the shared swap-delete tail of every
 removal: it renumbers the last slot into the freed one across *all*
 per-slot tables (positions, ranges, id maps, the core's adjacency/C2
-blocks or sparse rows and witness dicts, grid membership).  These tests
-hammer it with seeded random add/remove/move/set-range sequences and
-assert the full set of structural invariants after every step, for both
-conflict cores, plus agreement with the brute-force topology oracle — the class
+blocks, grid membership).  These tests hammer it with seeded random
+add/remove/move/set-range sequences and assert the full set of
+structural invariants after every step, plus agreement with the
+brute-force topology oracle — the class
 of bug a swap-delete rewrite can introduce (a stale slot reference, an
 uncleared trailing row, an asymmetric witness count) surfaces here
 rather than as a downstream equivalence drift.
@@ -22,7 +22,6 @@ from repro.topology.cores.array import ArrayCore
 from repro.topology.digraph import AdHocDigraph
 from repro.topology.node import NodeConfig
 from repro.topology.propagation import ObstructedPropagation
-from tests.conftest import core_graph
 from tests.topology.oracles import (
     apply_col_oracle,
     apply_row_oracle,
@@ -30,7 +29,8 @@ from tests.topology.oracles import (
     c2_oracle,
 )
 
-CORES = ("array", "sparse")
+# run the test once per neighbour search (see tests/conftest.py::use_scan)
+per_scan = pytest.mark.usefixtures("each_scan")
 
 
 def _check_slot_tables(g: AdHocDigraph) -> None:
@@ -48,6 +48,22 @@ def _check_slot_tables(g: AdHocDigraph) -> None:
         assert g._range[slot] == cfg.tx_range
 
 
+def _check_grid_membership(g: AdHocDigraph) -> None:
+    """A live slot grid holds exactly the live slots, each in its cell."""
+    grid = g._grid
+    if grid is None:
+        return
+    n = len(g.node_ids())
+    assert len(grid) == n
+    assert sum(bucket.count for bucket in grid._cells.values()) == n
+    for slot in range(n):
+        assert slot in grid
+        cell = grid._cell_of(float(g._pos[slot, 0]), float(g._pos[slot, 1]))
+        assert (int(grid._cx[slot]), int(grid._cy[slot])) == cell
+        assert grid._cells[cell].data[grid._pos_in_cell[slot]] == slot
+    assert n not in grid  # the vacated trailing slot left the grid
+
+
 def _check_trailing_slots_clear(g: AdHocDigraph) -> None:
     """Swap-delete must zero the freed trailing rows, not just hide them."""
     n = len(g.node_ids())
@@ -59,41 +75,11 @@ def _check_trailing_slots_clear(g: AdHocDigraph) -> None:
     assert not core.c2[:, n:].any()
 
 
-def _check_sparse_rows(g: AdHocDigraph) -> None:
-    """CSR rows are sorted/unique/in-range, mirrored, and the witness
-    dicts hold exactly the positive |out(u) ∩ out(v)| counts."""
-    n = len(g.node_ids())
-    outr, inr, c2s = g._core.outr, g._core.inr, g._core.c2s
-    assert len(outr) == len(inr) == len(c2s) == n
-    outs = []
-    for u in range(n):
-        for row in (outr[u], inr[u]):
-            entries = row.view()
-            assert (np.diff(entries) > 0).all()  # strictly ascending = unique
-            if entries.size:
-                assert 0 <= int(entries[0]) and int(entries[-1]) < n
-                assert u not in entries.tolist()  # no self-loops
-        outs.append(set(outr[u].view().tolist()))
-        for v in outr[u].view().tolist():
-            assert u in inr[v].view().tolist()  # out/in mirror
-        for v in inr[u].view().tolist():
-            assert u in outr[v].view().tolist()
-    for u in range(n):
-        for v, count in c2s[u].items():
-            assert v != u and count > 0  # zero entries must be deleted
-            assert c2s[v][u] == count  # symmetric mirror
-    for u in range(n):  # completeness: every overlapping pair is witnessed
-        for v in range(u + 1, n):
-            assert c2s[u].get(v, 0) == len(outs[u] & outs[v])
-
-
 def _check_all(g: AdHocDigraph) -> None:
     _check_slot_tables(g)
     assert_matches_oracle(g)
-    if g.core == "sparse":
-        _check_sparse_rows(g)
-    else:
-        _check_trailing_slots_clear(g)
+    _check_grid_membership(g)
+    _check_trailing_slots_clear(g)
 
 
 def _churn(g: AdHocDigraph, seed: int, steps: int = 90) -> None:
@@ -128,23 +114,23 @@ def _churn(g: AdHocDigraph, seed: int, steps: int = 90) -> None:
 
 
 class TestSlotInvariantsUnderChurn:
-    @pytest.mark.parametrize("core", sorted(CORES))
+    @per_scan
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_churn_preserves_invariants(self, core, seed):
-        _churn(core_graph(core), seed)
+    def test_random_churn_preserves_invariants(self, seed):
+        _churn(AdHocDigraph(), seed)
 
-    @pytest.mark.parametrize("core", sorted(CORES))
+    @per_scan
     @pytest.mark.parametrize("seed", range(3))
-    def test_churn_under_obstruction_preserves_invariants(self, core, seed):
+    def test_churn_under_obstruction_preserves_invariants(self, seed):
         # line-of-sight prunes links inside the grid's candidate discs
         walls = (RectObstacle(30.0, 20.0, 45.0, 90.0), RectObstacle(70.0, 60.0, 110.0, 75.0))
-        _churn(core_graph(core, ObstructedPropagation(walls)), seed + 10)
+        _churn(AdHocDigraph(ObstructedPropagation(walls)), seed + 10)
 
-    @pytest.mark.parametrize("core", sorted(CORES))
-    def test_remove_last_slot_and_drain_to_empty(self, core):
+    @per_scan
+    def test_remove_last_slot_and_drain_to_empty(self):
         # the i == last branch (no swap), then drain through repeated
         # swap-deletes of slot 0, then rebuild on the emptied tables
-        g = core_graph(core)
+        g = AdHocDigraph()
         for i in range(1, 13):
             g.add_node(NodeConfig(i, float(3 * i), float(2 * i), 20.0))
         g.remove_node(12)  # departing node *is* the last slot
@@ -236,7 +222,7 @@ def _random_edit(rng, old: np.ndarray, i: int) -> np.ndarray:
 class TestDenseClusterChurn:
     @pytest.mark.parametrize("seed", range(2))
     def test_dense_cluster_churn_keeps_exact_counters(self, seed):
-        g = core_graph("array")
+        g = AdHocDigraph()
         seen = _dense_cluster_churn(g, seed)
         assert seen["max_in"] > 100
         assert {128, 256} <= seen["caps"]
