@@ -9,9 +9,9 @@ Usage::
 Entries are matched by ``(scenario, mode)`` and compared on
 ``events_per_sec``.  The gate fails (exit 1) when any matched entry
 drops below ``min-ratio`` times the committed baseline — loose enough
-to absorb runner-hardware variance, tight enough to catch a fast path
-silently falling back to dense scans (those regressions are 2-4x, not
-2x variance).  A baseline entry missing from the fresh run fails the
+to absorb runner-hardware variance, tight enough to catch a hot path
+losing its compiled kernel or its memo (those regressions are 2-4x,
+not 2x variance).  A baseline entry missing from the fresh run fails the
 gate too: a deleted or renamed family must not drop its throughput
 check silently (regenerate the baseline with it instead).  A fresh
 entry missing from the baseline is only reported (coverage may grow).

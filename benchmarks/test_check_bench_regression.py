@@ -17,7 +17,7 @@ def _write(path, entries):
 @pytest.fixture()
 def files(tmp_path):
     entries = [
-        {"scenario": "s", "mode": "grid", "events_per_sec": 1000.0},
+        {"scenario": "s", "mode": "off", "events_per_sec": 1000.0},
         {
             "scenario": "obs-overhead",
             "mode": "on",
@@ -39,7 +39,7 @@ class TestGate:
         baseline, _ = files
         slow = _write(
             tmp_path / "slow.json",
-            [{"scenario": "s", "mode": "grid", "events_per_sec": 100.0}],
+            [{"scenario": "s", "mode": "off", "events_per_sec": 100.0}],
         )
         assert gate(["--baseline", str(baseline), "--fresh", str(slow)]) == 1
 
@@ -55,7 +55,7 @@ class TestGate:
         baseline, _ = files
         partial = _write(
             tmp_path / "partial.json",
-            [{"scenario": "s", "mode": "grid", "events_per_sec": 1000.0}],
+            [{"scenario": "s", "mode": "off", "events_per_sec": 1000.0}],
         )
         assert gate(["--baseline", str(baseline), "--fresh", str(partial)]) == 1
 
@@ -64,7 +64,7 @@ class TestGate:
         _, fresh = files
         partial = _write(
             tmp_path / "partial.json",
-            [{"scenario": "s", "mode": "grid", "events_per_sec": 1000.0}],
+            [{"scenario": "s", "mode": "off", "events_per_sec": 1000.0}],
         )
         assert gate(["--baseline", str(partial), "--fresh", str(fresh)]) == 0
 

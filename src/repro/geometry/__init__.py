@@ -10,7 +10,6 @@ from repro.geometry.distance import (
     pairwise_distances,
     within_disc,
 )
-from repro.geometry.grid_index import SlotGridIndex
 from repro.geometry.obstacles import RectObstacle, segment_intersects_rect
 from repro.geometry.point import (
     as_position_array,
@@ -21,7 +20,6 @@ from repro.geometry.point import (
 
 __all__ = [
     "RectObstacle",
-    "SlotGridIndex",
     "as_position_array",
     "displace",
     "distances_from",

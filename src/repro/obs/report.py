@@ -20,7 +20,6 @@ __all__ = ["summarize", "render_report", "check_trace"]
 # Counter-name pairs rendered as hit ratios: (label, hits, misses).
 _RATIO_ROWS = (
     ("conflict memo", "core.memo.hit", "core.memo.miss"),
-    ("grid index (windowed)", "core.grid.window", "core.grid.bailout"),
     ("store point reads", "store.point.hit", "store.point.miss"),
     ("store checkpoint reads", "store.ckpt.hit", "store.ckpt.miss"),
 )

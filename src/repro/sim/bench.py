@@ -44,7 +44,11 @@ def drive_event_loop(events: list[Event]) -> float:
     over ``V1``).  V1 is gathered as a slot index array and all its
     conflict rows come from one batched
     :meth:`~repro.topology.digraph.AdHocDigraph.conflict_pairs` call —
-    the event loop a strategy replay runs.
+    the event loop a strategy replay runs.  The event node's own set is
+    read through the per-version memo
+    (:meth:`~repro.topology.digraph.AdHocDigraph.conflict_neighbor_ids`),
+    the query every strategy lane repeats, so a traced drive records
+    the ``core.memo.*`` counters.
     """
     graph = AdHocDigraph()
     start = perf_seconds()
@@ -59,6 +63,7 @@ def drive_event_loop(events: list[Event]) -> float:
             graph.remove_node(ev.node_id)
             continue  # nothing to recode around a departed node
         graph.conflict_pairs(graph.v1_slots(graph.slot_of(ev.node_id)))
+        graph.conflict_neighbor_ids(ev.node_id)
     return perf_seconds() - start
 
 

@@ -9,8 +9,8 @@ The slot-level conflict core behind
   ``C2[u, v] = |out(u) ∩ out(v)|`` live in ``(cap, cap)`` blocks with
   amortized-doubling capacity, so a join costs O(N), not O(N²).
 * Each join/move recomputes the slot's out- and in-edges from **one**
-  candidate fetch (the graph's slot grid) and **one** pairwise distance
-  pass (:func:`repro.topology.propagation.pairwise_masks`).
+  pairwise distance pass over every live slot
+  (:func:`repro.topology.propagation.pairwise_masks`).
 * The CA1/CA2 update is a delta: the compiled kernels
   ``repro_c2_row`` and ``repro_c2_col`` (:mod:`repro._native`) adjust
   the counters only for the pairs that touch a changed edge, walking
@@ -190,44 +190,27 @@ class ArrayCore:
     def refresh(self, g: "AdHocDigraph", i: int) -> None:
         """Recompute slot ``i``'s out- and in-edges from its geometry.
 
-        One candidate fetch at the graph's maximum range (any node that
-        covers or is covered by ``i`` lies within it) and one pairwise
-        distance pass answer both directions.
+        One pairwise distance pass over every live slot answers both
+        directions.
         """
         self._own()
         n = self.n
-        cand = g._candidates(i, g._max_range)
         pos, rng = g._pos, g._range
         r = float(rng[i])
-        if cand is None:
-            if g._fs:
-                # Inline free-space kernel: identical arithmetic to
-                # within_disc / covered_by (same subtraction, einsum and
-                # closed-disc compares), one distance pass, no model
-                # dispatch.
-                diff = pos[:n] - pos[i]
-                d2 = np.einsum("ij,ij->i", diff, diff)
-                new_row = d2 <= r * r
-                rr = rng[:n]
-                new_col = d2 <= rr * rr
-            else:
-                cov, covby = pairwise_masks(g._prop, pos[i], r, pos[:n], rng[:n])
-                new_row = np.asarray(cov, dtype=bool).copy()
-                new_col = np.asarray(covby, dtype=bool).copy()
+        if g._fs:
+            # Inline free-space kernel: identical arithmetic to
+            # within_disc / covered_by (same subtraction, einsum and
+            # closed-disc compares), one distance pass, no model
+            # dispatch.
+            diff = pos[:n] - pos[i]
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            new_row = d2 <= r * r
+            rr = rng[:n]
+            new_col = d2 <= rr * rr
         else:
-            new_row = np.zeros(n, dtype=bool)
-            new_col = np.zeros(n, dtype=bool)
-            if cand.size:
-                if g._fs:
-                    diff = pos[cand] - pos[i]
-                    d2 = np.einsum("ij,ij->i", diff, diff)
-                    cov = d2 <= r * r
-                    rr = rng[cand]
-                    covby = d2 <= rr * rr
-                else:
-                    cov, covby = pairwise_masks(g._prop, pos[i], r, pos[cand], rng[cand])
-                new_row[cand[cov]] = True
-                new_col[cand[covby]] = True
+            cov, covby = pairwise_masks(g._prop, pos[i], r, pos[:n], rng[:n])
+            new_row = np.asarray(cov, dtype=bool).copy()
+            new_col = np.asarray(covby, dtype=bool).copy()
         new_row[i] = False
         new_col[i] = False
         self._apply_row(i, new_row)
@@ -237,15 +220,7 @@ class ArrayCore:
         """Recompute slot ``i``'s out-edges only (a range change)."""
         self._own()
         n = self.n
-        r = float(g._range[i])
-        cand = g._candidates(i, r)
-        if cand is None:
-            mask = g._prop.coverage(g._pos[i], r, g._pos[:n]).copy()
-        else:
-            mask = np.zeros(n, dtype=bool)
-            if cand.size:
-                covered = g._prop.coverage(g._pos[i], r, g._pos[cand])
-                mask[cand[covered]] = True
+        mask = g._prop.coverage(g._pos[i], float(g._range[i]), g._pos[:n]).copy()
         mask[i] = False
         self._apply_row(i, mask)
 

@@ -6,9 +6,9 @@ truth for topology; strategies and simulators query it, never raw arrays.
 
 The graph owns everything core-agnostic: node ids and their storage
 *slots* (row indices of the flat position/range/id arrays, kept dense
-0..n-1 by swap-delete on removal), the spatial slot grid, the topology
-version, the per-slot touched journal behind delta snapshots, the
-per-version query memo, the snapshot schema and copy-on-write forks.
+0..n-1 by swap-delete on removal), the topology version, the per-slot
+touched journal behind delta snapshots, the per-version query memo, the
+snapshot schema and copy-on-write forks.
 All neighbor queries return id lists sorted ascending for determinism.
 
 Adjacency and the CA2 witness counters live in the *conflict core*
@@ -28,10 +28,9 @@ re-derivation from the node configurations
 :meth:`AdHocDigraph.conflict_pairs`) lets vectorized consumers skip
 per-node Python entirely.
 
-The grid fast path is only engaged when the propagation model declares
-``disc_bounded = True`` (coverage is a subset of the transmission disc,
-true for the free-space and obstructed models); other models fall back
-to full scans while keeping the incremental conflict counters.
+Every neighbour search is one full-row scan: a join or move tests the
+slot against all live slots in one vectorised distance pass, which at
+fewer than ``_MAX_NODES`` slots costs less than keeping a spatial index.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from repro.errors import (
     InvalidEventError,
     UnknownNodeError,
 )
-from repro.geometry.grid_index import SlotGridIndex
 from repro.obs import metrics as _met
 from repro.topology.cores import ArrayCore
 from repro.topology.node import NodeConfig
@@ -65,9 +63,9 @@ _INITIAL_CAPACITY = 16
 #: Memo key of the assembled conflict-adjacency pair (node ids are ints,
 #: so a string key can never collide with a per-node conflict-set entry).
 _CONFLICT_ADJ_KEY = "conflict_adjacency"
-#: Rebuild the spatial grid when a range exceeds this multiple of the
-#: cell size, so disc queries keep touching O(1) cells as power grows.
-_REGRID_FACTOR = 4.0
+#: A range above this multiple of the recorded cell raises the cell to
+#: that range (see :meth:`AdHocDigraph._record_cell`).
+_CELL_RAISE_FACTOR = 4.0
 #: The population limit: the array core's adjacency and C2 blocks cost
 #: 5 B × cap², 80 MiB at 4096 slots, and no registered scenario comes
 #: near it (the largest runs 160 nodes).  A fixed constant, not a knob.
@@ -95,17 +93,6 @@ def _reject_retired_knobs() -> None:
                 f"{var}={env[var]!r} selects a conflict core by hand, which was "
                 "removed; the array core is the only conflict core — unset it"
             )
-
-
-#: The slot grid is not built until this many nodes are live: below it
-#: the selectivity gate falls back to full scans anyway, so per-event
-#: grid upkeep would be pure overhead.
-_GRID_LAZY_MIN = 256
-
-#: Below this many occupied grid cells a disc query ring (~5×5 cells
-#: with the guard) covers most of the population, so candidate gathering
-#: cannot beat a vectorized full scan and the grid is skipped.
-_MIN_SELECTIVE_CELLS = 32
 
 
 @dataclass(frozen=True)
@@ -142,8 +129,6 @@ class TopologyDelta:
     old_conflicts: frozenset[NodeId] = field(default_factory=frozenset)
 
 
-
-
 class AdHocDigraph:
     """The power-controlled ad-hoc network digraph (paper section 2).
 
@@ -154,17 +139,9 @@ class AdHocDigraph:
     ----------
     propagation:
         Propagation model; defaults to the paper's free-space disc.
-    grid_cell_size:
-        Explicit spatial-grid cell size.  Default: sized from observed
-        transmission ranges (a disc query then touches O(1) cells).
     """
 
-    def __init__(
-        self,
-        propagation: PropagationModel | None = None,
-        *,
-        grid_cell_size: float | None = None,
-    ) -> None:
+    def __init__(self, propagation: PropagationModel | None = None) -> None:
         _reject_retired_knobs()
         self._prop: PropagationModel = (
             propagation if propagation is not None else FreeSpacePropagation()
@@ -179,19 +156,11 @@ class AdHocDigraph:
         self._ida = np.zeros(cap, dtype=np.int64)  # slot-aligned ids (hot queries)
         self._index: dict[NodeId, int] = {}
         self._core = ArrayCore()
-        self._use_grid = bool(getattr(self._prop, "disc_bounded", False))
-        self._grid: SlotGridIndex | None = None
-        self._grid_cell = grid_cell_size
-        # The cell size the grid has — or, while building it is
-        # deferred (below _GRID_LAZY_MIN nodes), *would* have — under
-        # the first-insert / regrid-factor rules.  Maintained on every
-        # insert and power raise so snapshots and the deferred build see
-        # the same geometry an eagerly built grid would evolve.
-        self._cell_live: float | None = None
-        # Cached upper bound on max(range); may be stale-high after a
-        # removal or power decrease, which only widens candidate discs
-        # (still a superset — results unchanged).
-        self._max_range = 0.0
+        # The recorded cell (see _record_cell); null for a model whose
+        # coverage is not bounded by the transmission disc.
+        self._disc = bool(getattr(self._prop, "disc_bounded", False))
+        self._explicit_cell: float | None = None
+        self._cell: float | None = None
         self._version = 0
         # Per-version memo of derived conflict queries.  Multi-strategy
         # replay issues the same queries once per strategy between two
@@ -206,10 +175,6 @@ class AdHocDigraph:
         # tracking starts at construction (or at restore).
         self._touched: dict[int, int] = {}
         self._delta_floor = 0
-        # Copy-on-write (see :meth:`fork`): a forked grid is shared
-        # between the siblings and privatized on first write; the core
-        # keeps its own sharing state.
-        self._grid_shared = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -239,19 +204,6 @@ class AdHocDigraph:
         starts there.
         """
         return self._delta_floor
-
-    @property
-    def grid_index(self) -> SlotGridIndex | None:
-        """The spatial index backing the fast path (``None`` if unused).
-
-        A :class:`SlotGridIndex` over node *slots*, whose build is
-        deferred until the population is large enough for candidate
-        queries to pay — accessing this property forces the deferred
-        build so callers always observe a complete index.
-        """
-        if self._grid is None and self._use_grid and self._cell_live is not None and self._ids:
-            self._build_grid(self._cell_live)
-        return self._grid
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -384,31 +336,23 @@ class AdHocDigraph:
         self._resize(i + 1)
         self._pos[i] = (cfg.x, cfg.y)
         self._range[i] = cfg.tx_range
-        if cfg.tx_range > self._max_range:
-            self._max_range = float(cfg.tx_range)
         self._ids.append(cfg.node_id)
         self._ida[i] = cfg.node_id
         self._index[cfg.node_id] = i
-        if self._use_grid:
-            self._grid_insert(i, cfg.x, cfg.y, cfg.tx_range)
+        self._record_cell(cfg.tx_range, join=True)
         return i
 
     def _vacate_slot(self, i: int) -> None:
         """Release the unlinked slot ``i`` by swap-deleting the last slot into it.
 
         The shared tail of every removal: unlinks the slot from the
-        spatial index and the id↔slot maps, moves the last slot's
-        entries into ``i`` across **all** per-slot tables (positions,
-        ranges, the core's rows, id arrays, grid membership), and drops
-        the freed trailing slot.  The core must already have unlinked
-        ``i`` — this helper only renumbers.
+        id↔slot maps, moves the last slot's entries into ``i`` across
+        **all** per-slot tables (positions, ranges, the core's rows, id
+        arrays), and drops the freed trailing slot.  The core must
+        already have unlinked ``i`` — this helper only renumbers.
         """
         n = len(self._ids)
-        node_id = self._ids[i]
-        if self._grid is not None:
-            self._own_grid()
-            self._grid.remove(i)
-        self._index.pop(node_id)
+        self._index.pop(self._ids[i])
         last = n - 1
         if i != last:
             self._pos[i] = self._pos[last]
@@ -418,10 +362,6 @@ class AdHocDigraph:
             self._ids[i] = moved
             self._ida[i] = moved
             self._index[moved] = i
-            if self._grid is not None:
-                # The grid tracks slots, not ids: follow the
-                # swap-delete renumbering of the last slot into i.
-                self._grid.rename(last, i)
         self._ids.pop()
         self._core.resize(last)
 
@@ -429,9 +369,6 @@ class AdHocDigraph:
         """Relocate ``node_id``; recomputes its out- and in-edges."""
         i = self._idx(node_id)
         self._pos[i] = (float(x), float(y))
-        if self._grid is not None:
-            self._own_grid()
-            self._grid.move(i, float(x), float(y))
         self._core.refresh(self, i)
         self._version += 1
         self._touched[i] = self._version
@@ -446,17 +383,7 @@ class AdHocDigraph:
             raise ConfigurationError(f"tx_range must be positive, got {tx_range}")
         i = self._idx(node_id)
         self._range[i] = float(tx_range)
-        if tx_range > self._max_range:
-            self._max_range = float(tx_range)
-        if (
-            self._use_grid
-            and self._grid_cell is None
-            and self._cell_live is not None
-            and tx_range > _REGRID_FACTOR * self._cell_live
-        ):
-            self._cell_live = float(tx_range)
-            if self._grid is not None:
-                self._build_grid(self._cell_live)
+        self._record_cell(tx_range, join=False)
         self._core.refresh_out(self, i)
         self._version += 1
         self._touched[i] = self._version
@@ -519,9 +446,9 @@ class AdHocDigraph:
         Captures everything :meth:`restore` needs to resume replay
         byte-identically: node configurations (in slot order, so the
         CA2 counters stay aligned), the directed edge list, the
-        incremental CA2 witness counters, the spatial grid's current
-        cell size, and the topology version.  The derived query memo is
-        rebuilt on demand and is not part of the state.
+        incremental CA2 witness counters, the recorded cell (see
+        :meth:`_record_cell`), and the topology version.  The derived
+        query memo is rebuilt on demand and is not part of the state.
 
         Schema 2 additionally records the propagation model's name, so
         chained restores (snapshot → restore → replay → snapshot → …,
@@ -546,8 +473,8 @@ class AdHocDigraph:
             "propagation": type(self._prop).__name__,
             "dense": False,
             "version": self._version,
-            "explicit_cell": self._grid_cell,
-            "grid_cell_size": self._cell_live if self._use_grid else None,
+            "explicit_cell": self._explicit_cell,
+            "grid_cell_size": self._cell,
             "nodes": [
                 [
                     int(self._ids[i]),
@@ -571,8 +498,8 @@ class AdHocDigraph:
         """Rebuild a graph from a :meth:`snapshot` dict.
 
         The restored graph continues exactly where the snapshot was
-        taken: same slot layout, adjacency, CA2 counters, grid cell
-        size and topology version, so subsequent events produce results
+        taken: same slot layout, adjacency, CA2 counters, recorded cell
+        and topology version, so subsequent events produce results
         byte-identical to the original instance's — and so do chained
         restores, where the restored graph is replayed further,
         re-snapshotted and restored again (pinned by
@@ -607,7 +534,8 @@ class AdHocDigraph:
                 f"snapshot was taken under propagation model {recorded!r}, but "
                 f"restore() was given {type(propagation).__name__!r}"
             )
-        g = cls(propagation, grid_cell_size=snapshot["explicit_cell"])
+        g = cls(propagation)
+        g._explicit_cell = snapshot["explicit_cell"]
         nodes = snapshot["nodes"]
         n = len(nodes)
         g._ensure_capacity(n)
@@ -619,15 +547,12 @@ class AdHocDigraph:
             g._index[node_id] = slot
         edges = snapshot["edges"]
         g._core = ArrayCore.load(n, edges, g._snapshot_c2(snapshot, edges))
-        if g._use_grid:
+        if g._disc:
             cell = snapshot["grid_cell_size"]
             if cell is None and n:  # schema-1 and dense-mode snapshots lack it
                 cell = float(g._range[:n].max())
             if cell is not None:
-                g._cell_live = float(cell)
-                if n >= _GRID_LAZY_MIN:
-                    g._build_grid(g._cell_live)
-        g._max_range = float(g._range[:n].max()) if n else 0.0
+                g._cell = float(cell)
         g._version = snapshot["version"]
         # A freshly restored graph carries no per-slot mutation history,
         # so the earliest base version it can serve deltas from is its own.
@@ -674,13 +599,11 @@ class AdHocDigraph:
     def fork(self) -> "AdHocDigraph":
         """Copy-on-write fork: a clone sharing the heavy conflict state.
 
-        Both siblings keep referencing the same core blocks and the same
-        spatial grid; the first mutation on either side copies only what
-        it touches — the blocks on the first edge change, the grid on
-        its first geometric change.  Flat O(N) per-slot tables
-        (positions, ranges, ids) are copied eagerly; the checkpoint-tree
-        fork rate makes those copies noise next to the state being
-        shared.
+        Both siblings keep referencing the same core blocks; the first
+        edge change on either side copies them.  Flat O(N) per-slot
+        tables (positions, ranges, ids) are copied eagerly; the
+        checkpoint-tree fork rate makes those copies noise next to the
+        state being shared.
 
         Either sibling may keep mutating; results are byte-identical
         to a :meth:`copy`-based clone (pinned by the CoW aliasing
@@ -701,11 +624,6 @@ class AdHocDigraph:
         g._memo = {}
         g._memo_version = -1
         g._core = self._core.clone(share)
-        if share and self._grid is not None:
-            self._grid_shared = g._grid_shared = True
-        else:
-            g._grid = None if self._grid is None else self._grid.copy()
-            g._grid_shared = False
         return g
 
     # ------------------------------------------------------------------
@@ -763,7 +681,7 @@ class AdHocDigraph:
             "base_version": int(base_version),
             "version": int(self._version),
             "n": n,
-            "cell": self._cell_live if self._use_grid else None,
+            "cell": self._cell,
             "slots": slots,
         }
 
@@ -779,14 +697,12 @@ class AdHocDigraph:
         every slot beyond the delta's population through the core,
         leaving the untouched induced subgraph; (B) adjust the
         population tables; (C) commit the dirty slots' final
-        configurations and bring the spatial grid to the recorded cell
-        size — maintained in place (O(dirty) removes and inserts) when
-        the cell size is unchanged, rebuilt from scratch otherwise; (D)
-        set each dirty slot's final out- and in-rows through the core's
-        incremental kernels, which reconstruct the CA2 counters exactly
-        (they are a pure function of the final adjacency, and the
-        kernels maintain the invariant at every step, so any
-        application order lands on identical bytes).
+        configurations and the recorded cell; (D) set each dirty slot's
+        final out- and in-rows through the core's incremental kernels,
+        which reconstruct the CA2 counters exactly (they are a pure
+        function of the final adjacency, and the kernels maintain the
+        invariant at every step, so any application order lands on
+        identical bytes).
         """
         if delta.get("kind") != "digraph-delta":
             raise ConfigurationError("apply_delta() expects a delta_snapshot() dict")
@@ -814,30 +730,12 @@ class AdHocDigraph:
                 )
         self._ensure_capacity(n1)  # the population limit, before any write
 
-        # Grid plan: when the delta's recorded cell size matches the
-        # live grid's, the grid is maintained in place — O(dirty)
-        # removes and inserts — instead of rebuilt over all N slots
-        # (the rebuild, not the kernels, dominated apply_delta at
-        # large N).  A cell-size change (regrid on the producer) or an
-        # absent grid falls back to the full rebuild below.
-        cell = delta["cell"] if self._use_grid else None
-        incremental = (
-            self._use_grid
-            and self._grid is not None
-            and cell is not None
-            and float(cell) == self._grid.cell_size
-        )
-        if incremental:
-            self._own_grid()
-
         # Phase A — unlink: retract every edge incident to a slot whose
         # content changes (or vanishes), so the CA2 counters stay exact
         # for the surviving subgraph.
         unlink = sorted(set(s for s in dirty if s < n0) | set(range(n1, n0)))
         for s in unlink:
             self._core.unlink(s)
-            if incremental:
-                self._grid.remove(s)
             self._index.pop(self._ids[s], None)
 
         # Phase B — population: shrink or grow the per-slot tables.
@@ -848,7 +746,7 @@ class AdHocDigraph:
             self._ids.extend(0 for _ in range(n1 - n0))
 
         # Phase C — configurations: commit each dirty slot's final
-        # (id, position, range) and rebuild the spatial grid.
+        # (id, position, range) and the recorded cell.
         for s, node_id, x, y, r, _out, _inn in records:
             if s >= n1:
                 raise ConfigurationError(
@@ -860,19 +758,9 @@ class AdHocDigraph:
             self._ida[s] = node_id
             self._index[node_id] = s
             self._touched[s] = version
-            if incremental:
-                self._grid.insert(s, float(x), float(y))
-        self._max_range = float(self._range[:n1].max()) if n1 else 0.0
-        if self._use_grid:
-            self._cell_live = None if cell is None else float(cell)
-        if self._use_grid and not incremental:
-            if self._cell_live is not None and n1 and not (
-                n1 < _GRID_LAZY_MIN and self._grid is None
-            ):
-                self._build_grid(self._cell_live)
-            else:
-                self._grid = None
-                self._grid_shared = False
+        if self._disc:
+            cell = delta["cell"]
+            self._cell = None if cell is None else float(cell)
 
         # Phase D — edges: set each dirty slot's final out-row and
         # in-row.  The kernels diff against current state, so
@@ -1073,90 +961,25 @@ class AdHocDigraph:
         self._ensure_capacity(n)
         self._core.resize(n)
 
-    # -- spatial grid ---------------------------------------------------
-    def _own_grid(self) -> None:
-        """Privatize the spatial index shared with a fork before mutating it."""
-        if self._grid_shared:
-            if self._grid is not None:
-                self._grid = self._grid.copy()
-            self._grid_shared = False
+    def _record_cell(self, tx_range: float, *, join: bool) -> None:
+        """Advance the recorded cell for a node now transmitting at ``tx_range``.
 
-    def _grid_insert(self, slot: int, x: float, y: float, tx_range: float) -> None:
-        """Track ``slot`` in the spatial index (maybe lazily).
-
-        While the population is below ``_GRID_LAZY_MIN`` only the
-        cell-size scalar is advanced — per-node upkeep would cost more
-        than the full scans the small graph uses anyway — and the grid
-        is bulk-built from the position block on first need.
+        No index reads the cell any more (it sized a spatial slot grid,
+        since replaced by full-row scans).  It stays a recorded snapshot
+        (``grid_cell_size``, ``explicit_cell``) and delta (``cell``)
+        field because checkpoints in a store are keyed by content, not
+        by code version: an older reader that applies ``delta["cell"]``
+        may load what this graph writes.  Dropping the fields is a
+        format change.  The rule: the first join's range sets the cell,
+        a range above ``_CELL_RAISE_FACTOR`` times the cell raises it to
+        that range, and an explicit cell restored from a snapshot wins.
+        The cell is ``None`` for a model without ``disc_bounded``.
         """
-        if self._grid_cell is not None:
-            if self._cell_live is None:
-                self._cell_live = self._grid_cell  # explicit cell size wins
-        else:
-            live = self._cell_live
-            if live is None or tx_range > _REGRID_FACTOR * live:
-                # Regrid rule: a new maximum range outgrowing the cell
-                # re-cells the grid so disc queries stay O(1) cells
-                # (e.g. the paper's raisefactor sweep).
-                self._cell_live = float(tx_range)
-        if self._grid is None:
-            if len(self._ids) < _GRID_LAZY_MIN:
-                return
-            self._build_grid(self._cell_live)
+        if not self._disc:
             return
-        self._own_grid()
-        self._grid.insert(slot, float(x), float(y))
-        if self._grid.cell_size != self._cell_live:
-            self._build_grid(self._cell_live)
-
-    def _build_grid(self, cell: float) -> None:
-        """(Re)build the spatial index over all live slots at ``cell`` size."""
-        grid = SlotGridIndex(cell)
-        for slot in range(len(self._ids)):
-            grid.insert(slot, float(self._pos[slot, 0]), float(self._pos[slot, 1]))
-        self._grid = grid
-        self._grid_shared = False
-
-    def _selective_grid(self) -> SlotGridIndex | None:
-        """The grid when candidate gathers can beat a full scan, else ``None``.
-
-        ``None`` when there is no grid (non-disc propagation, or a
-        population below the lazy-build threshold), when the population
-        occupies no more cells than one query ring, or when the model
-        does not evaluate targets elementwise (``elementwise`` contract
-        in ``topology/propagation.py``), so grid-bucketed subsets would
-        not be exact.
-        """
-        grid = self._grid
-        if (
-            grid is None
-            or grid.cell_count <= _MIN_SELECTIVE_CELLS
-            or not getattr(self._prop, "elementwise", True)
-        ):
-            return None
-        return grid
-
-    def _candidates(self, i: int, radius: float) -> np.ndarray | None:
-        """Slots within ``radius`` of slot ``i`` (a superset); ``None`` = scan all.
-
-        The grid bails out to a full scan the moment at least 3/4 of all
-        slots fall in the query box — at that density the gather costs
-        more than testing everyone, and the masks are identical either
-        way (grid candidates are supersets).
-        """
-        grid = self._selective_grid()
-        if grid is None:
-            return None
-        x, y = self._pos[i]
-        cand = grid.candidate_slots(
-            float(x), float(y), radius, cutoff=max(1, (3 * len(self._ids)) // 4)
-        )
-        if _met.ENABLED:
-            # ``None`` is the 3n/4 bailout; a selective window's size
-            # distribution is surfaced by the report.
-            if cand is None:
-                _met.REGISTRY.inc("core.grid.bailout")
-            else:
-                _met.REGISTRY.inc("core.grid.window")
-                _met.REGISTRY.observe("core.grid.candidate_window", int(cand.size))
-        return cand
+        explicit = self._explicit_cell
+        if self._cell is None:
+            if join:
+                self._cell = float(tx_range) if explicit is None else explicit
+        elif explicit is None and tx_range > _CELL_RAISE_FACTOR * self._cell:
+            self._cell = float(tx_range)

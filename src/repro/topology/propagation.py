@@ -21,7 +21,6 @@ __all__ = [
     "FreeSpacePropagation",
     "ObstructedPropagation",
     "pairwise_masks",
-    "ELEMENTWISE_DEFAULT",
 ]
 
 
@@ -56,21 +55,6 @@ class PropagationModel(Protocol):
         ...  # pragma: no cover - protocol
 
 
-#: The *elementwise* contract: a model evaluates each target row
-#: independently — mask entry ``k`` is a pure function of the source
-#: and target ``k`` alone, never of which other targets appear in the
-#: batch.  Both built-in models satisfy it (distance and line-of-sight
-#: tests are per-pair), and the array conflict core depends on it to
-#: evaluate grid candidate *subsets*: an edge refresh tests only the
-#: slots in the grid cells around a node, which must give the same
-#: mask entries as one whole-population evaluation.  A model that
-#: breaks the contract (e.g. capacity-limited coverage of the nearest k
-#: targets) must set ``elementwise = False`` on the class, which pins
-#: such graphs to whole-population evaluation (the grid prefilter is
-#: skipped).
-ELEMENTWISE_DEFAULT = True
-
-
 def pairwise_masks(
     model: PropagationModel,
     position: np.ndarray,
@@ -78,12 +62,12 @@ def pairwise_masks(
     positions: np.ndarray,
     ranges: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(coverage, covered_by)`` masks of one node against candidates.
+    """``(coverage, covered_by)`` masks of one node against other nodes.
 
     The fused query of the array conflict core: after a join or move of
-    a node both its out-edges (*which candidates does it cover?*) and
-    its in-edges (*which candidates cover it?*) must be recomputed over
-    the same candidate set.  Models exposing a ``pairwise`` method (the
+    a node both its out-edges (*which nodes does it cover?*) and its
+    in-edges (*which nodes cover it?*) must be recomputed over all live
+    slots.  Models exposing a ``pairwise`` method (the
     built-in free-space and obstructed models do) answer both from one
     distance pass; other models fall back to two independent queries.
     Either way the masks are bitwise identical to separate
@@ -104,13 +88,11 @@ class FreeSpacePropagation:
     """The paper's base model: closed disc of radius ``src_range``.
 
     ``disc_bounded`` declares that coverage never exceeds the
-    transmission disc, which lets :class:`~repro.topology.digraph.AdHocDigraph`
-    prefilter edge recomputation through its spatial grid index.
+    transmission disc; :class:`~repro.topology.digraph.AdHocDigraph`
+    records a cell size in its snapshots only for such models.
     """
 
     disc_bounded: ClassVar[bool] = True
-    #: Per-target purity — see ``ELEMENTWISE_DEFAULT`` above.
-    elementwise: ClassVar[bool] = True
 
     def coverage(
         self,
@@ -169,13 +151,10 @@ class ObstructedPropagation:
 
     A target is covered iff it is within range *and* the straight segment
     from source to target does not cross any obstacle.  Coverage is a
-    subset of the free-space disc, so the grid fast path stays sound
-    (``disc_bounded``).
+    subset of the free-space disc (``disc_bounded``).
     """
 
     disc_bounded: ClassVar[bool] = True
-    #: LOS is a per-pair test, so candidate-subset evaluation stays exact.
-    elementwise: ClassVar[bool] = True
 
     obstacles: tuple[RectObstacle, ...] = field(default_factory=tuple)
 

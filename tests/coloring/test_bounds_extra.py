@@ -10,12 +10,12 @@ from repro.topology.digraph import AdHocDigraph
 from repro.topology.static import StaticDigraph
 from tests.conftest import make_random_graph
 
-# run the test once per neighbour search (see tests/conftest.py::use_scan)
-per_scan = pytest.mark.usefixtures("each_scan")
+# run the test once per edge kernel (see tests/conftest.py::use_kernel)
+per_kernel = pytest.mark.usefixtures("each_kernel")
 
 
 class TestReceiverCliqueBound:
-    @per_scan
+    @per_kernel
     @pytest.mark.parametrize("seed", range(4))
     def test_native_in_degrees_match_adjacency(self, seed):
         graph = AdHocDigraph.restore(make_random_graph(seed, 30).snapshot())

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-import repro.topology.digraph as digraph_mod
 from repro.sim.network import AdHocNetwork
 from repro.sim.random_networks import sample_configs
 from repro.strategies.minim import MinimStrategy
@@ -29,36 +28,37 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
-#: The shipped thresholds of the array core's slot grid (see
-#: ``topology/digraph.py``); no test population reaches them.
-_GRID_LAZY_MIN = digraph_mod._GRID_LAZY_MIN
-_MIN_SELECTIVE_CELLS = digraph_mod._MIN_SELECTIVE_CELLS
+#: The two ways the array core computes a slot's edges under the
+#: free-space disc (see ``ArrayCore.refresh``).
+KERNELS = ("inline", "model")
 
-#: The two ways the array core finds a slot's neighbours.
-SCANS = ("scan", "grid")
+_INIT = AdHocDigraph.__init__
 
 
-def use_scan(monkeypatch, scan: str) -> None:
-    """Make every graph built or restored from now on find neighbours by ``scan``.
+def _model_init(self, *args, **kwargs):
+    _INIT(self, *args, **kwargs)
+    self._fs = False
 
-    ``scan`` keeps the shipped thresholds, so small test graphs test
-    every slot with full-row scans.  ``grid`` drops both thresholds to
-    zero: the slot grid is built from the first node (and on every
-    restore or delta), kept up to date through joins, leaves, moves,
-    regrids, forks and copies, and ``refresh`` gathers from grid
-    candidate subsets wherever the query window is selective.
+
+def use_kernel(monkeypatch, kernel: str) -> None:
+    """Make every graph built or restored from now on compute edges by ``kernel``.
+
+    ``inline`` is the shipped free-space path: ``ArrayCore.refresh``
+    evaluates the closed disc with its own distance pass.  ``model``
+    clears the graph's free-space gate, so ``refresh`` dispatches to the
+    propagation model through ``pairwise_masks`` — the path every other
+    model takes.  The two must give identical edges, counters and
+    snapshots.
     """
-    grid = scan == "grid"
-    monkeypatch.setattr(digraph_mod, "_GRID_LAZY_MIN", 0 if grid else _GRID_LAZY_MIN)
     monkeypatch.setattr(
-        digraph_mod, "_MIN_SELECTIVE_CELLS", 0 if grid else _MIN_SELECTIVE_CELLS
+        AdHocDigraph, "__init__", _INIT if kernel == "inline" else _model_init
     )
 
 
-@pytest.fixture(params=SCANS)
-def each_scan(request, monkeypatch) -> str:
-    """Run the requesting test once per neighbour search (see :func:`use_scan`)."""
-    use_scan(monkeypatch, request.param)
+@pytest.fixture(params=KERNELS)
+def each_kernel(request, monkeypatch) -> str:
+    """Run the requesting test once per edge kernel (see :func:`use_kernel`)."""
+    use_kernel(monkeypatch, request.param)
     return request.param
 
 

@@ -10,8 +10,8 @@ from repro.strategies.minim import MinimStrategy
 from repro.topology.builder import build_digraph
 from repro.topology.node import NodeConfig
 
-# run the test once per neighbour search (see tests/conftest.py::use_scan)
-per_scan = pytest.mark.usefixtures("each_scan")
+# run the test once per edge kernel (see tests/conftest.py::use_kernel)
+per_kernel = pytest.mark.usefixtures("each_kernel")
 
 
 class TestEventTypes:
@@ -148,7 +148,7 @@ class TestJoinBatchPlannerOracle:
             for i in ids
         ]
 
-    @per_scan
+    @per_kernel
     @pytest.mark.parametrize("min_separation", range(1, 6))
     @pytest.mark.parametrize("seed", range(3))
     def test_batches_match_the_full_bfs_planner(self, seed, min_separation):

@@ -34,7 +34,7 @@ def _sweep_records():
          "data": {"counters": {"core.memo.hit": 8, "core.memo.miss": 2,
                                "timeline.rounds.saved": 3, "timeline.rounds.replayed": 1},
                   "gauges": {},
-                  "histograms": {"core.grid.candidate_window":
+                  "histograms": {"sample.window":
                                  {"count": 4, "total": 40.0, "min": 5.0, "max": 20.0}}}},
     ]
 
@@ -72,7 +72,7 @@ def test_render_report_sections():
     assert "checkpoint replay savings" in out and "75.0%" in out
     assert "queue.claim" in out
     assert "(w1)" in out  # owner attribution in the worker timeline
-    assert "core.grid.candidate_window" in out
+    assert "sample.window" in out
 
 
 def test_check_trace_accepts_complete_sweep():

@@ -20,6 +20,22 @@ class TestDrive:
         events += [PowerChangeEvent(configs[5].node_id, 40.0), LeaveEvent(configs[6].node_id)]
         assert drive_event_loop(events) > 0.0
 
+    def test_traced_drive_reaches_a_recording_site(self, tmp_path):
+        # the obs-overhead bench times this loop with tracing on and
+        # off; a loop that records nothing compares two identical paths
+        from repro import obs
+        from repro.obs import metrics
+
+        events = [JoinEvent(c) for c in sample_configs(20, np.random.default_rng(0))]
+        obs.enable(tmp_path / "trace.jsonl")
+        try:
+            drive_event_loop(events)
+            counters = metrics.REGISTRY.snapshot()["counters"]
+        finally:
+            obs.close()
+        assert counters  # not the empty snapshot of a loop with no site
+        assert counters["core.memo.miss"] == len(events)  # one memo fill per event
+
 
 class TestObsOverheadBench:
     def test_default_n_is_the_ci_point(self):

@@ -19,8 +19,8 @@ from repro.sim.network import AdHocNetwork, MultiStrategyReplay
 from repro.sim.random_networks import sample_configs
 from repro.strategies import make_strategy
 
-# run the test once per neighbour search (see tests/conftest.py::use_scan)
-per_scan = pytest.mark.usefixtures("each_scan")
+# run the test once per edge kernel (see tests/conftest.py::use_kernel)
+per_kernel = pytest.mark.usefixtures("each_kernel")
 
 
 STRATEGY_SETS = [
@@ -61,7 +61,7 @@ def random_trace(
     return events
 
 
-@per_scan
+@per_kernel
 class TestEquivalencePin:
     @pytest.mark.parametrize("strategies", STRATEGY_SETS)
     @pytest.mark.parametrize("trace_seed", [0, 1, 2])
@@ -119,7 +119,7 @@ class TestReplayApi:
             assert len(lane.metrics.records) == 6
 
 
-@per_scan
+@per_kernel
 class TestLaneContainers:
     def test_lanes_hold_array_assignments(self):
         replay = MultiStrategyReplay([make_strategy("Minim")])

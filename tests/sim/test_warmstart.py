@@ -17,8 +17,8 @@ from repro.sim.sweep import build_sweep, plan_tasks, run_sweep
 from repro.strategies import make_strategy
 from repro.topology.digraph import AdHocDigraph
 
-# run the test once per neighbour search (see tests/conftest.py::use_scan)
-per_scan = pytest.mark.usefixtures("each_scan")
+# run the test once per edge kernel (see tests/conftest.py::use_kernel)
+per_kernel = pytest.mark.usefixtures("each_kernel")
 
 
 def paired_spec(**overrides):
@@ -41,7 +41,7 @@ def _graph_state(graph: AdHocDigraph):
 # AdHocDigraph.snapshot() / restore()
 # ----------------------------------------------------------------------
 class TestDigraphSnapshot:
-    @per_scan
+    @per_kernel
     def test_restore_then_replay_matches_uninterrupted_graph(self):
         rng = np.random.default_rng(11)
         cfgs = sample_configs(25, rng)

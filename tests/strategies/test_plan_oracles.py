@@ -47,8 +47,8 @@ from tests.strategies.oracles import (
     solve_v1_oracle,
 )
 
-# run the test once per neighbour search (see tests/conftest.py::use_scan)
-per_scan = pytest.mark.usefixtures("each_scan")
+# run the test once per edge kernel (see tests/conftest.py::use_kernel)
+per_kernel = pytest.mark.usefixtures("each_kernel")
 
 
 FIGURES = ["fig10-join", "fig10-range", "fig11-power", "fig12-move-disp", "fig12-move-rounds"]
@@ -91,13 +91,13 @@ def replay_checked(name: str, *, n: int = 18, checked_cls=OracleCheckedMinim, **
     return checked
 
 
-@per_scan
+@per_kernel
 @pytest.mark.parametrize("name", FIGURES)
 def test_every_figure_plan_matches_oracle(name):
     assert replay_checked(name) > 0
 
 
-@per_scan
+@per_kernel
 def test_weight_ablation_matches_oracle():
     assert replay_checked("fig12-move-disp", old_color_weight=1) > 0
 
@@ -199,13 +199,13 @@ class OracleCheckedCP(CPStrategy):
 CP_SCENARIOS = FIGURES + ["hotspot-churn", "random-waypoint"]
 
 
-@per_scan
+@per_kernel
 @pytest.mark.parametrize("name", CP_SCENARIOS)
 def test_every_cp_plan_matches_oracle(name):
     assert replay_checked(name, checked_cls=OracleCheckedCP) > 0
 
 
-@per_scan
+@per_kernel
 @pytest.mark.parametrize("options", CP_OPTIONS[1:], ids=["lowest", "vicinity", "lowest-vicinity"])
 @pytest.mark.parametrize("name", ["fig11-power", "fig12-move-disp", "hotspot-churn"])
 def test_cp_options_match_oracle(name, options):
@@ -248,7 +248,7 @@ def check_random_plans(graph, codes: dict[int, int], make_assignment, seed: int)
     return checked
 
 
-@per_scan
+@per_kernel
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_cp_random_networks_match_oracle(seed):
     graph = make_random_graph(seed, n=24, min_range=25.5, max_range=40.5)
@@ -264,7 +264,7 @@ def test_cp_static_digraph_matches_oracle(seed):
     assert check_random_plans(graph, codes, CodeAssignment, seed) > 0
 
 
-@per_scan
+@per_kernel
 def test_duplicated_members_and_reselect_match_oracle():
     graph = make_random_graph(4, n=30, min_range=25.5, max_range=40.5)
     codes = random_partial_coloring(graph, 4)
@@ -295,7 +295,7 @@ def test_mover_landing_on_its_old_color_still_announces():
     assert_same_cp_plan(plan_cp_move(g, arr, 0), cp_move_oracle(g, a, 0))
 
 
-@per_scan
+@per_kernel
 def test_power_increase_with_gained_ca2_constraint():
     # 1 raises its range to reach receiver 3, which 2 also reaches: 1 and
     # 2 gain a CA2 constraint (no edge between them) and share color 1.

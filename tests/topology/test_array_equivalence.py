@@ -18,15 +18,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.geometry.grid_index import SlotGridIndex
 from repro.geometry.obstacles import RectObstacle
 from repro.topology.digraph import AdHocDigraph
 from repro.topology.node import NodeConfig
-from repro.topology.propagation import ObstructedPropagation
+from repro.topology.propagation import FreeSpacePropagation, ObstructedPropagation
 from tests.topology.oracles import assert_matches_oracle
 
-# run the test once per neighbour search (see tests/conftest.py::use_scan)
-per_scan = pytest.mark.usefixtures("each_scan")
+# run the test once per edge kernel (see tests/conftest.py::use_kernel)
+per_kernel = pytest.mark.usefixtures("each_kernel")
 
 
 def _random_trace(g, seed, steps, area=100.0, first_id=1, alive=None):
@@ -54,7 +53,7 @@ def _random_trace(g, seed, steps, area=100.0, first_id=1, alive=None):
             x, y = float(rng.uniform(0, area)), float(rng.uniform(0, area))
             g.move_node(v, x, y)
         else:
-            # occasionally a large raise (exercises the regrid rule)
+            # occasionally a large raise (exercises the recorded-cell raise)
             v = alive[int(rng.integers(0, len(alive)))]
             r = float(rng.uniform(5, 40)) * (6.0 if rng.random() < 0.1 else 1.0)
             g.set_range(v, r)
@@ -62,56 +61,17 @@ def _random_trace(g, seed, steps, area=100.0, first_id=1, alive=None):
 
 
 class TestRandomizedArrayEquivalence:
-    @per_scan
+    @per_kernel
     @pytest.mark.parametrize("seed", range(6))
     def test_free_space_traces_identical(self, seed):
         _random_trace(AdHocDigraph(), seed, steps=70)
 
-    @per_scan
     @pytest.mark.parametrize("seed", range(4))
     def test_obstructed_propagation_identical(self, seed):
         prop = ObstructedPropagation((RectObstacle(30.0, 30.0, 60.0, 40.0),))
         _random_trace(AdHocDigraph(prop), seed, steps=45)
 
-    @pytest.mark.parametrize("seed", range(2))
-    def test_sparse_area_engages_grid_candidates(self, seed):
-        # a huge area with short ranges spreads nodes over many cells,
-        # pushing the core past the selectivity gate so the
-        # candidate-gather path itself is checked against the oracle
-        rng = np.random.default_rng(seed)
-        g = AdHocDigraph()
-        for node_id in range(1, 400):
-            g.add_node(
-                NodeConfig(
-                    node_id,
-                    float(rng.uniform(0, 2000)),
-                    float(rng.uniform(0, 2000)),
-                    float(rng.uniform(20, 40)),
-                )
-            )
-        assert isinstance(g.grid_index, SlotGridIndex)
-        assert g.grid_index.cell_count > 32  # gate open: gathers engage
-        _random_trace(g, seed, steps=30, area=2000.0, first_id=400, alive=range(1, 400))
-
-    @per_scan
-    def test_grid_tracks_every_node(self):
-        g = AdHocDigraph()
-        g.add_node(NodeConfig(1, 10.0, 10.0, 25.0))
-        assert g.grid_index is not None  # forces the deferred build
-        assert len(g.grid_index) == 1
-
-    @per_scan
-    def test_regrid_on_large_power_raise(self):
-        g = AdHocDigraph()
-        for i in range(1, 10):
-            g.add_node(NodeConfig(i, 10.0 * i, 5.0, 4.0))
-        small_cell = g.grid_index.cell_size
-        g.set_range(3, 80.0)  # > regrid factor x cell size
-        assert g.grid_index.cell_size > small_cell
-        assert g.out_neighbors(3) == [1, 2, 4, 5, 6, 7, 8, 9]
-        assert_matches_oracle(g)
-
-    @per_scan
+    @per_kernel
     def test_copies_diverge_independently(self):
         g = AdHocDigraph()
         rng = np.random.default_rng(3)
@@ -207,7 +167,7 @@ def _apply_op(g, op):
 
 
 class TestCornerTraces:
-    @per_scan
+    @per_kernel
     @pytest.mark.parametrize("name", sorted(_CORNER_TRACES))
     def test_core_matches_the_oracle_on_every_step(self, name):
         g = AdHocDigraph()
@@ -216,7 +176,7 @@ class TestCornerTraces:
             assert_matches_oracle(g)
 
 
-@per_scan
+@per_kernel
 class TestSlotQuerySurface:
     @pytest.fixture
     def graph(self):
@@ -282,7 +242,7 @@ def _scattered_graph():
     return g
 
 
-@per_scan
+@per_kernel
 class TestConflictPairs:
     @pytest.fixture
     def graph(self):
@@ -323,6 +283,8 @@ class TestArrayCoreDefaults:
     def test_core_choice_parameter_is_gone(self):
         with pytest.raises(TypeError):
             AdHocDigraph(sparse_core=True)
+        with pytest.raises(TypeError):
+            AdHocDigraph(grid_cell_size=10.0)
         with pytest.raises(TypeError):
             AdHocDigraph.restore(json.loads(_DICT_MODE_SNAPSHOT), sparse_core=True)
 
@@ -400,7 +362,7 @@ def _compat_graph():
     return g
 
 
-@per_scan
+@per_kernel
 class TestSnapshotCompatibility:
     def test_snapshot_bytes_are_pinned(self):
         # schema 3, "dense": false included: stored checkpoints and
@@ -440,3 +402,81 @@ class TestSnapshotCompatibility:
         restored = AdHocDigraph.restore(payload)
         assert_matches_oracle(restored)
         assert json.dumps(restored.snapshot()) == _DICT_MODE_SNAPSHOT
+
+
+#: A delta written by the code that still kept a slot grid: from
+#: :func:`_compat_graph` (version 9) through a join, a power raise past
+#: four times the cell (which raised ``cell`` to 120) and a move.
+_GRID_ERA_DELTA = (
+    '{"schema": 1, "kind": "digraph-delta", "base_version": 9, "version": 12, '
+    '"n": 6, "cell": 120.0, "slots": [[0, 1, 10.0, 10.0, 120.0, [1, 2, 3, 4, 5], '
+    '[2]], [4, 5, 60.0, 22.0, 28.0, [3, 5], [0, 3]], [5, 7, 40.0, 30.0, 20.0, '
+    '[2, 3], [0, 2, 3, 4]]]}'
+)
+
+
+class TestRecordedCell:
+    """The cell size a snapshot (``grid_cell_size``) and a delta
+    (``cell``) record: a format field with no index behind it."""
+
+    @staticmethod
+    def _cells(g, base=0):
+        return g.snapshot()["grid_cell_size"], g.delta_snapshot(base)["cell"]
+
+    def test_first_join_range_sets_the_cell(self):
+        g = AdHocDigraph()
+        assert self._cells(g) == (None, None)
+        g.add_node(NodeConfig(1, 10.0, 10.0, 25.0))
+        g.add_node(NodeConfig(2, 30.0, 10.0, 90.0))  # under 4 x 25: kept
+        g.add_node(NodeConfig(3, 50.0, 10.0, 5.0))
+        assert self._cells(g) == (25.0, 25.0)
+
+    def test_power_raise_past_four_times_raises_the_cell(self):
+        g = AdHocDigraph()
+        for i in range(1, 10):
+            g.add_node(NodeConfig(i, 10.0 * i, 5.0, 4.0))
+        g.set_range(3, 16.0)  # exactly 4 x the cell: kept
+        assert self._cells(g) == (4.0, 4.0)
+        g.set_range(3, 80.0)
+        assert self._cells(g) == (80.0, 80.0)
+        assert g.out_neighbors(3) == [1, 2, 4, 5, 6, 7, 8, 9]
+        assert_matches_oracle(g)
+        g.add_node(NodeConfig(10, 0.0, 0.0, 400.0))  # a join raises it too
+        assert self._cells(g) == (400.0, 400.0)
+
+    def test_no_cell_without_a_disc_bounded_model(self):
+        class Unbounded(FreeSpacePropagation):
+            disc_bounded = False
+
+        g = AdHocDigraph(Unbounded())
+        g.add_node(NodeConfig(1, 10.0, 10.0, 25.0))
+        g.set_range(1, 500.0)
+        assert self._cells(g) == (None, None)
+
+    def test_explicit_cell_from_a_snapshot_round_trips(self):
+        payload = json.loads(_DICT_MODE_SNAPSHOT)
+        payload["explicit_cell"] = payload["grid_cell_size"] = 1.0
+        text = json.dumps(payload)
+        g = AdHocDigraph.restore(json.loads(text))
+        assert json.dumps(g.snapshot()) == text
+        g.set_range(1, 40.0)  # past 4 x 1.0, but the explicit cell wins
+        g.add_node(NodeConfig(7, 40.0, 30.0, 20.0))
+        assert self._cells(g, base=9) == (1.0, 1.0)
+        assert g.snapshot()["explicit_cell"] == 1.0
+        # an empty graph takes the explicit cell at its first join
+        empty = AdHocDigraph.restore({**AdHocDigraph().snapshot(), "explicit_cell": 2.0})
+        empty.add_node(NodeConfig(1, 0.0, 0.0, 25.0))
+        assert self._cells(empty) == (2.0, 2.0)
+
+    def test_grid_era_delta_applies_cleanly(self):
+        g = AdHocDigraph.restore(json.loads(_DICT_MODE_SNAPSHOT))
+        g.apply_delta(json.loads(_GRID_ERA_DELTA))
+        assert g.version == 12
+        assert_matches_oracle(g)
+        live = _compat_graph()
+        live.add_node(NodeConfig(7, 40.0, 30.0, 20.0))
+        live.set_range(1, 120.0)
+        live.move_node(5, 60.0, 22.0)
+        assert g.snapshot() == live.snapshot()
+        assert json.dumps(live.delta_snapshot(9)) == _GRID_ERA_DELTA
+        assert self._cells(live, base=9) == (120.0, 120.0)

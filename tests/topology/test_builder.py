@@ -9,8 +9,8 @@ from repro.topology.builder import build_digraph, bulk_adjacency
 from repro.topology.node import NodeConfig
 from repro.topology.propagation import ObstructedPropagation
 
-# run every test once per neighbour search (see tests/conftest.py::use_scan)
-pytestmark = pytest.mark.usefixtures("each_scan")
+# run the test once per edge kernel (see tests/conftest.py::use_kernel)
+per_kernel = pytest.mark.usefixtures("each_kernel")
 
 
 class TestBuildDigraph:
@@ -22,12 +22,14 @@ class TestBuildDigraph:
     def test_empty(self):
         assert len(build_digraph([])) == 0
 
+    @per_kernel
     def test_accepts_generator(self):
         g = build_digraph(NodeConfig(i, i * 5.0, 0.0, tx_range=6.0) for i in range(4))
         assert len(g) == 4 and g.has_edge(0, 1)
 
 
 class TestBulkAdjacency:
+    @per_kernel
     def test_matches_incremental_free_space(self):
         rng = np.random.default_rng(0)
         cfgs = [

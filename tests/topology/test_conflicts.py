@@ -14,8 +14,8 @@ from repro.topology.conflicts import (
 from repro.topology.static import StaticDigraph
 from tests.conftest import make_random_graph
 
-# run every test once per neighbour search (see tests/conftest.py::use_scan)
-pytestmark = pytest.mark.usefixtures("each_scan")
+# run the test once per edge kernel (see tests/conftest.py::use_kernel)
+per_kernel = pytest.mark.usefixtures("each_kernel")
 
 
 def brute_force_conflicts(adj: np.ndarray) -> np.ndarray:
@@ -78,6 +78,7 @@ class TestConflictMatrix:
         assert c[0, 1]
 
 
+@per_kernel
 class TestConflictNeighbors:
     def test_matches_matrix_on_geometric_graphs(self):
         g = make_random_graph(seed=5, n=25)
@@ -111,6 +112,7 @@ class TestConflictNeighbors:
             assert u not in conflict_neighbors(g, u)
 
 
+@per_kernel
 class TestConflictDegree:
     def test_matches_neighbors(self):
         g = make_random_graph(seed=8, n=20)

@@ -9,8 +9,8 @@ from repro.topology.connectivity import (
 )
 from repro.topology.node import NodeConfig
 
-# run every test once per neighbour search (see tests/conftest.py::use_scan)
-pytestmark = pytest.mark.usefixtures("each_scan")
+# run every test once per edge kernel (see tests/conftest.py::use_kernel)
+pytestmark = pytest.mark.usefixtures("each_kernel")
 
 
 def cfg(i, x, r=12.0):

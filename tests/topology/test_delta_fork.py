@@ -27,8 +27,8 @@ from repro.topology.node import NodeConfig
 from repro.topology.propagation import ObstructedPropagation
 from tests.topology.oracles import assert_matches_oracle
 
-# run the test once per neighbour search (see tests/conftest.py::use_scan)
-per_scan = pytest.mark.usefixtures("each_scan")
+# run the test once per edge kernel (see tests/conftest.py::use_kernel)
+per_kernel = pytest.mark.usefixtures("each_kernel")
 
 
 #: A snapshot of a 60-node graph after four rounds of mixed churn
@@ -64,7 +64,7 @@ def churn_round(graph, rng, live, next_id, *, leaves=2, joins=2, moves=5):
 
 
 class TestDeltaRoundTrips:
-    @per_scan
+    @per_kernel
     def test_single_delta_is_byte_identical(self):
         rng = np.random.default_rng(5)
         g = AdHocDigraph()
@@ -78,7 +78,7 @@ class TestDeltaRoundTrips:
         assert canonical(shadow) == canonical(g)
         assert_matches_oracle(shadow)
 
-    @per_scan
+    @per_kernel
     def test_delta_grows_the_population_past_capacity(self):
         # the applier starts with room for 16 slots; the delta brings 45
         rng = np.random.default_rng(9)
@@ -94,7 +94,7 @@ class TestDeltaRoundTrips:
         assert canonical(shadow) == canonical(g)
         assert_matches_oracle(shadow)
 
-    @per_scan
+    @per_kernel
     def test_chained_deltas_compose(self):
         # the checkpoint-chain lifecycle: every round's delta is cut
         # against the previous round's version and applied in order
@@ -115,7 +115,6 @@ class TestDeltaRoundTrips:
             assert canonical(shadow) == canonical(g), f"diverged at round {step}"
             assert_matches_oracle(shadow)
 
-    @per_scan
     def test_chained_deltas_compose_under_obstruction(self):
         # the shadow's links must still respect line of sight: the
         # oracle re-derives them with the walls in place
@@ -135,12 +134,10 @@ class TestDeltaRoundTrips:
             assert canonical(shadow) == canonical(g), f"diverged at round {step}"
             assert_matches_oracle(shadow)
 
-    @per_scan
-    def test_live_slot_grid_is_maintained_incrementally(self):
-        # above _GRID_LAZY_MIN the slot grid is live, so apply_delta
-        # takes the in-place O(dirty) path instead of the full rebuild;
-        # conflict queries after chained churn must still agree with a
-        # from-scratch restore of the same snapshot
+    def test_chained_churn_deltas_match_a_fresh_restore(self):
+        # conflict queries after chained churn deltas at a few hundred
+        # nodes must agree with a from-scratch restore of the same
+        # snapshot
         rng = np.random.default_rng(23)
         cfgs = sample_configs(300, rng, area=(160.0, 160.0))
         g = AdHocDigraph()
@@ -182,7 +179,7 @@ class TestDeltaRoundTrips:
             base = g.version
         assert delta_bytes <= 0.2 * full_bytes
 
-    @per_scan
+    @per_kernel
     def test_sparse_core_snapshot_and_delta_land_byte_identically(self):
         fixture = json.loads(_SPARSE_CORE_FIXTURE.read_text())
         g = AdHocDigraph.restore(fixture["snapshot"])
@@ -191,7 +188,7 @@ class TestDeltaRoundTrips:
         assert json.dumps(g.snapshot()) == json.dumps(fixture["after"])
         assert_matches_oracle(g)
 
-    @per_scan
+    @per_kernel
     def test_empty_delta_advances_the_version_only(self):
         g = AdHocDigraph()
         for cfg in sample_configs(6, np.random.default_rng(1)):
@@ -236,7 +233,7 @@ class TestDeltaValidation:
             g.apply_delta(g.snapshot())
 
 
-@per_scan
+@per_kernel
 class TestCopyOnWriteFork:
     def test_child_mutations_never_leak_into_the_parent(self):
         rng = np.random.default_rng(9)

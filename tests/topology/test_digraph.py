@@ -10,8 +10,8 @@ from repro.topology.builder import build_digraph, bulk_adjacency
 from repro.topology.digraph import AdHocDigraph
 from repro.topology.node import NodeConfig
 
-# run every test once per neighbour search (see tests/conftest.py::use_scan)
-pytestmark = pytest.mark.usefixtures("each_scan")
+# run every test once per edge kernel (see tests/conftest.py::use_kernel)
+pytestmark = pytest.mark.usefixtures("each_kernel")
 
 
 def cfg(i, x, y, r=12.0):

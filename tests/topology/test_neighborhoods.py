@@ -6,8 +6,8 @@ from repro.topology.neighborhoods import join_partition, k_hop_neighbors, vicini
 from repro.topology.static import StaticDigraph
 from tests.conftest import make_random_graph
 
-# run every test once per neighbour search (see tests/conftest.py::use_scan)
-pytestmark = pytest.mark.usefixtures("each_scan")
+# run every test once per edge kernel (see tests/conftest.py::use_kernel)
+pytestmark = pytest.mark.usefixtures("each_kernel")
 
 
 @pytest.fixture

@@ -25,8 +25,8 @@ from tests.topology.oracles import (
     c2_oracle,
 )
 
-# run the test once per neighbour search (see tests/conftest.py::use_scan)
-per_scan = pytest.mark.usefixtures("each_scan")
+# run the test once per edge kernel (see tests/conftest.py::use_kernel)
+per_kernel = pytest.mark.usefixtures("each_kernel")
 
 
 def _graph(nodes, prop=None):
@@ -51,7 +51,7 @@ def _by_loops(adj):
 
 
 class TestAdjacencyOracle:
-    @per_scan
+    @per_kernel
     def test_empty_graph(self):
         g = AdHocDigraph()
         ids, adj = adjacency_oracle(g)
@@ -117,7 +117,7 @@ class TestConflictAndC2Oracle:
         assert c2[0, 3] == c2[3, 0] == 2
         assert c2[1, 2] == 0  # the receivers reach nobody
 
-    @per_scan
+    @per_kernel
     @pytest.mark.parametrize("seed", range(6))
     def test_random_networks_match_the_definitions(self, seed):
         rng = np.random.default_rng(seed)
@@ -133,7 +133,6 @@ class TestConflictAndC2Oracle:
         assert (c2 == c2.T).all() and not c2.diagonal().any()
         assert_matches_oracle(g)
 
-    @per_scan
     @pytest.mark.parametrize("seed", range(2))
     def test_obstructed_networks_match_the_definitions(self, seed):
         rng = np.random.default_rng(seed + 40)
@@ -160,7 +159,7 @@ class TestOracleCatchesCorruption:
     def _network():
         return _graph([(1, 0, 0, 12), (2, 10, 0, 1), (3, 20, 0, 12), (4, 10, 10, 15)])
 
-    @per_scan
+    @per_kernel
     def test_wrong_c2_counter_is_caught(self):
         g = self._network()
         assert_matches_oracle(g)
@@ -170,7 +169,7 @@ class TestOracleCatchesCorruption:
         with pytest.raises(AssertionError):
             assert_matches_oracle(g)
 
-    @per_scan
+    @per_kernel
     def test_stale_links_after_an_unannounced_move_are_caught(self):
         g = self._network()
         assert_matches_oracle(g)

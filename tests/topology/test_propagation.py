@@ -1,7 +1,6 @@
 """Tests for propagation models."""
 
 import numpy as np
-import pytest
 
 from repro.geometry.obstacles import RectObstacle
 from repro.topology.builder import build_digraph
@@ -11,9 +10,6 @@ from repro.topology.propagation import (
     ObstructedPropagation,
     PropagationModel,
 )
-
-# run every test once per neighbour search (see tests/conftest.py::use_scan)
-pytestmark = pytest.mark.usefixtures("each_scan")
 
 
 class TestFreeSpace:

@@ -3,7 +3,7 @@
 ``AdHocDigraph._vacate_slot`` is the shared swap-delete tail of every
 removal: it renumbers the last slot into the freed one across *all*
 per-slot tables (positions, ranges, id maps, the core's adjacency/C2
-blocks, grid membership).  These tests hammer it with seeded random
+blocks).  These tests hammer it with seeded random
 add/remove/move/set-range sequences and assert the full set of
 structural invariants after every step, plus agreement with the
 brute-force topology oracle — the class
@@ -29,8 +29,8 @@ from tests.topology.oracles import (
     c2_oracle,
 )
 
-# run the test once per neighbour search (see tests/conftest.py::use_scan)
-per_scan = pytest.mark.usefixtures("each_scan")
+# run the test once per edge kernel (see tests/conftest.py::use_kernel)
+per_kernel = pytest.mark.usefixtures("each_kernel")
 
 
 def _check_slot_tables(g: AdHocDigraph) -> None:
@@ -48,22 +48,6 @@ def _check_slot_tables(g: AdHocDigraph) -> None:
         assert g._range[slot] == cfg.tx_range
 
 
-def _check_grid_membership(g: AdHocDigraph) -> None:
-    """A live slot grid holds exactly the live slots, each in its cell."""
-    grid = g._grid
-    if grid is None:
-        return
-    n = len(g.node_ids())
-    assert len(grid) == n
-    assert sum(bucket.count for bucket in grid._cells.values()) == n
-    for slot in range(n):
-        assert slot in grid
-        cell = grid._cell_of(float(g._pos[slot, 0]), float(g._pos[slot, 1]))
-        assert (int(grid._cx[slot]), int(grid._cy[slot])) == cell
-        assert grid._cells[cell].data[grid._pos_in_cell[slot]] == slot
-    assert n not in grid  # the vacated trailing slot left the grid
-
-
 def _check_trailing_slots_clear(g: AdHocDigraph) -> None:
     """Swap-delete must zero the freed trailing rows, not just hide them."""
     n = len(g.node_ids())
@@ -78,7 +62,6 @@ def _check_trailing_slots_clear(g: AdHocDigraph) -> None:
 def _check_all(g: AdHocDigraph) -> None:
     _check_slot_tables(g)
     assert_matches_oracle(g)
-    _check_grid_membership(g)
     _check_trailing_slots_clear(g)
 
 
@@ -114,19 +97,18 @@ def _churn(g: AdHocDigraph, seed: int, steps: int = 90) -> None:
 
 
 class TestSlotInvariantsUnderChurn:
-    @per_scan
+    @per_kernel
     @pytest.mark.parametrize("seed", range(6))
     def test_random_churn_preserves_invariants(self, seed):
         _churn(AdHocDigraph(), seed)
 
-    @per_scan
     @pytest.mark.parametrize("seed", range(3))
     def test_churn_under_obstruction_preserves_invariants(self, seed):
-        # line-of-sight prunes links inside the grid's candidate discs
+        # line-of-sight prunes links inside the transmission discs
         walls = (RectObstacle(30.0, 20.0, 45.0, 90.0), RectObstacle(70.0, 60.0, 110.0, 75.0))
         _churn(AdHocDigraph(ObstructedPropagation(walls)), seed + 10)
 
-    @per_scan
+    @per_kernel
     def test_remove_last_slot_and_drain_to_empty(self):
         # the i == last branch (no swap), then drain through repeated
         # swap-deletes of slot 0, then rebuild on the emptied tables
