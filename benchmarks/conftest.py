@@ -20,8 +20,11 @@ Reproduce a paper-fidelity run with::
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import pytest
+
+from repro.sim.registry import get_scenario
 
 RUNS = int(os.environ.get("REPRO_RUNS", "3"))
 FULL = os.environ.get("REPRO_FULL_GRID", "0") == "1"
@@ -35,6 +38,11 @@ MOVE_N = 40 if FULL else 30
 MAXDISPS = (0.0, 10.0, 20.0, 40.0, 60.0, 80.0) if FULL else (0.0, 20.0, 40.0, 80.0)
 MOVE_ROUNDS = 10 if FULL else 5
 SEED = 2001
+
+
+def figure(name: str, sweep_values, **overrides):
+    """The registered paper scenario ``name``, re-based to ``sweep_values``."""
+    return replace(get_scenario(name), sweep_values=tuple(sweep_values), **overrides)
 
 
 def run_once(benchmark, fn):

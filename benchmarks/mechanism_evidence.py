@@ -5,8 +5,11 @@ on the sweeps of the ``perfbench`` workloads, once with it and once
 without, and prints one markdown row per mechanism × workload:
 
 - **warm start** (checkpoint-tree prefix sharing, which includes the
-  timeline's round sharing): ``warm_start=None`` vs ``warm_start=False``
-  on ``paired-store`` and ``paper-figs``;
+  timeline's round sharing): each sweep as planned vs each paired sweep
+  run one value at a time, on ``paired-store`` and ``paper-figs``.
+  Paired run seeds do not depend on the point count, so a one-value
+  sweep plans no warm group and replays cold; unpaired sweeps plan no
+  warm group either way and run as they are;
 - **shared replay**: the paper lineup in one ``run_sweep`` vs one
   ``run_sweep`` per strategy on ``paper-figs``.
 
@@ -31,6 +34,7 @@ import json
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -55,14 +59,35 @@ def _merge(parts):
     return json.dumps([first.x_values, metrics, stderr], sort_keys=True)
 
 
+def _concat(parts) -> str:
+    """One digest for per-value series, as if the values ran together."""
+    first = parts[0]
+    metrics = {m: {s: [] for s in by_s} for m, by_s in first.metrics.items()}
+    stderr = {m: {s: [] for s in by_s} for m, by_s in first.stderr.items()}
+    for part in parts:
+        for table, merged in ((part.metrics, metrics), (part.stderr, stderr)):
+            for metric, per_strategy in table.items():
+                for strategy, values in per_strategy.items():
+                    merged[metric][strategy].extend(values)
+    x_values = [x for part in parts for x in part.x_values]
+    return json.dumps([x_values, metrics, stderr], sort_keys=True)
+
+
 def _warm(sweeps, seed: int, shared: bool) -> list[str]:
-    warm_start = None if shared else False
-    return [
-        _digest(
-            run_sweep(s.spec(), runs=s.runs, seed=seed, executor="serial", warm_start=warm_start)
-        )
-        for s in sweeps
-    ]
+    out = []
+    for s in sweeps:
+        spec = s.spec()
+        if shared or not spec.paired_runs:
+            out.append(_digest(run_sweep(spec, runs=s.runs, seed=seed, executor="serial")))
+            continue
+        parts = [
+            run_sweep(
+                replace(spec, sweep_values=(value,)), runs=s.runs, seed=seed, executor="serial"
+            )
+            for value in spec.sweep_values
+        ]
+        out.append(_concat(parts))
+    return out
 
 
 def _lineup(sweeps, seed: int, shared: bool) -> list[str]:

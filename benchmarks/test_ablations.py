@@ -7,12 +7,12 @@
 
 import numpy as np
 
-from benchmarks.conftest import RUNS, SEED, emit, run_once
+from benchmarks.conftest import RUNS, SEED, emit, figure, run_once
 from repro.coloring.verify import is_valid
 from repro.gossip import gossip_compaction, kempe_compaction
-from repro.sim.experiments import run_join_experiment
 from repro.sim.network import AdHocNetwork
 from repro.sim.random_networks import sample_configs
+from repro.sim.sweep import run_sweep
 from repro.sim.workloads import power_raise_workload
 from repro.strategies.minim import MinimStrategy
 
@@ -28,8 +28,8 @@ def test_ablation_old_color_weight(benchmark):
     """
     series = run_once(
         benchmark,
-        lambda: run_join_experiment(
-            N_VALUES, runs=RUNS, seed=SEED, strategies=("Minim", "Minim/w1")
+        lambda: run_sweep(
+            figure("fig10-join", N_VALUES), runs=RUNS, seed=SEED, strategies=("Minim", "Minim/w1")
         ),
     )
     emit(series, "recodings", "Ablation: old-color weight 3 vs 1 (recodings)")
@@ -47,8 +47,8 @@ def test_ablation_matching_vs_greedy(benchmark):
     the matching reuses the palette at least as well."""
     series = run_once(
         benchmark,
-        lambda: run_join_experiment(
-            N_VALUES, runs=RUNS, seed=SEED, strategies=("Minim", "GreedySeq")
+        lambda: run_sweep(
+            figure("fig10-join", N_VALUES), runs=RUNS, seed=SEED, strategies=("Minim", "GreedySeq")
         ),
     )
     emit(series, "max_color", "Ablation: matching vs greedy sequential (max color)")

@@ -13,18 +13,19 @@ from benchmarks.conftest import (
     SEED,
     assert_checks,
     emit,
+    figure,
     run_once,
 )
 from repro.analysis.shape_checks import check_join_shapes
-from repro.sim.experiments import run_join_experiment, run_range_sweep_experiment
+from repro.sim.sweep import run_sweep
 
 
 def _join_series():
-    return run_join_experiment(JOIN_N_VALUES, runs=RUNS, seed=SEED)
+    return run_sweep(figure("fig10-join", JOIN_N_VALUES), runs=RUNS, seed=SEED)
 
 
 def _range_series():
-    return run_range_sweep_experiment(RANGE_AVGS, n=JOIN_N_POINT, runs=RUNS, seed=SEED)
+    return run_sweep(figure("fig10-range", RANGE_AVGS, n=JOIN_N_POINT), runs=RUNS, seed=SEED)
 
 
 def test_fig10a_max_color_vs_n(benchmark):
@@ -47,8 +48,8 @@ def test_fig10c_recodings_vs_n_zoom(benchmark):
     """Fig 10(c): total recodings vs N — Minim vs CP zoom."""
     series = run_once(
         benchmark,
-        lambda: run_join_experiment(
-            JOIN_N_VALUES, runs=RUNS, seed=SEED, strategies=("Minim", "CP")
+        lambda: run_sweep(
+            figure("fig10-join", JOIN_N_VALUES), runs=RUNS, seed=SEED, strategies=("Minim", "CP")
         ),
     )
     emit(series, "recodings", "Fig 10(c) # Recodings vs N (Minim vs CP)")
@@ -92,8 +93,11 @@ def test_fig10f_recodings_vs_avg_range_zoom(benchmark):
     """Fig 10(f): total recodings vs average range (Minim vs CP)."""
     series = run_once(
         benchmark,
-        lambda: run_range_sweep_experiment(
-            RANGE_AVGS, n=JOIN_N_POINT, runs=RUNS, seed=SEED, strategies=("Minim", "CP")
+        lambda: run_sweep(
+            figure("fig10-range", RANGE_AVGS, n=JOIN_N_POINT),
+            runs=RUNS,
+            seed=SEED,
+            strategies=("Minim", "CP"),
         ),
     )
     emit(series, "recodings", "Fig 10(f) # Recodings vs (minr+maxr)/2 (Minim vs CP)")

@@ -11,14 +11,15 @@ from benchmarks.conftest import (
     SEED,
     assert_checks,
     emit,
+    figure,
     run_once,
 )
 from repro.analysis.shape_checks import check_power_shapes
-from repro.sim.experiments import run_power_experiment
+from repro.sim.sweep import run_sweep
 
 
 def _power_series():
-    return run_power_experiment(RAISEFACTORS, n=JOIN_N_POINT, runs=RUNS, seed=SEED)
+    return run_sweep(figure("fig11-power", RAISEFACTORS, n=JOIN_N_POINT), runs=RUNS, seed=SEED)
 
 
 def test_fig11a_delta_max_color(benchmark):
@@ -50,8 +51,11 @@ def test_fig11c_delta_recodings_zoom(benchmark):
     """
     series = run_once(
         benchmark,
-        lambda: run_power_experiment(
-            RAISEFACTORS, n=JOIN_N_POINT, runs=RUNS, seed=SEED, strategies=("Minim", "CP")
+        lambda: run_sweep(
+            figure("fig11-power", RAISEFACTORS, n=JOIN_N_POINT),
+            runs=RUNS,
+            seed=SEED,
+            strategies=("Minim", "CP"),
         ),
     )
     emit(series, "delta_recodings", "Fig 11(c) Δ(# recodings) vs raisefactor (zoom)")

@@ -13,27 +13,26 @@ from benchmarks.conftest import (
     SEED,
     assert_checks,
     emit,
+    figure,
     run_once,
 )
 from repro.analysis.shape_checks import check_move_shapes
-from repro.sim.experiments import (
-    run_movement_disp_experiment,
-    run_movement_rounds_experiment,
-)
+from repro.sim.sweep import run_sweep
 
 
 def _rounds_series():
-    return run_movement_rounds_experiment(
-        MOVE_ROUNDS, maxdisp=40.0, n=MOVE_N, runs=RUNS, seed=SEED
-    )
+    return run_sweep(figure("fig12-move-rounds", (MOVE_ROUNDS,), n=MOVE_N), runs=RUNS, seed=SEED)
 
 
 def test_fig12a_delta_recodings_vs_maxdisp(benchmark):
     """Fig 12(a): Δ recodings vs maxdisp (1 round) — Minim below CP."""
     series = run_once(
         benchmark,
-        lambda: run_movement_disp_experiment(
-            MAXDISPS, n=MOVE_N, runs=RUNS, seed=SEED, strategies=("Minim", "CP")
+        lambda: run_sweep(
+            figure("fig12-move-disp", MAXDISPS, n=MOVE_N),
+            runs=RUNS,
+            seed=SEED,
+            strategies=("Minim", "CP"),
         ),
     )
     emit(series, "delta_recodings", "Fig 12(a) Δ(# recodings) vs maxdisp")
@@ -71,10 +70,8 @@ def test_fig12d_delta_recodings_vs_rounds_zoom(benchmark):
     """
     series = run_once(
         benchmark,
-        lambda: run_movement_rounds_experiment(
-            MOVE_ROUNDS,
-            maxdisp=40.0,
-            n=MOVE_N,
+        lambda: run_sweep(
+            figure("fig12-move-rounds", (MOVE_ROUNDS,), n=MOVE_N),
             runs=RUNS,
             seed=SEED,
             strategies=("Minim", "CP"),

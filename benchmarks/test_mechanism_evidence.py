@@ -19,7 +19,7 @@ def _series(metrics, stderr):
 @pytest.fixture(scope="module")
 def tiny_sweeps():
     spec = replace(
-        get_scenario("paper-join"),
+        get_scenario("fig10-join"),
         n=10,
         strategies=("Minim", "CP"),
         sweep_values=(6.0, 8.0),
@@ -84,10 +84,17 @@ def test_fewer_than_two_pairs_is_a_usage_error():
 
 def test_warm_start_off_reproduces_the_warm_series(paired_sweeps):
     (s,) = paired_sweeps
-    sweep = build_sweep(s.spec(), runs=s.runs, seed=3)
-    assert any(g.warm for g in plan_tasks(sweep))
-    assert not any(g.warm for g in plan_tasks(sweep, warm_start=False))
+    spec = s.spec()
+    assert any(g.warm for g in plan_tasks(build_sweep(spec, runs=s.runs, seed=3)))
+    for value in spec.sweep_values:
+        one = build_sweep(replace(spec, sweep_values=(value,)), runs=s.runs, seed=3)
+        assert not any(g.warm for g in plan_tasks(one))
     assert ev._warm(paired_sweeps, 3, True) == ev._warm(paired_sweeps, 3, False)
+
+
+def test_unpaired_sweeps_run_as_they_are_without_warm_start(tiny_sweeps):
+    # split one value at a time, an unpaired sweep would draw other networks
+    assert ev._warm(tiny_sweeps, 3, False) == ev._warm(tiny_sweeps, 3, True)
 
 
 def test_per_strategy_sweeps_reproduce_the_shared_lineup(tiny_sweeps):

@@ -11,7 +11,7 @@ waypoint mobility with a power raise.
 
 from dataclasses import replace
 
-from repro.sim import available_scenarios, get_scenario, run_scenario
+from repro.sim import available_scenarios, get_scenario, run_sweep
 from repro.sim.scenarios import MobilitySpec, PowerSpec, ScenarioSpec
 
 
@@ -30,7 +30,7 @@ def main() -> None:
 
     for name in ("poisson-cluster", "hotspot-churn"):
         print(f"\n=== {name} (shrunk) ===")
-        series = run_scenario(shrink(name), runs=2, seed=42)
+        series = run_sweep(shrink(name), runs=2, seed=42)
         print(series.table("max_color"))
         print(series.table("recodings"))
 
@@ -48,7 +48,7 @@ def main() -> None:
         sweep_values=(1, 3),
     )
     print("\n=== commuters (custom spec) ===")
-    series = run_scenario(commuters, runs=2, seed=7)
+    series = run_sweep(commuters, runs=2, seed=7)
     print(series.table("max_color"))
     print(series.table("messages"))
 

@@ -21,7 +21,10 @@ Package map
 * :mod:`repro.matching` — weighted bipartite matching (from scratch).
 * :mod:`repro.strategies` — Minim (the paper), CP and BBB baselines.
 * :mod:`repro.events` — join / leave / move / power-change events.
-* :mod:`repro.sim` — random networks, workloads, the paper's experiments.
+* :mod:`repro.sim` — random networks, workloads, the scenario registry
+  (the paper's five figure sweeps are ``fig10-join`` …
+  ``fig12-move-rounds``) and :func:`repro.sim.sweep.run_sweep`, the one
+  way to run a sweep.
 * :mod:`repro.distributed` — message-driven protocol executions.
 * :mod:`repro.cdma` — Walsh-code physical layer.
 * :mod:`repro.gossip` — quiet-period code compaction (section 6).
@@ -32,13 +35,6 @@ from repro._version import __version__
 from repro.coloring import CodeAssignment, bbb_coloring, find_violations, is_valid
 from repro.events import JoinEvent, LeaveEvent, MoveEvent, PowerChangeEvent
 from repro.sim import AdHocNetwork, sample_configs
-from repro.sim.experiments import (
-    run_join_experiment,
-    run_movement_disp_experiment,
-    run_movement_rounds_experiment,
-    run_power_experiment,
-    run_range_sweep_experiment,
-)
 from repro.strategies import (
     BBBGlobalStrategy,
     CPStrategy,
@@ -69,10 +65,5 @@ __all__ = [
     "build_digraph",
     "find_violations",
     "is_valid",
-    "run_join_experiment",
-    "run_movement_disp_experiment",
-    "run_movement_rounds_experiment",
-    "run_power_experiment",
-    "run_range_sweep_experiment",
     "sample_configs",
 ]

@@ -27,9 +27,10 @@ Usage (installed as ``minim-cdma`` or via ``python -m repro``)::
 
 ``fig10``/``fig11``/``fig12``/``all`` reproduce the paper's evaluation
 and ``scenario`` runs a registered workload from the declarative
-catalog; all five figure sweeps and every scenario route through the
-same unified orchestrator (:func:`repro.sim.sweep.run_sweep`), which
-replays each workload single-pass against all strategies.  With
+catalog.  The figure commands run the registered ``fig10-join`` …
+``fig12-move-rounds`` scenarios, re-based by their flags (whose
+defaults are the registry's), so both commands run the same specs
+through :func:`repro.sim.sweep.run_sweep` and share stored points.  With
 ``--results PATH`` completed sweep points are persisted to a results
 backend (JSON directory or SQLite file, sniffed from the path —
 ``--store-backend`` forces one) and re-invocations resume from cache.
@@ -63,18 +64,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.analysis.series import ExperimentSeries
 from repro.analysis.shape_checks import check_all
-from repro.sim.experiments import (
-    run_join_experiment,
-    run_movement_disp_experiment,
-    run_movement_rounds_experiment,
-    run_power_experiment,
-    run_range_sweep_experiment,
-)
+from repro.sim.registry import available_scenarios, get_scenario
 from repro.sim.results import ResultsBackend, open_backend
+from repro.sim.sweep import run_sweep
 
 __all__ = ["main", "build_parser"]
 
@@ -114,12 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="execution layer (default: process pool when --processes > 1, else "
         "serial; worker publishes tasks into the shared --results store)",
-    )
-    common.add_argument(
-        "--no-warm-start",
-        action="store_true",
-        help="disable baseline forking for paired delta sweeps (results are "
-        "identical either way)",
     )
     common.add_argument(
         "--ci-target",
@@ -162,22 +153,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the figure flags default to the registered paper scenarios
+    join, avg_range, power, disp, rounds = (
+        get_scenario(name) for rows in _FIGURES.values() for name, _, _ in rows
+    )
     p10 = sub.add_parser("fig10", parents=[common], help="node-join experiment (Fig 10 a-f)")
-    p10.add_argument("--n-values", type=int, nargs="+", default=[40, 60, 80, 100, 120])
-    p10.add_argument("--avg-ranges", type=float, nargs="+", default=[5, 15, 25, 35, 45, 55, 65])
+    p10.add_argument("--n-values", type=int, nargs="+", default=list(join.sweep_values))
+    p10.add_argument("--avg-ranges", type=float, nargs="+", default=list(avg_range.sweep_values))
     p10.add_argument("--skip-range-sweep", action="store_true")
 
     p11 = sub.add_parser("fig11", parents=[common], help="power-increase experiment (Fig 11 a-c)")
-    p11.add_argument("--n", type=int, default=100)
-    p11.add_argument("--raisefactors", type=float, nargs="+", default=[1, 2, 3, 4, 5, 6])
+    p11.add_argument("--n", type=int, default=power.n)
+    p11.add_argument("--raisefactors", type=float, nargs="+", default=list(power.sweep_values))
 
     p12 = sub.add_parser("fig12", parents=[common], help="movement experiment (Fig 12 a-d)")
-    p12.add_argument("--n", type=int, default=40)
-    p12.add_argument("--rounds", type=int, default=10)
-    p12.add_argument("--maxdisp", type=float, default=40.0)
-    p12.add_argument("--maxdisps", type=float, nargs="+", default=[0, 10, 20, 40, 60, 80])
+    p12.add_argument("--n", type=int, default=disp.n)
+    p12.add_argument("--rounds", type=int, default=rounds.sweep_values[0])
+    p12.add_argument("--maxdisp", type=float, default=rounds.mobility.maxdisp)
+    p12.add_argument("--maxdisps", type=float, nargs="+", default=list(disp.sweep_values))
 
-    sub.add_parser("all", parents=[common], help="run every experiment with defaults")
+    sub.add_parser(
+        "all", parents=[common], help="run the five paper scenarios at their registered defaults"
+    )
 
     ps = sub.add_parser("scenario", parents=[common], help="run a registered scenario sweep")
     ps.add_argument("name", nargs="?", default=None, help="registered scenario name")
@@ -384,43 +381,11 @@ def _sweep_kwargs(args: argparse.Namespace) -> dict:
         store=_store_of(args),
         resume=not args.no_resume,
         executor=getattr(args, "executor", None),
-        warm_start=False if getattr(args, "no_warm_start", False) else None,
         precision=_precision_of(args),
     )
 
 
-def _run_fig10(args: argparse.Namespace) -> None:
-    common = _sweep_kwargs(args)
-    _emit(run_join_experiment(tuple(args.n_values), **common), "join", args.out)
-    if not getattr(args, "skip_range_sweep", False):
-        _emit(run_range_sweep_experiment(tuple(args.avg_ranges), **common), None, args.out)
-
-
-def _run_fig11(args: argparse.Namespace) -> None:
-    series = run_power_experiment(tuple(args.raisefactors), n=args.n, **_sweep_kwargs(args))
-    _emit(series, "power", args.out)
-
-
-def _run_fig12(args: argparse.Namespace) -> None:
-    common = _sweep_kwargs(args)
-    _emit(
-        run_movement_disp_experiment(tuple(args.maxdisps), n=args.n, **common),
-        None,
-        args.out,
-    )
-    _emit(
-        run_movement_rounds_experiment(
-            args.rounds, maxdisp=args.maxdisp, n=args.n, **common
-        ),
-        "move",
-        args.out,
-    )
-
-
 def _run_scenario_cmd(args: argparse.Namespace) -> int:
-    from repro.sim.registry import available_scenarios, get_scenario
-    from repro.sim.sweep import run_sweep
-
     if args.list or args.name is None:
         print("registered scenarios:")
         for name in available_scenarios():
@@ -677,43 +642,55 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote trace {args.trace}")
 
 
+#: The paper-figure commands.  Each row is a registered scenario, the
+#: shape checks its series gets (``None``: none) and the spec fields the
+#: command's flags override.
+_FIGURES = {
+    "fig10": (
+        ("fig10-join", "join", lambda args, spec: {"sweep_values": tuple(args.n_values)}),
+        ("fig10-range", None, lambda args, spec: {"sweep_values": tuple(args.avg_ranges)}),
+    ),
+    "fig11": (
+        (
+            "fig11-power",
+            "power",
+            lambda args, spec: {"n": args.n, "sweep_values": tuple(args.raisefactors)},
+        ),
+    ),
+    "fig12": (
+        (
+            "fig12-move-disp",
+            None,
+            lambda args, spec: {"n": args.n, "sweep_values": tuple(args.maxdisps)},
+        ),
+        (
+            "fig12-move-rounds",
+            "move",
+            lambda args, spec: {
+                "n": args.n,
+                "sweep_values": (args.rounds,),
+                "mobility": replace(spec.mobility, maxdisp=args.maxdisp),
+            },
+        ),
+    ),
+}
+
+
 def _run_figures(args: argparse.Namespace) -> int:
-    """Dispatch the paper-figure commands (``fig10``/``fig11``/``fig12``/``all``)."""
-    if args.command == "fig10":
-        _run_fig10(args)
-    elif args.command == "fig11":
-        _run_fig11(args)
-    elif args.command == "fig12":
-        _run_fig12(args)
-    elif args.command == "all":
-        ns = argparse.Namespace(
-            runs=args.runs,
-            seed=args.seed,
-            processes=args.processes,
-            out=args.out,
-            results=args.results,
-            store_backend=args.store_backend,
-            no_resume=args.no_resume,
-            executor=args.executor,
-            no_warm_start=args.no_warm_start,
-            ci_target=args.ci_target,
-            ci_abs=args.ci_abs,
-            max_runs=args.max_runs,
-            n_values=[40, 60, 80, 100, 120],
-            avg_ranges=[5, 15, 25, 35, 45, 55, 65],
-            skip_range_sweep=False,
-            n=100,
-            raisefactors=[1, 2, 3, 4, 5, 6],
-            rounds=10,
-            maxdisp=40.0,
-            maxdisps=[0, 10, 20, 40, 60, 80],
-        )
-        _run_fig10(ns)
-        _run_fig11(ns)
-        ns.n = 40
-        _run_fig12(ns)
-    else:  # pragma: no cover - argparse enforces choices
-        return 2
+    """Run the paper-figure commands (``fig10``/``fig11``/``fig12``/``all``).
+
+    ``all`` runs every row of every figure at the registry defaults.
+    """
+    commands = tuple(_FIGURES) if args.command == "all" else (args.command,)
+    common = _sweep_kwargs(args)
+    for command in commands:
+        for name, kind, overrides in _FIGURES[command]:
+            if name == "fig10-range" and getattr(args, "skip_range_sweep", False):
+                continue
+            spec = get_scenario(name)
+            if args.command != "all":
+                spec = replace(spec, **overrides(args, spec))
+            _emit(run_sweep(spec, **common), kind, args.out)
     return 0
 
 

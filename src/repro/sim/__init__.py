@@ -29,7 +29,6 @@ from repro.sim.scenarios import (
     PowerSpec,
     ScenarioSpec,
     TracePhases,
-    run_scenario,
     scenario_phases,
     scenario_trace,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "register_scenario",
     "resolve_precision",
     "rng_from",
-    "run_scenario",
     "run_sweep",
     "run_worker",
     "sample_configs",

@@ -31,7 +31,7 @@ draw → join trace → per-round perturbations), stage boundaries
 traversed by more than one member are checkpointed, and every member
 forks from the deepest checkpoint on its own chain — byte-equivalent to
 a cold rebuild (``tests/sim/test_timeline.py``) and measurably faster
-(``minim-cdma bench``).
+(``benchmarks/mechanism_evidence.py``).
 """
 
 from __future__ import annotations

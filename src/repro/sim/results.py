@@ -662,10 +662,6 @@ class ResultsBackend(abc.ABC):
             "checkpoints": self._stat("checkpoints")[0],
         }
 
-    def migrate_to(self, dst: "ResultsBackend") -> dict:
-        """Copy every durable artifact into ``dst``; returns copy counts."""
-        return migrate_store(self, dst)
-
 
 def migrate_store(src: ResultsBackend, dst: ResultsBackend) -> dict:
     """Copy the durable tables — points, manifests, series, checkpoints.

@@ -8,7 +8,7 @@ processes; because every run's randomness derives from its own
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from typing import TypeVar
 
@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["chunk_evenly", "parallel_map", "resolve_runs"]
+__all__ = ["parallel_map", "resolve_runs"]
 
 
 def parallel_map(
@@ -67,18 +67,3 @@ def resolve_runs(runs: int | None, default: int, env_value: str | None) -> int:
             )
         return parsed
     return default
-
-
-def chunk_evenly(items: Sequence[T], chunks: int) -> list[list[T]]:
-    """Split ``items`` into ``chunks`` contiguous near-equal pieces."""
-    if chunks < 1:
-        raise ValueError(f"chunks must be >= 1, got {chunks}")
-    n = len(items)
-    out: list[list[T]] = []
-    base, extra = divmod(n, chunks)
-    start = 0
-    for i in range(chunks):
-        size = base + (1 if i < extra else 0)
-        out.append(list(items[start : start + size]))
-        start += size
-    return out

@@ -29,7 +29,6 @@ through the same pipeline.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -58,14 +57,11 @@ __all__ = [
     "TracePhases",
     "place_nodes",
     "resolve_sweep",
-    "run_scenario",
     "scenario_from_dict",
     "scenario_phases",
     "scenario_plan",
     "scenario_trace",
 ]
-
-_DEFAULT_SEED = 2001
 
 #: Valid ``ScenarioSpec.measure`` values.
 MEASURES = ("absolute", "delta", "delta_rounds")
@@ -508,48 +504,10 @@ def scenario_plan(spec: ScenarioSpec, rng: np.random.Generator):
 
 
 # ----------------------------------------------------------------------
-# Experiment driver (delegates to the unified sweep orchestrator)
-# ----------------------------------------------------------------------
-def run_scenario(
-    scenario: ScenarioSpec | str,
-    *,
-    runs: int | None = None,
-    seed: int = _DEFAULT_SEED,
-    strategies: Sequence[str] | None = None,
-    processes: int | None = None,
-    store=None,
-    resume: bool = True,
-    executor=None,
-    warm_start: bool | None = None,
-):
-    """Run a scenario sweep and return its ``ExperimentSeries``.
-
-    ``scenario`` is a spec or a registered name.  This is a thin alias
-    of :func:`repro.sim.sweep.run_sweep` — every scenario, paper figure
-    or extended workload, goes through the same plan → claim → execute
-    → collect pipeline (and, when ``store`` is given, the same
-    resumable results backend).
-    """
-    from repro.sim.sweep import run_sweep
-
-    return run_sweep(
-        scenario,
-        runs=runs,
-        seed=seed,
-        strategies=strategies,
-        processes=processes,
-        store=store,
-        resume=resume,
-        executor=executor,
-        warm_start=warm_start,
-    )
-
-
-# ----------------------------------------------------------------------
 # Built-in catalog
 # ----------------------------------------------------------------------
 #: The registered built-in scenarios: the paper's five figure sweeps
-#: plus seven workloads the paper cannot express.
+#: plus six workloads the paper cannot express.
 BUILTIN_SCENARIOS: tuple[ScenarioSpec, ...] = tuple(
     register_scenario(spec)
     for spec in (
@@ -610,12 +568,6 @@ BUILTIN_SCENARIOS: tuple[ScenarioSpec, ...] = tuple(
             paired_runs=True,
         ),
         # -- extended workloads beyond the paper ------------------------
-        ScenarioSpec(
-            name="paper-join",
-            description="The paper's Fig 10(a-c) sweep: uniform placement, sequential joins.",
-            sweep_axis="n",
-            sweep_values=(40, 60, 80, 100, 120),
-        ),
         ScenarioSpec(
             name="poisson-cluster",
             description="Thomas-process clustered placement (Poisson parents, Gaussian scatter).",

@@ -24,8 +24,9 @@ which stages the work through four pluggable layers:
    with a run manifest when a store is given).
 
 :class:`SweepSpec` is the frozen execution plan (scenario × runs ×
-seed); the legacy ``run_*_experiment`` functions in
-:mod:`repro.sim.experiments` are thin builders of such plans.
+seed).  The paper figures have no entry point of their own: the CLI's
+``fig10``/``fig11``/``fig12``/``all`` commands re-base the registered
+``fig10-join`` … ``fig12-move-rounds`` specs and call :func:`run_sweep`.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _task_context(spec: ScenarioSpec, point: ScenarioSpec, i: int, r: int, seed)
     }
 
 
-def plan_tasks(sweep: SweepSpec, *, warm_start: bool | None = None) -> list[TaskGroup]:
+def plan_tasks(sweep: SweepSpec) -> list[TaskGroup]:
     """Plan stage: every (point, run) as content-addressed task groups.
 
     Tasks that share an execution-timeline prefix — the same run seed
@@ -158,9 +159,9 @@ def plan_tasks(sweep: SweepSpec, *, warm_start: bool | None = None) -> list[Task
     groups paired sweeps over perturbation axes (``maxdisp``,
     ``raisefactor``, ``steps``, …); axes that touch the placement
     (``n``, ``avg_range``) key apart and stay singleton groups, as does
-    every unpaired sweep (distinct seeds never share a draw).
-    ``warm_start=False`` disables grouping entirely (results are
-    identical either way).
+    every unpaired sweep (distinct seeds never share a draw).  Results
+    are identical however the tasks group: a paired sweep run one value
+    at a time plans no warm group and reproduces the grouped series.
     """
     from repro.sim.timeline import prefix_token
 
@@ -177,10 +178,7 @@ def plan_tasks(sweep: SweepSpec, *, warm_start: bool | None = None) -> list[Task
     # groups sorted by first (point, run) appearance
     rows: dict[tuple, list[tuple[int, int, ScenarioSpec]]] = {}
     for i, r, point, point_seed in sweep.tasks():
-        if warm_start is False:
-            row_key = ("solo", i, r)
-        else:
-            row_key = (r, seed_token(point_seed), tokens[(i, r)])
+        row_key = (r, seed_token(point_seed), tokens[(i, r)])
         rows.setdefault(row_key, []).append((i, r, point))
     groups: list[TaskGroup] = []
     for members in rows.values():
@@ -203,8 +201,6 @@ def plan_additional_tasks(
     sweep: SweepSpec,
     runs_per_point: Sequence[int],
     want: dict[int, int],
-    *,
-    warm_start: bool | None = None,
 ) -> list[TaskGroup]:
     """Plan only the *new* run tasks raising each point to ``want[i]``.
 
@@ -220,7 +216,7 @@ def plan_additional_tasks(
     extended = build_sweep(sweep.scenario, runs=new_runs, seed=sweep.seed)
     target = {i: want.get(i, runs_per_point[i]) for i in range(len(sweep.points))}
     groups: list[TaskGroup] = []
-    for group in plan_tasks(extended, warm_start=warm_start):
+    for group in plan_tasks(extended):
         keep = [m for m, (i, r) in enumerate(group.indices) if runs_per_point[i] <= r < target[i]]
         if not keep:
             continue
@@ -271,7 +267,6 @@ def run_sweep(
     store: ResultsBackend | None = None,
     resume: bool = True,
     executor: Executor | str | None = None,
-    warm_start: bool | None = None,
     precision: RunController | PrecisionTarget | float | None = None,
 ) -> ExperimentSeries:
     """Run one sweep through the unified pipeline; return its series.
@@ -280,16 +275,15 @@ def run_sweep(
     (``REPRO_RUNS`` overrides).  ``executor`` selects the execution
     layer (``"serial"`` / ``"process"`` / ``"worker"`` or an
     :class:`~repro.sim.executor.Executor` instance); the default keeps
-    the historical behavior of ``processes``.  ``warm_start=False``
-    disables checkpoint-tree prefix sharing — every (point, run)
-    replays cold (``None`` shares whenever tasks' timelines allow it;
-    results are identical either way).  With a
-    ``store``, completed points are loaded instead of recomputed
-    (unless ``resume=False``), fresh points are persisted as they land,
-    and the assembled series plus a run manifest (spec fields, runs,
-    seed, executor name, the orchestrator's conflict core, point keys,
-    computed/cached split) are written.  The series ``notes`` field
-    records the computed/cached split of this invocation.
+    the historical behavior of ``processes``.  Tasks share a
+    checkpoint-tree prefix whenever their timelines allow it (see
+    :func:`plan_tasks`).  With a ``store``, completed points are
+    loaded instead of recomputed (unless ``resume=False``), fresh
+    points are persisted as they land, and the assembled series plus a
+    run manifest (spec fields, runs, seed, executor name, the
+    orchestrator's conflict core, point keys, computed/cached split)
+    are written.  The series ``notes`` field records the
+    computed/cached split of this invocation.
 
     ``precision`` switches on adaptive run counts: ``runs`` becomes the
     *starting* budget per point and, after each collect pass, a
@@ -320,7 +314,7 @@ def run_sweep(
         spec = sweep.scenario
         controller = resolve_precision(precision)
         exec_ = resolve_executor(executor, processes)
-        groups = plan_tasks(sweep, warm_start=warm_start)
+        groups = plan_tasks(sweep)
     with obs.span("sweep.claim", cat="sweep", scenario=spec.name, planned=len(groups)):
         results, pending = claim_cached(groups, store, resume)
     with obs.span(
@@ -340,7 +334,7 @@ def run_sweep(
                 runs_per_point,
                 paired=spec.paired_runs,
             )
-            extra = plan_additional_tasks(sweep, runs_per_point, want, warm_start=warm_start)
+            extra = plan_additional_tasks(sweep, runs_per_point, want)
             if not extra:
                 break
             with obs.span("sweep.claim", cat="sweep", scenario=spec.name, planned=len(extra)):

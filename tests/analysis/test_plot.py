@@ -16,7 +16,7 @@ from repro.sim.sweep import run_sweep
 @pytest.fixture()
 def store(tmp_path):
     backend = JsonDirBackend(tmp_path)
-    spec = replace(get_scenario("paper-join"), n=8, strategies=("Minim",), sweep_values=(6.0, 8.0))
+    spec = replace(get_scenario("fig10-join"), n=8, strategies=("Minim",), sweep_values=(6.0, 8.0))
     run_sweep(spec, runs=2, seed=3, store=backend)
     return backend
 

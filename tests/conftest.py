@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import HealthCheck, settings
 
 from repro.sim.network import AdHocNetwork
 from repro.sim.random_networks import sample_configs
+from repro.sim.sweep import build_sweep, plan_tasks, run_sweep
 from repro.strategies.minim import MinimStrategy
 from repro.topology.builder import build_digraph
 from repro.topology.digraph import AdHocDigraph
@@ -60,6 +63,36 @@ def each_kernel(request, monkeypatch) -> str:
     """Run the requesting test once per edge kernel (see :func:`use_kernel`)."""
     use_kernel(monkeypatch, request.param)
     return request.param
+
+
+def series_json(series) -> str:
+    """A series' results as JSON, without ``notes`` (the computed/cached split)."""
+    out = series.to_dict()
+    out.pop("notes")
+    return json.dumps(out, sort_keys=True)
+
+
+def per_value_json(spec, *, runs: int, seed: int, **run_kwargs) -> str:
+    """The cold reference of a paired sweep: one ``run_sweep`` per sweep value.
+
+    Paired run seeds do not depend on the point count, so each one-value
+    sweep plans no warm group (asserted here) and replays its points
+    cold.  Returns the concatenated series in :func:`series_json` form,
+    which must equal the grouped sweep's.
+    """
+    assert spec.paired_runs, "an unpaired sweep's run seeds depend on its point count"
+    parts = []
+    for value in spec.sweep_values:
+        one = replace(spec, sweep_values=(value,))
+        assert not any(g.warm for g in plan_tasks(build_sweep(one, runs=runs, seed=seed)))
+        parts.append(json.loads(series_json(run_sweep(one, runs=runs, seed=seed, **run_kwargs))))
+    out = dict(parts[0], x_values=[x for part in parts for x in part["x_values"]])
+    for table in ("metrics", "stderr"):
+        out[table] = {
+            metric: {s: [y for part in parts for y in part[table][metric][s]] for s in by_strategy}
+            for metric, by_strategy in parts[0][table].items()
+        }
+    return json.dumps(out, sort_keys=True)
 
 
 def make_random_graph(

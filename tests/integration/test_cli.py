@@ -2,10 +2,13 @@
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim import registry
+from repro.sim.registry import get_scenario
 
 
 class TestParser:
@@ -87,6 +90,81 @@ class TestMain:
         assert len(written) == 1
         text = written[0].read_text()
         assert "max_color" in text and "| N |" in text
+
+
+#: Small re-basings of the five paper scenarios.
+TINY_FIGURES = {
+    "fig10-join": {"sweep_values": (8, 12)},
+    "fig10-range": {"n": 12, "sweep_values": (15.0, 35.0)},
+    "fig11-power": {"n": 12, "sweep_values": (1.0, 3.0)},
+    "fig12-move-disp": {"n": 10, "sweep_values": (0.0, 20.0)},
+    "fig12-move-rounds": {"n": 10, "sweep_values": (3,)},
+}
+
+
+def _rebase(monkeypatch, name, overrides):
+    monkeypatch.setitem(registry._REGISTRY, name, replace(get_scenario(name), **overrides))
+
+
+class TestFigureCommandsRunTheRegisteredScenarios:
+    """The figure commands re-base the registered specs and store their points.
+
+    ``scenario`` on the same store, with the spec re-based to the same
+    values, must serve every point from cache.
+    """
+
+    @pytest.mark.parametrize(
+        ("argv", "name", "rebase"),
+        [
+            (
+                ["fig10", "--n-values", "8", "12", "--skip-range-sweep"],
+                "fig10-join",
+                {"sweep_values": (8, 12)},
+            ),
+            (
+                ["fig10", "--n-values", "8", "--avg-ranges", "15", "35"],
+                "fig10-range",
+                {"sweep_values": (15.0, 35.0)},
+            ),
+            (
+                ["fig11", "--n", "12", "--raisefactors", "1", "3"],
+                "fig11-power",
+                {"n": 12, "sweep_values": (1.0, 3.0)},
+            ),
+            (
+                ["fig12", "--n", "10", "--rounds", "3", "--maxdisps", "0", "20"],
+                "fig12-move-disp",
+                {"n": 10, "sweep_values": (0.0, 20.0)},
+            ),
+            (
+                ["fig12", "--n", "10", "--rounds", "3", "--maxdisps", "0", "20"],
+                "fig12-move-rounds",
+                {"n": 10, "sweep_values": (3,)},
+            ),
+        ],
+        ids=list(TINY_FIGURES),
+    )
+    def test_scenario_reuses_the_figure_points(
+        self, tmp_path, capsys, monkeypatch, argv, name, rebase
+    ):
+        common = ["--runs", "1", "--seed", "4", "--results", str(tmp_path / "store")]
+        assert main([*argv, *common]) == 0
+        capsys.readouterr()
+        _rebase(monkeypatch, name, rebase)
+        assert main(["scenario", name, *common]) == 0
+        assert f"[{name}] 0 points computed" in capsys.readouterr().out
+
+    def test_all_is_every_figure_command_at_the_registry_defaults(self, capsys, monkeypatch):
+        # the figure flags' defaults are read from the (patched) registry
+        for name, overrides in TINY_FIGURES.items():
+            _rebase(monkeypatch, name, overrides)
+        assert main(["all", "--runs", "1"]) == 0
+        everything = capsys.readouterr().out
+        for name, overrides in TINY_FIGURES.items():
+            assert f"[{name}] {len(overrides['sweep_values'])} points computed" in everything
+        for command in ("fig10", "fig11", "fig12"):
+            assert main([command, "--runs", "1"]) == 0
+        assert capsys.readouterr().out == everything
 
 
 class TestScenarioCommand:

@@ -84,7 +84,7 @@ class TestCrossStrategyConsistency:
         configs = sample_configs(20, rng)
         finals = {}
         for name in ("Minim", "CP", "BBB"):
-            from repro.sim.experiments import make_strategy
+            from repro.strategies import make_strategy
 
             net = AdHocNetwork(make_strategy(name), validate=True)
             for cfg in configs:
@@ -104,7 +104,7 @@ class TestCrossStrategyConsistency:
         for seed in range(6):
             rng = np.random.default_rng(seed)
             configs = sample_configs(30, rng)
-            from repro.sim.experiments import make_strategy
+            from repro.strategies import make_strategy
 
             nets = {}
             for name in ("Minim", "CP"):

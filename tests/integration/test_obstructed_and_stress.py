@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.obstacles import RectObstacle
-from repro.sim.experiments import make_strategy
+from repro.strategies import make_strategy
 from repro.sim.network import AdHocNetwork
 from repro.sim.random_networks import sample_configs
 from repro.strategies.minim import MinimStrategy

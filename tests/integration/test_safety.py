@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.network import AdHocNetwork
-from repro.sim.experiments import make_strategy
+from repro.strategies import make_strategy
 from repro.topology.node import NodeConfig
 
 STRATEGIES = ["Minim", "CP", "BBB", "GreedySeq", "Minim/w1"]

@@ -15,7 +15,7 @@ from repro.sim.sweep import run_sweep
 #: A sweep small enough to run twice per test but big enough to plan
 #: several task groups.
 _SPEC = replace(
-    get_scenario("paper-join"),
+    get_scenario("fig10-join"),
     n=16,
     strategies=("Minim",),
     sweep_values=(6.0, 8.0, 10.0),
@@ -176,7 +176,7 @@ def test_cli_trace_flag_writes_and_closes(tmp_path, capsys):
 
     path = tmp_path / "trace.jsonl"
     code = main(
-        ["scenario", "paper-join", "--runs", "1", "--seed", "3", "--trace", str(path)]
+        ["scenario", "fig10-join", "--runs", "1", "--seed", "3", "--trace", str(path)]
     )
     assert code == 0
     assert not obs.enabled(), "main() must close tracing before returning"

@@ -24,7 +24,7 @@ from repro.sim.sweep import build_sweep, plan_additional_tasks, plan_tasks, run_
 def noisy_spec():
     """A small, noisy smoke sweep (variance large relative to means)."""
     return replace(
-        get_scenario("paper-join"),
+        get_scenario("fig10-join"),
         n=10,
         strategies=("Minim",),
         sweep_values=(6.0, 8.0, 10.0),
@@ -228,7 +228,7 @@ class TestAdaptiveRunSweep:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_run_savings_over_the_fixed_budget(self):
-        # a tiny paper-join sweep noisy enough that the growth loop has
+        # a tiny fig10-join sweep noisy enough that the growth loop has
         # to iterate: at large n every point would converge at the
         # starting budget and the ratio would be the constant
         # max_runs/min_runs, blind to controller regressions

@@ -23,11 +23,12 @@ from repro.sim.executor import (
 from repro.sim.registry import get_scenario
 from repro.sim.results import JsonDirBackend, SqliteBackend
 from repro.sim.sweep import build_sweep, plan_tasks, run_sweep
+from tests.conftest import per_value_json, series_json
 
 
 def tiny_spec():
     return replace(
-        get_scenario("paper-join"),
+        get_scenario("fig10-join"),
         n=8,
         strategies=("Minim",),
         sweep_values=(6.0, 8.0),
@@ -75,12 +76,11 @@ class TestExecutorParity:
     @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
     def test_paired_sweep_parity_across_executors(self, tmp_path, backend_cls):
         # warm-start groups must not change results on any executor
-        ref = run_sweep(paired_spec(), runs=2, seed=5, warm_start=False)
+        ref = per_value_json(paired_spec(), runs=2, seed=5)
         for sub, executor in (("a", "serial"), ("b", "worker")):
             store = backend_cls(tmp_path / sub)
             series = run_sweep(paired_spec(), runs=2, seed=5, store=store, executor=executor)
-            assert series.metrics == ref.metrics
-            assert series.stderr == ref.stderr
+            assert series_json(series) == ref
 
     @pytest.mark.parametrize("executor", ["serial", "process", "worker"])
     def test_no_resume_recomputes_on_every_executor(self, tmp_path, executor):

@@ -1,18 +1,20 @@
-"""Tests for the experiment runners (small instances)."""
+"""The paper's five figure sweeps through ``run_sweep`` (small instances)."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis.series import ExperimentSeries
 from repro.errors import ConfigurationError
-from repro.sim.experiments import (
-    make_strategy,
-    run_join_experiment,
-    run_movement_disp_experiment,
-    run_movement_rounds_experiment,
-    run_power_experiment,
-    run_range_sweep_experiment,
-)
-from repro.sim.runner import chunk_evenly, parallel_map, resolve_runs
+from repro.sim.registry import get_scenario
+from repro.sim.runner import parallel_map, resolve_runs
+from repro.sim.sweep import run_sweep
+from repro.strategies import make_strategy
+
+
+def figure(name, sweep_values, **overrides):
+    """The registered paper scenario ``name``, re-based to ``sweep_values``."""
+    return replace(get_scenario(name), sweep_values=tuple(sweep_values), **overrides)
 
 
 class TestMakeStrategy:
@@ -39,12 +41,6 @@ class TestRunnerHelpers:
         with pytest.raises(ValueError):
             resolve_runs(0, 5, None)
 
-    def test_chunk_evenly(self):
-        assert chunk_evenly([1, 2, 3, 4, 5], 2) == [[1, 2, 3], [4, 5]]
-        assert chunk_evenly([], 3) == [[], [], []]
-        with pytest.raises(ValueError):
-            chunk_evenly([1], 0)
-
 
 def _double(x):
     return x * 2
@@ -52,7 +48,7 @@ def _double(x):
 
 class TestJoinExperiment:
     def test_structure_and_monotonicity(self):
-        series = run_join_experiment(n_values=(10, 20), runs=2, seed=5)
+        series = run_sweep(figure("fig10-join", (10, 20)), runs=2, seed=5)
         assert isinstance(series, ExperimentSeries)
         assert series.x_values == [10.0, 20.0]
         assert set(series.metrics) == {"max_color", "recodings", "messages"}
@@ -63,46 +59,46 @@ class TestJoinExperiment:
             assert rec[1] > rec[0]
 
     def test_recodings_at_least_n(self):
-        series = run_join_experiment(n_values=(15,), runs=2, seed=6)
+        series = run_sweep(figure("fig10-join", (15,)), runs=2, seed=6)
         for s in ("Minim", "CP"):
             assert series.series("recodings", s)[0] >= 15
 
     def test_deterministic_given_seed(self):
-        a = run_join_experiment(n_values=(12,), runs=2, seed=7)
-        b = run_join_experiment(n_values=(12,), runs=2, seed=7)
+        a = run_sweep(figure("fig10-join", (12,)), runs=2, seed=7)
+        b = run_sweep(figure("fig10-join", (12,)), runs=2, seed=7)
         assert a.metrics == b.metrics
 
     def test_processes_do_not_change_results(self):
-        a = run_join_experiment(n_values=(12,), runs=3, seed=8)
-        b = run_join_experiment(n_values=(12,), runs=3, seed=8, processes=3)
+        a = run_sweep(figure("fig10-join", (12,)), runs=3, seed=8)
+        b = run_sweep(figure("fig10-join", (12,)), runs=3, seed=8, processes=3)
         assert a.metrics == b.metrics
 
     def test_stderr_populated(self):
-        series = run_join_experiment(n_values=(10,), runs=3, seed=9)
+        series = run_sweep(figure("fig10-join", (10,)), runs=3, seed=9)
         assert set(series.stderr) == set(series.metrics)
 
 
 class TestRangeSweep:
     def test_colors_grow_with_density(self):
-        series = run_range_sweep_experiment((10.0, 40.0), n=25, runs=2, seed=10)
+        series = run_sweep(figure("fig10-range", (10.0, 40.0), n=25), runs=2, seed=10)
         for s in series.strategies():
             colors = series.series("max_color", s)
             assert colors[1] > colors[0]
 
     def test_too_small_avg_range_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_range_sweep_experiment((2.0,), n=5, runs=1, seed=0)
+            run_sweep(figure("fig10-range", (2.0,), n=5), runs=1, seed=0)
 
 
 class TestPowerExperiment:
     def test_raisefactor_one_is_noop(self):
-        series = run_power_experiment((1.0,), n=20, runs=2, seed=11)
+        series = run_sweep(figure("fig11-power", (1.0,), n=20), runs=2, seed=11)
         for s in ("Minim", "CP"):
             assert series.series("delta_recodings", s)[0] == 0.0
             assert series.series("delta_max_color", s)[0] == 0.0
 
     def test_minim_recodes_less_than_cp(self):
-        series = run_power_experiment((3.0,), n=30, runs=3, seed=12)
+        series = run_sweep(figure("fig11-power", (3.0,), n=30), runs=3, seed=12)
         assert (
             series.value_at("delta_recodings", "Minim", 3.0)
             <= series.value_at("delta_recodings", "CP", 3.0)
@@ -111,26 +107,26 @@ class TestPowerExperiment:
 
 class TestMovementExperiments:
     def test_disp_zero_no_recodings_minim(self):
-        series = run_movement_disp_experiment((0.0,), n=15, runs=2, seed=13)
+        series = run_sweep(figure("fig12-move-disp", (0.0,), n=15), runs=2, seed=13)
         assert series.value_at("delta_recodings", "Minim", 0.0) == 0.0
 
     def test_rounds_cumulative(self):
-        series = run_movement_rounds_experiment(3, n=12, runs=2, seed=14)
+        series = run_sweep(figure("fig12-move-rounds", (3,), n=12), runs=2, seed=14)
         assert series.x_values == [1.0, 2.0, 3.0]
         for s in series.strategies():
             rec = series.series("delta_recodings", s)
             assert rec == sorted(rec)  # cumulative -> non-decreasing
 
     def test_strategy_subset(self):
-        series = run_movement_rounds_experiment(
-            2, n=10, runs=1, seed=15, strategies=("Minim", "CP")
+        series = run_sweep(
+            figure("fig12-move-rounds", (2,), n=10), runs=1, seed=15, strategies=("Minim", "CP")
         )
         assert set(series.strategies()) == {"Minim", "CP"}
 
 
 class TestSeriesRendering:
     def test_table_and_markdown(self):
-        series = run_join_experiment(n_values=(8,), runs=1, seed=16)
+        series = run_sweep(figure("fig10-join", (8,)), runs=1, seed=16)
         txt = series.table("max_color")
         assert "Minim" in txt and "fig10-join" in txt
         md = series.to_markdown("recodings")

@@ -14,7 +14,6 @@ brute-force topology oracle, and continue identically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +25,7 @@ from repro.sim.scenarios import resolve_sweep, scenario_trace
 from repro.sim.sweep import run_sweep
 from repro.strategies import make_strategy
 from repro.topology.digraph import AdHocDigraph
-from tests.conftest import KERNELS, use_kernel
+from tests.conftest import KERNELS, per_value_json, series_json, use_kernel
 from tests.topology.oracles import assert_matches_oracle
 
 
@@ -40,11 +39,8 @@ def _shrunk(name):
     )
 
 
-def _series_dict(spec, *, seed=23, warm_start=None):
-    series = run_sweep(spec, runs=2, seed=seed, warm_start=warm_start)
-    out = series.to_dict()
-    out.pop("notes")  # notes record the computed/cached split, not results
-    return json.dumps(out, sort_keys=True)
+def _series_dict(spec, *, seed=23):
+    return series_json(run_sweep(spec, runs=2, seed=seed))
 
 
 class TestSweepsIdenticalAcrossKernels:
@@ -60,11 +56,13 @@ class TestSweepsIdenticalAcrossKernels:
         assert model == inline
 
     def test_kernel_independent_through_cold_replay_too(self, monkeypatch):
-        spec = _shrunk("fig12-move-rounds")
+        # a paired sweep walks one checkpoint tree per run; one sweep per
+        # value replays each point cold
+        spec = _shrunk("fig12-move-disp")
         use_kernel(monkeypatch, "inline")
-        warm = _series_dict(spec, warm_start=True)
+        warm = _series_dict(spec)
         use_kernel(monkeypatch, "model")
-        cold = _series_dict(spec, warm_start=False)
+        cold = per_value_json(spec, runs=2, seed=23)
         assert warm == cold
 
 

@@ -19,7 +19,7 @@ from repro.sim.sweep import run_sweep
 
 def tiny_spec():
     return replace(
-        get_scenario("paper-join"),
+        get_scenario("fig10-join"),
         n=8,
         strategies=("Minim",),
         sweep_values=(6.0, 8.0),

@@ -28,7 +28,7 @@ def tiny_spec():
     from dataclasses import replace
 
     return replace(
-        get_scenario("paper-join"),
+        get_scenario("fig10-join"),
         n=8,
         strategies=("Minim",),
         sweep_values=(6.0, 8.0),
@@ -577,7 +577,7 @@ class TestSweepResume:
         run_sweep(tiny_spec(), runs=1, seed=3, store=store)
         panels = panels_from_store(
             store,
-            [("scenario-paper-join", "Fig X", "max_color", "colors stay bounded")],
+            [("fig10-join", "Fig X", "max_color", "colors stay bounded")],
         )
         doc = render_report("T", "intro", panels)
-        assert "scenario-paper-join" in doc and "max_color" in doc
+        assert "fig10-join" in doc and "max_color" in doc

@@ -1,41 +1,11 @@
-"""Run fan-out utilities: parallel_map plumbing and chunk_evenly."""
+"""Run fan-out utilities: parallel_map plumbing and run-count resolution."""
 
 from __future__ import annotations
 
 import pytest
 
-import repro.sim.runner as runner
 from repro.errors import ConfigurationError
-from repro.sim.runner import chunk_evenly, parallel_map, resolve_runs
-
-
-class TestChunkEvenly:
-    def test_exported(self):
-        assert "chunk_evenly" in runner.__all__
-
-    def test_empty_input(self):
-        assert chunk_evenly([], 3) == [[], [], []]
-
-    def test_more_chunks_than_items(self):
-        assert chunk_evenly([1, 2], 4) == [[1], [2], [], []]
-
-    def test_uneven_split_front_loads_remainder(self):
-        assert chunk_evenly([1, 2, 3, 4, 5], 2) == [[1, 2, 3], [4, 5]]
-        assert chunk_evenly(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
-
-    def test_exact_split(self):
-        assert chunk_evenly([1, 2, 3, 4], 2) == [[1, 2], [3, 4]]
-
-    def test_preserves_order_and_coverage(self):
-        items = list(range(23))
-        chunks = chunk_evenly(items, 5)
-        assert [x for chunk in chunks for x in chunk] == items
-        sizes = [len(c) for c in chunks]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_bad_chunk_count(self):
-        with pytest.raises(ValueError):
-            chunk_evenly([1], 0)
+from repro.sim.runner import parallel_map, resolve_runs
 
 
 class TestResolveRuns:

@@ -1,4 +1,4 @@
-"""Scenario engine: registry, placement models, traces, and the driver."""
+"""Scenario engine: registry, placement models, traces, and sweeps by scenario."""
 
 from __future__ import annotations
 
@@ -19,9 +19,9 @@ from repro.sim.scenarios import (
     ScenarioSpec,
     place_nodes,
     resolve_sweep,
-    run_scenario,
     scenario_trace,
 )
+from repro.sim.sweep import run_sweep
 
 NEW_SCENARIOS = (
     "poisson-cluster",
@@ -43,7 +43,7 @@ class TestRegistry:
     def test_all_builtins_registered(self):
         names = available_scenarios()
         assert set(NEW_SCENARIOS) <= set(names)
-        assert "paper-join" in names
+        assert "fig10-join" in names
         assert len(BUILTIN_SCENARIOS) == len(names)
 
     def test_at_least_five_new_scenarios(self):
@@ -60,7 +60,7 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError):
-            register_scenario(get_scenario("paper-join"))
+            register_scenario(get_scenario("fig10-join"))
 
 
 class TestSpecValidation:
@@ -99,7 +99,7 @@ class TestSpecValidation:
 
 class TestPlacement:
     def test_uniform_matches_paper_generator(self):
-        spec = get_scenario("paper-join")
+        spec = get_scenario("fig10-join")
         configs = place_nodes(spec, np.random.default_rng(0))
         assert len(configs) == spec.n
         assert [c.node_id for c in configs] == list(range(1, spec.n + 1))
@@ -115,7 +115,7 @@ class TestPlacement:
     def test_poisson_cluster_is_clustered(self):
         # Mean nearest-neighbor distance must drop well below uniform's.
         n = 80
-        uni = replace(get_scenario("paper-join"), n=n)
+        uni = replace(get_scenario("fig10-join"), n=n)
         clu = replace(
             get_scenario("poisson-cluster"),
             n=n,
@@ -189,7 +189,7 @@ class TestTraces:
         assert len(raises) == 6
 
     def test_sweep_axes_resolve(self):
-        base = get_scenario("paper-join")
+        base = get_scenario("fig10-join")
         assert resolve_sweep(base, 80).n == 80
         mob = get_scenario("random-waypoint")
         assert resolve_sweep(mob, 7).mobility.steps == 7
@@ -203,22 +203,22 @@ class TestTraces:
 class TestRunScenario:
     @pytest.mark.parametrize("name", NEW_SCENARIOS)
     def test_each_new_scenario_smokes(self, name):
-        series = run_scenario(_tiny(get_scenario(name)), runs=1, seed=11)
+        series = run_sweep(_tiny(get_scenario(name)), runs=1, seed=11)
         assert series.experiment == f"scenario-{name}"
         assert set(series.metrics) == {"max_color", "recodings", "messages"}
         assert series.value_at("max_color", "Minim", series.x_values[0]) >= 1.0
 
     def test_strategy_override(self):
         spec = _tiny(get_scenario("sparse-long-range"))
-        series = run_scenario(spec, runs=1, strategies=("Minim", "GreedySeq"))
+        series = run_sweep(spec, runs=1, strategies=("Minim", "GreedySeq"))
         assert series.strategies() == ["Minim", "GreedySeq"]
 
     def test_run_by_name(self):
-        series = run_scenario("sparse-long-range", runs=1, strategies=("Minim",))
+        series = run_sweep("sparse-long-range", runs=1, strategies=("Minim",))
         assert series.experiment == "scenario-sparse-long-range"
         assert len(series.x_values) == 3
 
     def test_empty_sweep_rejected(self):
-        spec = replace(get_scenario("paper-join"), sweep_values=())
+        spec = replace(get_scenario("fig10-join"), sweep_values=())
         with pytest.raises(ConfigurationError):
-            run_scenario(spec, runs=1)
+            run_sweep(spec, runs=1)

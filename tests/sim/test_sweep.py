@@ -62,7 +62,7 @@ class TestOneOrchestratorForEverything:
 
 class TestBuildSweep:
     def test_empty_sweep_rejected(self):
-        spec = replace(get_scenario("paper-join"), sweep_values=())
+        spec = replace(get_scenario("fig10-join"), sweep_values=())
         with pytest.raises(ConfigurationError, match="no sweep values"):
             build_sweep(spec)
 
@@ -83,21 +83,21 @@ class TestBuildSweep:
         assert all(row == tokens[0] for row in tokens)
 
     def test_unpaired_runs_differ_across_points(self):
-        sweep = build_sweep(get_scenario("paper-join"), runs=2, seed=5)
+        sweep = build_sweep(get_scenario("fig10-join"), runs=2, seed=5)
         tokens = [tuple((s.entropy, tuple(s.spawn_key)) for s in row) for row in sweep.seeds]
         assert len(set(tokens)) == len(tokens)
 
     def test_runs_resolution_env(self):
-        sweep = build_sweep(get_scenario("paper-join"), env_runs="7")
+        sweep = build_sweep(get_scenario("fig10-join"), env_runs="7")
         assert sweep.runs == 7
         with pytest.raises(ConfigurationError, match="ten"):
-            build_sweep(get_scenario("paper-join"), env_runs="ten")
+            build_sweep(get_scenario("fig10-join"), env_runs="ten")
 
 
 class TestDeterminismAcrossProcesses:
     def test_sweep_bit_identical_for_1_2_4_processes(self):
         spec = replace(
-            get_scenario("paper-join"),
+            get_scenario("fig10-join"),
             n=10,
             strategies=("Minim", "CP"),
             sweep_values=(8.0, 10.0),

@@ -16,6 +16,7 @@ from repro.sim.scenarios import scenario_phases
 from repro.sim.sweep import build_sweep, plan_tasks, run_sweep
 from repro.strategies import make_strategy
 from repro.topology.digraph import AdHocDigraph
+from tests.conftest import per_value_json, series_json
 
 # run the test once per edge kernel (see tests/conftest.py::use_kernel)
 per_kernel = pytest.mark.usefixtures("each_kernel")
@@ -144,11 +145,9 @@ class TestReplayFork:
 # ----------------------------------------------------------------------
 class TestWarmSweeps:
     def test_paired_delta_sweep_identical_with_and_without_warm_start(self):
-        warm = run_sweep(paired_spec(), runs=2, seed=6)  # warm by default
-        cold = run_sweep(paired_spec(), runs=2, seed=6, warm_start=False)
-        assert warm.metrics == cold.metrics
-        assert warm.stderr == cold.stderr
-        assert warm.x_values == cold.x_values
+        warm = run_sweep(paired_spec(), runs=2, seed=6)
+        # without warm start: one sweep per value, each planning no warm group
+        assert series_json(warm) == per_value_json(paired_spec(), runs=2, seed=6)
 
     def test_fig12_style_maxdisp_sweep_identical(self):
         spec = replace(
@@ -158,18 +157,16 @@ class TestWarmSweeps:
             sweep_values=(10.0, 30.0),
         )
         warm = run_sweep(spec, runs=2, seed=8)
-        cold = run_sweep(spec, runs=2, seed=8, warm_start=False)
-        assert warm.metrics == cold.metrics
-        assert warm.stderr == cold.stderr
+        assert series_json(warm) == per_value_json(spec, runs=2, seed=8)
 
     def test_plan_groups_paired_delta_sweeps_per_run(self):
         sweep = build_sweep(paired_spec(), runs=2, seed=6)
         groups = plan_tasks(sweep)
         assert len(groups) == 2  # one warm group per run
         assert all(g.warm and len(g.points) == 3 for g in groups)
-        # opt-out: one singleton per (point, run)
-        singles = plan_tasks(sweep, warm_start=False)
-        assert len(singles) == 6
+        # one value at a time: one singleton per run
+        singles = plan_tasks(build_sweep(paired_spec(sweep_values=(3.0,)), runs=2, seed=6))
+        assert len(singles) == 2
         assert all(not g.warm and len(g.points) == 1 for g in singles)
 
     def test_placement_axes_never_warm_group(self):

@@ -57,7 +57,6 @@ class TestExports:
             "BBBGlobalStrategy",
             "NodeConfig",
             "CodeAssignment",
-            "run_join_experiment",
         ):
             assert name in repro.__all__
 
