@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _FIGURES, build_parser, main
 from repro.sim import registry
 from repro.sim.registry import get_scenario
 
@@ -40,6 +40,31 @@ class TestParser:
     def test_every_subcommand_parses_with_runs_1(self, argv):
         args = build_parser().parse_args(argv)
         assert args.command == argv[0]
+
+    @pytest.mark.parametrize("command", ["fig10", "fig11", "fig12", "all"])
+    def test_no_warm_start_flag_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--no-warm-start"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-warm-start" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("command", "row"),
+        [
+            ("fig10", 0),
+            ("fig10", 1),
+            ("fig11", 0),
+            ("fig12", 0),
+            ("fig12", 1),
+        ],
+        ids=["fig10-join", "fig10-range", "fig11-power", "fig12-move-disp", "fig12-move-rounds"],
+    )
+    def test_flag_defaults_rebuild_the_registered_spec(self, command, row):
+        # repr also tells 40 from 40.0, which would change the point keys
+        name, _, overrides = _FIGURES[command][row]
+        spec = get_scenario(name)
+        args = build_parser().parse_args([command])
+        assert repr(replace(spec, **overrides(args, spec))) == repr(spec)
 
 
 class TestMain:
@@ -90,6 +115,11 @@ class TestMain:
         assert len(written) == 1
         text = written[0].read_text()
         assert "max_color" in text and "| N |" in text
+
+    def test_fig10_range_too_small_fails_cleanly(self, capsys):
+        rc = main(["fig10", "--runs", "1", "--n-values", "8", "--avg-ranges", "2"])
+        assert rc == 2
+        assert "error: need 0 < min_range <= max_range" in capsys.readouterr().err
 
 
 #: Small re-basings of the five paper scenarios.
