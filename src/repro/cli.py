@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pst = sub.add_parser(
         "store",
-        help="inspect / watch / requeue / export / compact / migrate / gc a results store",
+        help="inspect / watch / requeue / export / compact / migrate a results store, "
+        "or list / gc its checkpoint links (ckpt)",
     )
     pst.add_argument(
         "action",
@@ -231,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
             "export",
             "compact",
             "migrate",
-            "gc",
             "ckpt",
         ),
     )
@@ -547,13 +547,6 @@ def _run_store_cmd(args: argparse.Namespace) -> int:
             if args.parquet is not None:
                 rows = export_parquet(backend, args.parquet)
                 print(f"wrote {rows} row(s) to {args.parquet}")
-            return 0
-        if args.action == "gc":
-            counts = backend.gc_checkpoints()
-            print(
-                f"pruned {counts['removed']} checkpoint link(s) from "
-                f"{backend.locator} ({counts['kept']} still referenced by manifests)"
-            )
             return 0
         if args.action == "ckpt":
             sub_action = args.dest or "ls"

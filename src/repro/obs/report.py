@@ -101,7 +101,6 @@ def render_report(records: Iterable[dict], *, top: int = 15) -> str:
     lines: list[str] = []
     spans = data["spans"]
     counters = data["metrics"]["counters"]
-    hists = data["metrics"]["histograms"]
 
     lines.append(f"trace: {data['files']} process segment(s), "
                  f"{sum(r['count'] for r in spans.values())} spans, "
@@ -157,17 +156,6 @@ def render_report(records: Iterable[dict], *, top: int = 15) -> str:
         lines.append("store traffic:")
         for key in store_keys:
             lines.append(f"  {key:<28} {counters[key]:>10.0f}")
-
-    if hists:
-        lines.append("")
-        lines.append("distributions:")
-        lines.append(f"  {'name':<28} {'count':>8} {'mean':>10} {'min':>8} {'max':>8}")
-        for name in sorted(hists):
-            h = hists[name]
-            mean = h["total"] / h["count"] if h["count"] else 0.0
-            lines.append(
-                f"  {name:<28} {h['count']:>8.0f} {mean:>10.2f} {h['min']:>8.0f} {h['max']:>8.0f}"
-            )
 
     if data["events"]:
         lines.append("")

@@ -16,11 +16,13 @@ The execute stage is pluggable behind the :class:`Executor` protocol:
   the queue itself too, so a sweep completes even with zero external
   workers.
 
-Every executor runs the same computation kernel on the same serialized
-task payloads, so a sweep produces an identical
+Every executor and worker computes a group through one save path,
+:func:`_compute_and_save`, and both queue drains claim a group through
+one claim step, :func:`_claim_step`, so a sweep produces an identical
 :class:`~repro.analysis.series.ExperimentSeries` for the same
 spec + seed regardless of executor (pinned by
-``tests/sim/test_executor.py``).
+``tests/sim/test_executor.py``).  Only the pool target and the worker
+queue go through the JSON task descriptor (:func:`group_payload`).
 
 A :class:`TaskGroup` usually holds one (point, run).  Groups whose
 members share a simulation prefix (paired sweeps over axes that leave
@@ -47,7 +49,12 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.sim.results import DEFAULT_CLAIM_TTL, ResultsBackend, open_backend
+from repro.sim.results import (
+    DEFAULT_CLAIM_TTL,
+    CheckpointScope,
+    ResultsBackend,
+    open_backend,
+)
 from repro.sim.runner import parallel_map
 from repro.sim.scenarios import ScenarioSpec, scenario_from_dict
 from repro.sim.timeline import compute_group as _compute_group_timeline
@@ -71,7 +78,13 @@ _PAYLOAD_SCHEMA = 1
 
 #: Default lease-break threshold after which a task group is parked in
 #: the store's quarantine table instead of being re-claimed (0 disables).
+#: A broken lease means a claimant died mid-computation, so repeated
+#: breaks mark a poison task.
 DEFAULT_QUARANTINE_AFTER = 3
+
+#: Seconds between the orchestrator's queue scans while it waits on
+#: external workers.
+_ORCHESTRATOR_POLL = 0.1
 
 
 # ----------------------------------------------------------------------
@@ -89,10 +102,10 @@ class TaskGroup:
     plan-time placement-prefix token
     (:func:`repro.sim.timeline.prefix_token`) — equal tokens are why
     the members were grouped, and the tokens travel in worker
-    descriptors so any drain can see the intended sharing.  With
-    ``warm`` execution walks the checkpoint tree of
-    :mod:`repro.sim.timeline`, resuming each member from the deepest
-    stage checkpoint its content-key chain hits.
+    descriptors so any drain can see the intended sharing.  A group of
+    more than one member is :attr:`warm`: execution walks the checkpoint
+    tree of :mod:`repro.sim.timeline`, resuming each member from the
+    deepest stage checkpoint its content-key chain hits.
     """
 
     indices: tuple[tuple[int, int], ...]
@@ -100,7 +113,6 @@ class TaskGroup:
     seed: np.random.SeedSequence
     keys: tuple[str, ...]
     contexts: tuple[dict, ...]
-    warm: bool = False
     stage_tokens: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -115,9 +127,8 @@ class TaskGroup:
         """The group restricted to the given member positions.
 
         The shrink primitive of the claim stage and incremental planning:
-        all parallel member tuples shrink together, the shared seed and
-        the warm flag survive (a shrunken warm group still shares the
-        prefix among whatever remains).
+        all parallel member tuples shrink together and the shared seed
+        survives, so whatever members remain still share their prefix.
         """
         from dataclasses import replace
 
@@ -130,6 +141,11 @@ class TaskGroup:
             contexts=tuple(self.contexts[m] for m in members),
             stage_tokens=tokens,
         )
+
+    @property
+    def warm(self) -> bool:
+        """Whether the members share a checkpoint tree (more than one)."""
+        return len(self.indices) > 1
 
     @property
     def key(self) -> str:
@@ -161,13 +177,16 @@ def group_payload(group: TaskGroup) -> dict:
         "seed": {"entropy": group.seed.entropy, "spawn_key": list(group.seed.spawn_key)},
         "keys": list(group.keys),
         "contexts": list(group.contexts),
-        "warm": group.warm,
         "stage_tokens": list(group.stage_tokens),
     }
 
 
 def group_from_payload(payload: dict) -> TaskGroup:
-    """Rebuild a :class:`TaskGroup` from :func:`group_payload` output."""
+    """Rebuild a :class:`TaskGroup` from :func:`group_payload` output.
+
+    Older descriptors also carry a ``warm`` flag; it is ignored, since
+    warmth follows the member count.
+    """
     schema = payload.get("schema")
     if schema != _PAYLOAD_SCHEMA:
         raise ConfigurationError(
@@ -188,7 +207,6 @@ def group_from_payload(payload: dict) -> TaskGroup:
             seed=seed,
             keys=tuple(payload["keys"]),
             contexts=tuple(payload["contexts"]),
-            warm=bool(payload.get("warm", False)),
             stage_tokens=tuple(tokens),
         )
     except (KeyError, TypeError) as exc:
@@ -198,21 +216,6 @@ def group_from_payload(payload: dict) -> TaskGroup:
 # ----------------------------------------------------------------------
 # Computation kernel (runs in orchestrators, pool processes and workers)
 # ----------------------------------------------------------------------
-def _ckpt_scope(backend: "ResultsBackend | None", group: "TaskGroup"):
-    """The checkpoint write-through scope for one group, or ``None``.
-
-    Store-backed checkpointing defaults **on** whenever a results
-    backend is present and the group is warm (cold groups and
-    singletons never serialize boundaries).  Links are stamped with the group's point
-    keys so ``store gc`` can tie them back to live sweep manifests.
-    """
-    if backend is None or not group.warm:
-        return None
-    from repro.sim.results import CheckpointScope
-
-    return CheckpointScope(backend, points=group.keys)
-
-
 def compute_group(group: TaskGroup, on_member=None, store=None) -> list[list]:
     """Compute every member of a group; returns results in member order.
 
@@ -220,15 +223,15 @@ def compute_group(group: TaskGroup, on_member=None, store=None) -> list[list]:
     delegate to the timeline walker of :mod:`repro.sim.timeline`.  Warm
     groups share stage checkpoints along their members' content-key
     chains (placement/join prefix, and any perturbation rounds whose
-    keys coincide); non-warm groups and singletons replay cold.  Because
-    stage keys are content-derived, a member whose trace diverges (a
-    sweep axis that turned out to affect placement after all) shares
-    nothing and recomputes from scratch — sharing can never change
-    results, only skip redundant work.
+    keys coincide); singletons replay cold.  Because stage keys are
+    content-derived, a member whose trace diverges (a sweep axis that
+    turned out to affect placement after all) shares nothing and
+    recomputes from scratch — sharing can never change results, only
+    skip redundant work.
 
     ``on_member(index, result)``, when given, fires after each member
-    completes — the hook drain loops use to persist points and renew
-    their lease incrementally instead of once at the end.
+    completes — the hook :func:`_compute_and_save` uses to persist
+    points (and renew a lease) incrementally instead of once at the end.
 
     ``store`` (a :class:`~repro.sim.results.CheckpointScope`) makes the
     walk's checkpoint tree store-backed: stage boundaries are written
@@ -243,85 +246,62 @@ def compute_group(group: TaskGroup, on_member=None, store=None) -> list[list]:
     with obs.span(
         "task.compute", cat="executor", key=group.key, members=len(group.indices), warm=group.warm
     ):
-        return _compute_group_timeline(
-            group.points, group.seed, share=group.warm, on_member=on_member, store=store
-        )
+        return _compute_group_timeline(group.points, group.seed, on_member=on_member, store=store)
 
 
-def _provenance(context: dict, worker: str) -> dict:
-    """Stamp execution provenance onto a planned task context.
-
-    Adds *who* computed the point and *when* it landed.  The monitor's
-    per-worker throughput view and ``store export`` read these back; the
-    planned part of the context (scenario, sweep value, run, seed) stays
-    untouched, so point keys and results are unaffected.
-    """
-    return {**context, "worker": worker, "saved_at": time.time()}
-
-
-def _claimed_compute(
-    backend: ResultsBackend, group: TaskGroup, gkey: str, owner: str
+def _compute_and_save(
+    group: TaskGroup, backend: ResultsBackend | None, worker: str, *, lease: str | None = None
 ) -> list[list]:
-    """Compute a claimed group, persisting and renewing as members land.
+    """Compute a group, saving each member with provenance as it lands.
 
-    Each member's point is saved the moment it completes and the group's
-    lease is renewed, so long groups (a warm run row under a slow
-    strategy) neither lose finished work on a crash nor go stale and get
-    re-claimed by an idle peer mid-computation.
+    The one save path of every executor and worker.  A member's point is
+    saved the moment it completes, stamped with *who* computed it
+    (``worker``) and *when* it landed (``saved_at``) on top of its
+    planned context, so every finished member of an interrupted group
+    survives for resume, and the monitor and ``store export`` can read
+    the provenance back.  With ``lease`` (the queue claim the caller
+    holds on this group) the lease is renewed per landed member too, so
+    a long group (a warm run row under a slow strategy) neither goes
+    stale nor gets re-claimed by an idle peer mid-computation.  Without
+    a backend nothing is saved.
+
+    Warm groups write their stage boundaries through to the store's
+    checkpoint table, stamped with the group's point keys so
+    ``store ckpt PATH gc`` can tie each link back to live sweep
+    manifests; singletons never serialize boundaries.
     """
 
     def landed(m: int, out: list) -> None:
-        context = _provenance(group.contexts[m], owner)
+        context = {**group.contexts[m], "worker": worker, "saved_at": time.time()}
         backend.save_point(group.keys[m], out, context=context)
-        backend.renew_claim(gkey, owner)
-        obs.event("queue.lease_renew", cat="queue", key=gkey, owner=owner)
+        if lease is not None:
+            backend.renew_claim(lease, worker)
+            obs.event("queue.lease_renew", cat="queue", key=lease, owner=worker)
 
-    outs = compute_group(group, on_member=landed, store=_ckpt_scope(backend, group))
-    obs.flush_metrics()  # snapshot survives even if this claimant dies next
+    if backend is None:
+        outs = compute_group(group)
+    else:
+        scope = CheckpointScope(backend, points=group.keys) if group.warm else None
+        outs = compute_group(group, on_member=landed, store=scope)
+    # the snapshot survives a pool worker torn down without atexit, or
+    # a claimant that dies next
+    obs.flush_metrics()
     return outs
 
 
 def _execute_group_task(args: tuple) -> list[list]:
-    """Module-level pool target: recompute one group from its payload.
+    """Module-level pool target: recompute one group from its descriptor.
 
-    Each member's result is persisted *here*, in the executing process,
-    the moment it completes — so every finished point of a
-    partially-computed warm group survives an interrupted sweep (resume
-    recovers it even if the orchestrator never returns from the
-    fan-out).
+    ``args`` is ``(descriptor, locator)``.  The locator is ``None`` for
+    a store-less sweep, else the orchestrator's ``(path, kind)``: the
+    kind travels alongside the path, so a forced kind
+    (``open_backend(path, "json")`` on a ``.sqlite``-named directory,
+    say) survives the round trip instead of being re-sniffed into the
+    wrong backend.
     """
     payload, locator = args
-    group = group_from_payload(payload)
-    if locator is None:
-        outs = compute_group(group)
-        obs.flush_metrics()  # pool workers may be torn down without atexit
-        return outs
-    backend = _reopen(locator)
-    worker = f"proc-{os.getpid()}"
-
-    def landed(m: int, out: list) -> None:
-        context = _provenance(group.contexts[m], worker)
-        backend.save_point(group.keys[m], out, context=context)
-
-    outs = compute_group(group, on_member=landed, store=_ckpt_scope(backend, group))
-    obs.flush_metrics()  # pool workers may be torn down without atexit
-    return outs
-
-
-def _reopen(locator: tuple[str, str]) -> ResultsBackend:
-    """Re-open the orchestrator's backend in a child process.
-
-    The locator carries the backend *kind* alongside the path, so a
-    forced kind (``open_backend(path, "json")`` on a ``.sqlite``-named
-    directory, say) survives the round trip instead of being re-sniffed
-    into the wrong backend.
-    """
-    path, kind = locator
-    return open_backend(path, kind)
-
-
-def _locator_of(backend: ResultsBackend | None) -> tuple[str, str] | None:
-    return None if backend is None else (backend.locator, backend.kind)
+    backend = None if locator is None else open_backend(*locator)
+    return _compute_and_save(group_from_payload(payload), backend, f"proc-{os.getpid()}")
 
 
 def _collect(groups: Sequence[TaskGroup], outs_per_group) -> dict[tuple[int, int], list]:
@@ -329,6 +309,13 @@ def _collect(groups: Sequence[TaskGroup], outs_per_group) -> dict[tuple[int, int
     for group, outs in zip(groups, outs_per_group):
         results.update(zip(group.indices, outs))
     return results
+
+
+def _served(present: dict, group: TaskGroup) -> list[list] | None:
+    """The group's results if ``present`` holds every member, else ``None``."""
+    if all(key in present for key in group.keys):
+        return [present[key] for key in group.keys]
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -373,10 +360,9 @@ class SerialExecutor:
         backend: ResultsBackend | None,
         resume: bool = True,
     ) -> dict[tuple[int, int], list]:
-        """Run each group through the shared payload round-trip, serially."""
-        locator = _locator_of(backend)
-        outs = [_execute_group_task((group_payload(g), locator)) for g in groups]
-        return _collect(groups, outs)
+        """Compute and save each group in turn, on the caller's backend."""
+        worker = f"proc-{os.getpid()}"
+        return _collect(groups, [_compute_and_save(g, backend, worker) for g in groups])
 
 
 class ProcessExecutor:
@@ -402,7 +388,7 @@ class ProcessExecutor:
         resume: bool = True,
     ) -> dict[tuple[int, int], list]:
         """Map groups over the pool; order (and results) are deterministic."""
-        locator = _locator_of(backend)
+        locator = None if backend is None else (backend.locator, backend.kind)
         tasks = [(group_payload(g), locator) for g in groups]
         outs = parallel_map(_execute_group_task, tasks, processes=self.processes)
         return _collect(groups, outs)
@@ -417,47 +403,25 @@ class WorkerExecutor:
     TTL) and computes them, while collecting points that external
     ``minim-cdma worker`` processes save concurrently.  Any number of
     workers — other processes, other hosts sharing the store — can join
-    and leave at any time; abandoned leases expire after ``claim_ttl``
-    seconds and are re-claimed, giving at-least-once completion.
+    and leave at any time; abandoned leases expire after
+    ``DEFAULT_CLAIM_TTL`` seconds and are re-claimed, giving
+    at-least-once completion.  A group whose lease has been broken
+    ``DEFAULT_QUARANTINE_AFTER`` times is parked in the store's
+    quarantine table, and the sweep then fails loudly instead of
+    feeding it to workers forever; ``minim-cdma store requeue``
+    releases it after inspection.
 
     Parameters
     ----------
-    poll:
-        Seconds between queue scans while waiting on external workers.
-    claim_ttl:
-        Lease lifetime; a claim older than this counts as abandoned.
-    drain:
-        When ``False`` the orchestrator only publishes and waits —
-        useful to measure pure worker throughput; requires at least one
-        external worker to make progress.
     max_wait:
         Upper bound on waiting *without any progress* before the sweep
         errors out (the deadline resets every time a group completes).
-    quarantine_after:
-        Park a group in the store's quarantine table once its lease has
-        been broken this many times (a broken lease means a claimant
-        died mid-computation, so repeated breaks mark a poison task).
-        The sweep then fails loudly instead of feeding the group to
-        workers forever; ``minim-cdma store requeue`` releases it after
-        inspection.  ``<= 0`` disables quarantining.
     """
 
     name = "worker"
 
-    def __init__(
-        self,
-        *,
-        poll: float = 0.1,
-        claim_ttl: float = DEFAULT_CLAIM_TTL,
-        drain: bool = True,
-        max_wait: float = 600.0,
-        quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
-    ) -> None:
-        self.poll = poll
-        self.claim_ttl = claim_ttl
-        self.drain = drain
+    def __init__(self, *, max_wait: float = 600.0) -> None:
         self.max_wait = max_wait
-        self.quarantine_after = quarantine_after
 
     def execute(
         self,
@@ -471,8 +435,8 @@ class WorkerExecutor:
         With ``resume=False`` pre-existing artifacts must not satisfy
         the sweep, so the queue protocol (whose completion signal *is*
         "the points exist") cannot be used: the orchestrator computes
-        every group itself, overwriting stale artifacts — same results,
-        honest recomputation.
+        every group itself, unclaimed, overwriting stale artifacts —
+        same results, honest recomputation.
         """
         if backend is None:
             raise ConfigurationError(
@@ -481,15 +445,14 @@ class WorkerExecutor:
             )
         owner = f"orchestrator-{os.getpid()}"
         if not resume:
-            outs = [_claimed_compute(backend, g, g.key, owner) for g in groups]
-            return _collect(groups, outs)
+            return _collect(groups, [_compute_and_save(g, backend, owner) for g in groups])
         for group in groups:
             backend.save_task(group.key, group_payload(group))
         missing = {group.key: group for group in groups}
         results: dict[tuple[int, int], list] = {}
         deadline = time.monotonic() + self.max_wait
         last_present = -1
-        beat = _HeartbeatClock(self.claim_ttl)
+        beat = _HeartbeatClock()
         while missing:
             progressed = False
             beat.maybe_beat(backend, owner)
@@ -497,24 +460,12 @@ class WorkerExecutor:
             # still-missing group (cheap on SQLite's bulk path)
             present = backend.load_points([k for g in missing.values() for k in g.keys])
             for gkey, group in list(missing.items()):
-                outs: list[list] | None = None
-                if all(key in present for key in group.keys):
-                    outs = [present[key] for key in group.keys]
-                elif self.drain and not _maybe_quarantine(
-                    backend, gkey, self.quarantine_after, claim_ttl=self.claim_ttl
-                ):
-                    if backend.try_claim(gkey, owner, ttl=self.claim_ttl):
-                        obs.event("queue.claim", cat="queue", key=gkey, owner=owner)
-                        try:
-                            # Double-check under the claim (a worker may
-                            # have landed the points since the probe).
-                            outs = _load_group_points(backend, group)
-                            if outs is None:
-                                outs = _claimed_compute(backend, group, gkey, owner)
-                        finally:
-                            backend.release_claim(gkey)
+                outs = _served(present, group)
                 if outs is not None:
                     backend.delete_task(gkey)
+                else:
+                    _, outs = _claim_step(backend, group, owner, beat, DEFAULT_QUARANTINE_AFTER)
+                if outs is not None:
                     results.update(zip(group.indices, outs))
                     del missing[gkey]
                     progressed = True
@@ -544,39 +495,58 @@ class WorkerExecutor:
                         f"worker sweep stalled: {len(missing)} task(s) incomplete after "
                         f"{self.max_wait:.0f}s (are any workers draining {backend.locator}?)"
                     )
-                time.sleep(self.poll)
+                time.sleep(_ORCHESTRATOR_POLL)
         return results
 
 
-def _load_group_points(backend: ResultsBackend, group: TaskGroup) -> list[list] | None:
-    """All member results if every one is stored, else ``None``."""
-    outs: list[list] = []
-    for key in group.keys:
-        out = backend.load_point(key)
-        if out is None:
-            return None
-        outs.append(out)
-    return outs
-
-
-def _maybe_quarantine(
+def _claim_step(
     backend: ResultsBackend,
-    gkey: str,
+    group: TaskGroup,
+    owner: str,
+    beat: "_HeartbeatClock",
     quarantine_after: int,
-    *,
-    claim_ttl: float = DEFAULT_CLAIM_TTL,
-) -> bool:
+) -> tuple[str, list[list] | None]:
+    """Claim one published group and see it through; both drains call this.
+
+    Quarantine check → claim → re-probe the stored points under the
+    claim (a peer may have landed them since the caller's probe) →
+    compute whatever is still missing → delete the task → release the
+    claim.  Returns ``(status, results)``: ``"quarantined"`` (parked
+    instead of claimed) and ``"held"`` (a peer holds the claim) come
+    with ``None``; ``"served"`` (the re-probe found every point) and
+    ``"computed"`` come with the group's results.  The re-probe shrinks,
+    but cannot close, the at-least-once duplicate window; point saves
+    are idempotent, so a duplicate computation is safe.
+    """
+    gkey = group.key
+    if _maybe_quarantine(backend, gkey, quarantine_after):
+        return "quarantined", None
+    if not backend.try_claim(gkey, owner, ttl=DEFAULT_CLAIM_TTL):
+        return "held", None
+    obs.event("queue.claim", cat="queue", key=gkey, owner=owner)
+    beat.maybe_beat(backend, owner)
+    try:
+        status, outs = "served", _served(backend.load_points(list(group.keys)), group)
+        if outs is None:
+            status, outs = "computed", _compute_and_save(group, backend, owner, lease=gkey)
+        backend.delete_task(gkey)
+    finally:
+        backend.release_claim(gkey)
+    return status, outs
+
+
+def _maybe_quarantine(backend: ResultsBackend, gkey: str, quarantine_after: int) -> bool:
     """Park ``gkey`` when its lease-break count crossed the threshold.
 
     Returns ``True`` when the task is (now) quarantined and must not be
-    claimed.  Shared by the worker loop and the orchestrator's drain so
-    every claimant applies the same poison-task policy.  A threshold
-    ``<= 0`` disables quarantining entirely.
+    claimed.  Part of :func:`_claim_step`, so every claimant applies the
+    same poison-task policy.  A threshold ``<= 0`` disables quarantining
+    entirely.
 
-    A task holding a *fresh* lease (younger than ``claim_ttl``) is never
-    parked: its breaks necessarily count previous holders, and the
-    current claimant is still making progress — quarantining would yank
-    a live computation's claim.  This check-then-park window is
+    A task holding a *fresh* lease (younger than ``DEFAULT_CLAIM_TTL``)
+    is never parked: its breaks necessarily count previous holders, and
+    the current claimant is still making progress — quarantining would
+    yank a live computation's claim.  This check-then-park window is
     best-effort, not atomic; a lost race only re-exposes the task to
     the at-least-once machinery, which stays safe because point saves
     are idempotent.
@@ -587,7 +557,7 @@ def _maybe_quarantine(
     if breaks < quarantine_after:
         return False
     age = backend.claim_age(gkey)
-    if age is not None and age <= claim_ttl:
+    if age is not None and age <= DEFAULT_CLAIM_TTL:
         return False
     backend.quarantine_task(gkey, reason=f"{breaks} broken leases")
     obs.event("queue.quarantine", cat="queue", key=gkey, breaks=breaks)
@@ -603,7 +573,7 @@ class _HeartbeatClock:
     inside the staleness window across scheduling jitter.
     """
 
-    def __init__(self, claim_ttl: float) -> None:
+    def __init__(self, claim_ttl: float = DEFAULT_CLAIM_TTL) -> None:
         self.every = max(claim_ttl / 3.0, 0.05)
         self._last: float | None = None
 
@@ -624,34 +594,33 @@ def run_worker(
     *,
     poll: float = 0.2,
     max_idle: float = 10.0,
-    claim_ttl: float = DEFAULT_CLAIM_TTL,
     once: bool = False,
     owner: str | None = None,
     quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
 ) -> int:
     """Drain published task groups from a shared results backend.
 
-    The loop of a ``minim-cdma worker`` process: scan the queue, claim
-    an unowned task, recompute it from its descriptor, persist the
-    member points, delete the task, release the claim.  Tasks whose
-    points already exist (computed by a faster peer) are cleaned up
-    without recomputation.  Poison tasks are *parked*, not retried
-    forever: an undecodable descriptor (wrong schema, tampered payload)
-    is quarantined immediately, and a task whose lease has been broken
-    ``quarantine_after`` times (every break is a claimant that died
-    mid-computation) is quarantined instead of claimed — one poison
-    task must not grind down the whole fleet.  ``minim-cdma store
-    requeue`` releases quarantined tasks after inspection;
-    ``quarantine_after <= 0`` disables churn-based parking.  The loop
-    stamps a heartbeat into the store every third of ``claim_ttl`` so
-    the monitor can flag silently dead workers.  Returns the number of
-    groups this worker computed; exits after ``max_idle`` seconds
-    without finding work (or after one scan with ``once``).
+    The loop of a ``minim-cdma worker`` process: scan the queue and
+    take each task through :func:`_claim_step` (claim, recompute from
+    its descriptor, persist the member points, delete the task, release
+    the claim).  Tasks whose points already exist (computed by a faster
+    peer) are cleaned up without recomputation.  Poison tasks are
+    *parked*, not retried forever: an undecodable descriptor (wrong
+    schema, tampered payload) is quarantined immediately, and a task
+    whose lease has been broken ``quarantine_after`` times (every break
+    is a claimant that died mid-computation) is quarantined instead of
+    claimed — one poison task must not grind down the whole fleet.
+    ``minim-cdma store requeue`` releases quarantined tasks after
+    inspection; ``quarantine_after <= 0`` disables churn-based parking.
+    The loop stamps a heartbeat into the store every third of the lease
+    TTL so the monitor can flag silently dead workers.  Returns the
+    number of groups this worker computed; exits after ``max_idle``
+    seconds without finding work (or after one scan with ``once``).
     """
     owner = owner or f"worker-{os.getpid()}"
     computed = 0
     idle_since: float | None = None
-    beat = _HeartbeatClock(claim_ttl)
+    beat = _HeartbeatClock()
     while True:
         worked = False
         beat.maybe_beat(backend, owner)
@@ -666,34 +635,22 @@ def run_worker(
                 print(f"worker: quarantined undecodable task {gkey}: {exc}")
                 worked = True
                 continue
-            if _load_group_points(backend, group) is not None:
+            if _served(backend.load_points(list(group.keys)), group) is not None:
                 # completed work is cleaned up, never quarantined — a
                 # claimant that saved every point but died before
                 # delete_task must not look like poison
                 backend.delete_task(gkey)
                 worked = True
                 continue
-            if _maybe_quarantine(backend, gkey, quarantine_after, claim_ttl=claim_ttl):
+            status, _ = _claim_step(backend, group, owner, beat, quarantine_after)
+            if status == "held":
+                continue
+            if status == "quarantined":
                 print(
                     f"worker: quarantined task {gkey} after "
                     f"{backend.lease_breaks(gkey)} broken leases"
                 )
-                worked = True
-                continue
-            if not backend.try_claim(gkey, owner, ttl=claim_ttl):
-                continue
-            obs.event("queue.claim", cat="queue", key=gkey, owner=owner)
-            beat.maybe_beat(backend, owner)
-            try:
-                # Double-check under the claim: a peer may have finished
-                # between the scan and the claim (shrinks, but cannot
-                # close, the at-least-once duplicate window).
-                if _load_group_points(backend, group) is None:
-                    _claimed_compute(backend, group, gkey, owner)
-                    computed += 1
-                backend.delete_task(gkey)
-            finally:
-                backend.release_claim(gkey)
+            computed += status == "computed"
             worked = True
         if once:
             return computed

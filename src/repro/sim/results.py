@@ -163,7 +163,7 @@ def point_key(point_spec: "ScenarioSpec", seed) -> str:
 
 
 class ResultsBackend(abc.ABC):
-    """The nine store tables, written once over a small storage interface.
+    """The eight store tables, written once over a small storage interface.
 
     Every domain method below is a short call into the storage
     primitives a backend implements:

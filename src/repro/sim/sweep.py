@@ -190,7 +190,6 @@ def plan_tasks(sweep: SweepSpec) -> list[TaskGroup]:
                 seed=sweep.seeds[members[0][0]][members[0][1]],
                 keys=tuple(keys[ix] for ix in indices),
                 contexts=tuple(contexts[ix] for ix in indices),
-                warm=len(members) > 1,
                 stage_tokens=tuple(tokens[ix] for ix in indices),
             )
         )
@@ -280,9 +279,8 @@ def run_sweep(
     :func:`plan_tasks`).  With a ``store``, completed points are
     loaded instead of recomputed (unless ``resume=False``), fresh
     points are persisted as they land, and the assembled series plus a
-    run manifest (spec fields, runs, seed, executor name, the
-    orchestrator's conflict core, point keys, computed/cached split)
-    are written.  The series ``notes`` field records the
+    run manifest (spec fields, runs, seed, executor name, point keys,
+    computed/cached split) are written.  The series ``notes`` field records the
     computed/cached split of this invocation.
 
     ``precision`` switches on adaptive run counts: ``runs`` becomes the

@@ -523,17 +523,16 @@ def compute_group(
     points: Sequence[ScenarioSpec],
     seed,
     *,
-    share: bool = True,
     on_member=None,
     tree: CheckpointTree | None = None,
     store=None,
 ) -> list[list]:
     """Execute one task group's members; returns results in member order.
 
-    With ``share`` (the default for warm-planned groups) all members'
-    plans are built first, every stage key traversed by more than one
-    plan becomes a checkpoint when first reached, and each member
-    resumes from the deepest checkpoint its chain hits.  Because keys
+    A single member replays cold.  Otherwise all members' plans are
+    built first, every stage key traversed by more than one plan
+    becomes a checkpoint when first reached, and each member resumes
+    from the deepest checkpoint its chain hits.  Because keys
     are content-derived, a member whose trace diverges (a sweep axis
     that does affect placement or an earlier round) shares nothing and
     replays cold — sharing can only skip redundant work, never change
@@ -556,7 +555,7 @@ def compute_group(
         results.append(out)
         return out
 
-    if not share or len(points) == 1:
+    if len(points) == 1:
         for point in points:
             _landed(compute_point(point, seed))
         return results

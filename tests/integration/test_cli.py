@@ -316,6 +316,21 @@ class TestWorkerAndStoreCommands:
         assert (src / "store.sqlite").exists()
         assert not (src / "points").exists()
 
+    def test_store_ckpt_gc_prunes_only_unreferenced_links(self, tmp_path, capsys):
+        from repro.sim.results import SqliteBackend
+
+        db = tmp_path / "store.sqlite"
+        store = SqliteBackend(db)
+        store.save_manifest("sweep", {"points": ["p-live"]})
+        store.put_checkpoint("live-link", {"base": None, "version": 1, "points": ["p-live"]})
+        store.put_checkpoint("dead-link", {"base": None, "version": 1, "points": ["p-gone"]})
+        assert main(["store", "ckpt", str(db), "gc"]) == 0
+        assert "pruned 1 checkpoint link(s) (1 kept)" in capsys.readouterr().out
+        assert store.list_checkpoints() == ["live-link"]
+        # one spelling: the top-level `store gc` action is gone
+        with pytest.raises(SystemExit):
+            main(["store", "gc", str(db)])
+
     def test_store_migrate_requires_dest(self, tmp_path, capsys):
         rc = main(["store", "migrate", str(tmp_path / "x")])
         assert rc == 2

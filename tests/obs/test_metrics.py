@@ -1,4 +1,4 @@
-"""Registry correctness: counters, gauges, histograms, merging."""
+"""Registry correctness: counters and merging."""
 
 from __future__ import annotations
 
@@ -14,21 +14,6 @@ def test_counters_accumulate():
     assert reg.counters == {"a": 5, "b": 0.5}
 
 
-def test_gauges_keep_last():
-    reg = MetricsRegistry()
-    reg.set_gauge("g", 1.0)
-    reg.set_gauge("g", 3.0)
-    assert reg.gauges == {"g": 3.0}
-
-
-def test_histograms_stream_aggregates():
-    reg = MetricsRegistry()
-    for v in (4.0, 1.0, 7.0):
-        reg.observe("h", v)
-    h = reg.histograms["h"]
-    assert h == {"count": 3, "total": 12.0, "min": 1.0, "max": 7.0}
-
-
 def test_snapshot_is_a_copy():
     reg = MetricsRegistry()
     reg.inc("a")
@@ -41,30 +26,22 @@ def test_snapshot_is_a_copy():
 def test_clear_resets_everything():
     reg = MetricsRegistry()
     reg.inc("a")
-    reg.set_gauge("g", 1.0)
-    reg.observe("h", 1.0)
     reg.clear()
-    assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+    assert reg.snapshot() == {"counters": {}}
 
 
-def test_merge_snapshots_sums_counters_and_extremizes_histograms():
+def test_merge_snapshots_sums_counters():
     a = MetricsRegistry()
     a.inc("c", 2)
-    a.set_gauge("g", 1.0)
-    a.observe("h", 5.0)
     b = MetricsRegistry()
     b.inc("c", 3)
-    b.set_gauge("g", 9.0)
-    b.observe("h", 1.0)
-    b.observe("h", 11.0)
+    b.inc("d")
     merged = merge_snapshots([a.snapshot(), b.snapshot()])
-    assert merged["counters"]["c"] == 5
-    assert merged["gauges"]["g"] == 9.0  # last writer wins
-    assert merged["histograms"]["h"] == {"count": 3, "total": 17.0, "min": 1.0, "max": 11.0}
+    assert merged == {"counters": {"c": 5, "d": 1}}
 
 
 def test_merge_snapshots_tolerates_empty_and_partial():
-    assert merge_snapshots([]) == {"counters": {}, "gauges": {}, "histograms": {}}
+    assert merge_snapshots([]) == {"counters": {}}
     merged = merge_snapshots([{"counters": {"x": 1}}, {}])
     assert merged["counters"] == {"x": 1}
 
@@ -73,6 +50,4 @@ def test_module_helpers_are_noops_while_disabled():
     assert metrics.ENABLED is False
     before = metrics.REGISTRY.snapshot()
     metrics.inc("core.memo.hit", 100)
-    metrics.set_gauge("g", 1.0)
-    metrics.observe("h", 1.0)
     assert metrics.REGISTRY.snapshot() == before

@@ -32,10 +32,7 @@ def _sweep_records():
          "parent": "1:1", "args": {"key": "k", "owner": "w1"}, "pid": 1},
         {"type": "metrics", "ts": 103.0, "pid": 1,
          "data": {"counters": {"core.memo.hit": 8, "core.memo.miss": 2,
-                               "timeline.rounds.saved": 3, "timeline.rounds.replayed": 1},
-                  "gauges": {},
-                  "histograms": {"sample.window":
-                                 {"count": 4, "total": 40.0, "min": 5.0, "max": 20.0}}}},
+                               "timeline.rounds.saved": 3, "timeline.rounds.replayed": 1}}},
     ]
 
 
@@ -52,7 +49,7 @@ def test_summarize_self_time_subtracts_children():
 def test_summarize_keeps_last_metrics_snapshot_per_pid():
     records = _sweep_records()
     records.append({"type": "metrics", "ts": 104.0, "pid": 1,
-                    "data": {"counters": {"core.memo.hit": 10}, "gauges": {}, "histograms": {}}})
+                    "data": {"counters": {"core.memo.hit": 10}}})
     data = summarize(records)
     assert data["metrics"]["counters"]["core.memo.hit"] == 10
 
@@ -60,7 +57,7 @@ def test_summarize_keeps_last_metrics_snapshot_per_pid():
 def test_summarize_merges_metrics_across_pids():
     records = _sweep_records()
     records.append({"type": "metrics", "ts": 104.0, "pid": 2,
-                    "data": {"counters": {"core.memo.hit": 5}, "gauges": {}, "histograms": {}}})
+                    "data": {"counters": {"core.memo.hit": 5}}})
     data = summarize(records)
     assert data["metrics"]["counters"]["core.memo.hit"] == 13
 
@@ -72,7 +69,21 @@ def test_render_report_sections():
     assert "checkpoint replay savings" in out and "75.0%" in out
     assert "queue.claim" in out
     assert "(w1)" in out  # owner attribution in the worker timeline
-    assert "sample.window" in out
+
+
+def test_summarize_reads_old_snapshots_with_gauges_and_histograms():
+    # traces written before the registry kept counters only carry
+    # gauges/histograms sections; their counters still merge
+    records = _sweep_records()
+    records.append({"type": "metrics", "ts": 104.0, "pid": 2,
+                    "data": {"counters": {"core.memo.hit": 5}, "gauges": {"g": 1.0},
+                             "histograms": {"sample.window": {"count": 4, "total": 40.0,
+                                                              "min": 5.0, "max": 20.0}}}})
+    data = summarize(records)
+    assert data["metrics"] == {"counters": {"core.memo.hit": 13, "core.memo.miss": 2,
+                                            "timeline.rounds.saved": 3,
+                                            "timeline.rounds.replayed": 1}}
+    assert "conflict memo" in render_report(records)
 
 
 def test_check_trace_accepts_complete_sweep():

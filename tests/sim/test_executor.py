@@ -144,6 +144,21 @@ class TestTaskPayload:
             assert rebuilt.warm == group.warm
             assert rebuilt.key == group.key
 
+    def test_legacy_warm_key_is_ignored(self):
+        # descriptors written while ``warm`` was a stored field carry it;
+        # they still decode, and warmth follows the member count
+        import json
+
+        for group in plan_tasks(build_sweep(tiny_spec(), runs=1, seed=3)) + plan_tasks(
+            build_sweep(paired_spec(), runs=1, seed=5)
+        ):
+            payload = json.loads(json.dumps(group_payload(group)))
+            assert "warm" not in payload
+            payload["warm"] = True
+            rebuilt = group_from_payload(payload)
+            assert rebuilt.key == group.key
+            assert rebuilt.warm == (len(group.indices) > 1)
+
     def test_malformed_payload_rejected(self):
         with pytest.raises(ConfigurationError, match="malformed task descriptor"):
             group_from_payload({"schema": 1, "indices": [[0, 0]]})
@@ -253,9 +268,9 @@ class TestWorkerLoop:
         backend = SqliteBackend(tmp_path / "store")
         groups = _publish(backend, tiny_spec())
         dead = groups[0]
-        from repro.sim.executor import _claimed_compute
+        from repro.sim.executor import _compute_and_save
 
-        _claimed_compute(backend, dead, dead.key, "doomed-worker")
+        _compute_and_save(dead, backend, "doomed-worker")
         for _ in range(3):  # ...and its predecessors all broke leases
             backend.record_lease_break(dead.key)
         computed = run_worker(backend, once=True, quarantine_after=3)
@@ -274,10 +289,10 @@ class TestWorkerLoop:
         for _ in range(3):
             backend.record_lease_break(gkey)
         assert backend.try_claim(gkey, "healthy-worker", ttl=60.0)
-        assert not _maybe_quarantine(backend, gkey, 3, claim_ttl=60.0)
+        assert not _maybe_quarantine(backend, gkey, 3)
         assert backend.list_claims() == [gkey]  # the live claim survived
         backend.release_claim(gkey)
-        assert _maybe_quarantine(backend, gkey, 3, claim_ttl=60.0)
+        assert _maybe_quarantine(backend, gkey, 3)
         assert backend.list_quarantined() == [gkey]
 
     def test_payload_schema_is_gated(self):
@@ -334,6 +349,41 @@ class TestWorkerLoop:
             assert context["worker"] == "worker-test-7"
             assert context["saved_at"] > 0
             assert "core" not in context  # one conflict core: nothing to audit
+
+    @staticmethod
+    def _spy_renewals(backend, monkeypatch) -> list:
+        calls = []
+        renew = backend.renew_claim
+
+        def spy(key, owner):
+            calls.append((key, owner))
+            return renew(key, owner)
+
+        monkeypatch.setattr(backend, "renew_claim", spy)
+        return calls
+
+    def test_worker_renews_its_lease_once_per_landed_member(self, tmp_path, monkeypatch):
+        backend = SqliteBackend(tmp_path / "store")
+        (group,) = _publish(backend, paired_spec(), runs=1, seed=5)
+        assert len(group.indices) == 2
+        calls = self._spy_renewals(backend, monkeypatch)
+        assert run_worker(backend, once=True, owner="w-renew") == 1
+        assert calls == [(group.key, "w-renew")] * 2
+
+    def test_orchestrator_drain_renews_once_per_landed_member(self, tmp_path, monkeypatch):
+        import os
+
+        backend = SqliteBackend(tmp_path / "store")
+        (group,) = plan_tasks(build_sweep(paired_spec(), runs=1, seed=5))
+        calls = self._spy_renewals(backend, monkeypatch)
+        run_sweep(paired_spec(), runs=1, seed=5, store=backend, executor=WorkerExecutor())
+        assert calls == [(group.key, f"orchestrator-{os.getpid()}")] * 2
+        # without resume the orchestrator computes unclaimed: nothing to renew
+        calls.clear()
+        run_sweep(
+            paired_spec(), runs=1, seed=5, store=backend, executor="worker", resume=False
+        )
+        assert calls == []
 
     def test_worker_executor_fails_loudly_on_quarantined_group(self, tmp_path):
         # the orchestrator must not wait forever on a parked group — it

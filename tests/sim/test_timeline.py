@@ -197,7 +197,7 @@ class TestCheckpointTreeEquivalence:
         points = (steps_spec(), replace(steps_spec(), n=11))
         seed = np.random.SeedSequence(5)
         tree = CheckpointTree()
-        shared = compute_group(points, seed, share=True, tree=tree)
+        shared = compute_group(points, seed, tree=tree)
         assert tree.hits == 0  # nothing shared: every chain keyed apart
         assert shared == [compute_point(p, seed) for p in points]
 
@@ -457,6 +457,7 @@ class TestGroupStageTokens:
         assert shrunk.keys == (group.keys[0], group.keys[2])
         assert shrunk.stage_tokens == (group.stage_tokens[0], group.stage_tokens[2])
         assert shrunk.warm == group.warm
+        assert not group.subset([1]).warm  # warmth follows the member count
 
 
 # ----------------------------------------------------------------------
