@@ -9,7 +9,6 @@ Usage (installed as ``minim-cdma`` or via ``python -m repro``)::
     minim-cdma scenario --list
     minim-cdma scenario poisson-cluster --runs 5
     minim-cdma scenario uniform-churn --results store.sqlite --executor worker
-    minim-cdma scenario uniform-churn --runs 2 --ci-target 0.2 --max-runs 32
     minim-cdma worker --results store.sqlite
     minim-cdma store ls store.sqlite
     minim-cdma store stats store.sqlite
@@ -17,7 +16,6 @@ Usage (installed as ``minim-cdma`` or via ``python -m repro``)::
     minim-cdma store inspect store.sqlite TASKKEY
     minim-cdma store requeue store.sqlite
     minim-cdma store export store.sqlite --csv points.csv
-    minim-cdma store export store.sqlite --parquet points.parquet
     minim-cdma store compact results-store/
     minim-cdma store migrate results-store/ store.sqlite
     minim-cdma bench --runs 3
@@ -36,17 +34,15 @@ backend (JSON directory or SQLite file, sniffed from the path —
 ``--store-backend`` forces one) and re-invocations resume from cache.
 ``--executor worker`` publishes a sweep's tasks into the shared store
 so any number of ``minim-cdma worker`` processes (or hosts sharing the
-store) drain them concurrently.  ``--ci-target``/``--ci-abs`` switch a
-sweep to adaptive run counts: starting from ``--runs``, each point gets
-additional runs until its confidence interval meets the target (capped
-by ``--max-runs``).  ``store`` inspects (``ls``), reports live
-drain/quarantine state (``stats`` / ``watch``), replays a quarantined
-task under the serial executor with full traceback and requeues it on
-success (``inspect KEY``), releases quarantined tasks back into the
-queue (``requeue``), dumps point-level rows (``export --csv`` /
-``export --parquet``, the latter with sweep-level join columns, gated
-on pyarrow), folds a JSON directory into one SQLite table (``compact``)
-or copies between backends (``migrate``).  ``--trace PATH`` turns on
+store) drain them concurrently.  Every sweep runs exactly ``--runs``
+runs per point; raising ``--runs`` on a store computes only the new
+runs.  ``store`` inspects (``ls``), reports live drain/quarantine
+state (``stats`` / ``watch``), replays a quarantined task under the
+serial executor with full traceback and requeues it on success
+(``inspect KEY``), releases quarantined tasks back into the queue
+(``requeue``), dumps point-level rows (``export --csv``), folds a JSON
+directory into one SQLite table (``compact``) or copies between
+backends (``migrate``).  ``--trace PATH`` turns on
 the observability layer (:mod:`repro.obs`) for any sweep or worker
 invocation: phase/task spans, queue events, and conflict-core /
 timeline / store counters stream to a JSONL file (child processes
@@ -111,31 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="execution layer (default: process pool when --processes > 1, else "
         "serial; worker publishes tasks into the shared --results store)",
-    )
-    common.add_argument(
-        "--ci-target",
-        type=float,
-        default=None,
-        metavar="REL",
-        help="adaptive run counts: add runs per point until the 95%% CI "
-        "half-width is within REL * |mean| (--runs becomes the starting "
-        "budget)",
-    )
-    common.add_argument(
-        "--ci-abs",
-        type=float,
-        default=None,
-        metavar="ABS",
-        help="absolute CI half-width floor for adaptive sweeps (a point also "
-        "converges when the half-width is within ABS; keeps near-zero means "
-        "from demanding the run cap)",
-    )
-    common.add_argument(
-        "--max-runs",
-        type=int,
-        default=None,
-        help="hard cap on runs per point for adaptive sweeps (default 32; "
-        "needs --ci-target/--ci-abs)",
     )
     common.add_argument(
         "--trace",
@@ -281,13 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     pst.add_argument(
         "--csv", type=Path, default=None, help="export: CSV output path ('-' for stdout)"
     )
-    pst.add_argument(
-        "--parquet",
-        type=Path,
-        default=None,
-        help="export: Parquet output path with sweep-level join columns "
-        "(needs pyarrow installed)",
-    )
 
     pb = sub.add_parser(
         "bench",
@@ -351,28 +315,6 @@ def _emit(series: ExperimentSeries, kind: str | None, out: Path | None) -> None:
         print(f"wrote {path}")
 
 
-def _precision_of(args: argparse.Namespace):
-    """Build the adaptive-sweep target from ``--ci-target``/``--ci-abs``."""
-    rel = getattr(args, "ci_target", None)
-    abs_tol = getattr(args, "ci_abs", None)
-    max_runs = getattr(args, "max_runs", None)
-    if rel is None and abs_tol is None:
-        if max_runs is not None:
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(
-                "--max-runs caps an adaptive sweep; set --ci-target and/or "
-                "--ci-abs to enable one"
-            )
-        return None
-    from repro.sim.control import PrecisionTarget
-
-    kwargs: dict = {"rel": rel, "abs_tol": abs_tol}
-    if max_runs is not None:
-        kwargs["max_runs"] = max_runs
-    return PrecisionTarget(**kwargs)
-
-
 def _sweep_kwargs(args: argparse.Namespace) -> dict:
     return dict(
         runs=args.runs,
@@ -381,7 +323,6 @@ def _sweep_kwargs(args: argparse.Namespace) -> dict:
         store=_store_of(args),
         resume=not args.no_resume,
         executor=getattr(args, "executor", None),
-        precision=_precision_of(args),
     )
 
 
@@ -529,24 +470,16 @@ def _run_store_cmd(args: argparse.Namespace) -> int:
             print(f"released {released} task(s) back into {backend.locator}")
             return 0 if released == len(keys) else 2
         if args.action == "export":
-            from repro.sim.monitor import export_csv, export_parquet
+            from repro.sim.monitor import export_csv
 
-            if args.csv is None and args.parquet is None:
-                print(
-                    "error: export needs --csv PATH ('-' for stdout) and/or "
-                    "--parquet PATH",
-                    file=sys.stderr,
-                )
+            if args.csv is None:
+                print("error: export needs --csv PATH ('-' for stdout)", file=sys.stderr)
                 return 2
-            if args.csv is not None:
-                if str(args.csv) == "-":
-                    export_csv(backend, sys.stdout)
-                else:
-                    rows = export_csv(backend, args.csv)
-                    print(f"wrote {rows} row(s) to {args.csv}")
-            if args.parquet is not None:
-                rows = export_parquet(backend, args.parquet)
-                print(f"wrote {rows} row(s) to {args.parquet}")
+            if str(args.csv) == "-":
+                export_csv(backend, sys.stdout)
+            else:
+                rows = export_csv(backend, args.csv)
+                print(f"wrote {rows} row(s) to {args.csv}")
             return 0
         if args.action == "ckpt":
             sub_action = args.dest or "ls"
@@ -622,9 +555,9 @@ def main(argv: list[str] | None = None) -> int:
         try:
             return _run_figures(args)
         except ConfigurationError as exc:
-            # mis-set flags (e.g. --max-runs without --ci-target) and env
-            # misconfiguration get the same clean error the scenario
-            # command prints, not a traceback
+            # mis-set flags and env misconfiguration (a bad REPRO_RUNS)
+            # get the same clean error the scenario command prints, not
+            # a traceback
             print(f"error: {exc}", file=sys.stderr)
             return 2
     finally:

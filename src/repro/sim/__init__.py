@@ -1,6 +1,5 @@
 """Simulation harness: networks, workloads, scenarios and experiments."""
 
-from repro.sim.control import PrecisionTarget, RunController, resolve_precision
 from repro.sim.executor import (
     Executor,
     ProcessExecutor,
@@ -32,13 +31,7 @@ from repro.sim.scenarios import (
     scenario_phases,
     scenario_trace,
 )
-from repro.sim.sweep import (
-    SweepSpec,
-    build_sweep,
-    plan_additional_tasks,
-    plan_tasks,
-    run_sweep,
-)
+from repro.sim.sweep import SweepSpec, build_sweep, plan_tasks, run_sweep
 from repro.sim.timeline import (
     CheckpointTree,
     Stage,
@@ -65,10 +58,8 @@ __all__ = [
     "MultiStrategyReplay",
     "PlacementSpec",
     "PowerSpec",
-    "PrecisionTarget",
     "ProcessExecutor",
     "ResultsBackend",
-    "RunController",
     "ScenarioSpec",
     "SerialExecutor",
     "SqliteBackend",
@@ -90,12 +81,10 @@ __all__ = [
     "migrate_store",
     "movement_rounds",
     "open_backend",
-    "plan_additional_tasks",
     "plan_tasks",
     "power_raise_workload",
     "prefix_token",
     "register_scenario",
-    "resolve_precision",
     "rng_from",
     "run_sweep",
     "run_worker",

@@ -7,8 +7,8 @@ backend), **execute** (this module), **collect** (assemble the series).
 The execute stage is pluggable behind the :class:`Executor` protocol:
 
 * :class:`SerialExecutor` — in-process loop (the default);
-* :class:`ProcessExecutor` — fan-out across a local process pool via
-  :func:`repro.sim.runner.parallel_map`;
+* :class:`ProcessExecutor` — fan-out across a local pool of two or
+  more processes;
 * :class:`WorkerExecutor` — publish task descriptors into the shared
   results backend and let any number of ``minim-cdma worker`` processes
   (or hosts sharing the store over a filesystem) claim and drain them,
@@ -55,7 +55,6 @@ from repro.sim.results import (
     ResultsBackend,
     open_backend,
 )
-from repro.sim.runner import parallel_map
 from repro.sim.scenarios import ScenarioSpec, scenario_from_dict
 from repro.sim.timeline import compute_group as _compute_group_timeline
 from repro.sim.timeline import prefix_token
@@ -366,18 +365,22 @@ class SerialExecutor:
 
 
 class ProcessExecutor:
-    """Fan groups out across a local process pool.
+    """Fan groups out across a local pool of ``processes`` processes.
 
-    Parameters
-    ----------
-    processes:
-        Pool size; ``None``/``0``/``1`` degrade to serial execution
-        (matching :func:`repro.sim.runner.parallel_map`).
+    A pool of one process would only add descriptor round trips to a
+    serial loop, so the pool size must be at least 2;
+    :func:`resolve_executor` resolves smaller sizes to
+    :class:`SerialExecutor`.
     """
 
     name = "process"
 
-    def __init__(self, processes: int | None = None) -> None:
+    def __init__(self, processes: int) -> None:
+        if processes is None or processes < 2:
+            raise ConfigurationError(
+                f"a process pool needs at least 2 processes, got {processes!r} "
+                "(use the serial executor)"
+            )
         self.processes = processes
 
     def execute(
@@ -388,9 +391,12 @@ class ProcessExecutor:
         resume: bool = True,
     ) -> dict[tuple[int, int], list]:
         """Map groups over the pool; order (and results) are deterministic."""
+        from concurrent.futures import ProcessPoolExecutor
+
         locator = None if backend is None else (backend.locator, backend.kind)
         tasks = [(group_payload(g), locator) for g in groups]
-        outs = parallel_map(_execute_group_task, tasks, processes=self.processes)
+        with ProcessPoolExecutor(max_workers=self.processes) as pool:
+            outs = list(pool.map(_execute_group_task, tasks))
         return _collect(groups, outs)
 
 
@@ -677,18 +683,18 @@ def resolve_executor(executor: "Executor | str | None", processes: int | None) -
     ``None`` keeps the historical behavior: a process pool when
     ``processes`` asks for one, else serial.  Strings name the built-in
     executors; instances pass through.  Asking for ``"process"``
-    without a pool size means "use the machine": it defaults to the CPU
-    count rather than silently degrading to a serial loop.
+    without a pool size means "use the machine": the CPU count.  A
+    pool size of 1 or less (an explicit one, or a one-CPU machine)
+    resolves to :class:`SerialExecutor`, which computes in-process.
     """
     if executor is None:
-        if processes and processes > 1:
-            return ProcessExecutor(processes)
-        return SerialExecutor()
+        executor = "process" if processes else "serial"
     if isinstance(executor, str):
         if executor == "serial":
             return SerialExecutor()
         if executor == "process":
-            return ProcessExecutor(processes if processes is not None else os.cpu_count())
+            size = processes if processes is not None else os.cpu_count() or 1
+            return ProcessExecutor(size) if size > 1 else SerialExecutor()
         if executor == "worker":
             return WorkerExecutor()
         raise ConfigurationError(

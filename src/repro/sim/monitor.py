@@ -28,13 +28,8 @@ Two data sources feed a snapshot:
 
 :func:`export_csv` is the point-level analytics escape hatch: one CSV
 row per (point, strategy[, round]) with the sweep coordinates, run
-index, metric triple and worker provenance — the lightweight first step
-of the ROADMAP's columnar-analytics item, consumable by any dataframe
-library without new dependencies.  :func:`export_parquet` is step two:
-the same rows as a columnar Parquet table (gated on ``pyarrow`` being
-importable) plus sweep-level join columns resolved from the stored
-manifests, so million-row exports stay compact and join back to their
-sweeps without re-parsing manifests.
+index, metric triple and worker provenance, consumable by any
+dataframe library without new dependencies.
 
 :func:`inspect_quarantined` is the triage half of the quarantine
 machinery: replay a parked task group under the serial executor — in
@@ -60,7 +55,6 @@ __all__ = [
     "StoreStats",
     "WorkerStats",
     "export_csv",
-    "export_parquet",
     "inspect_quarantined",
 ]
 
@@ -368,115 +362,6 @@ def _write_csv(backend: ResultsBackend, fh: IO[str]) -> int:
         for row in _csv_rows_for_point(key, record):
             writer.writerow(row)
             rows += 1
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Columnar export (Parquet, gated on pyarrow)
-# ----------------------------------------------------------------------
-#: Sweep-level join columns appended to :data:`CSV_COLUMNS` in Parquet
-#: exports, resolved by joining each point key against the stored sweep
-#: manifests.
-PARQUET_SWEEP_COLUMNS = ("sweep_key", "sweep_runs", "sweep_seed", "sweep_executor")
-
-
-def _sweep_join_index(backend: ResultsBackend) -> dict[str, dict]:
-    """``{point key: sweep-level join columns}`` from the manifests.
-
-    A point computed under several manifests (an adaptive re-plan of the
-    same sweep) joins to the most recently listed one; points saved
-    outside any manifest (direct ``save_point``) get null columns.
-    """
-    index: dict[str, dict] = {}
-    for sweep_key in backend.list_manifests():
-        manifest = backend.load_manifest(sweep_key) or {}
-        columns = {
-            "sweep_key": sweep_key,
-            "sweep_runs": manifest.get("runs"),
-            "sweep_seed": manifest.get("seed"),
-            "sweep_executor": manifest.get("executor"),
-        }
-        for point_key in manifest.get("points", []):
-            index[point_key] = columns
-    return index
-
-
-#: Explicit Arrow types per export column.  Pinning the schema (instead
-#: of inferring it from materialized rows) keeps the writer streaming —
-#: batches flush as the point-record walk proceeds, so a 10⁶-row export
-#: never holds more than one batch of dicts — and keeps column types
-#: stable even when an early batch is all-null in some column.
-_PARQUET_TYPES = {
-    "point_key": "string",
-    "experiment": "string",
-    "scenario": "string",
-    "sweep_axis": "string",
-    "sweep_value": "float64",
-    "run": "int64",
-    "seed": "string",
-    "measure": "string",
-    "strategy": "string",
-    "round": "int64",
-    "max_color": "float64",
-    "recodings": "float64",
-    "messages": "float64",
-    "worker": "string",
-    "saved_at": "float64",
-    "sweep_key": "string",
-    "sweep_runs": "int64",
-    "sweep_seed": "int64",
-    "sweep_executor": "string",
-}
-
-
-def export_parquet(backend: ResultsBackend, out: Path | str, *, batch_rows: int = 10_000) -> int:
-    """Stream point-level rows into a Parquet table; returns the row count.
-
-    The columnar step up from :func:`export_csv`: same per-row shape
-    (:data:`CSV_COLUMNS`) plus the :data:`PARQUET_SWEEP_COLUMNS` join
-    columns, so a dataframe can group and join 10⁶-row exports by sweep
-    without touching the manifests.  Rows are written in ``batch_rows``
-    batches under a fixed schema, so peak memory is one batch no matter
-    the store size.  Requires ``pyarrow``; raises a clean
-    :class:`~repro.errors.ConfigurationError` when it is not importable
-    (the package deliberately does not depend on it).
-    """
-    try:
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-    except ImportError as exc:
-        raise ConfigurationError(
-            "store export --parquet needs pyarrow, which is not installed "
-            "(pip install pyarrow) — use --csv for the dependency-free export"
-        ) from exc
-    schema = pa.schema([(name, getattr(pa, kind)()) for name, kind in _PARQUET_TYPES.items()])
-    joins = _sweep_join_index(backend)
-    empty_join = dict.fromkeys(PARQUET_SWEEP_COLUMNS)
-    path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    rows = 0
-    batch: list[dict] = []
-    with pq.ParquetWriter(path, schema) as writer:
-
-        def flush() -> None:
-            if batch:
-                writer.write_table(pa.Table.from_pylist(batch, schema=schema))
-                batch.clear()
-
-        for key, record in backend.iter_point_records():
-            join = joins.get(key, empty_join)
-            for row in _csv_rows_for_point(key, record):
-                # Parquet columns are typed: blank CSV cells become nulls
-                batch.append(
-                    {
-                        **{col: (None if value == "" else value) for col, value in row.items()},
-                        **join,
-                    }
-                )
-                rows += 1
-            if len(batch) >= batch_rows:
-                flush()
-        flush()
     return rows
 
 

@@ -39,15 +39,13 @@ import numpy as np
 from repro import obs
 from repro.analysis.series import ExperimentSeries
 from repro.errors import ConfigurationError
-from repro.sim.control import PrecisionTarget, RunController, resolve_precision
 from repro.sim.executor import Executor, TaskGroup, resolve_executor
 from repro.sim.registry import get_scenario
 from repro.sim.results import ResultsBackend, seed_token, spec_digest
 from repro.sim.results import point_key as _point_key
-from repro.sim.runner import resolve_runs
 from repro.sim.scenarios import ScenarioSpec, resolve_sweep
 
-__all__ = ["SweepSpec", "build_sweep", "plan_additional_tasks", "plan_tasks", "run_sweep"]
+__all__ = ["SweepSpec", "build_sweep", "plan_tasks", "run_sweep"]
 
 #: Metric names of the absolute measure (end-state totals).
 ABS_METRICS = ("max_color", "recodings", "messages")
@@ -56,6 +54,36 @@ DELTA_METRICS = ("delta_max_color", "delta_recodings", "delta_messages")
 
 _DEFAULT_RUNS = 5
 _DEFAULT_SEED = 2001
+
+
+def resolve_runs(runs: int | None, default: int, env_value: str | None) -> int:
+    """Resolve a run count from explicit argument, env override, default.
+
+    Priority: explicit ``runs`` > ``env_value`` (e.g. ``REPRO_RUNS``) >
+    ``default``.  A bad explicit argument is caller error
+    (``ValueError``); *any* bad env-sourced value — non-integer or
+    < 1 alike — is environment misconfiguration and raises
+    :class:`ConfigurationError`.
+    """
+    if runs is not None:
+        if runs < 1:
+            raise ValueError(f"runs must be >= 1, got {runs}")
+        return runs
+    if env_value:
+        try:
+            parsed = int(env_value)
+        except ValueError:
+            raise ConfigurationError(
+                f"run-count env override must be an integer, got {env_value!r} "
+                "(set e.g. REPRO_RUNS=10)"
+            ) from None
+        if parsed < 1:
+            raise ConfigurationError(
+                f"run-count env override must be >= 1, got {parsed} "
+                "(set e.g. REPRO_RUNS=10)"
+            )
+        return parsed
+    return default
 
 
 @dataclass(frozen=True)
@@ -118,9 +146,9 @@ def build_sweep(
     points = tuple(resolve_sweep(spec, value) for value in spec.sweep_values)
     # Seed derivation is prefix-stable in `runs`: SeedSequence.spawn
     # numbers children from zero, so run r's seed depends only on
-    # (seed, point, r) — never on how many runs were planned.  The
-    # adaptive controller relies on this to extend a sweep's run count
-    # while every already-computed point key stays valid.
+    # (seed, point, r) — never on how many runs were planned.  Raising
+    # `runs` on a store (say 5 -> 100) therefore keeps every computed
+    # point key and computes only the new runs.
     master = np.random.SeedSequence(seed)
     if spec.paired_runs:
         row = tuple(master.spawn(runs))
@@ -196,33 +224,6 @@ def plan_tasks(sweep: SweepSpec) -> list[TaskGroup]:
     return groups
 
 
-def plan_additional_tasks(
-    sweep: SweepSpec,
-    runs_per_point: Sequence[int],
-    want: dict[int, int],
-) -> list[TaskGroup]:
-    """Plan only the *new* run tasks raising each point to ``want[i]``.
-
-    Rebuilds the sweep at the highest requested run count (seed
-    derivation is prefix-stable, so existing run seeds — and hence
-    point keys — are unchanged) and keeps exactly the group members
-    with ``runs_per_point[i] <= r < want[i]``.  Warm-start row groups
-    survive intact when the controller raises whole paired rows.
-    """
-    if not want:
-        return []
-    new_runs = max(want.values())
-    extended = build_sweep(sweep.scenario, runs=new_runs, seed=sweep.seed)
-    target = {i: want.get(i, runs_per_point[i]) for i in range(len(sweep.points))}
-    groups: list[TaskGroup] = []
-    for group in plan_tasks(extended):
-        keep = [m for m, (i, r) in enumerate(group.indices) if runs_per_point[i] <= r < target[i]]
-        if not keep:
-            continue
-        groups.append(group if len(keep) == len(group.indices) else group.subset(keep))
-    return groups
-
-
 # ----------------------------------------------------------------------
 # Stage 2: claim
 # ----------------------------------------------------------------------
@@ -266,13 +267,13 @@ def run_sweep(
     store: ResultsBackend | None = None,
     resume: bool = True,
     executor: Executor | str | None = None,
-    precision: RunController | PrecisionTarget | float | None = None,
 ) -> ExperimentSeries:
     """Run one sweep through the unified pipeline; return its series.
 
-    ``scenario`` is a spec or registered name; ``runs`` defaults to 5
-    (``REPRO_RUNS`` overrides).  ``executor`` selects the execution
-    layer (``"serial"`` / ``"process"`` / ``"worker"`` or an
+    ``scenario`` is a spec or registered name; every point runs exactly
+    ``runs`` runs, which defaults to 5 (``REPRO_RUNS`` overrides).
+    ``executor`` selects the execution layer (``"serial"`` /
+    ``"process"`` / ``"worker"`` or an
     :class:`~repro.sim.executor.Executor` instance); the default keeps
     the historical behavior of ``processes``.  Tasks share a
     checkpoint-tree prefix whenever their timelines allow it (see
@@ -282,18 +283,6 @@ def run_sweep(
     run manifest (spec fields, runs, seed, executor name, point keys,
     computed/cached split) are written.  The series ``notes`` field records the
     computed/cached split of this invocation.
-
-    ``precision`` switches on adaptive run counts: ``runs`` becomes the
-    *starting* budget per point and, after each collect pass, a
-    :class:`~repro.sim.control.RunController` plans additional
-    content-addressed run tasks for every point whose confidence
-    interval is still wider than the target (a float is shorthand for a
-    relative-CI target; see :class:`~repro.sim.control.PrecisionTarget`
-    for the full knob set, including the ``max_runs`` hard cap).
-    Incremental runs flow through the same claim/execute stages, so a
-    store serves previously computed runs from cache and a repeated
-    adaptive sweep reproduces the identical series without computing
-    anything.
     """
     import os
 
@@ -310,7 +299,6 @@ def run_sweep(
             env_runs=os.environ.get("REPRO_RUNS"),
         )
         spec = sweep.scenario
-        controller = resolve_precision(precision)
         exec_ = resolve_executor(executor, processes)
         groups = plan_tasks(sweep)
     with obs.span("sweep.claim", cat="sweep", scenario=spec.name, planned=len(groups)):
@@ -322,48 +310,10 @@ def run_sweep(
     computed = sum(len(g.indices) for g in pending)
     # plan_tasks already hashed every point key; harvest, don't rehash
     keys = {ix: key for g in groups for ix, key in zip(g.indices, g.keys)}
-
-    runs_per_point = [sweep.runs] * len(sweep.points)
-    passes = 0
-    if controller is not None:
-        while True:
-            want = controller.plan(
-                _point_samples(sweep, results, runs_per_point),
-                runs_per_point,
-                paired=spec.paired_runs,
-            )
-            extra = plan_additional_tasks(sweep, runs_per_point, want)
-            if not extra:
-                break
-            with obs.span("sweep.claim", cat="sweep", scenario=spec.name, planned=len(extra)):
-                extra_cached, extra_pending = claim_cached(extra, store, resume)
-            results.update(extra_cached)
-            with obs.span(
-                "sweep.execute",
-                cat="sweep",
-                scenario=spec.name,
-                pending=len(extra_pending),
-                executor=exec_.name,
-                adaptive_pass=passes + 1,
-            ):
-                results.update(exec_.execute(extra_pending, backend=store, resume=resume))
-            computed += sum(len(g.indices) for g in extra_pending)
-            keys.update({ix: key for g in extra for ix, key in zip(g.indices, g.keys)})
-            for i, n in want.items():
-                runs_per_point[i] = n
-            passes += 1
-        controller.runs_per_point = list(runs_per_point)
-        controller.passes = passes
-
     with obs.span("sweep.collect", cat="sweep", scenario=spec.name):
-        series = _assemble_series(sweep, results, runs_per_point)
+        series = _assemble_series(sweep, results)
     cached = len(keys) - computed
     series.notes = f"{computed} points computed, {cached} from cache"
-    if controller is not None:
-        series.notes += (
-            f"; adaptive: {sum(runs_per_point)} total runs "
-            f"({passes} extra pass{'es' if passes != 1 else ''})"
-        )
     if store is not None:
         manifest = {
             "experiment": spec.series_id,
@@ -375,11 +325,7 @@ def run_sweep(
             "runs": sweep.runs,
             "seed": sweep.seed,
             "executor": exec_.name,
-            "points": [
-                keys[(i, r)]
-                for i in range(len(sweep.points))
-                for r in range(runs_per_point[i])
-            ],
+            "points": [keys[(i, r)] for i in range(len(sweep.points)) for r in range(sweep.runs)],
             "computed": computed,
             "cached": cached,
             "series_locator": f"{store.locator}::series/{spec.series_id}",
@@ -387,89 +333,45 @@ def run_sweep(
             # keyed by the sweep's content hash and never clobbered.
             "series": series.to_dict(),
         }
-        manifest_key = sweep.sweep_key
-        if controller is not None:
-            import dataclasses
-
-            target = dataclasses.asdict(controller.target)
-            manifest["adaptive"] = {
-                "target": target,
-                "runs_per_point": list(runs_per_point),
-                "total_runs": sum(runs_per_point),
-                "passes": passes,
-            }
-            # a fixed and an adaptive sweep from the same base spec are
-            # different computations; key their manifests apart
-            manifest_key = spec_digest(
-                spec, extra={"runs": sweep.runs, "seed": sweep.seed, "precision": target}
-            )
         store.save_series(series)
-        store.save_manifest(manifest_key, manifest)
+        store.save_manifest(sweep.sweep_key, manifest)
     return series
 
 
-def _point_samples(
-    sweep: SweepSpec, results: dict[tuple[int, int], list], runs_per_point: Sequence[int]
-) -> list[np.ndarray]:
-    """Per point, that point's collected results with the run axis first.
-
-    The shared substrate of the collect stage and the run controller:
-    ``samples[i]`` has shape ``(runs_per_point[i], strategies, metrics)``
-    (plus a rounds axis for ``delta_rounds`` scenarios, which have a
-    single point).
-    """
-    if sweep.scenario.measure == "delta_rounds":
-        data = np.asarray([results[(0, r)] for r in range(runs_per_point[0])], dtype=np.float64)
-        if data.ndim != 4:
-            raise ConfigurationError(
-                f"scenario {sweep.scenario.name!r} produced no perturbation rounds to sample"
-            )
-        return [data]
-    return [
-        np.asarray([results[(i, r)] for r in range(runs_per_point[i])], dtype=np.float64)
-        for i in range(len(sweep.points))
-    ]
-
-
-def _assemble_series(
-    sweep: SweepSpec,
-    results: dict[tuple[int, int], list],
-    runs_per_point: Sequence[int] | None = None,
-) -> ExperimentSeries:
+def _assemble_series(sweep: SweepSpec, results: dict[tuple[int, int], list]) -> ExperimentSeries:
     """Collect stage: fold point results into an :class:`ExperimentSeries`.
 
-    Run counts may differ per point (adaptive sweeps), so means and
-    standard errors are computed per point over that point's own runs.
-    A single-run point reports stderr 0.0 — ``ddof=1`` on one sample
-    would put NaN into the stored series, and the controller separately
-    refuses to treat ``n = 1`` as converged, so the guard never hides a
-    point that still needs runs.
+    Means and standard errors are taken per point over its
+    ``sweep.runs`` runs.  A single-run sweep reports stderr 0.0:
+    ``ddof=1`` on one sample would put NaN into the stored series.
     """
     spec = sweep.scenario
     strategies = spec.strategies
-    if runs_per_point is None:
-        runs_per_point = [sweep.runs] * len(sweep.points)
-    counts = list(runs_per_point)
-    samples = _point_samples(sweep, results, counts)
+
+    def _samples(i: int) -> np.ndarray:
+        # point i's results with the run axis first
+        return np.asarray([results[(i, r)] for r in range(sweep.runs)], dtype=np.float64)
 
     def _mean_sem(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = block.shape[0]
         mean = block.mean(axis=0)
-        if n > 1:
-            sem = block.std(axis=0, ddof=1) / np.sqrt(n)
-        else:  # no variance estimate from one run; never NaN in a store
-            sem = np.zeros_like(mean)
-        return mean, sem
+        if sweep.runs == 1:  # no variance estimate from one run; never NaN in a store
+            return mean, np.zeros_like(mean)
+        return mean, block.std(axis=0, ddof=1) / np.sqrt(sweep.runs)
 
     if spec.measure == "delta_rounds":
-        # samples[0]: run, strategy, round, metric -> x-axis is the round
-        mean, sem = _mean_sem(samples[0])
+        # the single point's samples: run, strategy, round, metric
+        block = _samples(0)
+        if block.ndim != 4:
+            raise ConfigurationError(
+                f"scenario {spec.name!r} produced no perturbation rounds to sample"
+            )
+        mean, sem = _mean_sem(block)
         means = mean.transpose(1, 0, 2)  # round, strategy, metric
         sems = sem.transpose(1, 0, 2)
         x_values = [float(t) for t in range(1, means.shape[0] + 1)]
         metric_names = DELTA_METRICS
     else:
-        stats = [_mean_sem(block) for block in samples]
+        stats = [_mean_sem(_samples(i)) for i in range(len(sweep.points))]
         means = np.stack([m for m, _ in stats])  # x, strategy, metric
         sems = np.stack([s for _, s in stats])
         x_values = [float(v) for v in spec.sweep_values]
@@ -487,6 +389,6 @@ def _assemble_series(
         x_label=spec.series_x_label,
         x_values=x_values,
         metrics=metrics,
-        runs=max(counts),
+        runs=sweep.runs,
         stderr=stderr,
     )

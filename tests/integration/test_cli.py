@@ -49,6 +49,22 @@ class TestParser:
         assert "unrecognized arguments: --no-warm-start" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "uniform-churn", "--ci-target", "0.2"],
+            ["scenario", "uniform-churn", "--ci-abs", "1.0"],
+            ["fig11", "--max-runs", "32"],
+            ["store", "export", "store.sqlite", "--parquet", "points.parquet"],
+        ],
+        ids=["ci-target", "ci-abs", "max-runs", "parquet"],
+    )
+    def test_removed_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         ("command", "row"),
         [
             ("fig10", 0),

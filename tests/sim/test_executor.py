@@ -113,7 +113,7 @@ class TestExecutorParity:
         with pytest.raises(ConfigurationError, match="results store"):
             run_sweep(tiny_spec(), runs=1, executor="worker")
 
-    def test_resolution_defaults(self):
+    def test_resolution_defaults(self, monkeypatch):
         import os
 
         assert resolve_executor(None, None).name == "serial"
@@ -121,10 +121,44 @@ class TestExecutorParity:
         assert resolve_executor(None, 4).name == "process"
         custom = WorkerExecutor()
         assert resolve_executor(custom, None) is custom
-        # explicit "process" with no pool size means the whole machine,
-        # not a silent serial fallback
-        assert resolve_executor("process", None).processes == os.cpu_count()
         assert resolve_executor("process", 2).processes == 2
+        # explicit "process" with no pool size means the whole machine;
+        # a one-CPU machine (or an unknown count) is a serial loop
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert resolve_executor("process", None).processes == 3
+        for cpus in (1, None):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            assert isinstance(resolve_executor("process", None), SerialExecutor)
+
+    @pytest.mark.parametrize("processes", [1, 0, -1])
+    def test_pool_of_one_or_fewer_is_serial(self, processes):
+        assert isinstance(resolve_executor("process", processes), SerialExecutor)
+        with pytest.raises(ConfigurationError, match="at least 2 processes"):
+            ProcessExecutor(processes)
+
+    def test_pool_of_one_computes_in_process(self, tmp_path, monkeypatch):
+        # a serial sweep computes on the caller's backend; the pool
+        # target's per-group reopen never runs
+        import repro.sim.executor as executor_mod
+
+        opened = []
+        real_open = executor_mod.open_backend
+
+        def counting_open(*args, **kwargs):
+            opened.append(args)
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "open_backend", counting_open)
+        kwargs = dict(runs=2, strategies=["Minim"])
+        series = run_sweep(
+            "uniform-churn",
+            executor="process",
+            processes=1,
+            store=SqliteBackend(tmp_path / "s.sqlite"),
+            **kwargs,
+        )
+        assert opened == []
+        assert series_json(series) == series_json(run_sweep("uniform-churn", **kwargs))
 
 
 # ----------------------------------------------------------------------

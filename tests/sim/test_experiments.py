@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.series import ExperimentSeries
 from repro.errors import ConfigurationError
 from repro.sim.registry import get_scenario
-from repro.sim.runner import parallel_map, resolve_runs
 from repro.sim.sweep import run_sweep
 from repro.strategies import make_strategy
 
@@ -25,25 +24,6 @@ class TestMakeStrategy:
     def test_unknown(self):
         with pytest.raises(ConfigurationError):
             make_strategy("nope")
-
-
-class TestRunnerHelpers:
-    def test_parallel_map_serial(self):
-        assert parallel_map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-
-    def test_parallel_map_processes(self):
-        assert parallel_map(_double, [1, 2, 3], processes=2) == [2, 4, 6]
-
-    def test_resolve_runs(self):
-        assert resolve_runs(7, 5, "9") == 7
-        assert resolve_runs(None, 5, "9") == 9
-        assert resolve_runs(None, 5, None) == 5
-        with pytest.raises(ValueError):
-            resolve_runs(0, 5, None)
-
-
-def _double(x):
-    return x * 2
 
 
 class TestJoinExperiment:

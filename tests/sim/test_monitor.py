@@ -265,47 +265,6 @@ class TestInspectQuarantined:
         assert "malformed task descriptor" in capsys.readouterr().err
 
 
-class TestExportParquet:
-    def test_missing_pyarrow_is_a_clean_configuration_error(self, tmp_path, monkeypatch):
-        import sys as _sys
-
-        from repro.sim.monitor import export_parquet
-
-        # poison the import whether or not pyarrow is installed
-        monkeypatch.setitem(_sys.modules, "pyarrow", None)
-        backend = SqliteBackend(tmp_path / "s.sqlite")
-        with pytest.raises(ConfigurationError, match="needs pyarrow"):
-            export_parquet(backend, tmp_path / "points.parquet")
-
-    def test_parquet_rows_carry_sweep_join_columns(self, tmp_path):
-        pa = pytest.importorskip("pyarrow")
-        pq = pytest.importorskip("pyarrow.parquet")
-
-        from repro.sim.monitor import PARQUET_SWEEP_COLUMNS, export_parquet
-
-        backend = SqliteBackend(tmp_path / "s.sqlite")
-        run_sweep(tiny_spec(), runs=1, seed=3, store=backend)
-        out = tmp_path / "points.parquet"
-        rows = export_parquet(backend, out)
-        table = pq.read_table(out)
-        assert table.num_rows == rows == 2
-        assert set(CSV_COLUMNS) | set(PARQUET_SWEEP_COLUMNS) == set(table.column_names)
-        (sweep_key,) = backend.list_manifests()
-        assert table.column("sweep_key").to_pylist() == [sweep_key, sweep_key]
-        assert table.column("sweep_seed").to_pylist() == [3, 3]
-        del pa  # importorskip handle
-
-    def test_parquet_cli_flag_gates_cleanly_without_pyarrow(self, tmp_path, capsys, monkeypatch):
-        import sys as _sys
-
-        monkeypatch.setitem(_sys.modules, "pyarrow", None)
-        db = tmp_path / "store.sqlite"
-        run_sweep(tiny_spec(), runs=1, seed=3, store=SqliteBackend(db))
-        rc = main(["store", "export", str(db), "--parquet", str(tmp_path / "p.parquet")])
-        assert rc == 2
-        assert "needs pyarrow" in capsys.readouterr().err
-
-
 class TestStoreCliActions:
     def _quarantined_store(self, tmp_path):
         db = tmp_path / "store.sqlite"
@@ -364,51 +323,6 @@ class TestStoreCliActions:
         db, _ = self._quarantined_store(tmp_path)
         assert main(["store", "ls", str(db)]) == 0
         assert "quarantined 1" in capsys.readouterr().out
-
-
-class TestAdaptiveCliFlags:
-    def test_ci_target_flag_runs_adaptively(self, tmp_path, capsys):
-        rc = main(
-            [
-                "scenario",
-                "sparse-long-range",
-                "--runs",
-                "2",
-                "--strategies",
-                "Minim",
-                "--ci-target",
-                "5.0",  # loose: converges at the starting budget
-                "--ci-abs",
-                "10.0",
-                "--max-runs",
-                "6",
-                "--results",
-                str(tmp_path / "store.sqlite"),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "adaptive:" in out
-
-    def test_max_runs_without_target_is_rejected(self, tmp_path, capsys):
-        rc = main(["scenario", "sparse-long-range", "--runs", "1", "--max-runs", "4"])
-        assert rc == 2
-        assert "--ci-target" in capsys.readouterr().err
-
-    def test_figure_commands_report_flag_errors_cleanly(self, capsys):
-        # fig commands must print the same clean error as scenario, not
-        # a raw traceback
-        rc = main(["fig11", "--runs", "1", "--max-runs", "4"])
-        assert rc == 2
-        assert "--ci-target" in capsys.readouterr().err
-
-    def test_parser_accepts_adaptive_flags_on_figures(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["fig11", "--ci-target", "0.1", "--ci-abs", "0.5", "--max-runs", "16"]
-        )
-        assert args.ci_target == 0.1 and args.ci_abs == 0.5 and args.max_runs == 16
 
 
 def test_watch_sleeps_between_snapshots(tmp_path):

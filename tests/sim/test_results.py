@@ -21,7 +21,8 @@ from repro.sim.results import (
     seed_token,
     spec_digest,
 )
-from repro.sim.sweep import build_sweep, run_sweep
+from repro.sim.sweep import build_sweep, claim_cached, plan_tasks, run_sweep
+from tests.conftest import series_json
 
 
 def tiny_spec():
@@ -32,6 +33,17 @@ def tiny_spec():
         n=8,
         strategies=("Minim",),
         sweep_values=(6.0, 8.0),
+    )
+
+
+def paired_spec():
+    from dataclasses import replace
+
+    return replace(
+        get_scenario("fig11-power"),
+        n=10,
+        strategies=("Minim",),
+        sweep_values=(2.0, 4.0),
     )
 
 
@@ -521,14 +533,28 @@ class TestSweepResume:
         assert first.metrics == second.metrics
         assert first.x_values == second.x_values
 
-    def test_extending_runs_recomputes_only_new_points(self, tmp_path):
+    @pytest.mark.parametrize(
+        ("make_spec", "runs", "notes"),
+        [
+            (tiny_spec, 2, "2 points computed, 2 from cache"),
+            (paired_spec, 3, "4 points computed, 2 from cache"),
+        ],
+        ids=["unpaired", "paired"],
+    )
+    def test_extending_runs_recomputes_only_new_points(self, tmp_path, make_spec, runs, notes):
         store = JsonDirBackend(tmp_path)
-        spec = tiny_spec()
+        spec = make_spec()
         run_sweep(spec, runs=1, seed=3, store=store)
-        grown = run_sweep(spec, runs=2, seed=3, store=store)
-        # runs=1 wrote points for run 0; runs=2 reuses them (same seed
-        # derivation path) and computes only run 1.
-        assert "2 points computed, 2 from cache" in grown.notes
+        # runs=1 wrote run 0 of both points; the grown sweep reuses them
+        # (same seed derivation path) and plans only the new runs, a
+        # paired sweep each as one whole warm row over both points.
+        _, pending = claim_cached(plan_tasks(build_sweep(spec, runs=runs, seed=3)), store, True)
+        new = [(i, r) for r in range(1, runs) for i in range(2)]
+        assert sorted(ix for g in pending for ix in g.indices) == sorted(new)
+        assert all(len(g.indices) == (2 if spec.paired_runs else 1) for g in pending)
+        grown = run_sweep(spec, runs=runs, seed=3, store=store)
+        assert notes in grown.notes
+        assert series_json(grown) == series_json(run_sweep(spec, runs=runs, seed=3))
 
     def test_no_resume_recomputes(self, tmp_path):
         store = JsonDirBackend(tmp_path)

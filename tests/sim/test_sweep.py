@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.registry import get_scenario
-from repro.sim.sweep import build_sweep, run_sweep
+from repro.sim.sweep import build_sweep, resolve_runs, run_sweep
 
 #: The paper's five figure sweeps, registered as scenarios.
 PAPER_SCENARIOS = (
@@ -92,6 +92,73 @@ class TestBuildSweep:
         assert sweep.runs == 7
         with pytest.raises(ConfigurationError, match="ten"):
             build_sweep(get_scenario("fig10-join"), env_runs="ten")
+
+
+class TestResolveRuns:
+    def test_explicit_wins(self):
+        assert resolve_runs(7, 5, "3") == 7
+
+    def test_env_beats_default(self):
+        assert resolve_runs(None, 5, "3") == 3
+
+    def test_default_fallback(self):
+        assert resolve_runs(None, 5, None) == 5
+
+    def test_rejects_nonpositive_explicit(self):
+        with pytest.raises(ValueError):
+            resolve_runs(0, 5, None)
+
+    def test_nonpositive_env_raises_configuration_error(self):
+        # every env-derived failure is environment misconfiguration, so
+        # "0" must match the non-integer case, not surface as ValueError
+        with pytest.raises(ConfigurationError, match=">= 1"):
+            resolve_runs(None, 5, "0")
+        with pytest.raises(ConfigurationError, match="-2"):
+            resolve_runs(None, 5, "-2")
+
+    def test_non_numeric_env_raises_configuration_error(self):
+        # e.g. REPRO_RUNS=ten must not surface as a bare ValueError
+        with pytest.raises(ConfigurationError, match="'ten'"):
+            resolve_runs(None, 5, "ten")
+        with pytest.raises(ConfigurationError, match="REPRO_RUNS"):
+            resolve_runs(None, 5, "3.5")
+
+
+def _small(name: str, sweep_values: tuple[float, ...], n: int = 10):
+    return replace(get_scenario(name), n=n, strategies=("Minim",), sweep_values=sweep_values)
+
+
+class TestSeedPrefixStability:
+    def test_extending_runs_preserves_existing_seeds(self):
+        # raising `runs` on a store reuses every computed point because
+        # run r's seed never depends on how many runs were planned
+        for spec in (_small("fig10-join", (6.0, 8.0, 10.0)), _small("fig11-power", (2.0, 4.0))):
+            small = build_sweep(spec, runs=2, seed=9)
+            large = build_sweep(spec, runs=7, seed=9)
+            for i in range(len(small.points)):
+                for r in range(2):
+                    a, b = small.seeds[i][r], large.seeds[i][r]
+                    assert (a.entropy, a.spawn_key) == (b.entropy, b.spawn_key)
+
+
+class TestStderrGuard:
+    def test_single_run_sweep_stores_zero_stderr_not_nan(self):
+        series = run_sweep(_small("fig10-join", (6.0, 8.0, 10.0)), runs=1, seed=3)
+        for per_strategy in series.stderr.values():
+            for values in per_strategy.values():
+                assert values == [0.0] * len(values)
+
+
+class TestOneRunBudget:
+    """Every sweep runs exactly ``runs`` runs per point; nothing adapts it."""
+
+    def test_precision_argument_is_gone(self):
+        with pytest.raises(TypeError, match="precision"):
+            run_sweep(_small("fig10-join", (6.0,)), runs=1, seed=3, precision=0.2)
+
+    def test_control_module_is_gone(self):
+        with pytest.raises(ImportError):
+            import repro.sim.control  # noqa: F401
 
 
 class TestDeterminismAcrossProcesses:
