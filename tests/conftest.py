@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, settings
 
 from repro.sim.network import AdHocNetwork
 from repro.sim.random_networks import sample_configs
+from repro.sim.registry import get_scenario
 from repro.sim.sweep import build_sweep, plan_tasks, run_sweep
 from repro.strategies.minim import MinimStrategy
 from repro.topology.builder import build_digraph
@@ -63,6 +64,18 @@ def each_kernel(request, monkeypatch) -> str:
     """Run the requesting test once per edge kernel (see :func:`use_kernel`)."""
     use_kernel(monkeypatch, request.param)
     return request.param
+
+
+def shrunk_scenario(name: str):
+    """Registered scenario ``name`` cut to a smoke size: at most 12 nodes,
+    Minim only, its first two sweep values (one for ``delta_rounds``)."""
+    spec = get_scenario(name)
+    return replace(
+        spec,
+        n=min(spec.n, 12),
+        strategies=("Minim",),
+        sweep_values=spec.sweep_values[: 1 if spec.measure == "delta_rounds" else 2],
+    )
 
 
 def series_json(series) -> str:

@@ -64,6 +64,16 @@ class TestParser:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--ci-target", "--ci-abs", "--max-runs"])
+    @pytest.mark.parametrize("command", ["fig10", "fig11", "fig12", "all", "scenario"])
+    def test_no_experiment_command_takes_a_run_count_target(self, command, flag, capsys):
+        # the run budget is --runs alone on every command that sweeps
+        argv = [command, *(["uniform-churn"] if command == "scenario" else []), flag, "4"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         ("command", "row"),
         [

@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis.series import ExperimentSeries
 from repro.errors import ConfigurationError
-from repro.sim.registry import get_scenario
+from repro.sim.registry import available_scenarios, get_scenario
 from repro.sim.results import (
     CheckpointScope,
     JsonDirBackend,
@@ -22,7 +22,7 @@ from repro.sim.results import (
     spec_digest,
 )
 from repro.sim.sweep import build_sweep, claim_cached, plan_tasks, run_sweep
-from tests.conftest import series_json
+from tests.conftest import series_json, shrunk_scenario
 
 
 def tiny_spec():
@@ -555,6 +555,29 @@ class TestSweepResume:
         grown = run_sweep(spec, runs=runs, seed=3, store=store)
         assert notes in grown.notes
         assert series_json(grown) == series_json(run_sweep(spec, runs=runs, seed=3))
+
+    @pytest.mark.parametrize("name", sorted(available_scenarios()))
+    def test_growing_runs_on_every_scenario(self, tmp_path, name):
+        # 1 -> 2 runs into one store: the grown sweep computes only run 1
+        # of each point, reproduces the cold series and files one
+        # fixed-budget manifest per sweep under its sweep key
+        store = SqliteBackend(tmp_path / "s.sqlite")
+        spec = shrunk_scenario(name)
+        first = build_sweep(spec, runs=1, seed=3)
+        grown = build_sweep(spec, runs=2, seed=3)
+        run_sweep(spec, runs=1, seed=3, store=store)
+        _, pending = claim_cached(plan_tasks(grown), store, True)
+        npoints = len(grown.points)
+        assert sorted(ix for g in pending for ix in g.indices) == [(i, 1) for i in range(npoints)]
+        series = run_sweep(spec, runs=2, seed=3, store=store)
+        assert f"{npoints} points computed, {npoints} from cache" in series.notes
+        assert series.runs == 2
+        assert series_json(series) == series_json(run_sweep(spec, runs=2, seed=3))
+        assert sorted(store.list_manifests()) == sorted([first.sweep_key, grown.sweep_key])
+        manifest = store.load_manifest(grown.sweep_key)
+        assert manifest["runs"] == 2 and manifest["computed"] == npoints
+        assert len(manifest["points"]) == 2 * npoints
+        assert "adaptive" not in manifest
 
     def test_no_resume_recomputes(self, tmp_path):
         store = JsonDirBackend(tmp_path)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.registry import get_scenario
-from repro.sim.sweep import build_sweep, resolve_runs, run_sweep
+from repro.sim.sweep import build_sweep, plan_tasks, resolve_runs, run_sweep
+from tests.conftest import shrunk_scenario
 
 #: The paper's five figure sweeps, registered as scenarios.
 PAPER_SCENARIOS = (
@@ -140,6 +142,22 @@ class TestSeedPrefixStability:
                     a, b = small.seeds[i][r], large.seeds[i][r]
                     assert (a.entropy, a.spawn_key) == (b.entropy, b.spawn_key)
 
+    @pytest.mark.parametrize("name", PAPER_SCENARIOS + EXTENDED_SCENARIOS)
+    def test_growing_runs_keeps_every_point_key(self, name):
+        # a store files run r of point i under its point key; growing the
+        # budget must leave those keys where they were and key every new
+        # run apart from all of them
+        spec = shrunk_scenario(name)
+
+        def keys(runs: int) -> dict:
+            groups = plan_tasks(build_sweep(spec, runs=runs, seed=9))
+            return {ix: key for g in groups for ix, key in zip(g.indices, g.keys)}
+
+        small, large = keys(2), keys(5)
+        assert len(large) == 5 * len(spec.sweep_values)
+        assert {ix: large[ix] for ix in small} == small
+        assert len(set(large.values())) == len(large)
+
 
 class TestStderrGuard:
     def test_single_run_sweep_stores_zero_stderr_not_nan(self):
@@ -147,6 +165,16 @@ class TestStderrGuard:
         for per_strategy in series.stderr.values():
             for values in per_strategy.values():
                 assert values == [0.0] * len(values)
+
+    @pytest.mark.parametrize("name", PAPER_SCENARIOS + EXTENDED_SCENARIOS)
+    def test_single_run_of_every_scenario_is_finite(self, name):
+        # one run per point, whatever the measure: finite means, stderr 0.0
+        series = run_sweep(shrunk_scenario(name), runs=1, seed=3)
+        assert series.runs == 1
+        for metric, per_strategy in series.stderr.items():
+            for strategy, values in per_strategy.items():
+                assert values == [0.0] * len(values)
+                assert all(math.isfinite(v) for v in series.metrics[metric][strategy])
 
 
 class TestOneRunBudget:
