@@ -18,7 +18,7 @@ Package map
 -----------
 * :mod:`repro.topology` — the dynamic ad-hoc digraph and conflict graph.
 * :mod:`repro.coloring` — code assignments, verification, heuristics.
-* :mod:`repro.matching` — weighted bipartite matching (from scratch).
+* :mod:`repro.matching` — maximum-weight matching on a weight matrix.
 * :mod:`repro.strategies` — Minim (the paper), CP and BBB baselines.
 * :mod:`repro.events` — join / leave / move / power-change events.
 * :mod:`repro.sim` — random networks, workloads, the scenario registry

@@ -3,7 +3,7 @@
  * array conflict core's CA2 witness-counter upkeep.
  *
  * The Python wrappers in repro.coloring.{dsatur,smallest_last,greedy},
- * repro.matching.hungarian and repro.topology.cores.array validate
+ * repro.matching and repro.topology.cores.array validate
  * their arguments and call these functions through ctypes; see
  * repro._native for the build.
  *

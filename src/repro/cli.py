@@ -72,11 +72,25 @@ from repro.sim.sweep import run_sweep
 __all__ = ["main", "build_parser"]
 
 
+def _run_count(text: str) -> int:
+    """An ``--runs`` value: an integer of at least 1."""
+    try:
+        runs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if runs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {runs}")
+    return runs
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--runs", type=int, default=None, help="runs per data point (default 5; paper used 100)"
+        "--runs",
+        type=_run_count,
+        default=None,
+        help="runs per data point (default 5; paper used 100)",
     )
     common.add_argument("--seed", type=int, default=2001, help="master seed")
     common.add_argument(

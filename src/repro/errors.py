@@ -63,10 +63,10 @@ class UncoloredNodeError(ReproError, KeyError):
 
 
 class MatchingError(ReproError):
-    """The bipartite matching layer was used inconsistently.
+    """The matcher was given a weight matrix it cannot solve exactly.
 
-    Examples: negative/zero weights where positive ones are required, or a
-    malformed bipartite graph.
+    Examples: a weight array that is not 2-D, a non-finite weight, or a
+    Minim plan whose weights would leave float64's exact integers.
     """
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from repro.coloring.assignment import CodeAssignment
 from repro.coloring.constraints import forbidden_colors
 from repro.errors import MatchingError
-from repro.matching import WeightedBipartiteGraph, max_weight_matching
+from repro.matching import max_weight_matching
 from repro.topology.conflicts import conflict_adjacency
 from repro.topology.digraph import AdHocDigraph
 from repro.topology.neighborhoods import join_partition
@@ -158,7 +158,6 @@ def _v1_constraints(
 
 
 def _match_v1(
-    v1_list: list[NodeId],
     old: np.ndarray,
     forbidden: np.ndarray,
     old_color_weight: int,
@@ -166,17 +165,18 @@ def _match_v1(
 ) -> np.ndarray:
     """Steps 3-5 on arrays: the new color of every ``V1`` member.
 
-    Builds the lexicographic weights of the module docstring — for the
-    member at position ``pos`` and allowed color ``c``::
+    Row ``pos`` of ``old`` and ``forbidden`` is the member at position
+    ``pos`` of ``v1_list``.  Builds the lexicographic weights of the
+    module docstring — for that member and allowed color ``c``::
 
         w_paper · k1 + k2 + (max − c) · k3 + (|V1| − pos)
 
     — and hands them to :func:`max_weight_matching`; unmatched members
-    take fresh colors ``max+1, max+2, …`` in ``v1_list`` order.
+    take fresh colors ``max+1, max+2, …`` in row order.
     """
     if old_color_weight < 1 or fresh_color_weight < 1:
         raise ValueError("weights must be positive integers")
-    n_left = len(v1_list)
+    n_left = len(old)
     m_right = forbidden.shape[1] - 1
     k3 = n_left * n_left + 1  # low-color preference unit
     k2 = n_left * m_right * k3 + n_left * n_left + 1  # cardinality unit
@@ -189,10 +189,7 @@ def _match_v1(
     weights = paper * k1 + (k2 + (m_right - colors) * k3)
     weights += (n_left - np.arange(n_left, dtype=np.int64))[:, None]
     weights[forbidden[:, 1:]] = 0
-    bip = WeightedBipartiteGraph.from_matrix(v1_list, colors.tolist(), weights)
-    pairs = max_weight_matching(bip).pairs
-
-    new = np.fromiter((pairs.get(u, 0) for u in v1_list), dtype=np.int64, count=n_left)
+    new = max_weight_matching(weights) + 1  # column j is color j + 1; -1 -> 0, unmatched
     unmatched = new == 0
     new[unmatched] = m_right + 1 + np.arange(int(unmatched.sum()))
     return new
@@ -222,7 +219,7 @@ def solve_v1_assignment(
     forbidden = np.zeros((len(v1_list), palette + 1), dtype=bool)
     rows = np.repeat(np.arange(len(v1_list)), [len(f) for f in forb_lists])
     forbidden[rows, [c for f in forb_lists for c in f]] = True
-    new = _match_v1(v1_list, old, forbidden, old_color_weight, fresh_color_weight)
+    new = _match_v1(old, forbidden, old_color_weight, fresh_color_weight)
     return dict(zip(v1_list, new.tolist())), palette
 
 
@@ -252,7 +249,7 @@ def plan_local_matching_recode(
     # *new* topology.  Old colors of V1 members do not constrain each
     # other (they are all being re-decided together).
     old, forbidden = _v1_constraints(graph, assignment, v1_list)
-    new = _match_v1(v1_list, old, forbidden, old_color_weight, fresh_color_weight)
+    new = _match_v1(old, forbidden, old_color_weight, fresh_color_weight)
 
     old_list, new_list = old.tolist(), new.tolist()
     changes = {

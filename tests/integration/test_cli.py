@@ -74,6 +74,15 @@ class TestParser:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["fig10", "fig11", "fig12", "all", "scenario"])
+    def test_run_count_below_one_is_a_usage_error(self, command, runs, capsys):
+        argv = [command, *(["uniform-churn"] if command == "scenario" else []), "--runs", runs]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument --runs: must be >= 1, got {runs}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         ("command", "row"),
         [

@@ -10,8 +10,8 @@ path as well as the optimum.
 
 - :func:`jv_oracle` — the Jonker–Volgenant search with the potentials
   updated on every Dijkstra step;
-- :func:`solve_v1_oracle` — the weight construction edge by edge through
-  ``WeightedBipartiteGraph.add_edge``;
+- :func:`solve_v1_oracle` — the weight construction one (member, color)
+  entry at a time;
 - :func:`plan_oracle` — constraint collection with one
   ``forbidden_colors`` call per ``V1`` member;
 - :func:`duplicated_members_oracle`, :func:`reselect_colors_oracle` and
@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.coloring.assignment import CodeAssignment
 from repro.coloring.constraints import forbidden_colors, lowest_available_color
-from repro.matching import WeightedBipartiteGraph
 from repro.strategies.cp.join import CPPlan
 from repro.strategies.minim.join import LocalRecodePlan
 from repro.topology.conflicts import conflict_neighbors
@@ -98,7 +97,7 @@ def solve_v1_oracle(
     old_color_weight: int = 3,
     fresh_color_weight: int = 1,
 ) -> tuple[dict[NodeId, Color], int]:
-    """Steps 3-5 of Fig 3, one ``add_edge`` per allowed (member, color)."""
+    """Steps 3-5 of Fig 3, one weight entry per allowed (member, color)."""
     max_seen = 0
     for u in v1_list:
         old = old_colors.get(u)
@@ -112,16 +111,16 @@ def solve_v1_oracle(
     k3 = n_left * n_left + 1
     k2 = n_left * m_right * k3 + n_left * n_left + 1
     k1 = (n_left + 1) * k2
-    bip = WeightedBipartiteGraph(left=list(v1_list), right=list(range(1, m_right + 1)))
+    weights = np.zeros((n_left, m_right), dtype=np.float64)
     for pos, u in enumerate(v1_list):
         old = old_colors.get(u)
         for k in range(1, m_right + 1):
             if k in constraints[u]:
                 continue
             w = old_color_weight if k == old else fresh_color_weight
-            bip.add_edge(u, k, w * k1 + k2 + (m_right - k) * k3 + (n_left - pos))
+            weights[pos, k - 1] = w * k1 + k2 + (m_right - k) * k3 + (n_left - pos)
 
-    pairs = {bip.left[i]: bip.right[j] for i, j in jv_oracle(bip.weight_matrix())}
+    pairs = {v1_list[i]: j + 1 for i, j in jv_oracle(weights)}
     new_colors: dict[NodeId, Color] = {}
     next_fresh = max_seen + 1
     for u in v1_list:

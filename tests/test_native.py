@@ -104,7 +104,7 @@ def test_unwritable_cache_directory_names_the_path(tmp_path, monkeypatch):
 
 def test_library_loads_on_first_kernel_call_not_at_import():
     code = (
-        "import repro.coloring.bbb, repro.matching.hungarian, repro._native as n\n"
+        "import repro.coloring.bbb, repro.matching, repro._native as n\n"
         "print(n._library is None)"
     )
     out, err = run_python(code).communicate(timeout=120)

@@ -22,7 +22,6 @@ PACKAGES = [
     "repro.events",
     "repro.geometry",
     "repro.gossip",
-    "repro.matching",
     "repro.sim",
     "repro.strategies",
     "repro.strategies.cp",
